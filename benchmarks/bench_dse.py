@@ -43,7 +43,11 @@ measured inside the spawned processes.
 the scalar per-point loop and through the vectorized
 :func:`~repro.dse.batch.evaluate_point_batch` backend, cold (caches
 disabled) and warm (point results pre-seeded), asserting bit-identical
-numbers and the ≥ 5× cold points/sec target.
+numbers and the ≥ 5× cold points/sec target.  It then sweeps every
+registered pipeline variant through the batched backend at smoke sizes,
+records each variant's engagement counts (``ExplorationResult.
+batch_engagement``) and fails if any point fell back to scalar
+evaluation.
 
 ``--smoke`` shrinks the workload for CI (affects ``--faults``,
 ``--serve`` and ``--batch``).
@@ -70,6 +74,7 @@ from repro.dse.engine import explore
 from repro.dse.resilience import FaultPlan, ResiliencePolicy
 from repro.dse.search import area_key, hypervolume
 from repro.dse.space import default_space
+from repro.pipeline.variants import pipeline_variants
 
 BENCHMARK = "gemm"
 SIZES = {"m": 1024, "n": 1024, "p": 1024}
@@ -505,10 +510,12 @@ def run_batch_phase(smoke: bool) -> dict:
         f"batched cold speedup {speedup_cold:.2f}x below the "
         f"{BATCH_SPEEDUP_TARGET:.0f}x target"
     )
+    engagement = run_variant_engagement()
     return {
         "points": points,
         "smoke": smoke,
         "bit_identical": True,
+        "engagement": engagement,
         "cold": {
             "seconds_scalar": round(t_scalar_cold, 4),
             "seconds_batched": round(t_batched_cold, 4),
@@ -525,6 +532,33 @@ def run_batch_phase(smoke: bool) -> dict:
             "speedup": round(speedup_warm, 2),
         },
     }
+
+
+def run_variant_engagement() -> dict:
+    """Sweep each registered variant through the batched backend (cold,
+    smoke sizes) and fail on any fallback to scalar evaluation.
+
+    Bit-identity tests cannot see a silent fallback — a variant that
+    stops engaging the vector path still returns the right numbers, only
+    slower — so this gate reads the engagement counter instead.
+    """
+    space_dims = {name: SMOKE_SIZES[name] for name in ("m", "n", "p")}
+    engagement = {}
+    for variant in pipeline_variants():
+        space = default_space(
+            space_dims, pars=(4, 8, 16, 32), max_tiles_per_dim=2, pipelines=(variant,)
+        )
+        result = explore(
+            BENCHMARK, sizes=SMOKE_SIZES, space=space, prune=False,
+            memoize=False, batch_eval=True,
+        )
+        counts = dict(sorted(result.batch_engagement.items()))
+        print(f"[DSE batch] engagement {variant}: {counts}")
+        assert counts == {"vector": len(result.evaluated)}, (
+            f"variant {variant!r} fell back to scalar evaluation: {counts}"
+        )
+        engagement[variant] = counts
+    return engagement
 
 
 SERVE_BENCHMARKS = ("gemm", "sumrows", "outerprod")

@@ -9,40 +9,48 @@ way the points actually share it:
    :func:`~repro.dse.engine.evaluate_point`).
 2. **One transform run per tiled program** — the transform passes depend
    only on the tiling configuration
-   (:func:`~repro.dse.cache.config_signature`), never on par or
-   metapipelining, so the remaining points group by
-   ``(pipeline gene, config signature)`` and the pass-pipeline *prefix*
-   (everything before the terminal generate/schedule/area passes) runs
-   once per group — exactly the sharing the pass memoiser exploits on the
-   warm path, now available cold.
-3. **Shared per-program analyses** — hardware generation for the group's
-   points reuses one :class:`~repro.hw.generation.GenerationShared`
-   (workload env, preload plan, op counts, traffic records).
+   (:func:`~repro.dse.cache.config_signature`), never on par,
+   metapipelining or the schedule steps that follow hardware generation,
+   so the remaining points group by ``(prefix pass signature, config
+   signature)`` and the pass-pipeline *prefix* (everything before the
+   terminal generate/schedule/area passes) runs once per group.  Variants
+   with the same PPL prefix — ``default`` and ``rewrite``, or ``auto:``
+   orderings that differ only in their schedule steps — share a group.
+3. **One design per configuration** — within a group, hardware generation
+   and lowering run once per ``(tile sizes, par, metapipelining)``,
+   reusing one :class:`~repro.hw.generation.GenerationShared` (workload
+   env, preload plan, op counts, traffic records).  Each point then
+   applies its own variant's schedule steps, each through its own
+   transformation's ``apply`` (which never mutates its input).
 4. **Stacked closed forms** — schedules with equal
    :func:`~repro.schedule.batched.schedule_signature` are priced in one
    numpy pass (:func:`~repro.schedule.batched.batched_cycles` /
    :func:`~repro.schedule.batched.batched_area`) instead of N tree walks.
 
 Results are **bit-identical** to calling ``evaluate_point`` per point —
-enforced by ``tests/dse/test_batched.py`` on all six benchmarks — and the
-cache is seeded per point through the same key machinery, so memoisation,
-journal replay and farm admission dedup behave exactly as before
-(``CACHE_VERSION`` unchanged: the key material is untouched).
+enforced by ``tests/dse/test_batched.py`` on all six benchmarks and by a
+generated-ordering differential test — and the cache is seeded per point
+through the same key machinery, so memoisation, journal replay and farm
+admission dedup behave exactly as before (``CACHE_VERSION`` unchanged:
+the key material is untouched).
 
-Points the vector path cannot take verbatim fall back to scalar
-``evaluate_point`` individually: the event cycle backend (its timeline is
-stateful, not a closed form) and pipelines whose terminal tail is not the
-stock generate → build → (rewrite…) → estimate sequence.  Rewrite
-variants *are* batched: the schedule rewriter runs per point between
-lowering and the stacked pricing, with the stage's own balance factor and
-cost source.
+The vector path takes every pipeline whose terminal tail is the stock
+generate-hardware → build-schedule → schedule-level
+:class:`~repro.pipeline.passes.TransformationStage`\\ s → estimate-area
+sequence (stock classes: a subclass may do anything).  Other points fall
+back to scalar ``evaluate_point`` individually, and every point's outcome
+is counted in the caller's ``engagement`` Counter: ``"vector"``,
+``"cached"``, or the fallback reason — ``"event-model"`` (the event
+backend's timeline is stateful, not a closed form) or
+``"non-stock-tail"``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dse.cache import ANALYSIS_CACHE, config_signature
 from repro.dse.results import PointResult
@@ -53,7 +61,7 @@ from repro.pipeline.passes import (
     EstimateAreaStage,
     GenerateHardwareStage,
     PassContext,
-    RewriteScheduleStage,
+    TransformationStage,
 )
 from repro.pipeline.pipeline import Pipeline
 from repro.ppl.program import Program
@@ -66,26 +74,34 @@ __all__ = ["evaluate_point_batch"]
 
 _MISS = object()
 
-_TERMINALS = (
-    GenerateHardwareStage,
-    BuildScheduleStage,
-    RewriteScheduleStage,
-    EstimateAreaStage,
-)
+_TERMINALS = (GenerateHardwareStage, BuildScheduleStage, EstimateAreaStage)
 
 
-def _split_terminal_tail(pipe: Pipeline) -> Optional[Tuple[list, list]]:
-    """``(prefix passes, rewrite stages)`` for a standard pipeline, else None.
+class _Tail(NamedTuple):
+    """A stock pipeline split for the vector path."""
+
+    prefix: list
+    prefix_signature: tuple
+    schedule_steps: list
+
+
+def _is_schedule_step(stage) -> bool:
+    return isinstance(stage, TransformationStage) and stage.transformation.ir == "schedule"
+
+
+def _split_terminal_tail(pipe: Pipeline) -> Optional[_Tail]:
+    """The prefix and schedule steps of a stock pipeline, else None.
 
     The vector path replaces the terminal tail wholesale, so it only
     engages when the tail is exactly the stock sequence — generate-hardware,
-    build-schedule, zero or more rewrite-schedule stages, estimate-area —
-    with the stock classes (a subclass may do anything, so ``type`` checks,
-    not ``isinstance``).  Anything else falls back to scalar evaluation.
+    build-schedule, zero or more schedule-level transformation stages,
+    estimate-area — with the stock classes (a subclass may do anything, so
+    ``type`` checks, not ``isinstance``).  Anything else falls back to
+    scalar evaluation.
     """
     split = len(pipe.passes)
     for index, stage in enumerate(pipe.passes):
-        if isinstance(stage, _TERMINALS):
+        if isinstance(stage, _TERMINALS) or _is_schedule_step(stage):
             split = index
             break
     tail = pipe.passes[split:]
@@ -97,29 +113,13 @@ def _split_terminal_tail(pipe: Pipeline) -> Optional[Tuple[list, list]]:
         return None
     if type(tail[-1]) is not EstimateAreaStage:
         return None
-    rewrites = list(tail[2:-1])
-    if any(type(stage) is not RewriteScheduleStage for stage in rewrites):
+    steps = list(tail[2:-1])
+    if not all(
+        type(stage) is TransformationStage and _is_schedule_step(stage) for stage in steps
+    ):
         return None
-    return list(pipe.passes[:split]), rewrites
-
-
-def _apply_rewrite(schedule, stage: RewriteScheduleStage, model):
-    """Run one rewrite stage's transformation exactly as the pass would.
-
-    The pass's event-backend cycle *measurement* only feeds the pipeline
-    report (never the result), so it is skipped here; the rewrite itself —
-    including ``"auto"`` balance tuning and event-profiled costs — runs
-    with the stage's own knobs against the session model, matching
-    ``RewriteScheduleStage.run``.
-    """
-    from repro.schedule.rewrite import DEFAULT_BALANCE_FACTOR, rewrite_schedule
-
-    factor = (
-        stage.balance_factor if stage.balance_factor is not None else DEFAULT_BALANCE_FACTOR
-    )
-    return rewrite_schedule(
-        schedule, model=model, balance_factor=factor, cost_source=stage.cost_source
-    ).schedule
+    prefix = list(pipe.passes[:split])
+    return _Tail(prefix, tuple(stage.signature() for stage in prefix), steps)
 
 
 def evaluate_point_batch(
@@ -130,6 +130,7 @@ def evaluate_point_batch(
     model: Optional[PerformanceModel] = None,
     session=None,
     cycle_model: str = "analytical",
+    engagement: Optional[Counter] = None,
 ) -> List[PointResult]:
     """Evaluate many design points at once; order-preserving, bit-identical.
 
@@ -138,6 +139,11 @@ def evaluate_point_batch(
     pipeline genes — with the shared work factored out (see module
     docstring).  ``cycle_model="event"`` routes every point through the
     scalar path unchanged.
+
+    ``engagement``, when given, gains one count per point under its
+    outcome: ``"vector"``, ``"cached"``, ``"event-model"`` or
+    ``"non-stock-tail"``.  A point that falls back counts under its reason
+    even when ``evaluate_point`` then finds it memoised.
     """
     from repro.dse.engine import _pipeline_signature, evaluate_point
     from repro.pipeline.session import CompilerSession
@@ -148,11 +154,12 @@ def evaluate_point_batch(
     else:
         board = session.board
         model = model if model is not None else session.model
+    outcomes = engagement if engagement is not None else Counter()
 
     results: List[Optional[PointResult]] = [None] * len(points)
     keys: List[Optional[tuple]] = [None] * len(points)
 
-    def scalar(index: int) -> None:
+    def scalar(index: int, reason: str) -> None:
         results[index] = evaluate_point(
             program,
             bindings,
@@ -161,25 +168,31 @@ def evaluate_point_batch(
             session=session,
             cycle_model=cycle_model,
         )
+        outcomes[reason] += 1
 
     if cycle_model != "analytical":
         for index in range(len(points)):
-            scalar(index)
+            scalar(index, "event-model")
         return results  # type: ignore[return-value]
 
-    tails: Dict[str, Optional[Tuple[list, list]]] = {}
+    tails: Dict[str, Optional[_Tail]] = {}
 
-    def tail_for(gene: str) -> Optional[Tuple[list, list]]:
+    def tail_for(gene: str) -> Optional[_Tail]:
         if gene not in tails:
             tails[gene] = _split_terminal_tail(session.pipeline_for(gene))
         return tails[gene]
 
     # -- pass 1: serve memoised points, collect the rest -----------------------
-    groups: Dict[Tuple[str, tuple], List[int]] = {}
+    groups: Dict[Tuple[tuple, tuple], List[int]] = {}
     for index, point in enumerate(points):
         # Raises ValueError for an unregistered pipeline gene, exactly as
         # the scalar evaluation of this point would.
         signature = _pipeline_signature(session, point.pipeline)
+        tail = tail_for(point.pipeline)
+        if tail is None:
+            # evaluate_point does its own lookup (and counts its own miss).
+            scalar(index, "non-stock-tail")
+            continue
         if ANALYSIS_CACHE.enabled:
             key = _point_result_key_cached(
                 program, bindings, point, board, model, signature, cycle_model
@@ -192,58 +205,64 @@ def evaluate_point_batch(
                     results[index] = replace(
                         cached, utilization=dict(cached.utilization)
                     )
+                    outcomes["cached"] += 1
                     continue
                 ANALYSIS_CACHE.misses["point_results"] += 1
-        if tail_for(point.pipeline) is None:
-            scalar(index)
-            continue
         groups.setdefault(
-            (point.pipeline, config_signature(point.config())), []
+            (tail.prefix_signature, config_signature(point.config())), []
         ).append(index)
 
-    # -- pass 2: one prefix run + stacked pricing per group --------------------
-    for (gene, _), indices in groups.items():
-        prefix, rewrites = tail_for(gene)  # type: ignore[misc]
-        representative = points[indices[0]]
-        ctx = PassContext(
-            config=representative.config(),
+    def context(config, par: Optional[int]) -> PassContext:
+        return PassContext(
+            config=config,
             bindings=bindings,
             board=board,
-            par=None,
+            par=par,
             model=session.model,
             cache=session.cache,
         )
+
+    # -- pass 2: one prefix run per group, one design per configuration --------
+    for indices in groups.values():
+        representative = points[indices[0]]
+        ctx = context(representative.config(), None)
+        # One (design, lowered schedule, step context) per configuration.
+        designs: Dict[tuple, tuple] = {}
+        schedules = []
         scope = fresh_naming_scope() if session.fresh_names else nullcontext()
         with scope:
+            prefix = tail_for(representative.pipeline).prefix  # type: ignore[union-attr]
             tiled = Pipeline(prefix, name="batched-prefix").run(program, ctx).program
             shared = GenerationShared(tiled, bindings)
-            designs = []
-            schedules = []
             for index in indices:
                 point = points[index]
-                design = generate_hardware(
-                    tiled,
-                    point.config(),
-                    bindings,
-                    board=board,
-                    par=point.par,
-                    shared=shared,
-                )
-                schedule = design.schedule()
-                for stage in rewrites:
-                    schedule = _apply_rewrite(schedule, stage, session.model)
-                designs.append(design)
-                schedules.append(schedule)
+                design_key = (point.tile_sizes, point.par, point.metapipelining)
+                if design_key not in designs:
+                    config = point.config()
+                    design = generate_hardware(
+                        tiled, config, bindings, board=board, par=point.par, shared=shared
+                    )
+                    designs[design_key] = (
+                        design,
+                        design.schedule(),
+                        context(config, point.par),
+                    )
+                design, schedule, step_ctx = designs[design_key]
+                for stage in tail_for(point.pipeline).schedule_steps:  # type: ignore[union-attr]
+                    schedule = stage.transformation.apply(schedule, step_ctx)
+                schedules.append((schedule, design))
+        outcomes["vector"] += len(indices)
 
         by_shape: Dict[tuple, List[int]] = {}
-        for position, schedule in enumerate(schedules):
+        for position, (schedule, _) in enumerate(schedules):
             by_shape.setdefault(schedule_signature(schedule), []).append(position)
         for positions in by_shape.values():
-            stacked = [schedules[position] for position in positions]
+            stacked = [schedules[position][0] for position in positions]
             cycles = batched_cycles(stacked, model)
             logic, ffs, bram, dsps = batched_area(stacked)
             for lane, position in enumerate(positions):
                 index = indices[position]
+                design = schedules[position][1]
                 device = stacked[lane].board.device
                 point_cycles = float(cycles[lane])
                 result = PointResult(
@@ -260,8 +279,8 @@ def evaluate_point_batch(
                         "bram": float(bram[lane]) / device.bram_bits,
                         "dsps": float(dsps[lane]) / device.dsps,
                     },
-                    read_bytes=designs[position].main_memory_read_bytes,
-                    write_bytes=designs[position].main_memory_write_bytes,
+                    read_bytes=design.main_memory_read_bytes,
+                    write_bytes=design.main_memory_write_bytes,
                 )
                 if keys[index] is not None:
                     ANALYSIS_CACHE.put("point_results", keys[index], result)

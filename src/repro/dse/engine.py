@@ -35,6 +35,7 @@ import hashlib
 import pickle
 import time
 import warnings
+from collections import Counter
 from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -102,7 +103,10 @@ class ExplorationResult:
     from a checkpoint journal instead of being recomputed, and
     ``supervision`` carries the supervisor's counters (retries, timeouts,
     pool respawns, …) for the run — in a multi-benchmark sweep, for the
-    whole shared-pool suite.
+    whole shared-pool suite.  ``batch_engagement`` totals the batched
+    evaluator's per-point outcomes over a ``batch_eval`` run (``vector``,
+    ``cached`` or a fallback reason; see :mod:`repro.dse.batch`), and is
+    empty otherwise.
     """
 
     benchmark: str
@@ -119,6 +123,7 @@ class ExplorationResult:
     interrupted: bool = False
     resumed: int = 0
     supervision: Dict[str, int] = field(default_factory=dict)
+    batch_engagement: Dict[str, int] = field(default_factory=dict)
 
     @property
     def pareto(self) -> List[PointResult]:
@@ -843,6 +848,8 @@ def explore(
             for point in points
         ]
 
+    # Per-point outcomes of the batched evaluator (empty unless batching).
+    engagement: Counter = Counter()
     if batch_eval is not None and batch_eval is not False:
         if batch_eval is not True and (
             not isinstance(batch_eval, int) or batch_eval < 1
@@ -873,6 +880,7 @@ def explore(
                         model=model,
                         session=session,
                         cycle_model=cycle_model,
+                        engagement=engagement,
                     )
                 )
             return out
@@ -1060,6 +1068,7 @@ def explore(
         interrupted=interrupted,
         resumed=state["resumed"],
         supervision=supervision,
+        batch_engagement=dict(engagement),
     )
 
 

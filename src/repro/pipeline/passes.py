@@ -27,7 +27,7 @@ pipeline serve the baseline and the optimised configurations alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Tuple, Union
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.analysis.area import estimate_area
 from repro.config import CompileConfig
@@ -56,7 +56,6 @@ __all__ = [
     "InterchangeStage",
     "GenerateHardwareStage",
     "BuildScheduleStage",
-    "RewriteScheduleStage",
     "EstimateAreaStage",
 ]
 
@@ -155,9 +154,8 @@ class TransformationStage(PipelinePass):
       ``requires_tiling``, memoised on ``(signature, gate, config_key)``,
       side outputs round-tripped through the transformation's
       ``payload``/``restore`` hooks.
-    * **Schedule transformations** behave like the legacy
-      ``rewrite-schedule`` stage: never memoised, applied to the schedule
-      deposited by ``build-schedule`` (replacing
+    * **Schedule transformations** are never memoised: they apply to the
+      schedule deposited by ``build-schedule`` (replacing
       ``ctx.artifacts["schedule"]``), with the framework's invariant
       checker (:func:`repro.schedule.rewrite.verify_rewrite`) asserted by
       ``apply_schedule`` and per-run details surfaced in the pass record.
@@ -400,105 +398,6 @@ class BuildScheduleStage(PipelinePass):
             )
         ctx.artifacts["schedule"] = design.schedule()
         return program
-
-
-class RewriteScheduleStage(PipelinePass):
-    """Terminal pass: optimise the schedule before it is timed and emitted.
-
-    Runs the schedule rewriter (:mod:`repro.schedule.rewrite`) — transfer
-    coalescing, stage rebalancing, degenerate-group flattening — on the
-    schedule deposited by ``build-schedule`` and replaces
-    ``ctx.artifacts["schedule"]`` with the rewritten copy, so every
-    downstream consumer (cycle backends, area estimate, traffic inventory,
-    MaxJ emission) sees the optimised structure.  The design's own cached
-    schedule is never mutated: with this stage absent (the ``default``
-    pipeline) nothing changes, bit for bit.
-
-    Per-rewrite hit counts — and, with ``measure_cycles`` (the default),
-    the before/after event-backend cycle delta — are reported through the
-    pass record's ``details`` in the :class:`PipelineReport`.  Never
-    memoised: the schedule is a workload-bound artifact, exactly like the
-    design it was lowered from.
-
-    ``balance_factor`` may be a number or ``"auto"`` (tune per schedule by
-    scoring rewritten candidates with the event backend);
-    ``cost_source`` picks the rebalancer's stage-cost oracle —
-    ``"analytical"`` closed forms or measured ``"event"`` stage profiles.
-    The ``rewrite-profiled`` pipeline variant runs with both set.
-    """
-
-    name = "rewrite-schedule"
-    budget_seconds = 0.100
-
-    def __init__(
-        self,
-        name: Optional[str] = None,
-        balance_factor: Union[float, str, None] = None,
-        measure_cycles: bool = True,
-        cost_source: str = "analytical",
-    ) -> None:
-        super().__init__(name)
-        self.balance_factor = balance_factor
-        self.measure_cycles = measure_cycles
-        self.cost_source = cost_source
-
-    def run(self, program: Program, ctx: PassContext) -> Program:
-        from repro.schedule.rewrite import DEFAULT_BALANCE_FACTOR, rewrite_schedule
-
-        schedule = ctx.artifacts.get("schedule")
-        if schedule is None:
-            raise PipelineError(
-                "rewrite-schedule needs a schedule: run build-schedule earlier "
-                "in the pipeline"
-            )
-        result = rewrite_schedule(
-            schedule,
-            model=ctx.model,
-            balance_factor=(
-                self.balance_factor
-                if self.balance_factor is not None
-                else DEFAULT_BALANCE_FACTOR
-            ),
-            cost_source=self.cost_source,
-        )
-        ctx.artifacts["schedule"] = result.schedule
-        details: Dict[str, object] = {
-            "rewrite_hits": dict(result.hits),
-            "rewrite_rounds": result.rounds,
-            "balance_factor": result.balance_factor,
-            "cost_source": self.cost_source,
-        }
-        if self.measure_cycles:
-            from repro.schedule.event import EventScheduleBackend
-
-            if result.changed:
-                before = EventScheduleBackend(ctx.model).run(schedule).cycles
-                after = EventScheduleBackend(ctx.model).run(result.schedule).cycles
-            else:
-                # No rewrite fired: the schedules are structurally
-                # identical, so one event run prices both.
-                before = after = EventScheduleBackend(ctx.model).run(schedule).cycles
-            details["event_cycles_before"] = before
-            details["event_cycles_after"] = after
-        ctx.artifacts[PASS_DETAILS_KEY] = details
-        return program
-
-    def signature(self) -> Tuple[str, str]:
-        """Fold the (resolved) balance factor and cost source in: both
-        change the rewritten schedule, so point-result cache keys must
-        distinguish rewriter tunings — including a future change of the
-        default factor.  ``"auto"`` stays symbolic (the tuned value is
-        schedule-dependent but deterministic given the workload, which the
-        rest of the key already pins)."""
-        from repro.schedule.rewrite import DEFAULT_BALANCE_FACTOR
-
-        factor = (
-            self.balance_factor if self.balance_factor is not None else DEFAULT_BALANCE_FACTOR
-        )
-        return (
-            f"{type(self).__name__}[bf={factor},cs={self.cost_source}]",
-            self.name,
-        )
 
 
 class EstimateAreaStage(PipelinePass):

@@ -5,11 +5,10 @@ coalescing, stage rebalancing, degenerate-group flattening — as
 individually orderable :class:`~repro.rewrite.framework.Transformation`\\ s
 (each applied to quiescence on a clone, with
 :func:`repro.schedule.rewrite.verify_rewrite` asserting the preservation
-invariants afterwards), plus :class:`ScheduleRewrite`: the composite that
-reproduces the legacy ``rewrite-schedule`` pipeline stage exactly — same
-rewrite sequence, same rounds loop, same report details — so the
-``rewrite`` / ``rewrite-profiled`` variants re-expressed through the
-framework stay bit-identical.
+invariants afterwards), plus :class:`ScheduleRewrite`: the composite
+``rewrite-schedule`` step of the ``rewrite`` / ``rewrite-profiled``
+variants — the full rewrite sequence and rounds loop of
+:func:`repro.schedule.rewrite.rewrite_schedule`, with its report details.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from repro.rewrite.framework import Match, ScheduleTransformation, ShapePattern
 from repro.schedule.rewrite import (
     DEFAULT_BALANCE_FACTOR,
     DegenerateGroupFlattening,
+    RewriteResult,
     StageRebalancing,
     TransferCoalescing,
 )
@@ -117,15 +117,15 @@ class FlattenDegenerateGroups(ScheduleTransformation):
 
 
 class ScheduleRewrite(ScheduleTransformation):
-    """The composite schedule rewriter — the legacy stage, as a transformation.
+    """The composite schedule rewriter as one transformation.
 
     Delegates to :func:`repro.schedule.rewrite.rewrite_schedule` (flatten →
-    coalesce → rebalance, iterated to quiescence, verified) and reports the
-    same details the legacy ``RewriteScheduleStage`` did — per-rewrite hit
-    counts, rounds, the resolved balance factor and (with
-    ``measure_cycles``) the before/after event-backend cycle delta — so the
-    ``rewrite`` and ``rewrite-profiled`` variants re-expressed through the
-    framework produce bit-identical schedules *and* reports.
+    coalesce → rebalance, iterated to quiescence, verified).
+    :meth:`apply_schedule` — what the pipeline stage runs — also reports
+    per-rewrite hit counts, rounds, the resolved balance factor and (with
+    ``measure_cycles``) the before/after event-backend cycle delta.
+    :meth:`apply` is the rewrite alone: the batched evaluator prices the
+    schedule itself, so it skips the report-only event runs.
     """
 
     name = "rewrite-schedule"
@@ -147,19 +147,27 @@ class ScheduleRewrite(ScheduleTransformation):
             kinds=(StageGroup,), description="any stage group (composite)"
         )
 
-    def apply_schedule(self, schedule, ctx) -> Tuple[object, Dict[str, object]]:
+    def _factor(self) -> Union[float, str]:
+        if self.balance_factor is None:
+            return DEFAULT_BALANCE_FACTOR
+        return self.balance_factor
+
+    def rewrite(self, schedule, ctx) -> RewriteResult:
+        """Rewrite the schedule; no report details, no event measurement."""
         from repro.schedule.rewrite import rewrite_schedule
 
-        result = rewrite_schedule(
+        return rewrite_schedule(
             schedule,
             model=ctx.model,
-            balance_factor=(
-                self.balance_factor
-                if self.balance_factor is not None
-                else DEFAULT_BALANCE_FACTOR
-            ),
+            balance_factor=self._factor(),
             cost_source=self.cost_source,
         )
+
+    def apply(self, schedule, ctx):
+        return self.rewrite(schedule, ctx).schedule
+
+    def apply_schedule(self, schedule, ctx) -> Tuple[object, Dict[str, object]]:
+        result = self.rewrite(schedule, ctx)
         details: Dict[str, object] = {
             "rewrite_hits": dict(result.hits),
             "rewrite_rounds": result.rounds,
@@ -180,9 +188,4 @@ class ScheduleRewrite(ScheduleTransformation):
         return result.schedule, details
 
     def signature(self) -> str:
-        factor = (
-            self.balance_factor
-            if self.balance_factor is not None
-            else DEFAULT_BALANCE_FACTOR
-        )
-        return f"{type(self).__name__}[bf={factor},cs={self.cost_source}]"
+        return f"{type(self).__name__}[bf={self._factor()},cs={self.cost_source}]"

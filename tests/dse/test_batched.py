@@ -1,7 +1,10 @@
 """Batched design-point evaluation: bit-identity with the scalar path on
-every benchmark, pipeline-variant and cycle-model coverage, cache seeding,
-explore() integration, chaos determinism, and the annealing strategy's
-efficiency criterion."""
+every benchmark, pipeline-variant and cycle-model coverage, vector-path
+engagement and design sharing across variants, cache seeding, explore()
+integration, chaos determinism, and the annealing strategy's efficiency
+criterion."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +16,12 @@ from repro.dse.engine import evaluate_point, explore
 from repro.dse.resilience import FaultPlan, ResiliencePolicy
 from repro.dse.search import hypervolume, run_search
 from repro.dse.space import DesignPoint, DesignSpace, default_space
+from repro.hw.generation import HardwareGenerator
+from repro.pipeline.passes import EstimateAreaStage, TransformationStage
+from repro.pipeline.session import CompilerSession
+from repro.pipeline.variants import get_pipeline, pipeline_variants
+from repro.rewrite import ScheduleRewrite
+from repro.schedule.event import EventScheduleBackend
 
 BENCH_NAMES = [bench.name for bench in all_benchmarks()]
 
@@ -66,33 +75,38 @@ class TestBitIdentity:
             batched = evaluate_point_batch(program, bindings, points)
         _assert_results_bit_identical(scalar, batched)
 
-    @pytest.mark.parametrize(
-        "variant", ["rewrite", "rewrite-profiled", "no-fusion", "no-cse"]
-    )
+    @pytest.mark.parametrize("variant", pipeline_variants())
     def test_pipeline_variants_match(self, variant):
         bench = get_benchmark("gemm")
         program = bench.build()
         bindings = bench.bindings(rng=np.random.default_rng(5))
         points = list(_space_for(bench, pipeline=variant))[:8]
+        engagement = Counter()
         with ANALYSIS_CACHE.disabled():
             scalar = [evaluate_point(program, bindings, p) for p in points]
-            batched = evaluate_point_batch(program, bindings, points)
+            batched = evaluate_point_batch(
+                program, bindings, points, engagement=engagement
+            )
         _assert_results_bit_identical(scalar, batched)
+        # Every registered variant takes the vector path: no fallbacks.
+        assert engagement == Counter({"vector": len(points)})
 
     def test_event_cycle_model_routes_through_scalar_and_matches(self):
         bench = get_benchmark("sumrows")
         program = bench.build()
         bindings = bench.bindings(rng=np.random.default_rng(2))
         points = list(_space_for(bench))[:6]
+        engagement = Counter()
         with ANALYSIS_CACHE.disabled():
             scalar = [
                 evaluate_point(program, bindings, p, cycle_model="event")
                 for p in points
             ]
             batched = evaluate_point_batch(
-                program, bindings, points, cycle_model="event"
+                program, bindings, points, cycle_model="event", engagement=engagement
             )
         _assert_results_bit_identical(scalar, batched)
+        assert engagement == Counter({"event-model": len(points)})
 
     def test_mixed_order_and_duplicate_configs_keep_submission_order(self):
         """Grouping by (pipeline, config) must not reorder the output."""
@@ -114,6 +128,115 @@ class TestBitIdentity:
         bad = DesignPoint.make({"m": 64}, par=4, pipeline="not-a-variant")
         with pytest.raises(ValueError, match="pipeline"):
             evaluate_point_batch(program, bindings, [bad])
+
+
+class _SubclassedEstimate(EstimateAreaStage):
+    """A terminal stage the vector path cannot vouch for."""
+
+
+class _SubclassedStep(TransformationStage):
+    """A schedule step the vector path cannot vouch for."""
+
+
+def _session_with_tail(edit):
+    """A session whose default pipeline is ``rewrite`` with one stage edited."""
+    pipe = get_pipeline("rewrite")
+    return CompilerSession(pipeline=edit(pipe))
+
+
+class TestEngagement:
+    def _inputs(self, name="sumrows", seed=4):
+        bench = get_benchmark(name)
+        return bench, bench.build(), bench.bindings(rng=np.random.default_rng(seed))
+
+    def test_cached_points_count_as_cached(self):
+        bench, program, bindings = self._inputs()
+        points = list(_space_for(bench, pipeline="rewrite"))[:5]
+        first, second = Counter(), Counter()
+        evaluate_point_batch(program, bindings, points, engagement=first)
+        evaluate_point_batch(program, bindings, points, engagement=second)
+        assert first == Counter({"vector": len(points)})
+        assert second == Counter({"cached": len(points)})
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda pipe: pipe.replaced("estimate-area", _SubclassedEstimate()),
+            lambda pipe: pipe.replaced(
+                "rewrite-schedule", _SubclassedStep(ScheduleRewrite())
+            ),
+        ],
+        ids=["subclassed-terminal", "subclassed-schedule-step"],
+    )
+    def test_non_stock_tail_falls_back_and_matches(self, edit):
+        bench, program, bindings = self._inputs()
+        points = list(_space_for(bench))[:4]
+        session = _session_with_tail(edit)
+        engagement = Counter()
+        with ANALYSIS_CACHE.disabled():
+            scalar = [
+                evaluate_point(program, bindings, p, session=session) for p in points
+            ]
+            batched = evaluate_point_batch(
+                program, bindings, points, session=session, engagement=engagement
+            )
+        _assert_results_bit_identical(scalar, batched)
+        assert engagement == Counter({"non-stock-tail": len(points)})
+
+    def test_fallback_counts_each_cache_miss_once(self):
+        bench, program, bindings = self._inputs()
+        points = list(_space_for(bench))[:6]
+        session = _session_with_tail(
+            lambda pipe: pipe.replaced("estimate-area", _SubclassedEstimate())
+        )
+        evaluate_point_batch(program, bindings, points, session=session)
+        stats = ANALYSIS_CACHE.stats()["point_results"]
+        assert stats["misses"] == len(points)
+        assert stats["entries"] == len(points)
+
+    def test_designs_are_shared_across_variants(self, monkeypatch):
+        bench, program, bindings = self._inputs("gemm", seed=5)
+        configs = list(_space_for(bench))
+        points = configs + [
+            DesignPoint(p.tile_sizes, p.par, p.metapipelining, pipeline=variant)
+            for variant in ("rewrite", "rewrite-profiled", "no-cse")
+            for p in configs
+        ]
+        np.random.default_rng(1).shuffle(points)
+        calls = []
+        generate = HardwareGenerator.generate
+
+        def counted(self):
+            calls.append(self)
+            return generate(self)
+
+        engagement = Counter()
+        with ANALYSIS_CACHE.disabled():
+            scalar = [evaluate_point(program, bindings, p) for p in points]
+            monkeypatch.setattr(HardwareGenerator, "generate", counted)
+            batched = evaluate_point_batch(
+                program, bindings, points, engagement=engagement
+            )
+        _assert_results_bit_identical(scalar, batched)
+        assert engagement == Counter({"vector": len(points)})
+        # default, rewrite and rewrite-profiled share one design per
+        # configuration; no-cse has a different PPL prefix and builds its own.
+        assert len(calls) == 2 * len(configs)
+
+    def test_batched_rewrite_skips_report_only_event_runs(self, monkeypatch):
+        """The rewrite stage's event cycle measurement only feeds the
+        pipeline report; the batched path must never pay for it."""
+        bench, program, bindings = self._inputs()
+        points = list(_space_for(bench, pipeline="rewrite"))
+        with ANALYSIS_CACHE.disabled():
+            scalar = [evaluate_point(program, bindings, p) for p in points]
+
+            def forbidden(self, schedule):
+                raise AssertionError("event backend ran on the batched path")
+
+            monkeypatch.setattr(EventScheduleBackend, "run", forbidden)
+            batched = evaluate_point_batch(program, bindings, points)
+        _assert_results_bit_identical(scalar, batched)
 
 
 class TestCacheInteraction:
@@ -167,6 +290,18 @@ class TestExploreIntegration:
         batched = self._explore(batch_eval=True)
         _assert_results_bit_identical(baseline.evaluated, batched.evaluated)
         assert [r.point for r in baseline.pareto] == [r.point for r in batched.pareto]
+
+    def test_explore_reports_batch_engagement_totals(self):
+        bench = get_benchmark("gemm")
+        space = DesignSpace()
+        for pipeline in ("default", "rewrite"):
+            space.extend(_space_for(bench, pipeline=pipeline))
+        assert self._explore(space=space).batch_engagement == {}
+        ANALYSIS_CACHE.clear()
+        batched = self._explore(space=space, batch_eval=5)
+        assert batched.batch_engagement == {"vector": len(space)}
+        rerun = self._explore(space=space, batch_eval=True)
+        assert rerun.batch_engagement == {"cached": len(space)}
 
     def test_block_size_batching_matches(self):
         baseline = self._explore()
