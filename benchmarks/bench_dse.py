@@ -3,9 +3,10 @@
 Four phases over a ≥ 50-point gemm tiling/parallelism/metapipelining
 space, all appended as one record to ``BENCH_dse.json``:
 
-1. **Engine wall-clock** — the sweep three ways: *cold* (naive serial loop,
-   all caches disabled), *memoized* (area pre-filter + hash-consed
-   tiling/analysis caches) and *parallel* (surviving points fanned across a
+1. **Engine wall-clock** — the sweep three ways: *cold* (the reference
+   ``evaluate_point`` loop, all caches disabled), *memoized* (``explore``:
+   area pre-filter, batched evaluation, hash-consed tiling/analysis
+   caches) and *parallel* (surviving points fanned across a supervised
    ``multiprocessing`` pool).  Asserts the memoized path returns
    *identical* numbers to the uncached path and the ≥ 3× speedup target.
 
@@ -27,7 +28,9 @@ The run finally refreshes the repo-level ``.dse-cache/`` store that CI
 persists between workflow runs (keyed on the cache version).
 
 ``--faults`` runs the chaos phase instead: fault-free supervision
-overhead (asserted < 5%), then a seeded crash/hang/error/corrupt
+overhead — supervised ``explore`` against the bare
+:func:`~repro.dse.batch.evaluate_point_batch` over the same points,
+asserted < 5% — then a seeded crash/hang/error/corrupt
 :class:`~repro.dse.resilience.FaultPlan` plus a corrupted disk store
 through a pooled sweep, asserting bit-identical recovery.
 
@@ -40,8 +43,9 @@ against the lazily-mapped snapshot attach, with per-worker warm-up time
 measured inside the spawned processes.
 
 ``--batch`` runs the batched-evaluation phase instead: the sweep through
-the scalar per-point loop and through the vectorized
-:func:`~repro.dse.batch.evaluate_point_batch` backend, cold (caches
+a loop of scalar ``evaluate_point`` calls and through ``explore`` (whose
+in-process evaluation is the vectorized
+:func:`~repro.dse.batch.evaluate_point_batch` backend), cold (caches
 disabled) and warm (point results pre-seeded), asserting bit-identical
 numbers and the ≥ 5× cold points/sec target.  It then sweeps every
 registered pipeline variant through the batched backend at smoke sizes,
@@ -61,6 +65,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -69,8 +74,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.apps import get_benchmark
+from repro.dse.batch import evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE, CACHE_VERSION
-from repro.dse.engine import explore
+from repro.dse.engine import evaluate_point, explore
 from repro.dse.resilience import FaultPlan, ResiliencePolicy
 from repro.dse.search import area_key, hypervolume
 from repro.dse.space import default_space
@@ -109,10 +116,23 @@ def _disk_space():
     )
 
 
+def _workload(sizes):
+    """The program and inputs ``explore`` builds for the benchmark."""
+    bench = get_benchmark(BENCHMARK)
+    return bench.build(), bench.bindings(sizes, np.random.default_rng(3))
+
+
+def _scalar_sweep(sizes, space):
+    """The reference path: ``evaluate_point`` per point, workload included."""
+    program, bindings = _workload(sizes)
+    return [evaluate_point(program, bindings, point) for point in space]
+
+
 def run_engine_phase(space) -> dict:
     ANALYSIS_CACHE.clear()
     started = time.perf_counter()
-    cold = explore(BENCHMARK, sizes=SIZES, space=space, memoize=False, prune=False)
+    with ANALYSIS_CACHE.disabled():
+        cold = _scalar_sweep(SIZES, space)
     t_cold = time.perf_counter() - started
 
     ANALYSIS_CACHE.clear()
@@ -130,7 +150,7 @@ def run_engine_phase(space) -> dict:
 
     # The memoized path must return the same numbers as the uncached loop
     # for every point it evaluated.
-    cold_by_label = {r.label: r for r in cold.evaluated}
+    cold_by_label = {r.label: r for r in cold}
     mismatches = []
     for result in memoized.evaluated:
         reference = cold_by_label[result.label]
@@ -278,7 +298,6 @@ def run_disk_phase(space) -> dict:
 
 def run_pipeline_phase() -> dict:
     """Per-pass instrumentation and the pipeline-variant design-space axis."""
-    from repro.apps import get_benchmark
     from repro.config import CompileConfig
     from repro.pipeline import Session
 
@@ -332,6 +351,7 @@ def run_pipeline_phase() -> dict:
 
 
 SUPERVISION_OVERHEAD_CEILING = 0.05  # fault-free supervision must stay < 5%
+FAULTS_REPEATS = 3
 SMOKE_SIZES = {"m": 256, "n": 256, "p": 256}
 
 
@@ -339,7 +359,7 @@ def run_faults_phase(smoke: bool) -> dict:
     """Chaos smoke: supervision overhead, seeded fault recovery, store repair.
 
     Asserts three things: fault-free supervision costs < 5% wall-clock over
-    the unsupervised sweep; a seeded crash/hang/error/corrupt schedule plus
+    the bare batched evaluator; a seeded crash/hang/error/corrupt schedule plus
     a corrupted disk store still completes *bit-identical* to the fault-free
     run with nothing quarantined; and the corrupted store is quarantined
     aside and rebuilt.
@@ -353,26 +373,36 @@ def run_faults_phase(smoke: bool) -> dict:
     print(f"[DSE faults] {BENCHMARK} {len(space)} points, sizes {sizes}")
 
     # -- supervision overhead, fault-free ---------------------------------
-    ANALYSIS_CACHE.clear()
-    started = time.perf_counter()
-    plain = explore(BENCHMARK, sizes=sizes, space=space, prune=False)
-    t_plain = time.perf_counter() - started
+    # Every explore() is supervised; the reference is the bare batched
+    # evaluator over the same points, workload generation included on
+    # both sides.  Medians over repeats keep host noise out.
+    def bare():
+        program, bindings = _workload(sizes)
+        return evaluate_point_batch(program, bindings, list(space))
 
-    ANALYSIS_CACHE.clear()
-    started = time.perf_counter()
-    supervised = explore(
-        BENCHMARK, sizes=sizes, space=space, prune=False,
-        resilience=ResiliencePolicy(retries=2),
-    )
-    t_supervised = time.perf_counter() - started
+    def supervised():
+        return explore(
+            BENCHMARK, sizes=sizes, space=space, prune=False,
+            resilience=ResiliencePolicy(retries=2),
+        ).evaluated
 
-    assert supervised.evaluated == plain.evaluated, (
-        "supervised sweep diverged from the unsupervised one"
-    )
+    plain, plain_times, supervised_times = None, [], []
+    for _ in range(FAULTS_REPEATS):
+        for sweep, times in ((bare, plain_times), (supervised, supervised_times)):
+            ANALYSIS_CACHE.clear()
+            started = time.perf_counter()
+            evaluated = sweep()
+            times.append(time.perf_counter() - started)
+            if plain is None:
+                plain = evaluated
+            assert evaluated == plain, "supervised sweep diverged from the bare evaluator"
+    t_plain = statistics.median(plain_times)
+    t_supervised = statistics.median(supervised_times)
+
     overhead = max(0.0, t_supervised / t_plain - 1.0)
     print(
-        f"[DSE faults] fault-free: plain {t_plain:.2f}s | supervised "
-        f"{t_supervised:.2f}s | overhead {overhead:.1%}"
+        f"[DSE faults] fault-free: bare batch {t_plain:.2f}s | supervised explore "
+        f"{t_supervised:.2f}s | overhead {overhead:.1%} (medians of {FAULTS_REPEATS})"
     )
     assert overhead < SUPERVISION_OVERHEAD_CEILING, (
         f"fault-free supervision overhead {overhead:.1%} exceeds "
@@ -381,7 +411,7 @@ def run_faults_phase(smoke: bool) -> dict:
 
     # -- seeded chaos run against a corrupted store -----------------------
     plan = FaultPlan.seeded(
-        {BENCHMARK: [r.point for r in plain.evaluated]},
+        {BENCHMARK: [r.point for r in plain]},
         seed=11, crashes=1, hangs=1, errors=1, corrupts=1, hang_seconds=60.0,
     )
     with tempfile.TemporaryDirectory(prefix="dse-faults-") as tmp:
@@ -402,7 +432,7 @@ def run_faults_phase(smoke: bool) -> dict:
         store_rebuilt = store.exists()
         shard_quarantined = store.with_name("analysis.pkl.corrupt").exists()
 
-    assert chaos.evaluated == plain.evaluated, (
+    assert chaos.evaluated == plain, (
         "chaos run is not bit-identical to the fault-free sweep"
     )
     assert not chaos.quarantined, (
@@ -441,10 +471,12 @@ BATCH_SPEEDUP_TARGET = 5.0
 def run_batch_phase(smoke: bool) -> dict:
     """Scalar vs batched point evaluation: points/sec cold and warm.
 
-    Cold runs disable every cache so both paths pay full compile cost;
-    warm runs pre-seed the point-result table so both paths serve pure
-    hits.  The batched backend must return bit-identical numbers and hit
-    the ≥ 5× cold throughput target.
+    The scalar side is a loop of ``evaluate_point`` calls, the batched side
+    ``explore`` (always batched in-process).  Cold runs disable every cache
+    so both paths pay full compile cost; warm runs pre-seed the
+    point-result table so both paths serve pure hits.  The batched backend
+    must return bit-identical numbers and hit the ≥ 5× cold throughput
+    target.
     """
     sizes = SMOKE_SIZES if smoke else SIZES
     space = default_space(
@@ -454,34 +486,36 @@ def run_batch_phase(smoke: bool) -> dict:
     )
     points = len(space)
     print(f"[DSE batch] {BENCHMARK} {points} points, sizes {sizes}")
+    def scalar():
+        return _scalar_sweep(sizes, space)
 
-    def cold(**kwargs):
-        ANALYSIS_CACHE.clear()
+    def batched():
+        return explore(BENCHMARK, sizes=sizes, space=space, prune=False).evaluated
+
+    def timed(sweep):
         started = time.perf_counter()
-        result = explore(
-            BENCHMARK, sizes=sizes, space=space, prune=False,
-            memoize=False, **kwargs,
-        )
+        result = sweep()
         return result, time.perf_counter() - started
 
-    def warm(**kwargs):
+    def cold(sweep):
         ANALYSIS_CACHE.clear()
-        explore(BENCHMARK, sizes=sizes, space=space, prune=False, **kwargs)
+        with ANALYSIS_CACHE.disabled():
+            return timed(sweep)
+
+    def warm(sweep):
+        ANALYSIS_CACHE.clear()
+        sweep()
         misses_before = ANALYSIS_CACHE.stats()["point_results"]["misses"]
-        started = time.perf_counter()
-        result = explore(
-            BENCHMARK, sizes=sizes, space=space, prune=False, **kwargs
-        )
-        elapsed = time.perf_counter() - started
+        result = timed(sweep)
         misses_after = ANALYSIS_CACHE.stats()["point_results"]["misses"]
         assert misses_after == misses_before, "warm rerun recompiled points"
-        return result, elapsed
+        return result
 
-    scalar_cold, t_scalar_cold = cold()
-    batched_cold, t_batched_cold = cold(batch_eval=True)
+    scalar_cold, t_scalar_cold = cold(scalar)
+    batched_cold, t_batched_cold = cold(batched)
 
-    assert len(scalar_cold.evaluated) == len(batched_cold.evaluated) == points
-    for left, right in zip(scalar_cold.evaluated, batched_cold.evaluated):
+    assert len(scalar_cold) == len(batched_cold) == points
+    for left, right in zip(scalar_cold, batched_cold):
         assert left.point == right.point
         assert (
             left.cycles == right.cycles
@@ -491,8 +525,8 @@ def run_batch_phase(smoke: bool) -> dict:
             and left.read_bytes == right.read_bytes
         ), f"batched result diverges from scalar for {left.label}"
 
-    _, t_scalar_warm = warm()
-    _, t_batched_warm = warm(batch_eval=True)
+    _, t_scalar_warm = warm(scalar)
+    _, t_batched_warm = warm(batched)
 
     speedup_cold = t_scalar_cold / t_batched_cold
     speedup_warm = t_scalar_warm / t_batched_warm
@@ -549,8 +583,7 @@ def run_variant_engagement() -> dict:
             space_dims, pars=(4, 8, 16, 32), max_tiles_per_dim=2, pipelines=(variant,)
         )
         result = explore(
-            BENCHMARK, sizes=SMOKE_SIZES, space=space, prune=False,
-            memoize=False, batch_eval=True,
+            BENCHMARK, sizes=SMOKE_SIZES, space=space, prune=False, memoize=False
         )
         counts = dict(sorted(result.batch_engagement.items()))
         print(f"[DSE batch] engagement {variant}: {counts}")
@@ -635,7 +668,6 @@ def run_serve_phase(smoke: bool) -> dict:
     """Compile-farm throughput, dedup accounting, warm-vs-cold spawn time."""
     import asyncio
 
-    from repro.apps import get_benchmark
     from repro.dse.cache import AnalysisCache
     from repro.serve import CompileFarm, write_snapshot
 

@@ -13,8 +13,10 @@ The subsystem has three layers:
   (timeout/retry/quarantine) evaluation, checkpoint journals and the
   deterministic fault-injection harness.
 * :mod:`repro.dse.engine` — the exploration driver: prune → search →
-  evaluate (serially or across a ``multiprocessing`` pool) → Pareto-rank,
-  including the shared-pool :class:`MultiBenchmarkExplorer`.
+  evaluate (in-process through :mod:`repro.dse.batch`, across a supervised
+  ``multiprocessing`` pool, or through a compile farm) → Pareto-rank.
+  :func:`explore` and :class:`MultiBenchmarkExplorer` share its one lane
+  driver and point ledger.
 
 ``engine`` and ``search`` are imported lazily: they pull in the whole
 compiler, and the analysis modules import :mod:`repro.dse.cache` at

@@ -5,8 +5,8 @@
 way the points actually share it:
 
 1. **Cache first** — points already memoised in the ``point_results``
-   table are served (with the same copy-on-return protection as
-   :func:`~repro.dse.engine.evaluate_point`).
+   table are served through a :class:`~repro.dse.engine.PointLedger`
+   (the engine's one key derivation, hit accounting and copy-on-return).
 2. **One transform run per tiled program** — the transform passes depend
    only on the tiling configuration
    (:func:`~repro.dse.cache.config_signature`), never on par,
@@ -29,10 +29,14 @@ way the points actually share it:
 
 Results are **bit-identical** to calling ``evaluate_point`` per point —
 enforced by ``tests/dse/test_batched.py`` on all six benchmarks and by a
-generated-ordering differential test — and the cache is seeded per point
-through the same key machinery, so memoisation, journal replay and farm
-admission dedup behave exactly as before (``CACHE_VERSION`` unchanged:
-the key material is untouched).
+generated-ordering differential test — and the ledger seeds the cache per
+point under the scalar path's key, so memoisation, journal replay and
+farm admission dedup cannot tell which path produced a result.
+
+This is the engine's only in-process evaluator:
+:func:`~repro.dse.engine.explore` and
+:class:`~repro.dse.engine.MultiBenchmarkExplorer` hand each benchmark's
+share of a search batch to one call.
 
 The vector path takes every pipeline whose terminal tail is the stock
 generate-hardware → build-schedule → schedule-level
@@ -49,7 +53,6 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import replace
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dse.cache import ANALYSIS_CACHE, config_signature
@@ -71,8 +74,6 @@ from repro.target.device import DEFAULT_BOARD, Board
 from repro.utils.naming import fresh_naming_scope
 
 __all__ = ["evaluate_point_batch"]
-
-_MISS = object()
 
 _TERMINALS = (GenerateHardwareStage, BuildScheduleStage, EstimateAreaStage)
 
@@ -145,7 +146,7 @@ def evaluate_point_batch(
     ``"non-stock-tail"``.  A point that falls back counts under its reason
     even when ``evaluate_point`` then finds it memoised.
     """
-    from repro.dse.engine import _pipeline_signature, evaluate_point
+    from repro.dse.engine import PointLedger, _detached, evaluate_point
     from repro.pipeline.session import CompilerSession
 
     points = list(points)
@@ -155,6 +156,7 @@ def evaluate_point_batch(
         board = session.board
         model = model if model is not None else session.model
     outcomes = engagement if engagement is not None else Counter()
+    ledger = PointLedger(session, model=model)
 
     results: List[Optional[PointResult]] = [None] * len(points)
     keys: List[Optional[tuple]] = [None] * len(points)
@@ -187,26 +189,19 @@ def evaluate_point_batch(
     for index, point in enumerate(points):
         # Raises ValueError for an unregistered pipeline gene, exactly as
         # the scalar evaluation of this point would.
-        signature = _pipeline_signature(session, point.pipeline)
         tail = tail_for(point.pipeline)
         if tail is None:
             # evaluate_point does its own lookup (and counts its own miss).
             scalar(index, "non-stock-tail")
             continue
         if ANALYSIS_CACHE.enabled:
-            key = _point_result_key_cached(
-                program, bindings, point, board, model, signature, cycle_model
-            )
-            keys[index] = key
+            key = keys[index] = ledger.key(program, bindings, point, cycle_model)
+            cached = ledger.lookup(key)
+            if cached is not None:
+                results[index] = cached
+                outcomes["cached"] += 1
+                continue
             if key is not None:
-                cached = ANALYSIS_CACHE.get("point_results", key, _MISS)
-                if cached is not _MISS:
-                    ANALYSIS_CACHE.hits["point_results"] += 1
-                    results[index] = replace(
-                        cached, utilization=dict(cached.utilization)
-                    )
-                    outcomes["cached"] += 1
-                    continue
                 ANALYSIS_CACHE.misses["point_results"] += 1
         groups.setdefault(
             (tail.prefix_signature, config_signature(point.config())), []
@@ -283,33 +278,11 @@ def evaluate_point_batch(
                     write_bytes=design.main_memory_write_bytes,
                 )
                 if keys[index] is not None:
-                    ANALYSIS_CACHE.put("point_results", keys[index], result)
+                    ledger.seed(keys[index], result)
                     # Same copy-on-return protection as evaluate_point: the
                     # cached entry must never alias a caller-mutable dict.
-                    result = replace(result, utilization=dict(result.utilization))
+                    result = _detached(result)
                 results[index] = result
 
     return results  # type: ignore[return-value]
 
-
-def _point_result_key_cached(
-    program: Program,
-    bindings: Mapping[str, object],
-    point: DesignPoint,
-    board: Board,
-    model: Optional[PerformanceModel],
-    signature: tuple,
-    cycle_model: str,
-) -> Optional[tuple]:
-    """The scalar path's cache key for one point (channel gene folded in)."""
-    from repro.dse.engine import _effective_model, _point_result_key
-
-    return _point_result_key(
-        program,
-        bindings,
-        point,
-        board,
-        _effective_model(model, point),
-        signature,
-        cycle_model,
-    )

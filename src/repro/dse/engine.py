@@ -8,12 +8,23 @@ configuration per benchmark:
 1. every point is scored by the closed-form area estimator and points that
    cannot fit the board are discarded before any compilation work;
 2. a search strategy (:mod:`repro.dse.search`) decides which surviving
-   points to evaluate — the exhaustive grid by default, hill climbing or a
-   genetic algorithm when the space is too big to enumerate — and the
-   engine evaluates its batches, either serially (sharing the
-   process-global analysis cache) or fanned out across a
-   ``multiprocessing`` pool;
+   points to evaluate — the exhaustive grid by default, hill climbing,
+   annealing or a genetic algorithm when the space is too big to
+   enumerate — and the engine evaluates its batches under supervision:
+   in-process through the batched backend
+   (:func:`repro.dse.batch.evaluate_point_batch`), across a
+   ``multiprocessing`` pool, or through a compile farm;
 3. results come back Pareto-ranked on (cycles, area).
+
+:func:`explore` and :class:`MultiBenchmarkExplorer` share one evaluation
+core: :func:`_build_lane` builds one *lane* per benchmark (workload,
+pruned space, search driver) and :func:`_explore_lanes` drives the lanes
+round-robin through one evaluator — journal replay, evaluation,
+quarantine, journaling.  :class:`PointLedger` owns what every evaluation
+path must agree on about a point: its ``point_results`` key (derived in
+:func:`_point_key` only), the checkpoint-journal digest over that key, the
+cache lookup, and the seeding of results computed elsewhere.  The batched
+backend and the compile farm (:mod:`repro.serve.farm`) use it too.
 
 Whole point evaluations are memoised in the analysis cache
 (``point_results`` table) keyed on the program's structural hash, the
@@ -21,12 +32,9 @@ workload signature, the point and the board — and, with ``disk_cache=``,
 persisted across processes so repeated sweeps and CI runs skip compilation
 entirely for points they have seen before.
 
-:func:`evaluate_config` is the shared single-point path; the Figure 7
-harness routes its three-configuration sweep through it so the whole
-evaluation stack benefits from the same caches.  For sweeping several
-benchmarks at once, :class:`MultiBenchmarkExplorer` runs every benchmark's
-search through **one** shared worker pool with interleaved scheduling,
-instead of paying one pool spin-up per sweep.
+:func:`evaluate_config` is the shared single-configuration path; the
+Figure 7 harness routes its three-configuration sweep through it so the
+whole evaluation stack benefits from the same caches.
 """
 
 from __future__ import annotations
@@ -34,10 +42,10 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
-import warnings
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,6 +77,7 @@ from repro.target.device import Board, DEFAULT_BOARD
 
 __all__ = [
     "EvaluatedConfig",
+    "PointLedger",
     "PointResult",
     "ExplorationResult",
     "MultiBenchmarkExplorer",
@@ -101,12 +110,12 @@ class ExplorationResult:
     interrupt, after the pool was torn down and the checkpoint journal and
     dirty cache state were flushed.  ``resumed`` counts evaluations served
     from a checkpoint journal instead of being recomputed, and
-    ``supervision`` carries the supervisor's counters (retries, timeouts,
-    pool respawns, …) for the run — in a multi-benchmark sweep, for the
-    whole shared-pool suite.  ``batch_engagement`` totals the batched
-    evaluator's per-point outcomes over a ``batch_eval`` run (``vector``,
-    ``cached`` or a fallback reason; see :mod:`repro.dse.batch`), and is
-    empty otherwise.
+    ``supervision`` carries the supervisor's counters (evaluations,
+    retries, timeouts, pool respawns, …) for the run — in a multi-benchmark
+    sweep, for the whole suite.  ``batch_engagement`` totals the batched
+    evaluator's per-point outcomes for this benchmark (``vector``,
+    ``cached`` or a fallback reason; see :mod:`repro.dse.batch`); it is
+    empty when a pool or a farm evaluated the points.
     """
 
     benchmark: str
@@ -244,6 +253,11 @@ def evaluate_config(
     return EvaluatedConfig(label=config.label, compilation=compilation, simulation=simulation)
 
 
+# ---------------------------------------------------------------------------
+# Point keys and the point ledger
+# ---------------------------------------------------------------------------
+
+
 def _pipeline_signature(session: CompilerSession, gene: str) -> Tuple:
     """Signature of the pipeline ``session`` runs for a point's pipeline gene.
 
@@ -269,7 +283,7 @@ def _effective_model(
     before keying the memo table — ``astuple`` then separates channel
     counts naturally).  At the default ``dram_channels=1`` the model passes
     through untouched, keeping single-channel sweeps bit-compatible with
-    pre-gene cache entries and journal digests.
+    pre-gene cache entries and journal digests.  Idempotent.
     """
     channels = getattr(point, "dram_channels", 1)
     if channels == 1:
@@ -280,28 +294,34 @@ def _effective_model(
     return replace(base, dram_channels=channels)
 
 
-def _point_result_key(
+def _point_key(
     program: Program,
     bindings: Mapping[str, object],
     point: DesignPoint,
-    board: Board,
+    session: CompilerSession,
     model: Optional[PerformanceModel],
-    pipeline_signature: Tuple,
     cycle_model: str = "analytical",
 ) -> Optional[Tuple]:
     """Cross-process cache key for one whole point evaluation, or None.
 
-    Exploration results are size-driven (array *contents* never reach the
-    static analyses or the cycle model), so the workload signature —
-    structural hash plus size/shape bindings — plus the point, board and
-    model parameters fully determines the outcome.  ``pipeline_signature``
-    must be the pass-sequence signature of the pipeline the evaluation
-    *actually compiles through* (the session's resolution of the point's
-    pipeline gene, not the registry's) — keying on anything else would let
-    a session with an overridden pipeline poison the shared table.
-    Subclassed boards or models fall back to None (no memoisation) rather
-    than risk a stale hit.
+    The only place a ``point_results`` key is derived.  Exploration results
+    are size-driven (array *contents* never reach the static analyses or
+    the cycle model), so the workload signature — structural hash plus
+    size/shape bindings — plus the point, board and model parameters fully
+    determines the outcome.  The pipeline part is the signature of the
+    pipeline ``session`` *actually compiles* for the point's gene (not the
+    registry's), so a session with an overridden pipeline cannot poison
+    the shared table; the point's channel gene is folded into ``model``.
+    Subclassed boards or models and unregistered pipeline genes give None
+    (no memoisation) rather than risk a stale hit; compiling a point with
+    an unregistered gene raises ``ValueError`` anyway.
     """
+    try:
+        signature = _pipeline_signature(session, point.pipeline)
+    except ValueError:
+        return None
+    board = session.board
+    model = _effective_model(model, point)
     if type(board) is not Board or (model is not None and type(model) is not PerformanceModel):
         return None
     from repro.analysis.estimate import input_shapes, workload_env
@@ -314,51 +334,125 @@ def _point_result_key(
         point.tile_sizes,
         point.par,
         point.metapipelining,
-        pipeline_signature,
+        signature,
         cycle_model,
         astuple(board),
         astuple(model) if model is not None else (),
     )
 
 
-def _point_digest(
-    program: Program,
-    bindings: Mapping[str, object],
-    point: DesignPoint,
-    board: Board,
-    model: Optional[PerformanceModel],
-    session: CompilerSession,
-    cycle_model: str = "analytical",
-) -> Optional[bytes]:
-    """Stable digest of a point evaluation's cache key, or None.
+def _key_digest(key: Tuple) -> Optional[bytes]:
+    """The checkpoint-journal digest of a point key: blake2b over its pickle.
 
-    The checkpoint journal keys its records on this: blake2b over the
-    pickled :func:`_point_result_key` tuple (protocol pinned so the bytes
-    are stable across interpreter runs — the key already is, since
-    structural hashes are blake2b themselves).  Points the cache would
-    refuse to key (subclassed boards/models, unregistered pipeline
-    variants) are not journalable either.
+    The protocol is pinned so the bytes are stable across interpreter runs
+    (the key already is: structural hashes are blake2b themselves), and
+    journals written by earlier runs keep replaying.
     """
-    try:
-        signature = _pipeline_signature(session, point.pipeline)
-    except ValueError:
-        return None
-    key = _point_result_key(
-        program,
-        bindings,
-        point,
-        board,
-        _effective_model(model, point),
-        signature,
-        cycle_model,
-    )
-    if key is None:
-        return None
     try:
         blob = pickle.dumps(key, protocol=4)
     except Exception:
         return None
     return hashlib.blake2b(blob, digest_size=16).digest()
+
+
+def _detached(result: PointResult) -> PointResult:
+    """A copy safe to hand out: callers mutating its utilization dict (or
+    the result) cannot poison the shared cache entry."""
+    return replace(result, utilization=dict(result.utilization))
+
+
+_MISS = object()
+
+
+class PointRef(NamedTuple):
+    """A point's ``point_results`` key and the journal digest over it."""
+
+    key: Optional[Tuple]
+    digest: Optional[bytes]
+
+
+class PointLedger:
+    """Key → digest → journal → cache → seed, for one run or one farm.
+
+    Every evaluation path asks the same questions about a point: what is
+    its ``point_results`` key, has the checkpoint journal recorded it, is it
+    memoised in this process, and where does a result computed elsewhere —
+    in a pool worker, a farm or an earlier run — go.  The ledger answers
+    them for the engine's lane driver, the batched backend and the compile
+    farm's admission, so all three agree byte for byte.
+
+    ``session`` resolves pipeline genes and supplies the board and model
+    for keys (``model`` overrides the session's, as ``evaluate_point``'s
+    argument does); ``checkpoint`` names the journal sidecar, None for no
+    journaling.
+    """
+
+    def __init__(
+        self,
+        session: CompilerSession,
+        checkpoint: Optional[object] = None,
+        model: Optional[PerformanceModel] = None,
+    ) -> None:
+        self.session = session
+        self.model = model if model is not None else session.model
+        self.journal = CheckpointJournal(checkpoint) if checkpoint is not None else None
+        self.journaled: Dict[bytes, PointResult] = (
+            self.journal.load() if self.journal is not None else {}
+        )
+
+    def key(
+        self,
+        program: Program,
+        bindings: Mapping[str, object],
+        point: DesignPoint,
+        cycle_model: str,
+    ) -> Optional[Tuple]:
+        """The point's cache key, or None when it cannot be keyed."""
+        return _point_key(program, bindings, point, self.session, self.model, cycle_model)
+
+    def locate(
+        self,
+        program: Program,
+        bindings: Mapping[str, object],
+        point: DesignPoint,
+        cycle_model: str,
+    ) -> PointRef:
+        """The point's key and journal digest, each derived once."""
+        key = self.key(program, bindings, point, cycle_model)
+        return PointRef(key, _key_digest(key) if key is not None else None)
+
+    def replay(self, ref: PointRef) -> Optional[PointResult]:
+        """The journaled result for ``ref``, seeded into the cache; else None."""
+        result = self.journaled.get(ref.digest) if ref.digest is not None else None
+        if result is not None:
+            self.seed(ref.key, result)
+        return result
+
+    def lookup(self, key: Optional[Tuple]) -> Optional[PointResult]:
+        """A copy of the result memoised under ``key``, or None.
+
+        A hit is counted here (``get`` itself does no accounting); a miss is
+        left to whoever evaluates the point, so it is counted once.
+        """
+        if key is None or not ANALYSIS_CACHE.enabled:
+            return None
+        cached = ANALYSIS_CACHE.get("point_results", key, _MISS)
+        if cached is _MISS:
+            return None
+        ANALYSIS_CACHE.hits["point_results"] += 1
+        return _detached(cached)
+
+    def seed(self, key: Optional[Tuple], result: PointResult) -> None:
+        """Memoise a result computed elsewhere in this process's cache."""
+        if key is not None and ANALYSIS_CACHE.enabled:
+            ANALYSIS_CACHE.put("point_results", key, result)
+
+    def record(self, ref: PointRef, result: PointResult) -> None:
+        """Journal ``result`` under ``ref`` unless it is journaled already."""
+        if self.journal is None or ref.digest is None or ref.digest in self.journaled:
+            return
+        self.journal.append(ref.digest, result)
+        self.journaled[ref.digest] = result
 
 
 def evaluate_point(
@@ -372,12 +466,13 @@ def evaluate_point(
 ) -> PointResult:
     """Evaluate one design point to its scalar (cycles, area) outcome.
 
-    Whole evaluations are memoised in the analysis cache (``point_results``
-    table) under a process-stable key, so re-sweeps in one process — and,
-    through the disk-persisted store, across processes — skip compilation
-    and simulation entirely.  When a ``session`` is supplied, its board,
-    model and pipeline resolution are authoritative (for the key as much
-    as for the compile — they must never diverge).
+    The reference every faster path is checked against.  Whole evaluations
+    are memoised in the analysis cache (``point_results`` table) under a
+    process-stable key, so re-sweeps in one process — and, through the
+    disk-persisted store, across processes — skip compilation and
+    simulation entirely.  When a ``session`` is supplied, its board, model
+    and pipeline resolution are authoritative (for the key as much as for
+    the compile — they must never diverge).
     """
     if session is None:
         session = CompilerSession(board=board, model=model)
@@ -385,16 +480,9 @@ def evaluate_point(
         board = session.board
         model = model if model is not None else session.model
     # The point's DRAM-channel gene rides on the model: fold it in before
-    # the key is formed and before the simulate, so channel counts memoise
-    # separately and the event backend times the provisioning the point
+    # the simulate, so the event backend times the provisioning the point
     # actually asks for.
     model = _effective_model(model, point)
-    # The signature of the pipeline the compile will actually run (raises
-    # for an unregistered variant name) keys the memoised result.  The
-    # session resolves string genes through the registry, so the memoised
-    # registry signature matches — and the variant pipeline itself is only
-    # constructed on a cache miss, inside the compile.
-    pipeline_signature = _pipeline_signature(session, point.pipeline)
 
     def compute() -> PointResult:
         evaluated = evaluate_config(
@@ -430,56 +518,13 @@ def evaluate_point(
 
     if not ANALYSIS_CACHE.enabled:
         return compute()
-    key = _point_result_key(
-        program, bindings, point, board, model, pipeline_signature, cycle_model
-    )
+    # Keying resolves the pipeline gene through the registry's memoised
+    # signature; the variant pipeline itself is only constructed on a
+    # miss, inside the compile.
+    key = _point_key(program, bindings, point, session, model, cycle_model)
     if key is None:
         return compute()
-    cached = ANALYSIS_CACHE.memoize("point_results", key, compute)
-    # Hand out a copy so callers mutating the utilization dict (or the
-    # result) cannot poison the shared cache entry.
-    return replace(cached, utilization=dict(cached.utilization))
-
-
-def _seed_point_results(
-    program: Program,
-    bindings: Mapping[str, object],
-    board: Board,
-    model: Optional[PerformanceModel],
-    points: Sequence[DesignPoint],
-    results: Sequence[PointResult],
-    session: Optional[CompilerSession] = None,
-    cycle_model: str = "analytical",
-) -> None:
-    """Insert pool-computed evaluations into this process's cache.
-
-    Forked workers memoise in their own copies of the cache; without this,
-    a parallel sweep would leave the parent's ``point_results`` table empty
-    and the disk store (plus later serial reruns) would gain nothing from
-    the run.  ``session`` must resolve pipelines the same way the workers'
-    sessions did (workers build plain default-pipeline sessions, so any
-    default session over the same board/model matches).
-    """
-    if not ANALYSIS_CACHE.enabled:
-        return
-    if session is None:
-        session = CompilerSession(board=board, model=model)
-    for point, result in zip(points, results):
-        try:
-            signature = _pipeline_signature(session, point.pipeline)
-        except ValueError:
-            continue  # unregistered variant: never memoise
-        key = _point_result_key(
-            program,
-            bindings,
-            point,
-            board,
-            _effective_model(model, point),
-            signature,
-            cycle_model,
-        )
-        if key is not None:
-            ANALYSIS_CACHE.put("point_results", key, result)
+    return _detached(ANALYSIS_CACHE.memoize("point_results", key, compute))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +582,7 @@ def _init_worker(
     # One session per worker: forked workers inherit the parent's warm
     # analysis cache copy-on-write, and the session gives every evaluation
     # in this process the same pipeline/naming-scope ownership as the
-    # serial path.
+    # in-process path.
     _WORKER_STATE["session"] = CompilerSession(board=board, model=model)
     if not memoize:
         ANALYSIS_CACHE.clear()
@@ -555,23 +600,14 @@ def _init_worker(
 
 
 def _evaluate_point_task(task: Tuple) -> PointResult:
-    """Evaluate one ``(benchmark, point[, attempt[, cycle_model]])`` task.
+    """Evaluate one ``(benchmark, point, attempt[, cycle_model])`` pool task.
 
-    The supervised evaluator ships 3-tuples carrying the attempt number, so
-    an installed fault plan fires identically no matter which worker runs
-    the task; the legacy fast path still sends 2-tuples (attempt 1).  The
-    compile farm ships 4-tuples that additionally override the worker's
-    default cycle backend per task — one farm pool serves analytical and
-    event requests side by side.
+    The attempt number travels with the task, so an installed fault plan
+    fires identically no matter which worker runs it.  The compile farm
+    appends a cycle model that overrides the worker's default per task —
+    one farm pool serves analytical and event requests side by side.
     """
-    cycle_model = None
-    if len(task) == 4:
-        bench_name, point, attempt, cycle_model = task
-    elif len(task) == 3:
-        bench_name, point, attempt = task
-    else:
-        bench_name, point = task
-        attempt = 1
+    bench_name, point, attempt, *override = task
     plan = _WORKER_STATE.get("fault_plan")
     marker = None
     if plan is not None:
@@ -592,7 +628,7 @@ def _evaluate_point_task(task: Tuple) -> PointResult:
         board=_WORKER_STATE["board"],
         model=_WORKER_STATE["model"],
         session=_WORKER_STATE["session"],
-        cycle_model=cycle_model or _WORKER_STATE.get("cycle_model", "analytical"),
+        cycle_model=override[0] if override else _WORKER_STATE["cycle_model"],
     )
     if marker == "corrupt":
         result = corrupt_result(result)
@@ -600,7 +636,7 @@ def _evaluate_point_task(task: Tuple) -> PointResult:
 
 
 # ---------------------------------------------------------------------------
-# The exploration driver
+# Lanes and the lane driver
 # ---------------------------------------------------------------------------
 
 
@@ -634,6 +670,314 @@ def _prune_space(
     return survivors, pruned_results
 
 
+@dataclass
+class _Lane:
+    """One benchmark's search inside a run: workload, pruned space, driver."""
+
+    benchmark: Benchmark
+    sizes: Dict[str, int]
+    program: Program
+    bindings: Dict[str, object]
+    driver: object  # repro.dse.search.SearchDriver
+    pruned: List[PointResult]
+    space_size: int
+    survivors: int
+    elapsed_seconds: float = 0.0
+    quarantined: Dict[DesignPoint, PointResult] = field(default_factory=dict)
+    resumed: int = 0
+    engagement: Counter = field(default_factory=Counter)
+    refs: Dict[DesignPoint, PointRef] = field(default_factory=dict)
+
+    @property
+    def name(self) -> str:
+        return self.benchmark.name
+
+
+def _build_lane(
+    benchmark: Benchmark,
+    sizes: Optional[Mapping[str, int]],
+    board: Board,
+    seed: int,
+    strategy,
+    search_seed: int,
+    budget: float = 1.0,
+    prune: bool = True,
+    max_evaluations: Optional[int] = None,
+    eval_fraction: Optional[float] = None,
+    pipelines: Optional[Sequence[str]] = None,
+    space: Optional[DesignSpace] = None,
+) -> _Lane:
+    """Build one lane: sizes, bindings, program, pruned space, search driver.
+
+    ``space`` defaults to :func:`~repro.dse.space.default_space` over the
+    benchmark's tiled dimensions with ``pipelines`` as the pipeline gene.
+    Every lane of a run searches with the same ``search_seed``, so sharing
+    a run is a pure scheduling choice: each lane evaluates exactly the
+    points a standalone :func:`explore` would.
+    """
+    from repro.analysis.estimate import input_shapes
+    from repro.dse.search import SearchDriver
+
+    sizes = dict(sizes or benchmark.default_sizes)
+    bindings = benchmark.bindings(sizes, np.random.default_rng(seed))
+    program = benchmark.build()
+    if space is None:
+        tiled_dims = {name: sizes[name] for name in benchmark.tile_sizes if name in sizes}
+        space = default_space(
+            tiled_dims, pipelines=tuple(pipelines) if pipelines else ("default",)
+        )
+    survivors, pruned = _prune_space(
+        space, input_shapes(program, bindings), sizes, board, budget, prune
+    )
+    if max_evaluations is None and eval_fraction is not None:
+        max_evaluations = max(1, int(eval_fraction * len(survivors)))
+    driver = SearchDriver(
+        strategy,
+        DesignSpace().extend(survivors),
+        seed=search_seed,
+        max_evaluations=max_evaluations,
+    )
+    return _Lane(
+        benchmark=benchmark,
+        sizes=sizes,
+        program=program,
+        bindings=bindings,
+        driver=driver,
+        pruned=pruned,
+        space_size=len(space),
+        survivors=len(survivors),
+    )
+
+
+def _explore_lanes(
+    lanes: List[_Lane],
+    started: float,
+    board: Board,
+    model: Optional[PerformanceModel],
+    seed: int,
+    workers: Optional[int],
+    memoize: bool,
+    disk_cache: Optional[object],
+    cycle_model: str,
+    resilience: Optional[ResiliencePolicy],
+    farm: Optional[object] = None,
+) -> Dict[str, ExplorationResult]:
+    """Drive every lane to completion through one evaluator.
+
+    Each round takes every unfinished lane's fresh points, interleaves them
+    round-robin (lane A point 1, lane B point 1, lane A point 2, …), serves
+    journaled points from the checkpoint journal, evaluates the rest,
+    records quarantined failures, and hands each lane its results; every
+    success is journaled through ``SearchDriver.on_record``.
+
+    Every run is supervised (``resilience=None`` means
+    ``ResiliencePolicy()``), and the evaluator follows from what the run
+    has: the ``farm`` client; the supervised pool when ``workers > 1``
+    (per point; a pool that cannot be spawned degrades to serial
+    evaluation); otherwise in-process, where each lane's share of a round
+    is one :func:`~repro.dse.batch.evaluate_point_batch` call and points a
+    fault plan targets detour through per-point supervision.
+    ``supervision["evaluations"]`` counts every point evaluation the run
+    performed, on every path.
+    """
+    policy = resilience if resilience is not None else ResiliencePolicy()
+    workers = min(workers or 1, max(1, sum(lane.survivors for lane in lanes)))
+    by_name = {lane.name: lane for lane in lanes}
+    session = CompilerSession(board=board, model=model)
+    # Retries and the serial fallback compile through a clone, so a failure
+    # mid-compile cannot leave half-recorded state in the main session.
+    fallback_session = session.clone()
+
+    def serial_compute(task: Tuple[str, DesignPoint]) -> PointResult:
+        lane = by_name[task[0]]
+        return evaluate_point(
+            lane.program,
+            lane.bindings,
+            task[1],
+            model=model,
+            session=fallback_session,
+            cycle_model=cycle_model,
+        )
+
+    pool_factory = None
+    if farm is None and workers > 1:
+        specs = {lane.name: (lane.sizes, seed) for lane in lanes}
+
+        def pool_factory():
+            return pool_context().Pool(
+                processes=workers,
+                initializer=_init_worker,
+                initargs=(specs, board, model, memoize, cycle_model, policy.fault_plan),
+            )
+
+    supervisor = SupervisedEvaluator(
+        policy,
+        serial_compute,
+        workers=workers,
+        pool_factory=pool_factory,
+        pooled_task=_evaluate_point_task,
+    )
+    if memoize and disk_cache is not None:
+        ANALYSIS_CACHE.load_disk(disk_cache)
+    ledger = PointLedger(session, checkpoint=policy.checkpoint)
+
+    def ref(lane: _Lane, point: DesignPoint) -> PointRef:
+        found = lane.refs.get(point)
+        if found is None:
+            found = lane.refs[point] = ledger.locate(
+                lane.program, lane.bindings, point, cycle_model
+            )
+        return found
+
+    def in_process(tasks: List[Tuple[_Lane, DesignPoint]]) -> List[PointResult]:
+        from repro.dse.batch import evaluate_point_batch
+
+        plan = policy.fault_plan
+        out: List[Optional[PointResult]] = [None] * len(tasks)
+        shares: Dict[str, List[int]] = {}
+        victims: List[int] = []
+        for index, (lane, point) in enumerate(tasks):
+            if plan is not None and plan.spec_for(lane.name, point.label) is not None:
+                victims.append(index)
+            else:
+                shares.setdefault(lane.name, []).append(index)
+        for name, indices in shares.items():
+            lane = by_name[name]
+            try:
+                results = evaluate_point_batch(
+                    lane.program,
+                    lane.bindings,
+                    [tasks[index][1] for index in indices],
+                    model=model,
+                    session=session,
+                    cycle_model=cycle_model,
+                    engagement=lane.engagement,
+                )
+                supervisor.stats.evaluations += len(indices)
+            except Exception:
+                # One broken point must not abort the sweep: re-run the
+                # share point by point under supervision (retry, then
+                # quarantine), as a pooled run would.
+                results = supervisor.evaluate([(name, tasks[index][1]) for index in indices])
+            for index, result in zip(indices, results):
+                out[index] = result
+        # Fault-plan victims take the per-point supervision path (timeouts,
+        # retries, corruption checks, quarantine); results are bit-identical
+        # either way, so chaos runs match fault-free ones.
+        if victims:
+            supervised = supervisor.evaluate(
+                [(tasks[index][0].name, tasks[index][1]) for index in victims]
+            )
+            for index, result in zip(victims, supervised):
+                out[index] = result
+        return out  # type: ignore[return-value]
+
+    def evaluate(tasks: List[Tuple[_Lane, DesignPoint]]) -> List[PointResult]:
+        if farm is None and pool_factory is None:
+            return in_process(tasks)
+        named = [(lane.name, point) for lane, point in tasks]
+        if farm is not None:
+            results = farm.evaluate(named, cycle_model=cycle_model)
+        else:
+            results = supervisor.evaluate(named)
+        # Pool workers and farms memoise in their own caches: seed this
+        # process's, so the disk store and later reruns gain the points.
+        for (lane, point), result in zip(tasks, results):
+            if not result.failed:
+                ledger.seed(ref(lane, point).key, result)
+        return results
+
+    def drive() -> None:
+        for lane in lanes:
+            if ledger.journal is not None:
+                lane.driver.on_record = lambda point, result, lane=lane: ledger.record(
+                    ref(lane, point), result
+                )
+            lane.driver.start()
+        active = [lane for lane in lanes if not lane.driver.done]
+        while active:
+            fresh = [lane.driver.fresh_points() for lane in active]
+            tasks = [
+                (lane, points[cursor])
+                for cursor in range(max(map(len, fresh)))
+                for lane, points in zip(active, fresh)
+                if cursor < len(points)
+            ]
+            results: List[Optional[PointResult]] = [None] * len(tasks)
+            todo: List[int] = []
+            for index, (lane, point) in enumerate(tasks):
+                hit = ledger.replay(ref(lane, point)) if ledger.journaled else None
+                if hit is None:
+                    todo.append(index)
+                else:
+                    results[index] = hit
+                    lane.resumed += 1
+            if todo:
+                computed = evaluate([tasks[index] for index in todo])
+                for index, result in zip(todo, computed):
+                    results[index] = result
+            for lane, points in zip(active, fresh):
+                outcomes = [result for (owner, _), result in zip(tasks, results) if owner is lane]
+                for point, result in zip(points, outcomes):
+                    if result.failed:
+                        lane.quarantined.setdefault(point, result)
+                if points:
+                    lane.driver.record(points, outcomes)
+                lane.driver.advance()
+                if lane.driver.done:
+                    lane.elapsed_seconds = time.perf_counter() - started
+            active = [lane for lane in active if not lane.driver.done]
+
+    interrupted = False
+    try:
+        if not memoize:
+            ANALYSIS_CACHE.clear()
+        with ANALYSIS_CACHE.disabled() if not memoize else nullcontext():
+            drive()
+    except KeyboardInterrupt:
+        # Return what completed: the journal holds every recorded result,
+        # the pool is torn down right below and the dirty cache is flushed.
+        interrupted = True
+    finally:
+        supervisor.close()
+
+    if memoize and disk_cache is not None:
+        ANALYSIS_CACHE.save_disk(disk_cache, only_if_dirty=True)
+    counters = getattr(farm, "stats", None) if farm is not None else supervisor.stats
+    supervision = counters.as_dict() if counters is not None else {}
+    # Pool workers memoise in their own forked copies of the cache, so
+    # parent stats would misrepresent a pooled run.
+    cache_stats = ANALYSIS_CACHE.stats() if memoize and workers <= 1 else {}
+    return {
+        lane.name: ExplorationResult(
+            benchmark=lane.name,
+            sizes=lane.sizes,
+            board_name=board.name,
+            evaluated=list(lane.driver.seen.values()),
+            pruned=lane.pruned,
+            # Completion latency of this lane within the interleaved run
+            # (joint batches make exclusive attribution moot).
+            elapsed_seconds=lane.elapsed_seconds,
+            workers=workers,
+            cache_stats=cache_stats,
+            strategy=lane.driver.strategy.name,
+            space_size=lane.space_size,
+            quarantined=list(lane.quarantined.values()),
+            interrupted=interrupted,
+            resumed=lane.resumed,
+            # Supervision counters are per run: lanes share the evaluator.
+            supervision=dict(supervision),
+            batch_engagement=dict(lane.engagement),
+        )
+        for lane in lanes
+    }
+
+
+# ---------------------------------------------------------------------------
+# The exploration entry points
+# ---------------------------------------------------------------------------
+
+
 def explore(
     bench: Union[str, Benchmark],
     sizes: Optional[Mapping[str, int]] = None,
@@ -657,6 +1001,10 @@ def explore(
 ) -> ExplorationResult:
     """Explore a benchmark's design space and return Pareto-ranked results.
 
+    One lane through the same driver as :class:`MultiBenchmarkExplorer`
+    (see :func:`_explore_lanes`).  ``elapsed_seconds`` covers the whole
+    call.
+
     Args:
         bench: benchmark name (``repro.apps``) or a :class:`Benchmark`.
         sizes: workload sizes; defaults to the benchmark's evaluation sizes.
@@ -666,8 +1014,12 @@ def explore(
             dimensions.
         budget: fraction of each device resource a point may use before the
             analytical pre-filter prunes it (1.0 = the whole chip).
-        workers: worker processes; ``None`` and 1 evaluate in-process,
-            larger values fan each search batch out over a
+        workers: worker processes; ``None`` and 1 evaluate in-process
+            through the batched backend
+            (:func:`repro.dse.batch.evaluate_point_batch`: bit-identical to
+            per-point evaluation, same cache entries and journal digests,
+            outcomes counted in ``batch_engagement``); larger values fan
+            each search batch out point by point over a supervised
             ``multiprocessing`` pool (requires ``bench`` to be a registered
             benchmark name).
         memoize: share tiling results and analysis values through the
@@ -679,9 +1031,9 @@ def explore(
         seed: RNG seed for input generation (results are size-driven, so
             the seed only affects array contents).
         strategy: search strategy — a name (``"exhaustive"``,
-            ``"hill-climb"``, ``"genetic"``) or a
+            ``"hill-climb"``, ``"annealing"``, ``"genetic"``) or a
             :class:`repro.dse.search.Strategy` instance.  ``None`` is the
-            exhaustive grid, PR 1's behaviour.
+            exhaustive grid.
         max_evaluations: hard cap on evaluated points (search budget).
         eval_fraction: alternative budget as a fraction of the surviving
             points (ignored when ``max_evaluations`` is given).
@@ -698,413 +1050,64 @@ def explore(
             ``pipeline`` gene (e.g. ``("default", "rewrite")`` to search
             with and without the schedule rewriter).  Only consulted when
             ``space`` is None; an explicit space carries its own genes.
-        resilience: a :class:`repro.dse.resilience.ResiliencePolicy`
-            enabling supervised evaluation — per-point timeouts, bounded
-            retries with backoff, pool respawn, quarantine of
-            deterministically-failing points, checkpoint/resume journaling
-            and (in tests) fault injection.  ``None`` keeps the unsupervised
-            fast path; a ``KeyboardInterrupt`` still returns partial
-            results (``interrupted=True``) and a failed pool spawn still
-            degrades to serial evaluation in either mode.
-        batch_eval: evaluate each search batch through the vectorized
-            backend (:func:`repro.dse.batch.evaluate_point_batch`) instead
-            of per-point calls — bit-identical results, same cache entries
-            and journal digests.  ``True`` evaluates whole batches; an
-            integer caps the block size (memory bound on the stacked
-            arrays); ``None``/``False`` keeps the per-point path.  Only the
-            in-process path batches: with ``workers > 1`` the pool already
-            amortises dispatch, so ``batch_eval`` is ignored there.  Under
-            a resilience policy, points the fault plan targets detour
-            through the supervised per-point path (retries, quarantine,
-            corruption checks), everything else is batched — chaos runs
-            stay bit-identical to fault-free ones.
+        resilience: the :class:`repro.dse.resilience.ResiliencePolicy`
+            supervising every evaluation — per-point timeouts (pooled
+            runs), bounded retries with backoff, pool respawn, quarantine
+            of deterministically-failing points, checkpoint/resume
+            journaling and (in tests) fault injection.  ``None`` means
+            ``ResiliencePolicy()``.  A ``KeyboardInterrupt`` returns partial
+            results (``interrupted=True``) and a failed pool spawn degrades
+            to serial evaluation.
+        batch_eval: deprecated and ignored — in-process evaluation always
+            goes through the batched backend.
     """
-    from repro.dse.search import SearchDriver, get_strategy
-
-    benchmark = get_benchmark(bench) if isinstance(bench, str) else bench
-    sizes = dict(sizes or benchmark.default_sizes)
-    bindings = benchmark.bindings(sizes, np.random.default_rng(seed))
-    program = benchmark.build()
-    if space is None:
-        tiled_dims = {name: sizes[name] for name in benchmark.tile_sizes if name in sizes}
-        space = default_space(
-            tiled_dims, pipelines=tuple(pipelines) if pipelines else ("default",)
-        )
-
-    from repro.analysis.estimate import input_shapes
-
-    shapes = input_shapes(program, bindings)
-    session = CompilerSession(board=board, model=model)
     started = time.perf_counter()
-
-    survivors, pruned_results = _prune_space(space, shapes, sizes, board, budget, prune)
-    survivor_space = DesignSpace().extend(survivors)
-
-    strat = get_strategy(strategy)
-    if max_evaluations is None and eval_fraction is not None:
-        max_evaluations = max(1, int(eval_fraction * len(survivors)))
-
-    workers = workers if workers is not None else 1
-    workers = min(workers, len(survivors)) if survivors else 1
-
-    if memoize and disk_cache is not None:
-        ANALYSIS_CACHE.load_disk(disk_cache)
-
-    specs = {benchmark.name: (sizes, seed)}
-
-    # -- checkpoint journal (resume without re-evaluating) ----------------
-    journal: Optional[CheckpointJournal] = None
-    journal_entries: Dict[bytes, PointResult] = {}
-    if resilience is not None and resilience.checkpoint is not None:
-        journal = CheckpointJournal(resilience.checkpoint)
-        journal_entries = journal.load()
-    state = {"resumed": 0}
-
-    def digest_of(point: DesignPoint) -> Optional[bytes]:
-        return _point_digest(
-            program, bindings, point, board, model, session, cycle_model
-        )
-
-    def journal_record(point: DesignPoint, result: PointResult) -> None:
-        if journal is None:
-            return
-        digest = digest_of(point)
-        if digest is None or digest in journal_entries:
-            return
-        journal.append(digest, result)
-        journal_entries[digest] = result
-
-    quarantine_order: Dict[DesignPoint, PointResult] = {}
-    driver = SearchDriver(
-        strat,
-        survivor_space,
-        seed=search_seed,
+    benchmark = get_benchmark(bench) if isinstance(bench, str) else bench
+    lane = _build_lane(
+        benchmark,
+        sizes,
+        board,
+        seed,
+        strategy,
+        search_seed,
+        budget=budget,
+        prune=prune,
         max_evaluations=max_evaluations,
-        on_record=journal_record,
+        eval_fraction=eval_fraction,
+        pipelines=pipelines,
+        space=space,
     )
-
-    def drive(evaluate_batch: Callable[[List[DesignPoint]], List[PointResult]]) -> None:
-        driver.start()
-        while not driver.done:
-            fresh = driver.fresh_points()
-            if fresh:
-                results = evaluate_batch(fresh)
-                for point, result in zip(fresh, results):
-                    if getattr(result, "failed", False):
-                        quarantine_order.setdefault(point, result)
-                driver.record(fresh, results)
-            driver.advance()
-
-    def with_replay(
-        evaluate_batch: Callable[[List[DesignPoint]], List[PointResult]]
-    ) -> Callable[[List[DesignPoint]], List[PointResult]]:
-        """Serve journaled results before paying for an evaluation."""
-        if not journal_entries:
-            return evaluate_batch
-
-        def wrapped(points: List[DesignPoint]) -> List[PointResult]:
-            out: List[Optional[PointResult]] = [None] * len(points)
-            todo: List[int] = []
-            replayed: List[Tuple[DesignPoint, PointResult]] = []
-            for i, point in enumerate(points):
-                digest = digest_of(point)
-                hit = journal_entries.get(digest) if digest is not None else None
-                if hit is not None:
-                    out[i] = hit
-                    state["resumed"] += 1
-                    replayed.append((point, hit))
-                else:
-                    todo.append(i)
-            if replayed and memoize:
-                _seed_point_results(
-                    program,
-                    bindings,
-                    board,
-                    model,
-                    [p for p, _ in replayed],
-                    [r for _, r in replayed],
-                    session=session,
-                    cycle_model=cycle_model,
-                )
-            if todo:
-                computed = evaluate_batch([points[i] for i in todo])
-                for i, result in zip(todo, computed):
-                    out[i] = result
-            return out
-
-        return wrapped
-
-    def eval_serial(points: List[DesignPoint]) -> List[PointResult]:
-        return [
-            evaluate_point(
-                program,
-                bindings,
-                point,
-                board=board,
-                model=model,
-                session=session,
-                cycle_model=cycle_model,
-            )
-            for point in points
-        ]
-
-    # Per-point outcomes of the batched evaluator (empty unless batching).
-    engagement: Counter = Counter()
-    if batch_eval is not None and batch_eval is not False:
-        if batch_eval is not True and (
-            not isinstance(batch_eval, int) or batch_eval < 1
-        ):
-            raise ValueError(
-                f"batch_eval must be True, False, None or a positive block "
-                f"size, got {batch_eval!r}"
-            )
-        block = None if batch_eval is True else int(batch_eval)
-
-        def eval_batched(points: List[DesignPoint]) -> List[PointResult]:
-            from repro.dse.batch import evaluate_point_batch
-
-            if block is None or block >= len(points):
-                blocks = [points]
-            else:
-                blocks = [
-                    points[start : start + block]
-                    for start in range(0, len(points), block)
-                ]
-            out: List[PointResult] = []
-            for chunk in blocks:
-                out.extend(
-                    evaluate_point_batch(
-                        program,
-                        bindings,
-                        chunk,
-                        model=model,
-                        session=session,
-                        cycle_model=cycle_model,
-                        engagement=engagement,
-                    )
-                )
-            return out
-
-        eval_in_process = eval_batched
-    else:
-        eval_in_process = eval_serial
-
-    def run_legacy() -> None:
-        if workers <= 1:
-            drive(with_replay(eval_in_process))
-            return
-        try:
-            pool = pool_context().Pool(
-                processes=workers,
-                initializer=_init_worker,
-                initargs=(specs, board, model, memoize, cycle_model),
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            warnings.warn(
-                f"worker pool spawn failed ({type(exc).__name__}: {exc}); "
-                "falling back to in-process serial evaluation",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            drive(with_replay(eval_in_process))
-            return
-
-        def eval_pool(points: List[DesignPoint]) -> List[PointResult]:
-            results = pool.map(
-                _evaluate_point_task, [(benchmark.name, p) for p in points]
-            )
-            if memoize:
-                _seed_point_results(
-                    program,
-                    bindings,
-                    board,
-                    model,
-                    points,
-                    results,
-                    session=session,
-                    cycle_model=cycle_model,
-                )
-            return results
-
-        with pool:
-            drive(with_replay(eval_pool))
-
-    supervision: Dict[str, int] = {}
-
-    def run_supervised(policy: ResiliencePolicy) -> None:
-        pool_factory = None
-        if workers > 1:
-            def pool_factory():
-                return pool_context().Pool(
-                    processes=workers,
-                    initializer=_init_worker,
-                    initargs=(
-                        specs, board, model, memoize, cycle_model, policy.fault_plan
-                    ),
-                )
-
-        # Retries and the serial fallback compile through a clone, so a
-        # failure mid-compile cannot leave half-recorded state in the
-        # session the rest of the exploration uses.
-        fallback_session = session.clone()
-
-        def serial_compute(task: Tuple[str, DesignPoint]) -> PointResult:
-            return evaluate_point(
-                program,
-                bindings,
-                task[1],
-                board=board,
-                model=model,
-                session=fallback_session,
-                cycle_model=cycle_model,
-            )
-
-        evaluator = SupervisedEvaluator(
-            policy,
-            serial_compute,
-            workers=workers,
-            pool_factory=pool_factory,
-            pooled_task=_evaluate_point_task,
-        )
-        try:
-            def eval_supervised(points: List[DesignPoint]) -> List[PointResult]:
-                if eval_in_process is not eval_serial and workers <= 1:
-                    # Batched + supervised: only the points the fault plan
-                    # actually targets need the per-point supervision
-                    # machinery (timeouts, retries, corruption checks,
-                    # quarantine); the rest go through the vectorized
-                    # backend.  Results are bit-identical either way, so
-                    # chaos runs match fault-free ones exactly as in the
-                    # per-point path.
-                    plan = policy.fault_plan
-                    victims = {
-                        i
-                        for i, p in enumerate(points)
-                        if plan is not None
-                        and plan.spec_for(benchmark.name, p.label) is not None
-                    }
-                    out: List[Optional[PointResult]] = [None] * len(points)
-                    clean = [i for i in range(len(points)) if i not in victims]
-                    if clean:
-                        for i, result in zip(
-                            clean, eval_in_process([points[i] for i in clean])
-                        ):
-                            out[i] = result
-                    if victims:
-                        ordered = sorted(victims)
-                        supervised = evaluator.evaluate(
-                            [(benchmark.name, points[i]) for i in ordered]
-                        )
-                        for i, result in zip(ordered, supervised):
-                            out[i] = result
-                    return out  # type: ignore[return-value]
-                results = evaluator.evaluate([(benchmark.name, p) for p in points])
-                if memoize and workers > 1:
-                    ok = [
-                        (p, r)
-                        for p, r in zip(points, results)
-                        if not getattr(r, "failed", False)
-                    ]
-                    if ok:
-                        _seed_point_results(
-                            program,
-                            bindings,
-                            board,
-                            model,
-                            [p for p, _ in ok],
-                            [r for _, r in ok],
-                            session=session,
-                            cycle_model=cycle_model,
-                        )
-                return results
-
-            drive(with_replay(eval_supervised))
-        finally:
-            evaluator.close()
-            supervision.update(evaluator.stats.as_dict())
-
-    def run_exploration() -> None:
-        if resilience is not None:
-            run_supervised(resilience)
-        else:
-            run_legacy()
-
-    interrupted = False
-    try:
-        if not memoize:
-            ANALYSIS_CACHE.clear()
-            with ANALYSIS_CACHE.disabled():
-                run_exploration()
-        else:
-            run_exploration()
-    except KeyboardInterrupt:
-        # Return what completed: the pool is already torn down (context
-        # manager / evaluator.close), the journal holds every recorded
-        # result, and the dirty cache state is flushed right below.
-        interrupted = True
-
-    if memoize and disk_cache is not None:
-        ANALYSIS_CACHE.save_disk(disk_cache, only_if_dirty=True)
-
-    elapsed = time.perf_counter() - started
-    # Workers memoize in their own forked copies of the cache, so parent
-    # stats would misrepresent a parallel run — report them only when the
-    # evaluation actually went through this process's cache.
-    stats = ANALYSIS_CACHE.stats() if memoize and workers <= 1 else {}
-    return ExplorationResult(
-        benchmark=benchmark.name,
-        sizes=sizes,
-        board_name=board.name,
-        evaluated=list(driver.seen.values()),
-        pruned=pruned_results,
-        elapsed_seconds=elapsed,
-        workers=workers,
-        cache_stats=stats,
-        strategy=strat.name,
-        space_size=len(space),
-        quarantined=list(quarantine_order.values()),
-        interrupted=interrupted,
-        resumed=state["resumed"],
-        supervision=supervision,
-        batch_engagement=dict(engagement),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Multi-benchmark exploration over one shared pool
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Lane:
-    """Per-benchmark search state inside the multi-benchmark explorer."""
-
-    benchmark: Benchmark
-    sizes: Dict[str, int]
-    program: Program
-    bindings: Dict[str, object]
-    driver: object  # repro.dse.search.SearchDriver
-    pruned: List[PointResult]
-    space_size: int
-    elapsed_seconds: float = 0.0
-    quarantined: Dict[DesignPoint, PointResult] = field(default_factory=dict)
-    resumed: int = 0
+    (result,) = _explore_lanes(
+        [lane],
+        started,
+        board,
+        model,
+        seed,
+        workers,
+        memoize,
+        disk_cache,
+        cycle_model,
+        resilience,
+    ).values()
+    result.elapsed_seconds = time.perf_counter() - started
+    return result
 
 
 class MultiBenchmarkExplorer:
-    """Run several benchmarks' searches through one shared worker pool.
+    """Run several benchmarks' searches through one shared evaluator.
 
     A per-benchmark :func:`explore` pays one pool spin-up per sweep and
     leaves workers idle while a small benchmark finishes; this explorer
-    instead keeps **one** pool alive and interleaves the benchmarks' search
-    batches round-robin across it, so a long benchmark cannot starve the
-    others and every fork is amortised over the whole suite.
+    instead drives one lane per benchmark through **one** evaluator —
+    batched in-process evaluation, one supervised pool, or a compile farm
+    — interleaving the benchmarks' search batches round-robin, so a long
+    benchmark cannot starve the others and every fork is amortised over
+    the whole suite.  It is the same lane driver :func:`explore` runs.
 
-    Every benchmark runs the same strategy (fresh instance each, seeded
-    deterministically per lane) against its own pruned space; results come
-    back as one :class:`ExplorationResult` per benchmark.
+    Every benchmark runs the same strategy against its own pruned space
+    with the same search seed; results come back as one
+    :class:`ExplorationResult` per benchmark, each with its own
+    ``batch_engagement`` and the run's shared ``supervision`` counters.
     """
 
     def __init__(
@@ -1147,283 +1150,46 @@ class MultiBenchmarkExplorer:
         self.resilience = resilience
         # When set, evaluation routes through a compile-farm client
         # (repro.serve.SyncClient or anything sharing its evaluate()
-        # surface) instead of a locally owned pool.  The farm brings its
-        # own supervision; ``workers`` and ``resilience.pool`` settings on
-        # this explorer only affect the farm-less fallback paths.
+        # surface) instead of this process.  The farm brings its own pool
+        # and supervision: ``workers`` and this explorer's retry settings
+        # do not apply to it (its checkpoint journal still does).
         self.farm = farm
-
-    def _build_lanes(self) -> List[_Lane]:
-        from repro.analysis.estimate import input_shapes
-        from repro.dse.search import SearchDriver
-
-        lanes: List[_Lane] = []
-        for benchmark in self.benchmarks:
-            sizes = dict(self.sizes.get(benchmark.name) or benchmark.default_sizes)
-            bindings = benchmark.bindings(sizes, np.random.default_rng(self.seed))
-            program = benchmark.build()
-            tiled_dims = {
-                name: sizes[name] for name in benchmark.tile_sizes if name in sizes
-            }
-            space = default_space(tiled_dims, pipelines=self.pipelines)
-            shapes = input_shapes(program, bindings)
-            survivors, pruned = _prune_space(
-                space, shapes, sizes, self.board, self.budget, self.prune
-            )
-            survivor_space = DesignSpace().extend(survivors)
-            cap = self.max_evaluations
-            if cap is None and self.eval_fraction is not None:
-                cap = max(1, int(self.eval_fraction * len(survivors)))
-            # Every lane uses the same search seed, so the shared pool is a
-            # pure scheduling optimisation: each benchmark evaluates exactly
-            # the points a standalone explore(search_seed=...) would.
-            lanes.append(
-                _Lane(
-                    benchmark=benchmark,
-                    sizes=sizes,
-                    program=program,
-                    bindings=bindings,
-                    driver=SearchDriver(
-                        self.strategy,
-                        survivor_space,
-                        seed=self.search_seed,
-                        max_evaluations=cap,
-                    ),
-                    pruned=pruned,
-                    space_size=len(space),
-                )
-            )
-        return lanes
 
     def run(self) -> Dict[str, ExplorationResult]:
         """Drive every lane to completion and return results per benchmark."""
         started = time.perf_counter()
-        if self.disk_cache is not None:
-            ANALYSIS_CACHE.load_disk(self.disk_cache)
-        lanes = self._build_lanes()
-        by_name = {lane.benchmark.name: lane for lane in lanes}
-        # Mirrors the workers' default-pipeline sessions so seeded cache and
-        # journal keys match what a serial rerun would look up.
-        seed_session = CompilerSession(board=self.board, model=self.model)
-
-        policy = self.resilience
-        journal: Optional[CheckpointJournal] = None
-        journal_entries: Dict[bytes, PointResult] = {}
-        if policy is not None and policy.checkpoint is not None:
-            journal = CheckpointJournal(policy.checkpoint)
-            journal_entries = journal.load()
-
-        def digest_of(bench_name: str, point: DesignPoint) -> Optional[bytes]:
-            lane = by_name[bench_name]
-            return _point_digest(
-                lane.program,
-                lane.bindings,
-                point,
+        lanes = [
+            _build_lane(
+                benchmark,
+                self.sizes.get(benchmark.name),
                 self.board,
-                self.model,
-                seed_session,
-                self.cycle_model,
+                self.seed,
+                self.strategy,
+                self.search_seed,
+                budget=self.budget,
+                prune=self.prune,
+                max_evaluations=self.max_evaluations,
+                eval_fraction=self.eval_fraction,
+                pipelines=self.pipelines,
             )
+            for benchmark in self.benchmarks
+        ]
+        if self.farm is not None:
+            self._validate_farm(self.farm, lanes)
+        return _explore_lanes(
+            lanes,
+            started,
+            self.board,
+            self.model,
+            self.seed,
+            self.workers,
+            True,
+            self.disk_cache,
+            self.cycle_model,
+            self.resilience,
+            farm=self.farm,
+        )
 
-        def make_recorder(lane: _Lane):
-            def on_record(point: DesignPoint, result: PointResult) -> None:
-                if journal is None:
-                    return
-                digest = digest_of(lane.benchmark.name, point)
-                if digest is None or digest in journal_entries:
-                    return
-                journal.append(digest, result)
-                journal_entries[digest] = result
-
-            return on_record
-
-        for lane in lanes:
-            lane.driver.on_record = make_recorder(lane)
-            lane.driver.start()
-
-        def with_replay(evaluate_tasks):
-            """Serve journaled results before paying for an evaluation."""
-            if not journal_entries:
-                return evaluate_tasks
-
-            def wrapped(tasks):
-                out = [None] * len(tasks)
-                todo = []
-                for i, (bench_name, point) in enumerate(tasks):
-                    digest = digest_of(bench_name, point)
-                    hit = journal_entries.get(digest) if digest is not None else None
-                    if hit is not None:
-                        out[i] = hit
-                        lane = by_name[bench_name]
-                        lane.resumed += 1
-                        _seed_point_results(
-                            lane.program,
-                            lane.bindings,
-                            self.board,
-                            self.model,
-                            [point],
-                            [hit],
-                            session=seed_session,
-                            cycle_model=self.cycle_model,
-                        )
-                    else:
-                        todo.append(i)
-                if todo:
-                    computed = evaluate_tasks([tasks[i] for i in todo])
-                    for i, result in zip(todo, computed):
-                        out[i] = result
-                return out
-
-            return wrapped
-
-        total_points = sum(
-            len(lane.driver.requested) for lane in lanes
-        )  # first-round estimate only, used to cap workers
-        workers = self.workers if self.workers is not None else 1
-        workers = min(workers, max(1, total_points))
-        specs = {lane.benchmark.name: (lane.sizes, self.seed) for lane in lanes}
-
-        def seed_results(tasks, results) -> None:
-            for (bench_name, point), result in zip(tasks, results):
-                if getattr(result, "failed", False):
-                    continue
-                lane = by_name[bench_name]
-                _seed_point_results(
-                    lane.program,
-                    lane.bindings,
-                    self.board,
-                    self.model,
-                    [point],
-                    [result],
-                    session=seed_session,
-                    cycle_model=self.cycle_model,
-                )
-
-        supervision: Dict[str, int] = {}
-        interrupted = False
-
-        def run_legacy_pool() -> None:
-            nonlocal interrupted
-            try:
-                pool = pool_context().Pool(
-                    processes=workers,
-                    initializer=_init_worker,
-                    initargs=(specs, self.board, self.model, True, self.cycle_model),
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                warnings.warn(
-                    f"worker pool spawn failed ({type(exc).__name__}: {exc}); "
-                    "falling back to in-process serial evaluation",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._drive(lanes, with_replay(self._serial_evaluate(lanes)), started)
-                return
-
-            def pooled_evaluate(tasks):
-                results = pool.map(_evaluate_point_task, tasks)
-                seed_results(tasks, results)
-                return results
-
-            with pool:
-                self._drive(lanes, with_replay(pooled_evaluate), started)
-
-        def run_supervised() -> None:
-            pool_factory = None
-            if workers > 1:
-                def pool_factory():
-                    return pool_context().Pool(
-                        processes=workers,
-                        initializer=_init_worker,
-                        initargs=(
-                            specs,
-                            self.board,
-                            self.model,
-                            True,
-                            self.cycle_model,
-                            policy.fault_plan,
-                        ),
-                    )
-
-            serial_lane_evaluate = self._serial_evaluate(lanes)
-
-            def serial_compute(task):
-                return serial_lane_evaluate([task])[0]
-
-            evaluator = SupervisedEvaluator(
-                policy,
-                serial_compute,
-                workers=workers,
-                pool_factory=pool_factory,
-                pooled_task=_evaluate_point_task,
-            )
-            try:
-                def supervised_evaluate(tasks):
-                    results = evaluator.evaluate(tasks)
-                    if workers > 1:
-                        seed_results(tasks, results)
-                    return results
-
-                self._drive(lanes, with_replay(supervised_evaluate), started)
-            finally:
-                evaluator.close()
-                supervision.update(evaluator.stats.as_dict())
-
-        def run_farm() -> None:
-            client = self.farm
-            self._validate_farm(client, lanes)
-
-            def farm_evaluate(tasks):
-                results = client.evaluate(tasks, cycle_model=self.cycle_model)
-                seed_results(tasks, results)
-                return results
-
-            self._drive(lanes, with_replay(farm_evaluate), started)
-            farm_stats = getattr(client, "stats", None)
-            if farm_stats is not None:
-                supervision.update(farm_stats.as_dict())
-
-        try:
-            if self.farm is not None:
-                run_farm()
-            elif policy is not None:
-                run_supervised()
-            elif workers > 1:
-                run_legacy_pool()
-            else:
-                self._drive(lanes, with_replay(self._serial_evaluate(lanes)), started)
-        except KeyboardInterrupt:
-            # Partial results: pools are torn down by their context manager
-            # or evaluator.close(), the journal already holds everything
-            # recorded, and the dirty cache flushes right below.
-            interrupted = True
-
-        if self.disk_cache is not None:
-            ANALYSIS_CACHE.save_disk(self.disk_cache, only_if_dirty=True)
-
-        results: Dict[str, ExplorationResult] = {}
-        for lane in lanes:
-            results[lane.benchmark.name] = ExplorationResult(
-                benchmark=lane.benchmark.name,
-                sizes=lane.sizes,
-                board_name=self.board.name,
-                evaluated=list(lane.driver.seen.values()),
-                pruned=lane.pruned,
-                # Completion latency of this lane within the interleaved
-                # suite (joint batches make exclusive attribution moot).
-                elapsed_seconds=lane.elapsed_seconds,
-                workers=workers,
-                strategy=lane.driver.strategy.name,
-                space_size=lane.space_size,
-                quarantined=list(lane.quarantined.values()),
-                interrupted=interrupted,
-                resumed=lane.resumed,
-                # Supervision counters are per-suite: the pool (and its
-                # supervisor) is shared across lanes.
-                supervision=dict(supervision),
-            )
-        return results
 
     def _validate_farm(self, client, lanes: List[_Lane]) -> None:
         """Reject farm/explorer mismatches before any evaluation runs.
@@ -1465,69 +1231,3 @@ class MultiBenchmarkExplorer:
                 f"input seed mismatch: explorer uses {self.seed}, farm uses "
                 f"{farm_seed} — bindings (and thus results) would differ"
             )
-
-    def _serial_evaluate(self, lanes: List[_Lane]):
-        by_name = {lane.benchmark.name: lane for lane in lanes}
-        # One session shared by every lane: the whole suite compiles through
-        # the same pipeline, caches and naming scope.
-        session = CompilerSession(board=self.board, model=self.model)
-
-        def evaluate(tasks: List[Tuple[str, DesignPoint]]) -> List[PointResult]:
-            out = []
-            for bench_name, point in tasks:
-                lane = by_name[bench_name]
-                out.append(
-                    evaluate_point(
-                        lane.program,
-                        lane.bindings,
-                        point,
-                        board=self.board,
-                        model=self.model,
-                        session=session,
-                        cycle_model=self.cycle_model,
-                    )
-                )
-            return out
-
-        return evaluate
-
-    def _drive(self, lanes: List[_Lane], evaluate, started: float) -> None:
-        """Round-robin the lanes' batches over one evaluator until all finish."""
-        while any(not lane.driver.done for lane in lanes):
-            active = [lane for lane in lanes if not lane.driver.done]
-            per_lane = {id(lane): lane.driver.fresh_points() for lane in active}
-
-            # Interleave: lane A point 1, lane B point 1, lane A point 2, …
-            tasks: List[Tuple[str, DesignPoint]] = []
-            owners: List[_Lane] = []
-            cursor = 0
-            while True:
-                emitted = False
-                for lane in active:
-                    fresh = per_lane[id(lane)]
-                    if cursor < len(fresh):
-                        tasks.append((lane.benchmark.name, fresh[cursor]))
-                        owners.append(lane)
-                        emitted = True
-                cursor += 1
-                if not emitted:
-                    break
-
-            if tasks:
-                results = evaluate(tasks)
-                by_lane: Dict[int, Tuple[List[DesignPoint], List[PointResult]]] = {}
-                for (bench_name, point), lane, result in zip(tasks, owners, results):
-                    points, outcomes = by_lane.setdefault(id(lane), ([], []))
-                    points.append(point)
-                    outcomes.append(result)
-                for lane in active:
-                    points, outcomes = by_lane.get(id(lane), ([], []))
-                    for point, result in zip(points, outcomes):
-                        if getattr(result, "failed", False):
-                            lane.quarantined.setdefault(point, result)
-                    lane.driver.record(points, outcomes)
-
-            for lane in active:
-                lane.driver.advance()
-                if lane.driver.done:
-                    lane.elapsed_seconds = time.perf_counter() - started

@@ -20,7 +20,7 @@ layer the engine (:mod:`repro.dse.engine`) wraps its evaluation paths in:
   results (length-prefixed, per-record blake2b checksums), so an
   interrupted ``explore(...)`` resumes without re-evaluating anything it
   already journaled; a truncated tail (crash mid-write) loses at most the
-  partial record.
+  partial record, and is cut off on load so later appends stay readable.
 * :class:`FaultPlan` — a deterministic, seeded fault-injection schedule
   (crash / hang / transient error / corrupt result) fired at worker entry,
   used by ``tests/dse/test_resilience.py`` and ``bench_dse.py --faults``
@@ -446,7 +446,9 @@ class CheckpointJournal:
     ``digest`` being the engine's stable point-result key hash.  Appends
     are flushed immediately; a process killed mid-write loses at most the
     trailing partial record, which :meth:`load` detects (checksum or
-    length mismatch) and drops, keeping every complete record before it.
+    length mismatch) and truncates away, keeping every complete record
+    before it — so the next :meth:`append` lands where the next
+    :meth:`load` reads it.
     """
 
     MAGIC = b"RJNL"
@@ -458,7 +460,12 @@ class CheckpointJournal:
         self.appended = 0
 
     def load(self) -> Dict[bytes, PointResult]:
-        """Replay every intact record; stop (and count) at the first bad one."""
+        """Replay every intact record; stop (and count) at the first bad one.
+
+        A bad tail is cut off the file, back to the end of the last intact
+        record: records appended after it would otherwise sit behind bytes
+        every later load stops at.
+        """
         entries: Dict[bytes, PointResult] = {}
         self.corrupt_records = 0
         if not self.path.exists():
@@ -487,9 +494,10 @@ class CheckpointJournal:
             entries[digest] = result
             offset += self._HEADER.size + length
         if self.corrupt_records:
+            os.truncate(self.path, offset)
             warnings.warn(
                 f"checkpoint journal {self.path} has a corrupt tail; "
-                f"resuming from {len(entries)} intact record(s)",
+                f"truncated to {len(entries)} intact record(s)",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -522,14 +530,16 @@ class SupervisedEvaluator:
     """Run evaluation tasks under a :class:`ResiliencePolicy`.
 
     The engine constructs one per exploration and calls :meth:`evaluate`
-    with each search batch.  Construction is cheap; the worker pool (if
-    any) is created lazily by ``pool_factory`` on first pooled use and
-    respawned after timeouts, so a hung worker can never wedge the sweep.
+    with each pooled search batch — and, in-process, with the points a
+    fault plan targets or a batched evaluation that raised.  Construction
+    is cheap; the worker pool (if any) is created lazily by
+    ``pool_factory`` on first pooled use and respawned after timeouts, so
+    a hung worker can never wedge the sweep.
 
-    ``serial_compute`` evaluates one task in-process — both the
-    ``workers <= 1`` path and the graceful-degradation fallback when the
-    pool is unrecoverable.  ``pooled_task`` is the picklable function the
-    pool executes, receiving ``(benchmark, point, attempt)``.
+    ``serial_compute`` evaluates one task in-process — the
+    ``workers <= 1`` per-point path and the graceful-degradation fallback
+    when the pool is unrecoverable.  ``pooled_task`` is the picklable
+    function the pool executes, receiving ``(benchmark, point, attempt)``.
     """
 
     def __init__(

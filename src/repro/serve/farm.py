@@ -5,7 +5,12 @@ A :class:`CompileFarm` owns, for a fixed set of benchmarks, everything a
 bindings, a supervised worker pool, a checkpoint journal, a persisted
 cache store — and serves evaluation requests against them continuously.
 
-Admission pipeline (synchronous, per request, *before* any scheduling):
+Admission pipeline (synchronous, per request, *before* any scheduling).
+The request's cache key and journal digest are derived once, by the
+engine's :class:`~repro.dse.engine.PointLedger`, which also owns the
+journal, the cache lookup and the seeding of completed results — so the
+farm and :func:`~repro.dse.engine.explore` agree on every point byte for
+byte:
 
 1. **journal replay** — a digest already in the checkpoint journal is
    answered instantly (``status="journal"``); so is a digest quarantined
@@ -22,6 +27,10 @@ Completion is journal-first: a finished evaluation is appended to the
 journal, then seeded into the analysis cache, and only then handed to its
 waiters — so a SIGINT at any instant loses zero *completed* evaluations
 (the PR 6 resume machinery replays the journal on the next start).
+
+With ``workers > 1``, starting the farm writes a memory-mapped snapshot
+of the live cache that the pool's workers attach lazily
+(:mod:`repro.serve.snapshot`); an inline farm (``workers=1``) writes none.
 
 Pool supervision reuses :class:`~repro.dse.resilience.PoolSupervisor`
 verbatim: timeouts respawn the pool, a spawn failure or exhausted respawn
@@ -55,18 +64,14 @@ import numpy as np
 from repro.apps import get_benchmark
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import (
-    _effective_model,
+    PointLedger,
+    PointRef,
     _evaluate_point_task,
     _init_worker,
-    _pipeline_signature,
-    _point_digest,
-    _point_result_key,
-    _seed_point_results,
     evaluate_point,
     pool_context,
 )
 from repro.dse.resilience import (
-    CheckpointJournal,
     PoolSupervisor,
     ResiliencePolicy,
     SupervisionStats,
@@ -254,8 +259,7 @@ class CompileFarm:
         self._lanes: Dict[str, _FarmLane] = {}
         self._session: Optional[CompilerSession] = None
         self._serial_session: Optional[CompilerSession] = None
-        self._journal: Optional[CheckpointJournal] = None
-        self._journal_entries: Dict[bytes, PointResult] = {}
+        self._ledger: Optional[PointLedger] = None
         self._quarantine: Dict[bytes, PointResult] = {}
         self._inflight: Dict[bytes, "asyncio.Task"] = {}
         self._tasks: Set["asyncio.Task"] = set()
@@ -311,26 +315,24 @@ class CompileFarm:
 
         if self.store is not None:
             ANALYSIS_CACHE.load_disk(self.store)
-
-        if self.policy.checkpoint is not None:
-            self._journal = CheckpointJournal(self.policy.checkpoint)
-            self._journal_entries = self._journal.load()
-
-        cache_warmup: Optional[Tuple[str, str]] = None
-        if self.warmup == "snapshot":
-            snapshot = self.snapshot_path
-            if snapshot is None and self.store is not None:
-                snapshot = self.store.with_name(self.store.name + ".snap")
-            if snapshot is not None:
-                from repro.serve.snapshot import write_snapshot
-
-                if write_snapshot(snapshot) > 0:
-                    cache_warmup = ("snapshot", str(snapshot))
-        elif self.warmup == "load" and self.store is not None:
-            cache_warmup = ("load", str(self.store))
+        self._ledger = PointLedger(self._session, checkpoint=self.policy.checkpoint)
 
         pool_factory = None
         if self.workers > 1:
+            # Only pool workers attach the snapshot; inline evaluation
+            # (workers=1) reads the live cache, so none is written for it.
+            cache_warmup: Optional[Tuple[str, str]] = None
+            if self.warmup == "snapshot":
+                snapshot = self.snapshot_path
+                if snapshot is None and self.store is not None:
+                    snapshot = self.store.with_name(self.store.name + ".snap")
+                if snapshot is not None:
+                    from repro.serve.snapshot import write_snapshot
+
+                    if write_snapshot(snapshot) > 0:
+                        cache_warmup = ("snapshot", str(snapshot))
+            elif self.warmup == "load" and self.store is not None:
+                cache_warmup = ("load", str(self.store))
             specs = {
                 name: (lane.sizes, self.seed) for name, lane in self._lanes.items()
             }
@@ -457,31 +459,23 @@ class CompileFarm:
         """Classify one request without awaiting; schedule only the residue."""
         self.stats.received += 1
         lane = self._lanes[request.benchmark]
-        digest = _point_digest(
-            lane.program,
-            lane.bindings,
-            request.point,
-            self.board,
-            self.model,
-            self._session,
-            request.cycle_model,
+        ref = self._ledger.locate(
+            lane.program, lane.bindings, request.point, request.cycle_model
         )
-        if digest is not None:
-            journaled = self._journal_entries.get(digest)
-            if journaled is not None:
-                self.stats.journal_hits += 1
-                self.stats.supervision.resumed += 1
-                self._seed(lane, request, journaled)
-                return "journal", journaled
-            known = self._quarantine.get(digest)
-            if known is not None:
-                return "failed", known
-        cached = self._cached_result(lane, request)
+        journaled = self._ledger.replay(ref)
+        if journaled is not None:
+            self.stats.journal_hits += 1
+            self.stats.supervision.resumed += 1
+            return "journal", journaled
+        known = self._quarantine.get(ref.digest) if ref.digest is not None else None
+        if known is not None:
+            return "failed", known
+        cached = self._ledger.lookup(ref.key)
         if cached is not None:
             self.stats.cache_hits += 1
             return "cached", cached
-        if digest is not None:
-            inflight = self._inflight.get(digest)
+        if ref.digest is not None:
+            inflight = self._inflight.get(ref.digest)
             if inflight is not None:
                 self.stats.coalesced += 1
                 return "coalesced", inflight
@@ -492,44 +486,14 @@ class CompileFarm:
             # ``memoize()`` inside evaluate_point accounts for itself.
             ANALYSIS_CACHE.misses["point_results"] += 1
         task = asyncio.get_running_loop().create_task(
-            self._evaluate(lane, request, digest)
+            self._evaluate(lane, request, ref)
         )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-        if digest is not None:
-            self._inflight[digest] = task
-            task.add_done_callback(lambda _t, d=digest: self._inflight.pop(d, None))
+        if ref.digest is not None:
+            self._inflight[ref.digest] = task
+            task.add_done_callback(lambda _t, d=ref.digest: self._inflight.pop(d, None))
         return "evaluated", task
-
-    def _cached_result(
-        self, lane: _FarmLane, request: CompileRequest
-    ) -> Optional[PointResult]:
-        if not ANALYSIS_CACHE.enabled:
-            return None
-        try:
-            signature = _pipeline_signature(self._session, request.point.pipeline)
-        except ValueError:
-            return None
-        key = _point_result_key(
-            lane.program,
-            lane.bindings,
-            request.point,
-            self.board,
-            _effective_model(self.model, request.point),
-            signature,
-            request.cycle_model,
-        )
-        if key is None:
-            return None
-        cached = ANALYSIS_CACHE.get("point_results", key)
-        if cached is None:
-            return None
-        # ``get`` refreshes recency without accounting; admission hits
-        # count explicitly so the per-table metrics reflect farm traffic.
-        ANALYSIS_CACHE.hits["point_results"] += 1
-        # Same copy discipline as evaluate_point: callers must not be able
-        # to poison the shared entry through the handed-out result.
-        return replace(cached, utilization=dict(cached.utilization))
 
     async def _respond(
         self,
@@ -567,7 +531,7 @@ class CompileFarm:
 
     # -- evaluation ----------------------------------------------------------
     async def _evaluate(
-        self, lane: _FarmLane, request: CompileRequest, digest: Optional[bytes]
+        self, lane: _FarmLane, request: CompileRequest, ref: PointRef
     ) -> PointResult:
         async with self._slots:
             result = await self._run_supervised(lane, request)
@@ -576,28 +540,13 @@ class CompileFarm:
         # completion and response loses nothing.
         if result.failed:
             self.stats.failed += 1
-            if digest is not None:
-                self._quarantine[digest] = result
+            if ref.digest is not None:
+                self._quarantine[ref.digest] = result
             return result
-        if digest is not None and self._journal is not None:
-            if digest not in self._journal_entries:
-                self._journal.append(digest, result)
-                self._journal_entries[digest] = result
-        self._seed(lane, request, result)
+        self._ledger.record(ref, result)
+        self._ledger.seed(ref.key, result)
         self.stats.completed += 1
         return result
-
-    def _seed(self, lane: _FarmLane, request: CompileRequest, result: PointResult) -> None:
-        _seed_point_results(
-            lane.program,
-            lane.bindings,
-            self.board,
-            self.model,
-            [request.point],
-            [result],
-            session=self._session,
-            cycle_model=request.cycle_model,
-        )
 
     async def _run_supervised(
         self, lane: _FarmLane, request: CompileRequest

@@ -284,34 +284,38 @@ class TestExploreIntegration:
             **kwargs,
         )
 
-    def test_batched_explore_bit_identical_to_per_point(self):
-        baseline = self._explore()
-        ANALYSIS_CACHE.clear()
-        batched = self._explore(batch_eval=True)
-        _assert_results_bit_identical(baseline.evaluated, batched.evaluated)
-        assert [r.point for r in baseline.pareto] == [r.point for r in batched.pareto]
+    def test_explore_bit_identical_to_per_point(self):
+        explored = self._explore()
+        bench = get_benchmark("gemm")
+        program = bench.build()
+        bindings = bench.bindings({"m": 256, "n": 256, "p": 256}, np.random.default_rng(9))
+        with ANALYSIS_CACHE.disabled():
+            scalar = [evaluate_point(program, bindings, r.point) for r in explored.evaluated]
+        _assert_results_bit_identical(scalar, explored.evaluated)
 
     def test_explore_reports_batch_engagement_totals(self):
         bench = get_benchmark("gemm")
         space = DesignSpace()
         for pipeline in ("default", "rewrite"):
             space.extend(_space_for(bench, pipeline=pipeline))
-        assert self._explore(space=space).batch_engagement == {}
-        ANALYSIS_CACHE.clear()
-        batched = self._explore(space=space, batch_eval=5)
-        assert batched.batch_engagement == {"vector": len(space)}
-        rerun = self._explore(space=space, batch_eval=True)
+        first = self._explore(space=space)
+        assert first.batch_engagement == {"vector": len(space)}
+        rerun = self._explore(space=space)
         assert rerun.batch_engagement == {"cached": len(space)}
+        # Batched evaluations count as supervised evaluations.
+        assert first.supervision["evaluations"] == len(space)
+        assert rerun.supervision["evaluations"] == len(space)
 
-    def test_block_size_batching_matches(self):
-        baseline = self._explore()
+    @pytest.mark.parametrize("batch_eval", [None, True, False, 0, 7])
+    def test_batch_eval_is_ignored(self, batch_eval):
+        space = _space_for(get_benchmark("gemm"))
+        result = self._explore(space=space, batch_eval=batch_eval)
         ANALYSIS_CACHE.clear()
-        blocked = self._explore(batch_eval=7)
-        _assert_results_bit_identical(baseline.evaluated, blocked.evaluated)
-
-    def test_invalid_batch_eval_rejected(self):
-        with pytest.raises(ValueError, match="batch_eval"):
-            self._explore(batch_eval=0)
+        reference = self._explore(space=space)
+        _assert_results_bit_identical(reference.evaluated, result.evaluated)
+        assert result.batch_engagement == reference.batch_engagement == {
+            "vector": len(space)
+        }
 
     def test_chaos_batched_explore_is_deterministic(self):
         """Fault-plan victims detour through per-point supervision; the
@@ -323,9 +327,9 @@ class TestExploreIntegration:
         policy = ResiliencePolicy(
             fault_plan=plan, retries=3, backoff=0.0, jitter=0.0, timeout=60.0
         )
-        clean = self._explore(space=space, batch_eval=True)
+        clean = self._explore(space=space)
         ANALYSIS_CACHE.clear()
-        chaotic = self._explore(space=space, batch_eval=True, resilience=policy)
+        chaotic = self._explore(space=space, resilience=policy)
         _assert_results_bit_identical(clean.evaluated, chaotic.evaluated)
         assert chaotic.supervision["retries"] > 0
         assert chaotic.supervision["recovered"] > 0

@@ -7,6 +7,7 @@ from repro.apps import get_benchmark
 from repro.pipeline import Session
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import (
+    PointLedger,
     PointResult,
     evaluate_config,
     evaluate_point,
@@ -14,6 +15,7 @@ from repro.dse.engine import (
     pareto_front,
 )
 from repro.dse.space import DesignPoint, DesignSpace, default_space
+from repro.pipeline.session import CompilerSession
 from repro.target.device import DEFAULT_BOARD
 
 SIZES = {"m": 256, "n": 256, "p": 256}
@@ -184,6 +186,45 @@ class TestExplore:
     def test_default_space_is_used_when_none_given(self):
         result = explore("sumrows", sizes={"m": 4096, "n": 256})
         assert len(result.evaluated) + len(result.pruned) > 0
+
+
+class TestPointLedger:
+    @pytest.mark.parametrize(
+        "name, sizes, point, cycle_model, digest",
+        [
+            (
+                "sumrows",
+                {"m": 1024, "n": 128},
+                DesignPoint.make({"m": 128}, par=8, metapipelining=True),
+                "analytical",
+                "a94f184cee7c543cce7ee81b13adcec4",
+            ),
+            (
+                "gemm",
+                SIZES,
+                DesignPoint.make(
+                    {"m": 64, "n": 64, "p": 64},
+                    par=16,
+                    metapipelining=True,
+                    pipeline="rewrite",
+                    dram_channels=2,
+                ),
+                "event",
+                "ec053769dc453a3d94c5d2cbc8f2321d",
+            ),
+        ],
+    )
+    def test_journal_digest_bytes_are_pinned(self, name, sizes, point, cycle_model, digest):
+        """Journals and stores written by earlier versions must keep replaying:
+        the digest bytes (and so the key they hash) may never drift."""
+        bench = get_benchmark(name)
+        program = bench.build()
+        bindings = bench.bindings(sizes, np.random.default_rng(0))
+        ref = PointLedger(CompilerSession()).locate(program, bindings, point, cycle_model)
+        assert ref.digest.hex() == digest
+        # The ledger keys exactly what evaluate_point memoises.
+        evaluate_point(program, bindings, point, cycle_model=cycle_model)
+        assert ref.key in ANALYSIS_CACHE.table("point_results")
 
 
 class TestParetoFront:

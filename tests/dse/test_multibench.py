@@ -122,6 +122,16 @@ class TestMultiBenchmarkExplorer:
         assert stats["misses"] == 0
         assert stats["hits"] == sum(len(r.evaluated) for r in warm.values())
 
+    @pytest.mark.parametrize(
+        "cycle_model, outcome", [("analytical", "vector"), ("event", "event-model")]
+    )
+    def test_every_lane_reports_batch_engagement(self, cycle_model, outcome):
+        results = MultiBenchmarkExplorer(
+            ["gemm", "sumrows"], sizes=SIZES, cycle_model=cycle_model, max_evaluations=4
+        ).run()
+        for result in results.values():
+            assert result.batch_engagement == {outcome: len(result.evaluated)}
+
     def test_pareto_fronts_are_per_benchmark(self):
         results = MultiBenchmarkExplorer(["gemm", "sumrows"], sizes=SIZES).run()
         gemm_points = {r.point for r in results["gemm"].evaluated}

@@ -8,10 +8,15 @@ than silently dropped.
 """
 
 import pickle
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import get_benchmark
 from repro.dse.cache import ANALYSIS_CACHE
@@ -197,6 +202,49 @@ class TestCheckpointJournal:
         assert list(entries) == [b"a" * 16]
         assert reader.corrupt_records == 1
 
+    def test_append_after_torn_tail_is_read_back(self, tmp_path):
+        journal = CheckpointJournal(tmp_path / "run.journal")
+        journal.append(b"a" * 16, self._result(10.0))
+        journal.append(b"b" * 16, self._result(20.0))
+        journal.path.write_bytes(journal.path.read_bytes()[:-20])  # killed mid-write
+        with pytest.warns(RuntimeWarning, match="corrupt tail"):
+            assert list(journal.load()) == [b"a" * 16]
+        journal.append(b"c" * 16, self._result(30.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the torn bytes are gone
+            entries = CheckpointJournal(journal.path).load()
+        assert list(entries) == [b"a" * 16, b"c" * 16]
+        assert entries[b"c" * 16].cycles == 30.0
+
+    @given(
+        count=st.integers(1, 5),
+        cut=st.integers(0, 600),
+        flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_journal_loads_a_prefix_and_stays_appendable(self, count, cut, flips):
+        written = [(bytes([i]) * 16, self._result(float(i))) for i in range(count)]
+        extra = (b"z" * 16, self._result(99.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = CheckpointJournal(Path(tmp) / "run.journal")
+            for digest, result in written:
+                journal.append(digest, result)
+            blob = bytearray(journal.path.read_bytes())
+            del blob[max(0, len(blob) - cut) :]
+            for position, mask in flips:
+                if blob:
+                    blob[position % len(blob)] ^= mask
+            journal.path.write_bytes(bytes(blob))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                loaded = list(journal.load().items())
+            assert loaded == written[: len(loaded)]
+            journal.append(*extra)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                again = list(CheckpointJournal(journal.path).load().items())
+            assert again == loaded + [extra]
+
     def test_flipped_byte_drops_the_record(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "run.journal")
         journal.append(b"a" * 16, self._result(10.0))
@@ -319,6 +367,18 @@ class TestExploreUnderFaults:
         # And never allowed to poison the front either.
         assert victim.label not in [r.point.label for r in result.evaluated]
 
+    def test_point_failing_inside_a_batch_is_quarantined(self):
+        """Supervision is on by default: a point that raises inside the
+        batched evaluator is retried alone and quarantined, never fatal."""
+        space = _gemm_space()
+        bad = DesignPoint.make({"m": 64, "n": 64, "p": 64}, par=16, pipeline="not-a-variant")
+        space.add(bad)
+        result = explore("gemm", sizes=GEMM_SIZES, space=space, prune=False)
+        assert [q.point for q in result.quarantined] == [bad]
+        assert result.quarantined[0].attempts == 3  # ResiliencePolicy().retries == 2
+        assert "ValueError" in result.quarantined[0].failure
+        assert len(result.evaluated) == len(space) - 1
+
     def test_pool_spawn_failure_degrades_to_serial(self, monkeypatch):
         import repro.dse.engine as engine
 
@@ -332,10 +392,11 @@ class TestExploreUnderFaults:
         monkeypatch.setattr(engine, "pool_context", lambda: BrokenContext())
         ANALYSIS_CACHE.clear()
         with pytest.warns(RuntimeWarning, match="serial"):
-            legacy = explore(
+            default_policy = explore(
                 "gemm", sizes=GEMM_SIZES, space=space, prune=False, workers=2
             )
-        assert legacy.evaluated == base.evaluated
+        assert default_policy.evaluated == base.evaluated
+        assert default_policy.supervision["serial_fallback"] == 1
         ANALYSIS_CACHE.clear()
         with pytest.warns(RuntimeWarning, match="serial"):
             supervised = explore(
@@ -345,21 +406,23 @@ class TestExploreUnderFaults:
         assert supervised.evaluated == base.evaluated
         assert supervised.supervision["serial_fallback"] == 1
 
-    @pytest.mark.parametrize("supervised", [False, True])
-    def test_keyboard_interrupt_returns_partial_results(self, monkeypatch, supervised):
-        import repro.dse.engine as engine
+    @pytest.mark.parametrize("explicit_policy", [False, True])
+    def test_keyboard_interrupt_returns_partial_results(
+        self, monkeypatch, explicit_policy
+    ):
+        import repro.dse.batch as batch
 
-        real = engine.evaluate_point
+        real = batch.evaluate_point_batch
         calls = {"n": 0}
 
         def interrupting(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > 2:
+            if calls["n"] > 1:  # the second batch
                 raise KeyboardInterrupt()
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "evaluate_point", interrupting)
-        policy = ResiliencePolicy(retries=0, backoff=0.0) if supervised else None
+        monkeypatch.setattr(batch, "evaluate_point_batch", interrupting)
+        policy = ResiliencePolicy(retries=0, backoff=0.0) if explicit_policy else None
         result = explore(
             "gemm", sizes=GEMM_SIZES, space=_gemm_space(), prune=False,
             strategy=TwoBatchStrategy(), resilience=policy,
@@ -403,27 +466,27 @@ class TestCheckpointResume:
         }
 
     def test_interrupted_run_resumes_without_reevaluation(self, tmp_path, monkeypatch):
-        import repro.dse.engine as engine
+        import repro.dse.batch as batch
 
         checkpoint = tmp_path / "gemm.journal"
         space = _gemm_space()
-        real = engine.evaluate_point
+        real = batch.evaluate_point_batch
         calls = {"n": 0}
 
         def interrupting(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > 2:
+            if calls["n"] > 1:  # the second batch
                 raise KeyboardInterrupt()
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "evaluate_point", interrupting)
+        monkeypatch.setattr(batch, "evaluate_point_batch", interrupting)
         killed = explore(
             "gemm", sizes=GEMM_SIZES, space=space, prune=False,
             strategy=TwoBatchStrategy(),
             resilience=ResiliencePolicy(checkpoint=checkpoint),
         )
         assert killed.interrupted and len(killed.evaluated) == 2
-        monkeypatch.setattr(engine, "evaluate_point", real)
+        monkeypatch.setattr(batch, "evaluate_point_batch", real)
         ANALYSIS_CACHE.clear()
         resumed = explore(
             "gemm", sizes=GEMM_SIZES, space=space, prune=False,
@@ -501,18 +564,18 @@ class TestPooledChaos:
         assert store.exists()
 
     def test_multibench_keyboard_interrupt_returns_partials(self, monkeypatch):
-        import repro.dse.engine as engine
+        import repro.dse.batch as batch
 
-        real = engine.evaluate_point
+        real = batch.evaluate_point_batch
         calls = {"n": 0}
 
         def interrupting(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > 4:  # round 1 = two lanes x two points
+            if calls["n"] > 2:  # round 1 = one batch per lane
                 raise KeyboardInterrupt()
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "evaluate_point", interrupting)
+        monkeypatch.setattr(batch, "evaluate_point_batch", interrupting)
         results = MultiBenchmarkExplorer(
             ["gemm", "sumrows"],
             sizes={"gemm": GEMM_SIZES, "sumrows": {"m": 1024, "n": 128}},

@@ -9,7 +9,7 @@ from repro.dse.engine import MultiBenchmarkExplorer, explore
 from repro.dse.resilience import FaultPlan, FaultSpec, ResiliencePolicy
 from repro.dse.space import DesignPoint
 from repro.errors import FarmError
-from repro.serve import CompileFarm, CompileRequest, SyncClient
+from repro.serve import CompileFarm, CompileRequest, SnapshotView, SyncClient
 
 SIZES = {
     "sumrows": {"m": 1024, "n": 64},
@@ -310,6 +310,44 @@ class TestExplorerIntegration:
             )
             with pytest.raises(FarmError, match="seed mismatch"):
                 explorer.run()
+
+
+def _attached_tables():
+    """Pool-task probe: the tables this worker attached lazily at spawn."""
+    return sorted(ANALYSIS_CACHE._lazy)
+
+
+class TestWorkerSnapshot:
+    @pytest.mark.asyncio
+    async def test_inline_farm_writes_no_snapshot(self, tmp_path):
+        store = tmp_path / "store.pkl"
+        explore("sumrows", sizes=SIZES["sumrows"], max_evaluations=2, disk_cache=store)
+        ANALYSIS_CACHE.clear()
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1, store=store)
+        async with farm:
+            await (await farm.submit([("sumrows", p) for p in _points()])).gather()
+        assert store.exists()
+        assert not store.with_name("store.pkl.snap").exists()
+
+    @pytest.mark.asyncio
+    async def test_pooled_farm_workers_attach_the_snapshot(self, tmp_path):
+        serial = explore("sumrows", sizes=SIZES["sumrows"], max_evaluations=4)
+        ANALYSIS_CACHE.clear()
+        store = tmp_path / "store.pkl"
+        explore("outerprod", sizes=SIZES["outerprod"], max_evaluations=2, disk_cache=store)
+        ANALYSIS_CACHE.clear()
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=2, store=store)
+        async with farm:
+            view = SnapshotView(store.with_name("store.pkl.snap"))
+            tables = view.tables
+            view.close()
+            assert "point_results" in tables
+            assert farm.pools.acquire().apply(_attached_tables) == sorted(tables)
+            responses = await (
+                await farm.submit([("sumrows", r.point) for r in serial.evaluated])
+            ).gather()
+        assert [r.status for r in responses] == ["evaluated"] * len(serial.evaluated)
+        assert [r.result for r in responses] == serial.evaluated
 
 
 class TestSyncClient:
