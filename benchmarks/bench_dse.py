@@ -633,7 +633,7 @@ def _measure_spawn(workers: int, store: Path, snap: Path, warmup: str) -> dict:
     from repro.target.device import DEFAULT_BOARD
 
     sizes = {"gemm": SERVE_SMOKE_SIZES["gemm"]}
-    specs = {name: (dict(dims), 3) for name, dims in sizes.items()}
+    specs = {name: dict(dims) for name, dims in sizes.items()}
     cache_warmup = ("load", str(store)) if warmup == "load" else ("snapshot", str(snap))
     with tempfile.TemporaryDirectory(prefix="dse-spawn-") as out_dir:
         started = time.perf_counter()

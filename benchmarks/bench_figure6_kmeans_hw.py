@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps import get_benchmark
@@ -20,7 +19,7 @@ def _compile_kmeans(sizes):
     config = CompileConfig(
         tiling=True, metapipelining=True, tile_sizes=dict(bench.tile_sizes)
     )
-    return bench.compile(config, sizes, np.random.default_rng(0), session=SESSION)
+    return bench.compile(config, sizes, session=SESSION)
 
 
 def test_figure6_kmeans_hardware_structure(benchmark, eval_sizes):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.apps import get_benchmark
@@ -19,7 +18,7 @@ def _compile(name, metapipelining, sizes):
     config = CompileConfig(
         tiling=True, metapipelining=metapipelining, tile_sizes=dict(bench.tile_sizes)
     )
-    return bench.compile(config, sizes, np.random.default_rng(0), session=SESSION)
+    return bench.compile(config, sizes, session=SESSION)
 
 
 @pytest.mark.parametrize("name", ["outerprod", "sumrows", "gemm", "tpchq6", "gda", "kmeans"])

@@ -33,7 +33,7 @@ def show_benchmark(name: str) -> None:
     bench = get_benchmark(name)
     program = bench.build()
     sizes = SIZES[name]
-    bindings = bench.bindings(sizes, np.random.default_rng(0))
+    workload = bench.workload(sizes)  # compiling reads shapes, not data
     config = CompileConfig(
         tiling=True, metapipelining=True, tile_sizes=dict(bench.tile_sizes)
     )
@@ -42,8 +42,8 @@ def show_benchmark(name: str) -> None:
     print(f"{name}: {bench.description}  (collection ops: {', '.join(bench.collection_ops)})")
     print("=" * 72)
 
-    baseline = SESSION.compile(program, BASELINE, bindings)
-    optimised = SESSION.compile(program, config, bindings)
+    baseline = SESSION.compile(program, BASELINE, workload)
+    optimised = SESSION.compile(program, config, workload)
     tiling = optimised.tiling
     print("\n-- strip-mined IR (excerpt) --")
     print(pretty(tiling.strip_mined.body)[:600])

@@ -35,11 +35,11 @@ def main() -> None:
     # through one session, which owns the board, pipeline and caches.
     session = Session()
     sizes = {"n": 32768, "k": 32, "d": 32}
-    bindings = bench.bindings(sizes, np.random.default_rng(1))
+    workload = bench.workload(sizes)  # compiling reads shapes, not data
     config = CompileConfig(
         tiling=True, metapipelining=True, tile_sizes=dict(bench.tile_sizes)
     )
-    result = session.compile(program, config, bindings)
+    result = session.compile(program, config, workload)
 
     print("\n=== hardware design (Figure 6) ===")
     print(design_report(result.design))

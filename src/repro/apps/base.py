@@ -5,37 +5,78 @@ Each of the paper's six benchmarks (Table 5) is described by a
 
 * the PPL program builder (the fused form, mirroring Figure 4),
 * a numpy reference implementation used as the correctness oracle,
-* an input generator,
+* an input generator, and each input's dimensions as size names,
 * the workload sizes and tile sizes used by the evaluation harness, and the
   smaller sizes used by the functional tests (the reference interpreter runs
   pure Python loops, so tests use small shapes).
+
+:meth:`Benchmark.bindings` generates real arrays for whatever reads their
+contents (the interpreter, the numpy reference); :meth:`Benchmark.workload`
+binds data-free :class:`ShapeOnly` stand-ins for whatever only compiles, keys
+or simulates.  Both give the same sizes and shapes, hence the same results and
+cache keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.ppl.program import Program
 
-__all__ = ["Benchmark", "register", "get_benchmark", "all_benchmarks", "BENCHMARK_ORDER"]
+__all__ = [
+    "Benchmark",
+    "ShapeOnly",
+    "register",
+    "get_benchmark",
+    "all_benchmarks",
+    "BENCHMARK_ORDER",
+]
 
 
 # The order used by Figure 7 in the paper.
 BENCHMARK_ORDER = ["outerprod", "sumrows", "gemm", "tpchq6", "gda", "kmeans"]
 
 
+class ShapeOnly:
+    """A stand-in for an input array that holds no data, only its ``.shape``.
+
+    The static analyses see an input only through its shape
+    (:func:`repro.analysis.estimate.input_shapes`), so a stand-in is all a
+    compile needs.  Any read of contents — indexing, iteration, arithmetic,
+    ``np.asarray`` — raises ``TypeError`` instead of seeing made-up values.
+    """
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: Tuple[int, ...]) -> None:
+        self.shape = tuple(shape)
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError(f"a shape-only input {self.shape} holds no data to read")
+
+    def __repr__(self) -> str:
+        return f"ShapeOnly({self.shape})"
+
+
 @dataclass
 class Benchmark:
-    """A single benchmark of Table 5."""
+    """A single benchmark of Table 5.
+
+    ``input_dims`` names each input's dimensions by size name, e.g. gemm's
+    ``{"x": ("m", "p"), "y": ("p", "n")}``.  Tensor types carry only a
+    rank, so the shapes cannot be read off the program; a test checks the
+    declaration against ``generate_inputs``.
+    """
 
     name: str
     description: str
     collection_ops: tuple[str, ...]
     build: Callable[[], Program]
     generate_inputs: Callable[[Mapping[str, int], np.random.Generator], Dict[str, np.ndarray]]
+    input_dims: Dict[str, Tuple[str, ...]]
     reference: Callable[[Mapping[str, object]], object]
     default_sizes: Dict[str, int]
     test_sizes: Dict[str, int]
@@ -48,7 +89,11 @@ class Benchmark:
         sizes: Optional[Mapping[str, int]] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> Dict[str, object]:
-        """Concrete input bindings (sizes + generated arrays) for the program."""
+        """Concrete input bindings (sizes + generated arrays) for the program.
+
+        For callers that read array contents (the interpreter, the numpy
+        reference); compiling needs only :meth:`workload`.
+        """
         sizes = dict(sizes or self.test_sizes)
         rng = rng or np.random.default_rng(7)
         data = self.generate_inputs(sizes, rng)
@@ -56,19 +101,28 @@ class Benchmark:
         bindings.update(data)
         return bindings
 
-    def evaluation_bindings(self, rng: Optional[np.random.Generator] = None) -> Dict[str, object]:
-        return self.bindings(self.default_sizes, rng)
+    def workload(self, sizes: Optional[Mapping[str, int]] = None) -> Dict[str, object]:
+        """The sizes plus one :class:`ShapeOnly` stand-in per input.
+
+        What compiling, keying and simulating read of :meth:`bindings`,
+        without generating any data.
+        """
+        sizes = dict(sizes or self.test_sizes)
+        workload: Dict[str, object] = dict(sizes)
+        for name, dims in self.input_dims.items():
+            workload[name] = ShapeOnly(tuple(sizes[dim] for dim in dims))
+        return workload
 
     def compile(
         self,
         config,
         sizes: Optional[Mapping[str, int]] = None,
-        rng: Optional[np.random.Generator] = None,
         session=None,
         par: Optional[int] = None,
     ):
         """Build this benchmark and compile it through a compiler session.
 
+        The compile binds :meth:`workload` (shapes, no data).
         ``sizes=None`` compiles the small functional-test workload.  Pass a
         shared :class:`~repro.pipeline.session.CompilerSession` to reuse its
         caches and instrumentation across benchmarks; without one, a
@@ -86,7 +140,7 @@ class Benchmark:
 
             session = CompilerSession()
         with fresh_naming_scope():
-            return session.compile(self.build(), config, self.bindings(sizes, rng), par=par)
+            return session.compile(self.build(), config, self.workload(sizes), par=par)
 
 
 _REGISTRY: Dict[str, Benchmark] = {}

@@ -94,6 +94,7 @@ GDA = register(
         collection_ops=("map", "filter", "reduce"),
         build=build_gda,
         generate_inputs=_generate,
+        input_dims={"x": ("n", "d"), "y": ("n",), "mu0": ("d",), "mu1": ("d",)},
         reference=_reference,
         default_sizes={"n": 65536, "d": 32},
         test_sizes={"n": 12, "d": 5},

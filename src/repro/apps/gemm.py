@@ -65,6 +65,7 @@ GEMM = register(
         collection_ops=("map", "reduce"),
         build=build_gemm,
         generate_inputs=_generate,
+        input_dims={"x": ("m", "p"), "y": ("p", "n")},
         reference=_reference,
         default_sizes={"m": 1024, "n": 1024, "p": 1024},
         test_sizes={"m": 4, "n": 6, "p": 8},

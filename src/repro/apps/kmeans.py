@@ -192,6 +192,7 @@ KMEANS = register(
         collection_ops=("map", "groupBy", "reduce"),
         build=build_kmeans,
         generate_inputs=_generate,
+        input_dims={"points": ("n", "d"), "centroids": ("k", "d")},
         reference=_reference,
         default_sizes={"n": 131072, "k": 32, "d": 32},
         test_sizes={"n": 12, "k": 3, "d": 4},

@@ -58,6 +58,7 @@ OUTERPROD = register(
         collection_ops=("map",),
         build=build_outerprod,
         generate_inputs=_generate,
+        input_dims={"x": ("m",), "y": ("n",)},
         reference=_reference,
         default_sizes={"m": 16384, "n": 16384},
         test_sizes={"m": 8, "n": 6},

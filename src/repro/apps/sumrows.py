@@ -68,6 +68,7 @@ SUMROWS = register(
         collection_ops=("map", "reduce"),
         build=build_sumrows,
         generate_inputs=_generate,
+        input_dims={"x": ("m", "n")},
         reference=_reference,
         default_sizes={"m": 65536, "n": 256},
         test_sizes={"m": 6, "n": 8},

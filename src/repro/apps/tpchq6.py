@@ -145,6 +145,9 @@ TPCHQ6 = register(
         collection_ops=("filter", "reduce"),
         build=build_tpchq6,
         generate_inputs=_generate,
+        input_dims={
+            name: ("n",) for name in ("shipdate", "discount", "quantity", "extendedprice")
+        },
         reference=_reference,
         default_sizes={"n": 4 * 1024 * 1024},
         test_sizes={"n": 64},

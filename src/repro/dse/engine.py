@@ -17,9 +17,9 @@ configuration per benchmark:
 3. results come back Pareto-ranked on (cycles, area).
 
 :func:`explore` and :class:`MultiBenchmarkExplorer` share one evaluation
-core: :func:`_build_lane` builds one *lane* per benchmark (workload,
-pruned space, search driver) and :func:`_explore_lanes` drives the lanes
-round-robin through one evaluator — journal replay, evaluation,
+core: :func:`_build_lane` builds one *lane* per benchmark (shape-only
+workload, pruned space, search driver) and :func:`_explore_lanes` drives
+the lanes round-robin through one evaluator — journal replay, evaluation,
 quarantine, journaling.  :class:`PointLedger` owns what every evaluation
 path must agree on about a point: its ``point_results`` key (derived in
 :func:`_point_key` only), the checkpoint-journal digest over that key, the
@@ -548,7 +548,7 @@ _WORKER_STATE: Dict[str, object] = {}
 
 
 def _init_worker(
-    specs: Dict[str, Tuple[Dict[str, int], int]],
+    specs: Dict[str, Dict[str, int]],
     board,
     model,
     memoize: bool = True,
@@ -558,10 +558,11 @@ def _init_worker(
 ) -> None:
     """Initialise one pool worker for a set of benchmarks.
 
-    ``specs`` maps benchmark name → (sizes, input seed).  Programs and
-    bindings are built lazily on first use, so a worker that only ever sees
-    tasks for one benchmark never pays for the others.  ``fault_plan``
-    installs a deterministic fault-injection schedule
+    ``specs`` maps benchmark name → sizes.  Programs and their shape-only
+    workloads (:meth:`~repro.apps.base.Benchmark.workload`: sizes and input
+    shapes, no generated data) are built lazily on first use, so a worker
+    that only ever sees tasks for one benchmark never pays for the others.
+    ``fault_plan`` installs a deterministic fault-injection schedule
     (:class:`repro.dse.resilience.FaultPlan`) consulted at every task entry
     — the chaos-testing hook; None in production.
 
@@ -614,16 +615,13 @@ def _evaluate_point_task(task: Tuple) -> PointResult:
         marker = plan.fire(bench_name, point.label, attempt, in_worker=True)
     programs: Dict[str, Tuple[Program, Dict[str, object]]] = _WORKER_STATE["programs"]
     if bench_name not in programs:
-        sizes, seed = _WORKER_STATE["specs"][bench_name]
         bench = get_benchmark(bench_name)
-        programs[bench_name] = (
-            bench.build(),
-            bench.bindings(sizes, np.random.default_rng(seed)),
-        )
-    program, bindings = programs[bench_name]
+        sizes = _WORKER_STATE["specs"][bench_name]
+        programs[bench_name] = (bench.build(), bench.workload(sizes))
+    program, workload = programs[bench_name]
     result = evaluate_point(
         program,
-        bindings,
+        workload,
         point,
         board=_WORKER_STATE["board"],
         model=_WORKER_STATE["model"],
@@ -672,12 +670,16 @@ def _prune_space(
 
 @dataclass
 class _Lane:
-    """One benchmark's search inside a run: workload, pruned space, driver."""
+    """One benchmark's search inside a run: workload, pruned space, driver.
+
+    ``workload`` is :meth:`~repro.apps.base.Benchmark.workload`: sizes and
+    input shapes, no generated data.
+    """
 
     benchmark: Benchmark
     sizes: Dict[str, int]
     program: Program
-    bindings: Dict[str, object]
+    workload: Dict[str, object]
     driver: object  # repro.dse.search.SearchDriver
     pruned: List[PointResult]
     space_size: int
@@ -697,7 +699,6 @@ def _build_lane(
     benchmark: Benchmark,
     sizes: Optional[Mapping[str, int]],
     board: Board,
-    seed: int,
     strategy,
     search_seed: int,
     budget: float = 1.0,
@@ -707,7 +708,7 @@ def _build_lane(
     pipelines: Optional[Sequence[str]] = None,
     space: Optional[DesignSpace] = None,
 ) -> _Lane:
-    """Build one lane: sizes, bindings, program, pruned space, search driver.
+    """Build one lane: sizes, workload, program, pruned space, search driver.
 
     ``space`` defaults to :func:`~repro.dse.space.default_space` over the
     benchmark's tiled dimensions with ``pipelines`` as the pipeline gene.
@@ -719,7 +720,7 @@ def _build_lane(
     from repro.dse.search import SearchDriver
 
     sizes = dict(sizes or benchmark.default_sizes)
-    bindings = benchmark.bindings(sizes, np.random.default_rng(seed))
+    workload = benchmark.workload(sizes)
     program = benchmark.build()
     if space is None:
         tiled_dims = {name: sizes[name] for name in benchmark.tile_sizes if name in sizes}
@@ -727,7 +728,7 @@ def _build_lane(
             tiled_dims, pipelines=tuple(pipelines) if pipelines else ("default",)
         )
     survivors, pruned = _prune_space(
-        space, input_shapes(program, bindings), sizes, board, budget, prune
+        space, input_shapes(program, workload), sizes, board, budget, prune
     )
     if max_evaluations is None and eval_fraction is not None:
         max_evaluations = max(1, int(eval_fraction * len(survivors)))
@@ -741,7 +742,7 @@ def _build_lane(
         benchmark=benchmark,
         sizes=sizes,
         program=program,
-        bindings=bindings,
+        workload=workload,
         driver=driver,
         pruned=pruned,
         space_size=len(space),
@@ -754,7 +755,6 @@ def _explore_lanes(
     started: float,
     board: Board,
     model: Optional[PerformanceModel],
-    seed: int,
     workers: Optional[int],
     memoize: bool,
     disk_cache: Optional[object],
@@ -792,7 +792,7 @@ def _explore_lanes(
         lane = by_name[task[0]]
         return evaluate_point(
             lane.program,
-            lane.bindings,
+            lane.workload,
             task[1],
             model=model,
             session=fallback_session,
@@ -801,7 +801,7 @@ def _explore_lanes(
 
     pool_factory = None
     if farm is None and workers > 1:
-        specs = {lane.name: (lane.sizes, seed) for lane in lanes}
+        specs = {lane.name: lane.sizes for lane in lanes}
 
         def pool_factory():
             return pool_context().Pool(
@@ -825,7 +825,7 @@ def _explore_lanes(
         found = lane.refs.get(point)
         if found is None:
             found = lane.refs[point] = ledger.locate(
-                lane.program, lane.bindings, point, cycle_model
+                lane.program, lane.workload, point, cycle_model
             )
         return found
 
@@ -846,7 +846,7 @@ def _explore_lanes(
             try:
                 results = evaluate_point_batch(
                     lane.program,
-                    lane.bindings,
+                    lane.workload,
                     [tasks[index][1] for index in indices],
                     model=model,
                     session=session,
@@ -1028,8 +1028,10 @@ def explore(
             time against.
         prune: apply the analytical area pre-filter before compiling.
         model: performance-model override for simulation.
-        seed: RNG seed for input generation (results are size-driven, so
-            the seed only affects array contents).
+        seed: accepted for compatibility; it does not affect results.
+            Evaluation binds the benchmark's shape-only workload
+            (:meth:`~repro.apps.base.Benchmark.workload`) and generates no
+            input data.
         strategy: search strategy — a name (``"exhaustive"``,
             ``"hill-climb"``, ``"annealing"``, ``"genetic"``) or a
             :class:`repro.dse.search.Strategy` instance.  ``None`` is the
@@ -1067,7 +1069,6 @@ def explore(
         benchmark,
         sizes,
         board,
-        seed,
         strategy,
         search_seed,
         budget=budget,
@@ -1082,7 +1083,6 @@ def explore(
         started,
         board,
         model,
-        seed,
         workers,
         memoize,
         disk_cache,
@@ -1108,6 +1108,8 @@ class MultiBenchmarkExplorer:
     with the same search seed; results come back as one
     :class:`ExplorationResult` per benchmark, each with its own
     ``batch_engagement`` and the run's shared ``supervision`` counters.
+    Lanes bind each benchmark's shape-only workload
+    (:meth:`~repro.apps.base.Benchmark.workload`).
     """
 
     def __init__(
@@ -1120,7 +1122,6 @@ class MultiBenchmarkExplorer:
         prune: bool = True,
         workers: Optional[int] = None,
         model: Optional[PerformanceModel] = None,
-        seed: int = 3,
         search_seed: int = 0,
         eval_fraction: Optional[float] = None,
         max_evaluations: Optional[int] = None,
@@ -1140,7 +1141,6 @@ class MultiBenchmarkExplorer:
         self.prune = prune
         self.workers = workers
         self.model = model
-        self.seed = seed
         self.search_seed = search_seed
         self.eval_fraction = eval_fraction
         self.max_evaluations = max_evaluations
@@ -1163,7 +1163,6 @@ class MultiBenchmarkExplorer:
                 benchmark,
                 self.sizes.get(benchmark.name),
                 self.board,
-                self.seed,
                 self.strategy,
                 self.search_seed,
                 budget=self.budget,
@@ -1181,7 +1180,6 @@ class MultiBenchmarkExplorer:
             started,
             self.board,
             self.model,
-            self.seed,
             self.workers,
             True,
             self.disk_cache,
@@ -1194,12 +1192,12 @@ class MultiBenchmarkExplorer:
     def _validate_farm(self, client, lanes: List[_Lane]) -> None:
         """Reject farm/explorer mismatches before any evaluation runs.
 
-        A farm builds benchmark programs and bindings once at start-up; an
-        explorer pointed at it must agree on benchmark set, problem sizes,
-        input seed and board, or the farm would silently evaluate different
-        workloads than a serial :func:`explore` of this explorer's
-        configuration.  Attributes the client does not expose are skipped —
-        a minimal duck-typed client only needs ``evaluate``.
+        A farm builds benchmark programs and workloads once at start-up; an
+        explorer pointed at it must agree on benchmark set, problem sizes
+        and board, or the farm would silently evaluate different workloads
+        than a serial :func:`explore` of this explorer's configuration.
+        Attributes the client does not expose are skipped — a minimal
+        duck-typed client only needs ``evaluate``.
         """
         names = getattr(client, "benchmark_names", None)
         if names is not None:
@@ -1224,10 +1222,4 @@ class MultiBenchmarkExplorer:
             raise FarmError(
                 f"board mismatch: explorer targets {self.board.name!r}, "
                 f"farm serves {board_name!r}"
-            )
-        farm_seed = getattr(client, "seed", None)
-        if farm_seed is not None and farm_seed != self.seed:
-            raise FarmError(
-                f"input seed mismatch: explorer uses {self.seed}, farm uses "
-                f"{farm_seed} — bindings (and thus results) would differ"
             )

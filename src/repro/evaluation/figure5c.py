@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-import numpy as np
-
 from repro.analysis.traffic import TrafficReport, intermediate_storage_words, minimum_reads
 from repro.apps import get_benchmark
 from repro.config import CompileConfig
@@ -121,7 +119,7 @@ def run_figure5c(
 
     bench = get_benchmark("kmeans")
     program = bench.build()
-    bindings = bench.bindings(sizes, np.random.default_rng(11))
+    workload = bench.workload(sizes)
 
     config = CompileConfig(tiling=True, tile_sizes=tiles)
     tiling = TilingDriver(config).run(program)
@@ -134,7 +132,7 @@ def run_figure5c(
 
     report = Figure5cReport(sizes=sizes, tiles=tiles)
     for form, form_program in forms.items():
-        traffic: TrafficReport = minimum_reads(form_program, bindings)
+        traffic: TrafficReport = minimum_reads(form_program, workload)
         for array in ("points", "centroids"):
             report.rows.append(
                 Figure5cRow(
@@ -151,7 +149,7 @@ def run_figure5c(
                 form=form,
                 array="minDistWithIndex",
                 reads=0,
-                storage=intermediate_storage_words(form_program, bindings),
+                storage=intermediate_storage_words(form_program, workload),
                 paper_reads=expected[form]["minDistWithIndex"]["reads"],
                 paper_storage=expected[form]["minDistWithIndex"]["storage"],
             )

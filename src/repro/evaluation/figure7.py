@@ -31,8 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.area import relative_area
 from repro.apps import all_benchmarks, get_benchmark
 from repro.apps.base import Benchmark
@@ -241,13 +239,16 @@ def run_benchmark(
     board: Board = DEFAULT_BOARD,
     model: Optional[PerformanceModel] = None,
     par: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
     session: Optional[CompilerSession] = None,
     cycle_model: str = "analytical",
     compare_cycle_models: bool = False,
     calibrate_cycle_models: bool = False,
 ) -> BenchmarkResult:
     """Compile and simulate all three configurations of one benchmark.
+
+    The configurations compile against the benchmark's shape-only workload
+    (:meth:`~repro.apps.base.Benchmark.workload`): the cycle, area and
+    traffic models read sizes and shapes, never input data.
 
     The sweep runs through one :class:`~repro.pipeline.session.CompilerSession`
     (pass ``session`` to share it across benchmarks, as :func:`run_figure7`
@@ -270,7 +271,7 @@ def run_benchmark(
     """
     bench = get_benchmark(name)
     sizes = dict(sizes or bench.default_sizes)
-    bindings = bench.bindings(sizes, rng or np.random.default_rng(3))
+    workload = bench.workload(sizes)
     program = bench.build()
     par = par or bench.par_factors.get("inner", 16)
     if session is None:
@@ -283,7 +284,7 @@ def run_benchmark(
         evaluated = evaluate_config(
             program,
             config,
-            bindings,
+            workload,
             board=board,
             par=par,
             model=model,

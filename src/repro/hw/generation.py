@@ -120,7 +120,10 @@ class GenerationShared:
         self.program = program
         env = workload_env(program, bindings)
         self.shapes = input_shapes(program, bindings)
-        # Arrays without explicit bindings get shapes derived from size names.
+        # Only bound inputs (arrays or ShapeOnly stand-ins) have shapes.  An
+        # unbound input's ArrayDim evaluates to None, the traffic analyses
+        # see its shape as (), and it is never preloaded: it is priced as an
+        # empty array, silently.
         self.evaluator = StaticEvaluator(env, self.shapes)
         self._analyzer = TrafficAnalyzer(program, self.evaluator)
         self._preload_plan: Optional[Tuple[Tuple[str, int], ...]] = None

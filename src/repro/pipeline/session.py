@@ -166,7 +166,9 @@ class CompilerSession:
         """Compile a PPL program for the given configuration and workload.
 
         ``bindings`` provides the concrete workload (sizes and, optionally,
-        input arrays) used to size buffers, trip counts and DRAM transfers.
+        input arrays or their shapes alone —
+        :meth:`~repro.apps.base.Benchmark.workload`) used to size buffers,
+        trip counts and DRAM transfers.
         ``pipeline`` overrides the session pipeline for this one compile.
         """
         pipe = self.pipeline_for(pipeline)

@@ -274,18 +274,17 @@ def calibrate_benchmark(
     sizes: Optional[Mapping[str, int]] = None,
     base: Optional[PerformanceModel] = None,
     session=None,
-    seed: int = 3,
     rounds: int = 2,
 ) -> CalibrationResult:
     """Fit per-benchmark knobs on the metapipelined configuration's schedule.
 
     Compiles the benchmark's Figure 7 tiling+metapipelining configuration
     (the only one whose backends disagree — the overlap-free configurations
-    already match to float noise) and fits against that schedule.
+    already match to float noise) and fits against that schedule, compiled
+    from the benchmark's shape-only workload
+    (:meth:`~repro.apps.base.Benchmark.workload`).
     ``bench`` is a benchmark name or :class:`~repro.apps.base.Benchmark`.
     """
-    import numpy as np
-
     from repro.apps import get_benchmark
     from repro.config import CompileConfig
     from repro.pipeline.session import CompilerSession
@@ -293,7 +292,6 @@ def calibrate_benchmark(
     benchmark = get_benchmark(bench) if isinstance(bench, str) else bench
     session = session or CompilerSession(model=base)
     sizes = dict(sizes or benchmark.default_sizes)
-    bindings = benchmark.bindings(sizes, np.random.default_rng(seed))
     config = CompileConfig(
         tiling=True,
         metapipelining=True,
@@ -303,7 +301,7 @@ def calibrate_benchmark(
     compiled = session.compile(
         benchmark.build(),
         config,
-        bindings,
+        benchmark.workload(sizes),
         par=benchmark.par_factors.get("inner", 16),
     )
     return calibrate_model([compiled.schedule], base=base, rounds=rounds)

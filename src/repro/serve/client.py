@@ -8,9 +8,9 @@ methods, which is what synchronous callers — most importantly
 argument — plug in.
 
 Both facades re-export the farm's compatibility surface
-(``benchmark_names``, ``lane_sizes``, ``board_name``, ``seed``,
-``workers``, ``stats``) so the explorer's pre-flight validation sees
-through either one.
+(``benchmark_names``, ``lane_sizes``, ``board_name``, ``workers``,
+``stats``) so the explorer's pre-flight validation sees through either
+one.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class Client:
     @property
     def board_name(self) -> str:
         return self.farm.board_name
-
-    @property
-    def seed(self) -> int:
-        return self.farm.seed
 
     @property
     def workers(self) -> int:
@@ -149,10 +145,6 @@ class SyncClient:
     @property
     def board_name(self) -> str:
         return self.farm.board_name
-
-    @property
-    def seed(self) -> int:
-        return self.farm.seed
 
     @property
     def workers(self) -> int:

@@ -2,8 +2,9 @@
 
 A :class:`CompileFarm` owns, for a fixed set of benchmarks, everything a
 :func:`repro.dse.engine.explore` run would build per sweep — programs,
-bindings, a supervised worker pool, a checkpoint journal, a persisted
-cache store — and serves evaluation requests against them continuously.
+shape-only workloads, a supervised worker pool, a checkpoint journal, a
+persisted cache store — and serves evaluation requests against them
+continuously.
 
 Admission pipeline (synchronous, per request, *before* any scheduling).
 The request's cache key and journal digest are derived once, by the
@@ -157,12 +158,12 @@ class FarmStats:
 
 @dataclass
 class _FarmLane:
-    """One served benchmark: its program, bindings and problem sizes."""
+    """One served benchmark: its program, shape-only workload and sizes."""
 
     benchmark: object
     sizes: Dict[str, int]
     program: object
-    bindings: Dict[str, object]
+    workload: Dict[str, object]
 
 
 class Batch:
@@ -222,6 +223,13 @@ class CompileFarm:
     :meth:`submit`; exiting drains in-flight work, persists the cache
     store, and tears the pool down.  One farm serves any number of
     concurrent batches; admission dedup spans all of them.
+
+    Each lane binds its benchmark's shape-only workload
+    (:meth:`~repro.apps.base.Benchmark.workload`: sizes and input shapes,
+    no generated data), in this process and in pool workers alike, so
+    ``seed`` is accepted for compatibility and does not affect results.
+    Stores and journals written from generated bindings replay unchanged:
+    both kinds of input give the same point keys.
     """
 
     def __init__(
@@ -249,7 +257,6 @@ class CompileFarm:
         self.model = model
         self.workers = max(1, workers)
         self.cycle_model = cycle_model
-        self.seed = seed
         self.policy = resilience if resilience is not None else ResiliencePolicy()
         self.store = Path(store) if store is not None else None
         self.warmup = warmup
@@ -306,7 +313,7 @@ class CompileFarm:
                 benchmark=bench,
                 sizes=sizes,
                 program=bench.build(),
-                bindings=bench.bindings(sizes, np.random.default_rng(self.seed)),
+                workload=bench.workload(sizes),
             )
         self._session = CompilerSession(board=self.board, model=self.model)
         # Serial fallback compiles through a clone so a failure mid-compile
@@ -333,9 +340,7 @@ class CompileFarm:
                         cache_warmup = ("snapshot", str(snapshot))
             elif self.warmup == "load" and self.store is not None:
                 cache_warmup = ("load", str(self.store))
-            specs = {
-                name: (lane.sizes, self.seed) for name, lane in self._lanes.items()
-            }
+            specs = {name: lane.sizes for name, lane in self._lanes.items()}
             policy = self.policy
 
             def pool_factory():
@@ -460,7 +465,7 @@ class CompileFarm:
         self.stats.received += 1
         lane = self._lanes[request.benchmark]
         ref = self._ledger.locate(
-            lane.program, lane.bindings, request.point, request.cycle_model
+            lane.program, lane.workload, request.point, request.cycle_model
         )
         journaled = self._ledger.replay(ref)
         if journaled is not None:
@@ -606,7 +611,7 @@ class CompileFarm:
             )
         result = evaluate_point(
             lane.program,
-            lane.bindings,
+            lane.workload,
             request.point,
             board=self.board,
             model=self.model,

@@ -5,9 +5,10 @@ Each example draws pass orderings — legal PPL prefixes from
 schedule rules in any order, or either composite), plus an ordering from
 ``guided_orderings`` and a registered variant — then a benchmark at its
 test sizes and a shuffled mix of design points across those genes.  With
-the analysis cache disabled, ``evaluate_point_batch`` must equal scalar
-``evaluate_point`` field by field, and its engagement counter must show
-that every point took the vector path.
+the analysis cache disabled, ``evaluate_point_batch`` over the benchmark's
+shape-only workload must equal scalar ``evaluate_point`` over generated
+arrays field by field, and its engagement counter must show that every
+point took the vector path.
 """
 
 from collections import Counter
@@ -99,7 +100,9 @@ def test_batched_equals_scalar_on_generated_orderings(workload, seed):
     engagement = Counter()
     with ANALYSIS_CACHE.disabled():
         scalar = [evaluate_point(program, bindings, point) for point in points]
-        batched = evaluate_point_batch(program, bindings, points, engagement=engagement)
+        batched = evaluate_point_batch(
+            program, bench.workload(), points, engagement=engagement
+        )
     assert len(batched) == len(scalar)
     for left, right in zip(scalar, batched):
         for field in FIELDS:

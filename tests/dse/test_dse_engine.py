@@ -214,12 +214,23 @@ class TestPointLedger:
             ),
         ],
     )
-    def test_journal_digest_bytes_are_pinned(self, name, sizes, point, cycle_model, digest):
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            lambda bench, sizes: bench.bindings(sizes, np.random.default_rng(0)),
+            lambda bench, sizes: bench.workload(sizes),
+        ],
+        ids=["bindings", "workload"],
+    )
+    def test_journal_digest_bytes_are_pinned(
+        self, name, sizes, point, cycle_model, digest, inputs
+    ):
         """Journals and stores written by earlier versions must keep replaying:
-        the digest bytes (and so the key they hash) may never drift."""
+        the digest bytes (and so the key they hash) may never drift — with
+        generated arrays or with shape-only stand-ins bound."""
         bench = get_benchmark(name)
         program = bench.build()
-        bindings = bench.bindings(sizes, np.random.default_rng(0))
+        bindings = inputs(bench, sizes)
         ref = PointLedger(CompilerSession()).locate(program, bindings, point, cycle_model)
         assert ref.digest.hex() == digest
         # The ledger keys exactly what evaluate_point memoises.

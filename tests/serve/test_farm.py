@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.apps import get_benchmark
+from repro.dse.batch import evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import MultiBenchmarkExplorer, explore
 from repro.dse.resilience import FaultPlan, FaultSpec, ResiliencePolicy
@@ -302,14 +305,28 @@ class TestExplorerIntegration:
             with pytest.raises(FarmError, match="not served"):
                 explorer.run()
 
-    def test_explorer_rejects_seed_mismatch(self):
-        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1, seed=7)
-        with SyncClient(farm) as client:
-            explorer = MultiBenchmarkExplorer(
-                ["sumrows"], sizes=SIZES, farm=client, max_evaluations=2
-            )
-            with pytest.raises(FarmError, match="seed mismatch"):
-                explorer.run()
+
+
+class TestStoreCompatibility:
+    @pytest.mark.asyncio
+    async def test_store_from_generated_bindings_schedules_nothing(self, tmp_path):
+        """Farm lanes bind shapes only, yet a store written by evaluating
+        generated arrays answers every one of its points: both kinds of
+        input give the same point keys."""
+        bench = get_benchmark("sumrows")
+        points = _points()
+        bindings = bench.bindings(SIZES["sumrows"], np.random.default_rng(5))
+        expected = evaluate_point_batch(bench.build(), bindings, points)
+        store = tmp_path / "store.pkl"
+        ANALYSIS_CACHE.save_disk(store)
+        ANALYSIS_CACHE.clear()
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1, store=store)
+        async with farm:
+            responses = await (await farm.submit([("sumrows", p) for p in points])).gather()
+        assert [r.status for r in responses] == ["cached"] * len(points)
+        assert farm.stats.scheduled == 0
+        assert farm.stats.supervision.evaluations == 0
+        assert [r.result for r in responses] == expected
 
 
 def _attached_tables():
