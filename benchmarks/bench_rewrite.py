@@ -12,13 +12,18 @@ coalescing, stage rebalancing, degenerate-group flattening after
 * the per-rewrite hit counts reported by the ``rewrite-schedule`` pass;
 * a ``rewrite-profiled`` row: the same configuration through the
   profile-guided variant (stage costs from measured event-backend stage
-  profiles, balance factor tuned per schedule), with its tuned factor;
+  profiles, balance factor tuned per schedule), with its tuned factor and
+  the event simulations its compile ran (``profiled_event_runs``, counted
+  at :meth:`EventScheduleBackend.run`);
 * the legality evidence: identical DRAM traffic totals (read and write),
   an identical memory inventory and identical area totals.
 
 Asserts that the rewriter **improves event-backend cycles on at least one
-benchmark** while never regressing any, and that every preservation
-invariant holds.  The record is appended to ``BENCH_rewrite.json``.
+benchmark** while never regressing any, that every preservation
+invariant holds, and that a ``rewrite-profiled`` compile runs fewer event
+simulations than there are balance-factor candidates (the tuning shares
+one profile per distinct tree).  The record is appended to
+``BENCH_rewrite.json``.
 
 With ``--orderings`` the driver additionally sweeps *auto-generated pass
 orderings* (:mod:`repro.rewrite.orderings`): a fixed-seed guided sample
@@ -37,6 +42,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +52,7 @@ from repro.analysis.traffic import schedule_traffic
 from repro.apps import all_benchmarks
 from repro.config import CompileConfig
 from repro.pipeline import Session
-from repro.schedule import EventScheduleBackend, get_backend
+from repro.schedule import BALANCE_FACTOR_CANDIDATES, EventScheduleBackend, get_backend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_rewrite.json"
@@ -98,6 +104,23 @@ def _assert_preserved(name: str, plain, rewritten) -> None:
     ), f"{name}: rewriter changed the area totals"
 
 
+@contextmanager
+def _counting_event_runs():
+    """Count :meth:`EventScheduleBackend.run` calls inside the block."""
+    calls = []
+    original = EventScheduleBackend.run
+
+    def counting(backend, schedule):
+        calls.append(schedule.name)
+        return original(backend, schedule)
+
+    EventScheduleBackend.run = counting
+    try:
+        yield calls
+    finally:
+        EventScheduleBackend.run = original
+
+
 def run(benchmarks) -> dict:
     session = Session()
     record: dict = {"benchmarks": {}}
@@ -142,9 +165,10 @@ def run(benchmarks) -> dict:
         # stage profiles, balance factor tuned per schedule.  Same legality
         # bar, same no-regression bar as the closed-form rewriter.
         started = time.perf_counter()
-        profiled = session.compile(
-            bench.build(), config, bindings, par=par, pipeline="rewrite-profiled"
-        )
+        with _counting_event_runs() as event_runs:
+            profiled = session.compile(
+                bench.build(), config, bindings, par=par, pipeline="rewrite-profiled"
+            )
         profiled_seconds += time.perf_counter() - started
         _assert_preserved(bench.name, plain, profiled)
         event_profiled = EventScheduleBackend().run(profiled.schedule).cycles
@@ -153,6 +177,14 @@ def run(benchmarks) -> dict:
             f"({event_before:,.0f} -> {event_profiled:,.0f})"
         )
         profiled_details = profiled.report.record("rewrite-schedule").details
+        assert profiled_details["event_runs"] == len(event_runs), (
+            f"{bench.name}: the pass record reports {profiled_details['event_runs']} "
+            f"event runs, the backend ran {len(event_runs)}"
+        )
+        assert len(event_runs) < len(BALANCE_FACTOR_CANDIDATES), (
+            f"{bench.name}: a rewrite-profiled compile ran {len(event_runs)} event "
+            f"simulations for {len(BALANCE_FACTOR_CANDIDATES)} balance-factor candidates"
+        )
 
         details = rewritten.report.record("rewrite-schedule").details
         hits = {k: v for k, v in details["rewrite_hits"].items() if v}
@@ -162,7 +194,7 @@ def run(benchmarks) -> dict:
             f"{delta:>+7.2%} {sum(hits.values()):>5} "
             + ", ".join(f"{k}×{v}" for k, v in hits.items())
             + f"  [profiled {event_profiled:,.0f} "
-            f"bf={profiled_details['balance_factor']}]"
+            f"bf={profiled_details['balance_factor']} event runs={len(event_runs)}]"
         )
         record["benchmarks"][bench.name] = {
             "event_cycles_before": event_before,
@@ -175,6 +207,7 @@ def run(benchmarks) -> dict:
             "event_cycles_profiled": event_profiled,
             "profiled_balance_factor": profiled_details["balance_factor"],
             "profiled_rewrite_hits": dict(profiled_details["rewrite_hits"]),
+            "profiled_event_runs": len(event_runs),
             "transfers_before": len(plain.schedule.transfers),
             "transfers_after": len(rewritten.schedule.transfers),
             "traffic_read_bytes": schedule_traffic(plain.schedule).read_bytes,

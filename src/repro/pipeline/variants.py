@@ -114,8 +114,9 @@ _VARIANTS: Dict[str, Callable[[], Pipeline]] = {
     # The profile-guided rewriter: stage rebalancing priced from measured
     # event-backend stage profiles (contention and backpressure included)
     # with the balance factor tuned per schedule by scoring rewritten
-    # candidates on the event backend.  Costs extra event runs at compile
-    # time; "rewrite" stays the cheap closed-form variant.
+    # candidates on the event backend.  Costs one event run per distinct
+    # tree the tuning sees at compile time; "rewrite" stays the cheap
+    # closed-form variant.
     "rewrite-profiled": lambda: _ordering_variant(
         _default_ordering() + ("rewrite-schedule-profiled",), "rewrite-profiled"
     ),

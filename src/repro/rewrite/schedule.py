@@ -26,7 +26,6 @@ from repro.rewrite.framework import Match, ScheduleTransformation, ShapePattern
 from repro.schedule.rewrite import (
     DEFAULT_BALANCE_FACTOR,
     DegenerateGroupFlattening,
-    RewriteResult,
     StageRebalancing,
     TransferCoalescing,
 )
@@ -122,10 +121,9 @@ class ScheduleRewrite(ScheduleTransformation):
     Delegates to :func:`repro.schedule.rewrite.rewrite_schedule` (flatten →
     coalesce → rebalance, iterated to quiescence, verified).
     :meth:`apply_schedule` — what the pipeline stage runs — also reports
-    per-rewrite hit counts, rounds, the resolved balance factor and (with
-    ``measure_cycles``) the before/after event-backend cycle delta.
-    :meth:`apply` is the rewrite alone: the batched evaluator prices the
-    schedule itself, so it skips the report-only event runs.
+    per-rewrite hit counts, rounds, the resolved balance factor and the
+    event simulations the step ran (``event_runs``) and reused
+    (``event_reuses``).
     """
 
     name = "rewrite-schedule"
@@ -133,11 +131,9 @@ class ScheduleRewrite(ScheduleTransformation):
     def __init__(
         self,
         balance_factor: Union[float, str, None] = None,
-        measure_cycles: bool = True,
         cost_source: str = "analytical",
     ) -> None:
         self.balance_factor = balance_factor
-        self.measure_cycles = measure_cycles
         self.cost_source = cost_source
 
     def pattern(self) -> ShapePattern:
@@ -152,40 +148,23 @@ class ScheduleRewrite(ScheduleTransformation):
             return DEFAULT_BALANCE_FACTOR
         return self.balance_factor
 
-    def rewrite(self, schedule, ctx) -> RewriteResult:
-        """Rewrite the schedule; no report details, no event measurement."""
+    def apply_schedule(self, schedule, ctx) -> Tuple[object, Dict[str, object]]:
         from repro.schedule.rewrite import rewrite_schedule
 
-        return rewrite_schedule(
+        result = rewrite_schedule(
             schedule,
             model=ctx.model,
             balance_factor=self._factor(),
             cost_source=self.cost_source,
         )
-
-    def apply(self, schedule, ctx):
-        return self.rewrite(schedule, ctx).schedule
-
-    def apply_schedule(self, schedule, ctx) -> Tuple[object, Dict[str, object]]:
-        result = self.rewrite(schedule, ctx)
-        details: Dict[str, object] = {
+        return result.schedule, {
             "rewrite_hits": dict(result.hits),
             "rewrite_rounds": result.rounds,
             "balance_factor": result.balance_factor,
             "cost_source": self.cost_source,
+            "event_runs": result.event_runs,
+            "event_reuses": result.event_reuses,
         }
-        if self.measure_cycles:
-            from repro.schedule.event import EventScheduleBackend
-
-            if result.changed:
-                before = EventScheduleBackend(ctx.model).run(schedule).cycles
-                after = EventScheduleBackend(ctx.model).run(result.schedule).cycles
-            else:
-                # No rewrite fired: one event run prices both schedules.
-                before = after = EventScheduleBackend(ctx.model).run(schedule).cycles
-            details["event_cycles_before"] = before
-            details["event_cycles_after"] = after
-        return result.schedule, details
 
     def signature(self) -> str:
         return f"{type(self).__name__}[bf={self._factor()},cs={self.cost_source}]"

@@ -26,6 +26,8 @@ tree — the hardware inventory is never touched, only *when* things run:
   durations rather than their idealised ones.  :func:`tune_balance_factor`
   picks the factor per schedule by scoring rewritten candidates with the
   event backend (``balance_factor="auto"`` in :func:`rewrite_schedule`).
+  A :class:`ProfileMemo` runs the event backend once per distinct tree
+  (:func:`tree_fingerprint`), so the candidates share their profiles.
 * :class:`DegenerateGroupFlattening` — a stage group with one stage and one
   iteration is pure nesting overhead (the generator emits them around
   single-pattern bodies); the child takes its place.
@@ -52,8 +54,9 @@ renders it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ScheduleRewriteError
 from repro.schedule.costs import pipeline_cycles, stream_cycles, transfer_cycles
@@ -69,6 +72,7 @@ from repro.schedule.ir import (
     StreamNode,
     TransferNode,
 )
+from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
 
 __all__ = [
@@ -76,6 +80,7 @@ __all__ = [
     "COST_SOURCES",
     "DEFAULT_BALANCE_FACTOR",
     "DegenerateGroupFlattening",
+    "ProfileMemo",
     "Rewrite",
     "RewriteResult",
     "ScheduleRewriter",
@@ -84,6 +89,7 @@ __all__ = [
     "clone_schedule",
     "node_cycles",
     "rewrite_schedule",
+    "tree_fingerprint",
     "tune_balance_factor",
     "verify_rewrite",
 ]
@@ -177,6 +183,84 @@ def _absorbed_modules(node: ScheduleNode) -> List:
     modules = [node.module] if node.module is not None else []
     modules.extend(node.extra_modules)
     return modules
+
+
+# ---------------------------------------------------------------------------
+# Event profiles shared between equal trees
+# ---------------------------------------------------------------------------
+
+#: Fields no cycle backend reads: hardware references (rewrites move them
+#: between nodes freely), the memory inventory and free-form notes.
+_UNTIMED_FIELDS = frozenset({"module", "extra_modules", "memories", "notes"})
+
+
+@lru_cache(maxsize=None)
+def _timed_fields(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in _UNTIMED_FIELDS)
+
+
+def tree_fingerprint(node: Union[Schedule, ScheduleNode]) -> tuple:
+    """A hashable key: trees with equal keys simulate identically.
+
+    Takes the class and every dataclass field of every node (and of the
+    :class:`Schedule` itself) except the hardware references, the memory
+    inventory and the notes, so node names — which key
+    ``per_module_cycles`` and pick the DRAM channel — are in, and a field
+    added to the IR later is in by default.
+    """
+    key = [type(node)]
+    for name in _timed_fields(type(node)):
+        value = getattr(node, name)
+        if name == "stages":
+            value = tuple(tree_fingerprint(stage) for stage in value)
+        elif name == "root":
+            value = tree_fingerprint(value)
+        key.append(value)
+    return tuple(key)
+
+
+class ProfileMemo:
+    """Event runs keyed by model and tree, each tree simulated once.
+
+    One run yields both the price (:class:`SimulationResult`) and the
+    stage profile of every metapipeline.  The event backend keys
+    profiles by ``id()`` of the group it ran; the memo stores them by
+    pre-order position instead, and :meth:`profiles` maps them onto the
+    caller's live tree, so any tree equal to the profiled one can use them.
+    Resolve before mutating the tree: a merge shifts nested positions.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[tuple, Tuple[SimulationResult, Dict[int, StageProfile]]] = {}
+        #: Event simulations run, and requests an earlier run served.
+        self.runs = 0
+        self.reuses = 0
+
+    def _entry(self, schedule: Schedule, model: PerformanceModel):
+        key = (model, tree_fingerprint(schedule))
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.reuses += 1
+            return entry
+        backend = EventScheduleBackend(model, profile=True)
+        result = backend.run(schedule)
+        position = {id(node): index for index, node in enumerate(schedule.walk())}
+        profiles = {position[group]: p for group, p in backend.stage_profiles.items()}
+        self.runs += 1
+        entry = self._entries[key] = (result, profiles)
+        return entry
+
+    def simulate(self, schedule: Schedule, model: PerformanceModel) -> SimulationResult:
+        """The event backend's result for ``schedule``."""
+        return self._entry(schedule, model)[0]
+
+    def profiles(
+        self, schedule: Schedule, model: PerformanceModel
+    ) -> Dict[int, StageProfile]:
+        """Stage profiles keyed by ``id()`` of ``schedule``'s live groups."""
+        by_position = self._entry(schedule, model)[1]
+        nodes = list(schedule.walk())
+        return {id(nodes[index]): p for index, p in by_position.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +362,9 @@ class StageRebalancing(Rewrite):
       below the slowest stage fold into one sequential stage: one fewer
       per-iteration sync handshake and a shorter fill, while the
       steady-state period (the slowest stage) is unchanged.
+
+    With a ``memo`` the event profiles come from (and go to) that
+    :class:`ProfileMemo`; without one every profile is a fresh event run.
     """
 
     name = "rebalance-stages"
@@ -286,6 +373,7 @@ class StageRebalancing(Rewrite):
         self,
         balance_factor: float = DEFAULT_BALANCE_FACTOR,
         cost_source: str = "analytical",
+        memo: Optional[ProfileMemo] = None,
     ) -> None:
         if balance_factor < 1.0:
             raise ValueError(f"balance_factor must be >= 1.0, got {balance_factor}")
@@ -295,12 +383,15 @@ class StageRebalancing(Rewrite):
             )
         self.balance_factor = balance_factor
         self.cost_source = cost_source
+        self.memo = memo
 
     def _profiles(
         self, schedule: Schedule, model: PerformanceModel
     ) -> Optional[Dict[int, StageProfile]]:
         if self.cost_source != "event":
             return None
+        if self.memo is not None:
+            return self.memo.profiles(schedule, model)
         return EventScheduleBackend(model).profile_schedule(schedule)
 
     def _stage_costs(
@@ -505,6 +596,10 @@ class RewriteResult:
     #: The balance factor the rebalancer actually ran with — the tuned
     #: value when ``balance_factor="auto"`` selected one per schedule.
     balance_factor: Optional[float] = None
+    #: The :class:`ProfileMemo`'s event simulations and served requests
+    #: (for a tuned result, the whole tuning's).
+    event_runs: int = 0
+    event_reuses: int = 0
 
     @property
     def total_hits(self) -> int:
@@ -531,6 +626,10 @@ class ScheduleRewriter:
     to ``max_rounds`` times or until a round fires nothing (flattening can
     expose coalescing opportunities, coalescing feeds rebalancing).  The
     preservation invariants are asserted once, on the final schedule.
+
+    The default rebalancer profiles through ``memo`` (a fresh
+    :class:`ProfileMemo` unless one is shared in), so rounds that leave
+    the tree unchanged reuse its event run.
     """
 
     def __init__(
@@ -539,8 +638,10 @@ class ScheduleRewriter:
         balance_factor: float = DEFAULT_BALANCE_FACTOR,
         max_rounds: int = 4,
         cost_source: str = "analytical",
+        memo: Optional[ProfileMemo] = None,
     ) -> None:
         self.balance_factor = balance_factor
+        self.memo = memo if memo is not None else ProfileMemo()
         self.rewrites: List[Rewrite] = (
             list(rewrites)
             if rewrites is not None
@@ -548,7 +649,9 @@ class ScheduleRewriter:
                 DegenerateGroupFlattening(),
                 TransferCoalescing(),
                 StageRebalancing(
-                    balance_factor=balance_factor, cost_source=cost_source
+                    balance_factor=balance_factor,
+                    cost_source=cost_source,
+                    memo=self.memo,
                 ),
             ]
         )
@@ -577,6 +680,8 @@ class ScheduleRewriter:
             hits=hits,
             rounds=rounds,
             balance_factor=self.balance_factor,
+            event_runs=self.memo.runs,
+            event_reuses=self.memo.reuses,
         )
         if result.changed:
             working.notes.append(result.summary())
@@ -588,8 +693,8 @@ def tune_balance_factor(
     model: Optional[PerformanceModel] = None,
     candidates: Sequence[float] = BALANCE_FACTOR_CANDIDATES,
     cost_source: str = "analytical",
-) -> float:
-    """Pick the balance factor that minimises event-backend cycles.
+) -> RewriteResult:
+    """Rewrite with the balance factor that minimises event-backend cycles.
 
     Rewrites a clone of ``schedule`` once per candidate factor and scores
     each outcome with the event backend (the model whose overlap, stall
@@ -597,20 +702,32 @@ def tune_balance_factor(
     candidates are scored in order and a later candidate must be strictly
     better to displace an earlier one, so ties resolve to the smallest
     factor — the most conservative rebalancing among equals.
+
+    One :class:`ProfileMemo` serves the whole tuning, so each distinct
+    tree is simulated once: the candidates share their first-round
+    profile, and a candidate whose last round fired nothing is priced
+    from that round's profile.  Returns the winning candidate's
+    :class:`RewriteResult`, carrying the tuned ``balance_factor``.
     """
     model = model or PerformanceModel()
-    backend = EventScheduleBackend(model)
-    best_factor = None
+    memo = ProfileMemo()
+    best: Optional[RewriteResult] = None
     best_cycles = float("inf")
     for factor in candidates:
         result = ScheduleRewriter(
-            balance_factor=factor, cost_source=cost_source
+            balance_factor=factor, cost_source=cost_source, memo=memo
         ).rewrite(schedule, model)
-        cycles = backend.run(result.schedule).cycles
+        cycles = memo.simulate(result.schedule, model).cycles
         if cycles < best_cycles:
             best_cycles = cycles
-            best_factor = factor
-    return best_factor if best_factor is not None else DEFAULT_BALANCE_FACTOR
+            best = result
+    if best is None:
+        best = ScheduleRewriter(cost_source=cost_source, memo=memo).rewrite(
+            schedule, model
+        )
+    best.event_runs = memo.runs
+    best.event_reuses = memo.reuses
+    return best
 
 
 def rewrite_schedule(
@@ -622,15 +739,19 @@ def rewrite_schedule(
 ) -> RewriteResult:
     """Rewrite one schedule with the default (or a custom) rewrite sequence.
 
-    ``balance_factor="auto"`` tunes the factor per schedule first
-    (:func:`tune_balance_factor`); ``cost_source`` selects the
-    rebalancer's stage-cost oracle (``"analytical"`` closed forms or
-    measured ``"event"`` profiles).  Both only shape the default rewrite
-    sequence — an explicit ``rewrites`` list is used as given.
+    ``balance_factor="auto"`` tunes the factor per schedule
+    (:func:`tune_balance_factor`, whose winning rewrite is the result);
+    ``cost_source`` selects the rebalancer's stage-cost oracle
+    (``"analytical"`` closed forms or measured ``"event"`` profiles).  Both
+    only shape the default rewrite sequence — an explicit ``rewrites``
+    list is used as given, with the tuned factor recorded.
     """
     factor = balance_factor
     if factor == "auto":
-        factor = tune_balance_factor(schedule, model, cost_source=cost_source)
+        tuned = tune_balance_factor(schedule, model, cost_source=cost_source)
+        if rewrites is None:
+            return tuned
+        factor = tuned.balance_factor
     return ScheduleRewriter(
         rewrites=rewrites, balance_factor=factor, cost_source=cost_source
     ).rewrite(schedule, model)

@@ -216,8 +216,8 @@ class TestScheduleTransformations:
             "rewrite_rounds",
             "balance_factor",
             "cost_source",
-            "event_cycles_before",
-            "event_cycles_after",
+            "event_runs",
+            "event_reuses",
         } <= set(record.details)
 
     def test_composite_signature_embeds_knobs(self):

@@ -253,7 +253,7 @@ class TestProfiledRebalancing:
 
     def test_tune_balance_factor_returns_a_candidate(self):
         schedule = self._benchmark_schedule()
-        factor = tune_balance_factor(schedule)
+        factor = tune_balance_factor(schedule).balance_factor
         assert factor in BALANCE_FACTOR_CANDIDATES
 
     def test_tune_balance_factor_is_deterministic(self):
@@ -450,10 +450,13 @@ class TestPipelineWiring:
         ).cycles
         # ...while the design's cached schedule stays pristine.
         assert len(rewritten.design.schedule().transfers) == len(plain.schedule.transfers)
-        # Per-rewrite hit counts and the event delta land in the report.
+        # The rewrite never regresses event cycles...
+        event_before = EventScheduleBackend().run(plain.schedule).cycles
+        event_after = EventScheduleBackend().run(rewritten.schedule).cycles
+        assert event_after <= event_before
+        # ...and per-rewrite hit counts land in the report.
         record = rewritten.report.record("rewrite-schedule")
         assert record.details["rewrite_hits"]["coalesce-transfers"] > 0
-        assert record.details["event_cycles_after"] <= record.details["event_cycles_before"]
         assert "details" in rewritten.report.as_dict()["passes"][0]
 
     def test_maxj_emits_the_rewritten_structure(self):
