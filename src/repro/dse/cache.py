@@ -3,9 +3,13 @@
 The design-space exploration engine evaluates many points that share most
 of their compilation work: points differing only in parallelisation factor
 or metapipelining share the entire tiling flow, and the per-node analyses
-(`count_scalar_ops`, traffic analysis, area costing) are re-run on
-structurally identical subtrees over and over.  This module provides the
-shared cache those analyses memoise through.
+(`count_scalar_ops`, traffic analysis, area costing, the hardware
+generator's preload plan) are re-run on structurally identical subtrees
+over and over.  This module provides the shared cache those analyses
+memoise through.  Because the entries are keyed by content, not by the
+objects of one evaluation, a scalar evaluation reuses the per-program
+generation analyses of every earlier point on the same tiled program —
+across the requests of a compile farm as much as within one sweep.
 
 Keys are built from two ingredients:
 

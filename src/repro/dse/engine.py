@@ -45,6 +45,7 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -336,9 +337,20 @@ def _point_key(
         point.metapipelining,
         signature,
         cycle_model,
-        astuple(board),
-        astuple(model) if model is not None else (),
+        _fields_tuple(board),
+        _fields_tuple(model) if model is not None else (),
     )
+
+
+@lru_cache(maxsize=64)
+def _fields_tuple(value: Union[Board, PerformanceModel]) -> Tuple:
+    """``astuple(value)``, derived once per board or model *value*.
+
+    ``astuple`` deep-copies every leaf, and every point key embeds both
+    tuples.  Keyed by value rather than identity: ``_effective_model``
+    builds a fresh model per point when ``dram_channels > 1``.
+    """
+    return astuple(value)
 
 
 def _key_digest(key: Tuple) -> Optional[bytes]:
@@ -453,6 +465,11 @@ class PointLedger:
             return
         self.journal.append(ref.digest, result)
         self.journaled[ref.digest] = result
+
+    def close(self) -> None:
+        """Close the journal's append handle (a later record reopens it)."""
+        if self.journal is not None:
+            self.journal.close()
 
 
 def evaluate_point(
@@ -940,6 +957,7 @@ def _explore_lanes(
         interrupted = True
     finally:
         supervisor.close()
+        ledger.close()
 
     if memoize and disk_cache is not None:
         ANALYSIS_CACHE.save_disk(disk_cache, only_if_dirty=True)

@@ -44,6 +44,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
+    BinaryIO,
     Callable,
     Dict,
     List,
@@ -443,9 +444,11 @@ class CheckpointJournal:
 
     Record layout: ``MAGIC | u32 payload length | 16-byte blake2b(payload)
     | payload`` where the payload pickles ``(digest, PointResult)`` —
-    ``digest`` being the engine's stable point-result key hash.  Appends
-    are flushed immediately; a process killed mid-write loses at most the
-    trailing partial record, which :meth:`load` detects (checksum or
+    ``digest`` being the engine's stable point-result key hash.  The first
+    :meth:`append` opens one append handle, kept until :meth:`close`, and
+    every record is flushed as it is written — so nothing sits in the
+    buffer when a pool forks.  A process killed mid-write loses at most
+    the trailing partial record, which :meth:`load` detects (checksum or
     length mismatch) and truncates away, keeping every complete record
     before it — so the next :meth:`append` lands where the next
     :meth:`load` reads it.
@@ -458,6 +461,7 @@ class CheckpointJournal:
         self.path = Path(path)
         self.corrupt_records = 0
         self.appended = 0
+        self._handle: Optional[BinaryIO] = None
 
     def load(self) -> Dict[bytes, PointResult]:
         """Replay every intact record; stop (and count) at the first bad one.
@@ -511,11 +515,18 @@ class CheckpointJournal:
             )
             + payload
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("ab") as handle:
-            handle.write(record)
-            handle.flush()
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("ab")
+        self._handle.write(record)
+        self._handle.flush()
         self.appended += 1
+
+    def close(self) -> None:
+        """Close the append handle; a later :meth:`append` reopens it."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.analysis.estimate import (
     workload_env,
 )
 from repro.config import CompileConfig
+from repro.dse.cache import ANALYSIS_CACHE
 from repro.errors import HardwareGenerationError
 from repro.hw.controllers import (
     Controller,
@@ -81,7 +82,7 @@ from repro.ppl.ir import (
     Sym,
 )
 from repro.ppl.program import Program
-from repro.ppl.traversal import collect, walk
+from repro.ppl.traversal import walk
 from repro.target.device import Board, DEFAULT_BOARD
 
 __all__ = ["GenerationShared", "HardwareGenerator", "generate_hardware"]
@@ -113,7 +114,10 @@ class GenerationShared:
     builds one instance per tiled program and shares it across all the
     (par, metapipelining) points lowered from it.  Results are identical to
     recomputing from scratch; the caches only skip repeated IR walks over
-    the same hash-consed nodes.
+    the same hash-consed nodes.  The analyses behind them (scalar ops,
+    traffic records, the preload plan) are also memoised by content in the
+    analysis cache, so a scalar evaluation building a fresh instance per
+    point still reuses them across points and requests.
     """
 
     def __init__(self, program: Program, bindings: Mapping[str, object]) -> None:
@@ -146,17 +150,34 @@ class GenerationShared:
         return cached
 
     def preload_plan(self) -> Tuple[Tuple[str, int], ...]:
-        """``(array name, words)`` of inputs preloadable whole on chip."""
-        if self._preload_plan is not None:
-            return self._preload_plan
-        copied = {
-            node.array.name
-            for node in collect(self.program.body, lambda n: isinstance(n, ArrayCopy))
-            if isinstance(node.array, Sym)
-        }
+        """``(array name, words)`` of inputs preloadable whole on chip.
+
+        Memoised in the analysis cache (``preload_plan`` table) like the
+        sibling per-node analyses, keyed on the body's structural hash, the
+        input names in program order and the workload signature: every
+        design point compiled onto one tiled program shares a single walk.
+        """
+        if self._preload_plan is None:
+            if not ANALYSIS_CACHE.enabled:
+                self._preload_plan = self._walk_preload_plan()
+            else:
+                key = (
+                    self.program.body.structural_hash(),
+                    tuple(array.name for array in self.program.inputs),
+                    self.evaluator.signature(),
+                )
+                self._preload_plan = ANALYSIS_CACHE.memoize(
+                    "preload_plan", key, self._walk_preload_plan
+                )
+        return self._preload_plan
+
+    def _walk_preload_plan(self) -> Tuple[Tuple[str, int], ...]:
+        copied = set()
         accessed = set()
         for node in walk(self.program.body):
-            if isinstance(node, (ArrayApply, ArraySlice)) and isinstance(node.array, Sym):
+            if isinstance(node, ArrayCopy) and isinstance(node.array, Sym):
+                copied.add(node.array.name)
+            elif isinstance(node, (ArrayApply, ArraySlice)) and isinstance(node.array, Sym):
                 accessed.add(node.array.name)
         plan: List[Tuple[str, int]] = []
         for array in self.program.inputs:
@@ -171,8 +192,7 @@ class GenerationShared:
             if words * WORD_BYTES > PRELOAD_LIMIT_BYTES:
                 continue
             plan.append((array.name, words))
-        self._preload_plan = tuple(plan)
-        return self._preload_plan
+        return tuple(plan)
 
     def output_words(self, expr: Expr, compute) -> int:
         key = id(expr)

@@ -388,6 +388,8 @@ class CompileFarm:
                 await asyncio.gather(*list(self._tasks), return_exceptions=True)
         if self.pools is not None:
             self.pools.teardown()
+        if self._ledger is not None:
+            self._ledger.close()
         if self.store is not None:
             ANALYSIS_CACHE.save_disk(self.store, only_if_dirty=True)
         self.cache_metrics()

@@ -19,3 +19,24 @@ def _fresh_names():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(seed=12345)
+
+
+@pytest.fixture
+def journal_events(monkeypatch):
+    """``("append" | "close", journal)`` for every checkpoint-journal call, in order."""
+    from repro.dse.resilience import CheckpointJournal
+
+    events = []
+    real_append, real_close = CheckpointJournal.append, CheckpointJournal.close
+
+    def append(self, digest, result):
+        events.append(("append", self))
+        real_append(self, digest, result)
+
+    def close(self):
+        events.append(("close", self))
+        real_close(self)
+
+    monkeypatch.setattr(CheckpointJournal, "append", append)
+    monkeypatch.setattr(CheckpointJournal, "close", close)
+    return events

@@ -1,5 +1,7 @@
 """The exploration engine: pruning, evaluation, Pareto ranking, cache parity."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from repro.dse.engine import (
 )
 from repro.dse.space import DesignPoint, DesignSpace, default_space
 from repro.pipeline.session import CompilerSession
-from repro.target.device import DEFAULT_BOARD
+from repro.sim.model import PerformanceModel
+from repro.target.device import DEFAULT_BOARD, Board, MemorySpec
 
 SIZES = {"m": 256, "n": 256, "p": 256}
 
@@ -236,6 +239,41 @@ class TestPointLedger:
         # The ledger keys exactly what evaluate_point memoises.
         evaluate_point(program, bindings, point, cycle_model=cycle_model)
         assert ref.key in ANALYSIS_CACHE.table("point_results")
+
+    def _locate(self, point, board=DEFAULT_BOARD, model=None, cycle_model="analytical"):
+        bench = get_benchmark("sumrows")
+        ledger = PointLedger(CompilerSession(board=board), model=model)
+        return ledger.locate(
+            bench.build(), bench.workload({"m": 1024, "n": 128}), point, cycle_model
+        )
+
+    def test_equal_boards_and_models_give_identical_keys(self):
+        point = DesignPoint.make({"m": 128}, par=8, metapipelining=True)
+
+        def make():
+            board = Board(name="wide", memory=MemorySpec(burst_bytes=512))
+            return board, PerformanceModel(pipeline_fill=30)
+
+        (board, model), (twin_board, twin_model) = make(), make()
+        assert board == twin_board and board is not twin_board
+        assert model == twin_model and model is not twin_model
+        ref = self._locate(point, board, model)
+        assert self._locate(point, twin_board, twin_model) == ref
+        # The key embeds exactly the dataclass tuples it always did.
+        assert ref.key[-2:] == (astuple(board), astuple(model))
+        other = self._locate(point, board, PerformanceModel(pipeline_fill=31))
+        assert other.key != ref.key and other.digest != ref.digest
+
+    def test_channel_gene_separates_keys(self):
+        one = DesignPoint.make({"m": 128}, par=8, metapipelining=True)
+        two = DesignPoint.make({"m": 128}, par=8, metapipelining=True, dram_channels=2)
+        ref_one = self._locate(one, cycle_model="event")
+        ref_two = self._locate(two, cycle_model="event")
+        assert ref_two.key != ref_one.key and ref_two.digest != ref_one.digest
+        assert ref_one.key[-1] == ()
+        assert ref_two.key[-1] == astuple(PerformanceModel(dram_channels=2))
+        # Each lookup folds the gene into a fresh model; the key is stable.
+        assert self._locate(two, cycle_model="event") == ref_two
 
 
 class TestParetoFront:

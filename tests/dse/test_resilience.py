@@ -245,6 +245,28 @@ class TestCheckpointJournal:
                 again = list(CheckpointJournal(journal.path).load().items())
             assert again == loaded + [extra]
 
+    def test_one_append_handle_until_close(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = Path.open
+
+        def spy(path, mode="r", *args, **kwargs):
+            if mode == "ab":
+                opened.append(path)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", spy)
+        journal = CheckpointJournal(tmp_path / "nested" / "run.journal")
+        for index in range(3):
+            journal.append(bytes([index]) * 16, self._result(float(index)))
+            # Flushed per record: a reader sees it while the handle is open.
+            assert len(CheckpointJournal(journal.path).load()) == index + 1
+        assert opened == [journal.path]
+        journal.close()
+        journal.append(b"z" * 16, self._result(9.0))
+        journal.close()
+        assert len(opened) == 2
+        assert len(CheckpointJournal(journal.path).load()) == 4
+
     def test_flipped_byte_drops_the_record(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "run.journal")
         journal.append(b"a" * 16, self._result(10.0))
@@ -464,6 +486,15 @@ class TestCheckpointResume:
         assert {r.point: r for r in resumed.evaluated} == {
             r.point: r for r in base.evaluated
         }
+
+    def test_explore_closes_its_journal(self, tmp_path, journal_events):
+        space = _gemm_space()
+        explore(
+            "gemm", sizes=GEMM_SIZES, space=space, prune=False,
+            resilience=ResiliencePolicy(checkpoint=tmp_path / "gemm.journal"),
+        )
+        journal = journal_events[0][1]
+        assert journal_events == [("append", journal)] * len(space) + [("close", journal)]
 
     def test_interrupted_run_resumes_without_reevaluation(self, tmp_path, monkeypatch):
         import repro.dse.batch as batch

@@ -262,6 +262,22 @@ class TestFailureHandling:
         assert farm.stats.supervision.recovered == 1
 
 
+class TestJournal:
+    @pytest.mark.asyncio
+    async def test_aclose_closes_the_journal(self, tmp_path, journal_events):
+        points = _points()
+        farm = CompileFarm(
+            ["sumrows"],
+            sizes=SIZES,
+            workers=1,
+            resilience=_fast_policy(checkpoint=tmp_path / "farm.journal"),
+        )
+        async with farm:
+            await (await farm.submit([("sumrows", p) for p in points])).gather()
+        journal = journal_events[0][1]
+        assert journal_events == [("append", journal)] * len(points) + [("close", journal)]
+
+
 class TestExplorerIntegration:
     def test_explorer_through_farm_matches_serial_explorer(self):
         names = ["sumrows", "gemm"]
