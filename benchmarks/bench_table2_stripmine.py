@@ -7,13 +7,14 @@ import pytest
 
 from repro.apps import get_benchmark
 from repro.config import CompileConfig
+from repro.pipeline import PassContext
 from repro.ppl import builder as b
 from repro.ppl.interp import run_program
 from repro.ppl.ir import ArrayCopy, ArrayLit, Cmp, EmptyArray, FlatMap, MultiFold, Select
 from repro.ppl.printer import pretty
 from repro.ppl.program import Program
 from repro.ppl.traversal import collect, find_patterns
-from repro.transforms.strip_mining import strip_mine
+from repro.rewrite import StripMine, TileCopies
 
 
 def _elementwise_map():
@@ -38,7 +39,9 @@ def _filter():
 
 
 def _strip(program, tiles):
-    return strip_mine(program, CompileConfig(tiling=True, tile_sizes=tiles))
+    """Strip mining (Table 1) then tile-copy insertion (Table 2)."""
+    ctx = PassContext(config=CompileConfig(tiling=True, tile_sizes=tiles))
+    return TileCopies().apply(StripMine().apply(program, ctx), ctx)
 
 
 def test_table2_elementwise_map(benchmark):

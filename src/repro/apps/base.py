@@ -54,8 +54,10 @@ class ShapeOnly:
     def __init__(self, shape: Tuple[int, ...]) -> None:
         self.shape = tuple(shape)
 
-    def __array__(self, dtype=None, copy=None):
+    def _no_data(self, *args, **kwargs):
         raise TypeError(f"a shape-only input {self.shape} holds no data to read")
+
+    __array__ = __getitem__ = __iter__ = _no_data
 
     def __repr__(self) -> str:
         return f"ShapeOnly({self.shape})"

@@ -3,7 +3,7 @@
 The subsystem has three layers:
 
 * :mod:`repro.dse.cache` — the process-global :class:`AnalysisCache` backing
-  the memoised analyses and the tiling-result cache (importable from
+  the memoised analyses and the per-pass transform results (importable from
   anywhere; it depends only on the standard library).
 * :mod:`repro.dse.space` — design-point enumeration and the cheap analytical
   area pre-filter used to prune infeasible points before simulation.

@@ -13,9 +13,10 @@ centroids             n·k·d               d             n·k·d               
 minDistWithIndex      0                   2             0                   2             0                   2·b0
 ===================  ==================  ============  ==================  ============  ==================  ============
 
-:func:`run_figure5c` derives all three program forms with the tiling driver
-(tiling both ``n`` by ``b0`` and ``k`` by ``b1``, as in the paper's
-walkthrough), measures reads/storage with the traffic analysis, and evaluates
+:func:`run_figure5c` takes all three program forms from one compile's stage
+snapshots (:class:`~repro.pipeline.session.TilingResult`, tiling both ``n``
+by ``b0`` and ``k`` by ``b1``, as in the paper's walkthrough), measures
+reads/storage with the traffic analysis, and evaluates
 the paper's closed-form expressions at the same sizes so the two can be
 compared row by row.
 """
@@ -28,7 +29,7 @@ from typing import Dict, Mapping, Optional
 from repro.analysis.traffic import TrafficReport, intermediate_storage_words, minimum_reads
 from repro.apps import get_benchmark
 from repro.config import CompileConfig
-from repro.transforms.tiling import TilingDriver
+from repro.pipeline.session import CompilerSession
 
 __all__ = ["Figure5cRow", "Figure5cReport", "run_figure5c", "paper_formulas"]
 
@@ -122,7 +123,7 @@ def run_figure5c(
     workload = bench.workload(sizes)
 
     config = CompileConfig(tiling=True, tile_sizes=tiles)
-    tiling = TilingDriver(config).run(program)
+    tiling = CompilerSession().compile(program, config, workload).tiling
     forms = {
         "fused": tiling.fused,
         "strip_mined": tiling.strip_mined,

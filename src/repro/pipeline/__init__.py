@@ -3,8 +3,10 @@
 The package decomposes the compiler into three layers:
 
 * :mod:`repro.pipeline.passes` — the :class:`PipelinePass` protocol and the
-  built-in passes: one wrapper per Section 4 transformation plus the
-  :class:`GenerateHardwareStage` / :class:`EstimateAreaStage` terminals;
+  built-in passes: :class:`TransformationStage`, which runs any framework
+  transformation of :mod:`repro.rewrite`, plus the
+  :class:`GenerateHardwareStage` / :class:`BuildScheduleStage` /
+  :class:`EstimateAreaStage` terminals;
 * :mod:`repro.pipeline.pipeline` — :class:`Pipeline`: ordering with
   insertion/removal/replacement, per-pass wall-clock + IR-delta
   instrumentation (:class:`PipelineReport`) and structural-hash-aware
@@ -22,20 +24,15 @@ transform orderings alongside tile sizes and parallelism.
 
 from repro.pipeline.passes import (
     BuildScheduleStage,
-    CodeMotionStage,
-    CseStage,
     EstimateAreaStage,
     FixedPointPass,
-    FusionStage,
     GenerateHardwareStage,
-    InterchangeStage,
     PassContext,
     PipelinePass,
-    StripMineStage,
-    TileCopyStage,
+    TransformationStage,
 )
 from repro.pipeline.pipeline import PassRecord, Pipeline, PipelineOutcome, PipelineReport
-from repro.pipeline.session import CompilationResult, CompilerSession, Session
+from repro.pipeline.session import CompilationResult, CompilerSession, Session, TilingResult
 from repro.pipeline.variants import (
     default_passes,
     default_pipeline,
@@ -46,15 +43,11 @@ from repro.pipeline.variants import (
 
 __all__ = [
     "BuildScheduleStage",
-    "CodeMotionStage",
     "CompilationResult",
     "CompilerSession",
-    "CseStage",
     "EstimateAreaStage",
     "FixedPointPass",
-    "FusionStage",
     "GenerateHardwareStage",
-    "InterchangeStage",
     "PassContext",
     "PassRecord",
     "Pipeline",
@@ -62,8 +55,8 @@ __all__ = [
     "PipelinePass",
     "PipelineReport",
     "Session",
-    "StripMineStage",
-    "TileCopyStage",
+    "TilingResult",
+    "TransformationStage",
     "default_passes",
     "default_pipeline",
     "get_pipeline",

@@ -8,20 +8,25 @@ output may be memoised through the analysis cache.
 
 Two kinds of passes exist:
 
-* **transform passes** (fusion, strip mining, tile-copy insertion, CSE,
-  code motion, interchange) rewrite the program; their results are pure
-  functions of the program structure and the tiling-relevant configuration,
-  so they memoise on ``(structural hash, input/size names, cache_key)``;
+* **transformation stages** (:class:`TransformationStage`) run one
+  framework transformation of :mod:`repro.rewrite` — fusion, strip mining,
+  tile-copy insertion, CSE, code motion, interchange on the program, or a
+  schedule rewrite on the lowered schedule.  PPL results are pure
+  functions of the program structure and the tiling-relevant
+  configuration, so they memoise on ``(structural hash, input/size names,
+  cache_key)``;
 * **terminal passes** (:class:`GenerateHardwareStage`,
-  :class:`EstimateAreaStage`) leave the program untouched and deposit
-  non-IR artifacts — the hardware design and its area report — into the
-  :class:`PassContext`.  They depend on the concrete workload bindings, so
-  they never memoise here (whole point evaluations are memoised one level
-  up, in the engine's ``point_results`` table).
+  :class:`BuildScheduleStage`, :class:`EstimateAreaStage`) leave the
+  program untouched and deposit non-IR artifacts — the hardware design,
+  its schedule and its area report — into the :class:`PassContext`.  They
+  depend on the concrete workload bindings, so they never memoise here
+  (whole point evaluations are memoised one level up, in the engine's
+  ``point_results`` table).
 
-All tiling-flow passes gate themselves on ``ctx.config.tiling``: with
-tiling disabled they return the program unchanged, which is what makes one
-pipeline serve the baseline and the optimised configurations alike.
+:class:`TransformationStage` gates every tiling transformation on
+``ctx.config.tiling``: with tiling disabled it returns the program
+unchanged, which is what makes one pipeline serve the baseline and the
+optimised configurations alike.
 """
 
 from __future__ import annotations
@@ -31,29 +36,18 @@ from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.analysis.area import estimate_area
 from repro.config import CompileConfig
-from repro.dse.cache import ANALYSIS_CACHE, AnalysisCache, config_signature
+from repro.dse.cache import ANALYSIS_CACHE, AnalysisCache
 from repro.errors import PipelineError
 from repro.hw.generation import generate_hardware
 from repro.ppl.program import Program
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
-from repro.transforms.code_motion import CodeMotion
-from repro.transforms.cse import CommonSubexpressionElimination
-from repro.transforms.fusion import FusionPass
-from repro.transforms.interchange import InterchangePass
-from repro.transforms.strip_mining import StripMiningPass, TileCopyInsertionPass
 
 __all__ = [
     "PassContext",
     "PipelinePass",
     "FixedPointPass",
     "TransformationStage",
-    "FusionStage",
-    "StripMineStage",
-    "TileCopyStage",
-    "CseStage",
-    "CodeMotionStage",
-    "InterchangeStage",
     "GenerateHardwareStage",
     "BuildScheduleStage",
     "EstimateAreaStage",
@@ -76,9 +70,10 @@ class PassContext:
     The context carries the compile configuration, the concrete workload
     bindings, the target board and per-compile knobs, plus ``artifacts`` —
     the scratch space where terminal passes deposit the hardware design and
-    area report and the interchange stage records which rules fired.  The
-    pipeline threads one context through a whole run; a fresh context is
-    created per compilation, so artifacts never leak between compiles.
+    area report and the interchange transformation records which rules
+    fired.  The pipeline threads one context through a whole run; a fresh
+    context is created per compilation, so artifacts never leak between
+    compiles.
     """
 
     config: CompileConfig
@@ -143,17 +138,17 @@ class PipelinePass:
 class TransformationStage(PipelinePass):
     """Run one framework :class:`~repro.rewrite.framework.Transformation`.
 
-    The generic bridge between the declarative rewrite framework and the
-    pass pipeline: tiling gating, memoisation keys and schedule-artifact
+    The one bridge between the declarative rewrite framework and the pass
+    pipeline: tiling gating, memoisation keys and schedule-artifact
     plumbing are handled here once, uniformly, so a new transformation
     only declares pattern/legality/apply/cost and becomes pipeline-able
     (and thereby a DSE-sweepable ordering step) for free.
 
-    * **PPL transformations** behave exactly like the legacy transform
-      stages: gated on ``ctx.config.tiling`` when the transformation
-      ``requires_tiling``, memoised on ``(signature, gate, config_key)``,
-      side outputs round-tripped through the transformation's
-      ``payload``/``restore`` hooks.
+    * **PPL transformations** are gated on ``ctx.config.tiling`` when the
+      transformation ``requires_tiling`` (this is the only tiling gate),
+      memoised on ``(signature, gate, config_key)``, side outputs
+      round-tripped through the transformation's ``payload``/``restore``
+      hooks.
     * **Schedule transformations** are never memoised: they apply to the
       schedule deposited by ``build-schedule`` (replacing
       ``ctx.artifacts["schedule"]``), with the framework's invariant
@@ -201,104 +196,6 @@ class TransformationStage(PipelinePass):
 
     def signature(self) -> Tuple[str, str]:
         return (f"TransformationStage[{self.transformation.signature()}]", self.name)
-
-
-class FusionStage(PipelinePass):
-    """Vertical producer/consumer fusion (assumed up-front in the paper)."""
-
-    name = "fusion"
-
-    def run(self, program: Program, ctx: PassContext) -> Program:
-        return FusionPass().run(program)
-
-    def cache_key(self, ctx: PassContext) -> Hashable:
-        return ()
-
-
-class _TilingGatedStage(PipelinePass):
-    """A transform that only applies when the configuration enables tiling."""
-
-    def run(self, program: Program, ctx: PassContext) -> Program:
-        if not ctx.config.tiling:
-            return program
-        return self.apply(program, ctx)
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        raise NotImplementedError
-
-    def cache_key(self, ctx: PassContext) -> Hashable:
-        if not ctx.config.tiling:
-            return (False,)
-        return (True,) + self.config_key(ctx)
-
-    def config_key(self, ctx: PassContext) -> Tuple:
-        """The tiling-relevant configuration this stage's output depends on."""
-        return ()
-
-
-class StripMineStage(_TilingGatedStage):
-    """Strip mining (Table 1): split each tiled pattern into tile loops."""
-
-    name = "strip-mine"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        return StripMiningPass(ctx.config).run(program)
-
-    def config_key(self, ctx: PassContext) -> Tuple:
-        return (config_signature(ctx.config),)
-
-
-class TileCopyStage(_TilingGatedStage):
-    """Tile-copy insertion (Table 2): materialise predictable accesses."""
-
-    name = "tile-copies"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        return TileCopyInsertionPass(ctx.config).run(program)
-
-    def config_key(self, ctx: PassContext) -> Tuple:
-        return (config_signature(ctx.config),)
-
-
-class CseStage(_TilingGatedStage):
-    """Common subexpression elimination over Lets (duplicate tile copies)."""
-
-    name = "cse"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        return CommonSubexpressionElimination().run(program)
-
-
-class CodeMotionStage(_TilingGatedStage):
-    """Loop-invariant code motion (array tiles out of innermost patterns)."""
-
-    name = "code-motion"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        return CodeMotion().run(program)
-
-
-class InterchangeStage(_TilingGatedStage):
-    """Pattern interchange with the on-chip-size split heuristic (Table 3)."""
-
-    name = "interchange"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        interchange = InterchangePass(ctx.config)
-        result = interchange.run(program)
-        ctx.artifacts["applied_interchanges"] = list(getattr(interchange, "applied", []))
-        return result
-
-    def config_key(self, ctx: PassContext) -> Tuple:
-        return (config_signature(ctx.config),)
-
-    def payload(self, program: Program, ctx: PassContext) -> object:
-        return (program, tuple(ctx.artifacts.get("applied_interchanges", ())))
-
-    def restore(self, payload: object, ctx: PassContext) -> Program:
-        program, applied = payload  # type: ignore[misc]
-        ctx.artifacts["applied_interchanges"] = list(applied)
-        return program
 
 
 class FixedPointPass(PipelinePass):

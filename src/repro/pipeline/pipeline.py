@@ -21,9 +21,9 @@ is keyed on the *incoming* program's structural hash plus the input/size
 symbol names plus that key.  Because the key covers the pass class rather
 than the instance name, a pass that receives a structurally identical
 program — even at a different position, or in a different pipeline — hits
-the same entry; cached outputs are reused wholesale, which is exactly how
-the old :class:`~repro.transforms.tiling.TilingDriver` shared whole tiling
-results, but at per-pass granularity.
+the same entry; cached outputs are reused wholesale, so design points that
+differ only in knobs no transform reads (parallelisation factors, the
+metapipelining flag) share every transform result.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class Pipeline:
                 f"duplicate pass names {sorted(duplicates)} in pipeline {name!r}: "
                 "names address passes for insertion/removal/replacement and must "
                 "be unique (instantiate the pass with an explicit name, e.g. "
-                "CseStage('post-cse'))"
+                "TransformationStage(LetCse(), name='post-cse'))"
             )
         self.passes: Tuple[PipelinePass, ...] = tuple(passes)
         self.name = name

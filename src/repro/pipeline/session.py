@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Deque, Dict, Mapping, Optional, Union
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, Mapping, Optional, Union
 
 from repro.analysis.area import AreaReport, estimate_area
 from repro.config import CompileConfig
@@ -49,10 +49,37 @@ from repro.sim.engine import simulate
 from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
-from repro.transforms.tiling import TilingResult
 from repro.utils.naming import fresh_naming_scope
 
-__all__ = ["CompilationResult", "CompilerSession", "Session"]
+__all__ = ["CompilationResult", "CompilerSession", "Session", "TilingResult"]
+
+
+@dataclass
+class TilingResult:
+    """The paper's stage snapshots of one compile's Section 4 tiling flow.
+
+    ``strip_mined`` is the program just before pattern interchange (after
+    the first cleanup), ``interchanged`` the program right after it, and
+    ``tiled`` the program hardware generation saw; the Figure 5c table and
+    the Table 3 harness read these forms.
+    """
+
+    original: Program
+    fused: Program
+    strip_mined: Program
+    interchanged: Program
+    tiled: Program
+    config: CompileConfig
+    applied_interchanges: List[str] = field(default_factory=list)
+
+    def stages(self) -> Dict[str, Program]:
+        return {
+            "original": self.original,
+            "fused": self.fused,
+            "strip_mined": self.strip_mined,
+            "interchanged": self.interchanged,
+            "tiled": self.tiled,
+        }
 
 
 @dataclass
@@ -287,7 +314,7 @@ class CompilerSession:
         """
         self.cache.clear()
 
-    # -- back-compat -----------------------------------------------------------
+    # -- stage snapshots -------------------------------------------------------
     def _tiling_result(
         self,
         program: Program,
@@ -299,8 +326,7 @@ class CompilerSession:
 
         ``strip_mined`` is the program just before pattern interchange
         (i.e. after the first cleanup), ``interchanged`` the program right
-        after it — exactly the stages the old :class:`TilingDriver`
-        recorded.  Pipelines without an interchange pass collapse the
+        after it.  Pipelines without an interchange pass collapse the
         intermediate stages onto the final program.
         """
         fused = outcome.stage("fusion") or program

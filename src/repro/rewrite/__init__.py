@@ -1,9 +1,9 @@
 """repro.rewrite — the declarative pattern-matching transformation framework.
 
 One :class:`~repro.rewrite.framework.Transformation` protocol over both
-IRs (pattern → legality → apply → cost delta), the ported Section 4 and
-schedule rewrites, split strip-mining, and the legal-ordering search the
-DSE sweeps through the ``pipeline`` gene.  See the module docstrings of
+IRs (pattern → legality → apply → cost delta), the Section 4 transforms
+and the schedule rewrites as its only implementations, and the
+legal-ordering search the DSE sweeps through the ``pipeline`` gene.  See the module docstrings of
 :mod:`repro.rewrite.framework` and :mod:`repro.rewrite.orderings`.
 """
 
@@ -44,7 +44,6 @@ from repro.rewrite.schedule import (
     RebalanceStages,
     ScheduleRewrite,
 )
-from repro.rewrite.splitting import SplitStripMining
 
 __all__ = [
     "AUTO_PREFIX",
@@ -62,7 +61,6 @@ __all__ = [
     "ScheduleRewrite",
     "ScheduleTransformation",
     "ShapePattern",
-    "SplitStripMining",
     "StripMine",
     "TileCopies",
     "Transformation",

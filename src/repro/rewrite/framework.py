@@ -1,8 +1,9 @@
 """The declarative transformation framework (DaCe-style pattern rewriting).
 
 Every program transformation in the compiler — the Section 4 PPL pattern
-transforms and the schedule-level rewrites of :mod:`repro.schedule.rewrite`
-— is expressible as a :class:`Transformation`: a named unit declaring
+transforms (:mod:`repro.rewrite.ppl`) and the schedule rewrites
+(:mod:`repro.rewrite.schedule`) — is one :class:`Transformation`, the only
+unit that applies a transform: a named class declaring
 
 * :meth:`~Transformation.pattern` — a declarative :class:`ShapePattern`
   describing the node shapes it rewrites (over the PPL expression IR or
@@ -26,10 +27,8 @@ whole pipelines and enumerates the legal orderings the DSE sweeps.
 
 Matching is deliberately separate from applying: ``matches()`` is what the
 ordering search and the cost model consult ("would this fire here, and
-what would it buy?"), while ``apply()`` is the production rewrite — for
-the ported Section 4 transforms it delegates to the proven pass
-implementations so re-expressed pipelines stay bit-identical to the
-golden Figure 7 numbers.
+what would it buy?"), while ``apply()`` is the production rewrite, which
+may revisit the sites itself in one sweep.
 """
 
 from __future__ import annotations
@@ -142,10 +141,10 @@ class Transformation:
     """One declarative rewrite: pattern + legality + apply + cost delta.
 
     Subclasses set :attr:`ir` (``"ppl"`` or ``"schedule"``) and implement
-    the four protocol methods.  ``requires_tiling`` mirrors the legacy
-    tiling gate: the pipeline stage skips the transformation entirely when
-    the configuration compiles the untiled baseline, which is what lets
-    one pipeline serve baseline and optimised configurations alike.
+    the four protocol methods.  ``requires_tiling`` is the tiling gate: the
+    pipeline stage skips the transformation entirely when the
+    configuration compiles the untiled baseline, which is what lets one
+    pipeline serve baseline and optimised configurations alike.
     """
 
     name: str = "transformation"
@@ -212,22 +211,13 @@ class Transformation:
 class PplTransformation(Transformation):
     """Base of transformations over the PPL expression IR.
 
-    The ported Section 4 transforms delegate :meth:`apply` to their proven
-    pass implementations (bit-identical results by construction); the
-    declarative half — :meth:`pattern` / :meth:`can_apply` — is what the
-    ordering search and :meth:`cost_delta` consult.
+    :meth:`apply` is pure: it returns the input program itself when
+    nothing fired and a new program otherwise.  The declarative half —
+    :meth:`pattern` / :meth:`can_apply` — is what the ordering search and
+    :meth:`cost_delta` consult.
     """
 
     ir = "ppl"
-
-    def legacy_pass(self, ctx: "PassContext"):
-        """The :class:`repro.transforms.base.Pass` this transformation wraps."""
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement legacy_pass or override apply"
-        )
-
-    def apply(self, program: "Program", ctx: "PassContext") -> "Program":
-        return self.legacy_pass(ctx).run(program)
 
     def cost_delta(self, program: "Program", ctx: "PassContext") -> CostDelta:
         sites = self.matches(program, ctx)
@@ -243,9 +233,11 @@ class PplTransformation(Transformation):
 class ScheduleTransformation(Transformation):
     """Base of transformations over the Schedule stage tree.
 
-    Wraps one :class:`repro.schedule.rewrite.Rewrite`: ``apply_schedule``
-    clones the schedule, applies the rewrite until it stops firing (capped
-    at ``max_rounds``), then asserts the preservation invariants with
+    A rule implements :meth:`apply_in_place`, which mutates a (cloned)
+    schedule and counts its hits; :class:`repro.schedule.rewrite.ScheduleRewriter`
+    runs rule sequences that way.  ``apply_schedule`` runs this rule alone
+    through a rewriter: on a clone, until it stops firing (capped at
+    ``max_rounds``), with the preservation invariants asserted by
     :func:`repro.schedule.rewrite.verify_rewrite` — the framework's
     post-apply invariant checker.  The original schedule is never mutated.
     """
@@ -253,10 +245,14 @@ class ScheduleTransformation(Transformation):
     ir = "schedule"
     max_rounds: int = 4
 
-    def rewrite_rule(self):
-        """The :class:`repro.schedule.rewrite.Rewrite` this wraps."""
+    def apply_in_place(self, schedule: "Schedule", model) -> int:
+        """Rewrite ``schedule`` in place; return the number of hits.
+
+        Each merged pair, split stage or flattened group is one hit.  The
+        rewrite must uphold the invariants :func:`verify_rewrite` asserts.
+        """
         raise NotImplementedError(
-            f"{type(self).__name__} must implement rewrite_rule or apply_schedule"
+            f"{type(self).__name__} must implement apply_in_place or apply_schedule"
         )
 
     def _model(self, ctx: "PassContext"):
@@ -267,23 +263,14 @@ class ScheduleTransformation(Transformation):
     def apply_schedule(
         self, schedule: "Schedule", ctx: "PassContext"
     ) -> Tuple["Schedule", Dict[str, object]]:
-        from repro.schedule.rewrite import clone_schedule, verify_rewrite
+        from repro.schedule.rewrite import ScheduleRewriter
 
-        model = self._model(ctx)
-        rule = self.rewrite_rule()
-        working = clone_schedule(schedule)
-        hits = 0
-        rounds = 0
-        for _ in range(self.max_rounds):
-            fired = rule.apply(working, model)
-            hits += fired
-            rounds += 1
-            if fired == 0:
-                break
-        verify_rewrite(schedule, working)
-        return working, {
-            "rewrite_hits": {rule.name: hits},
-            "rewrite_rounds": rounds,
+        result = ScheduleRewriter(rewrites=[self], max_rounds=self.max_rounds).rewrite(
+            schedule, self._model(ctx)
+        )
+        return result.schedule, {
+            "rewrite_hits": dict(result.hits),
+            "rewrite_rounds": result.rounds,
         }
 
     def apply(self, schedule: "Schedule", ctx: "PassContext") -> "Schedule":

@@ -1,10 +1,9 @@
 """Legal transformation orderings: enumeration, guided sampling, pipelines.
 
 A pipeline variant is just an *ordering* of framework transformations
-(:mod:`repro.rewrite.ppl`, :mod:`repro.rewrite.schedule`,
-:mod:`repro.rewrite.splitting`) around the fixed terminal passes
-(generate-hardware → build-schedule → estimate-area).  This module makes
-that space explicit and searchable:
+(:mod:`repro.rewrite.ppl`, :mod:`repro.rewrite.schedule`) around the fixed
+terminal passes (generate-hardware → build-schedule → estimate-area).
+This module makes that space explicit and searchable:
 
 * :func:`is_legal_ordering` — the legality predicate over step sequences
   (phase ranks plus pairwise precedence; see ``STEPS``);
@@ -32,7 +31,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.rewrite import ppl as ppl_t
 from repro.rewrite import schedule as sched_t
 from repro.rewrite.framework import Transformation, TransformationError
-from repro.rewrite.splitting import SplitStripMining
 
 __all__ = [
     "AUTO_PREFIX",
@@ -76,7 +74,6 @@ STEPS: Dict[str, Step] = {
         Step("fusion", ppl_t.VerticalFusion, rank=0),
         Step("strip-mine", ppl_t.StripMine, rank=1, required=True),
         Step("tile-copies", ppl_t.TileCopies, rank=2, required=True),
-        Step("split-strip-mine", SplitStripMining, rank=3),
         # The cleanup/interchange phase: any relative order is legal (the
         # late-cleanup variant is exactly "cse after interchange").
         Step("cse", ppl_t.LetCse, rank=4),
@@ -169,39 +166,33 @@ def _schedule_suffixes() -> List[Tuple[str, ...]]:
 
 def enumerate_legal_orderings(
     include_schedule: bool = True,
-    include_split: bool = True,
     max_cleanup_steps: int = 5,
 ) -> Iterator[Tuple[str, ...]]:
     """Deterministically enumerate legal orderings (lazily — the space is big).
 
     Yields every ordering formed from: optional fusion, the required
-    strip-mine → tile-copies spine, optional split strip-mining, every
-    legal arrangement of up to ``max_cleanup_steps`` cleanup/interchange
-    steps, and (with ``include_schedule``) every legal schedule-step
-    suffix.  Deterministic iteration order — same arguments, same
-    sequence — which is what lets two runs register identical variants.
+    strip-mine → tile-copies spine, every legal arrangement of up to
+    ``max_cleanup_steps`` cleanup/interchange steps, and (with
+    ``include_schedule``) every legal schedule-step suffix.  Deterministic
+    iteration order — same arguments, same sequence — which is what lets
+    two runs register identical variants.
     """
     cleanup_pool = ("cse", "code-motion", "interchange", "post-cse", "post-code-motion")
     suffixes = _schedule_suffixes() if include_schedule else [()]
     for use_fusion in (True, False):
-        for use_split in ((True, False) if include_split else (False,)):
-            prefix = (("fusion",) if use_fusion else ()) + ("strip-mine", "tile-copies")
-            if use_split:
-                prefix = prefix + ("split-strip-mine",)
-            for size in range(0, max_cleanup_steps + 1):
-                for subset in itertools.combinations(cleanup_pool, size):
-                    for perm in itertools.permutations(subset):
-                        ppl_steps = prefix + perm
-                        legal, _ = is_legal_ordering(ppl_steps)
-                        if not legal:
-                            continue
-                        for suffix in suffixes:
-                            yield ppl_steps + suffix
+        prefix = (("fusion",) if use_fusion else ()) + ("strip-mine", "tile-copies")
+        for size in range(0, max_cleanup_steps + 1):
+            for subset in itertools.combinations(cleanup_pool, size):
+                for perm in itertools.permutations(subset):
+                    ppl_steps = prefix + perm
+                    legal, _ = is_legal_ordering(ppl_steps)
+                    if not legal:
+                        continue
+                    for suffix in suffixes:
+                        yield ppl_steps + suffix
 
 
-def guided_orderings(
-    seed: int, count: int, include_split: bool = True
-) -> List[Tuple[str, ...]]:
+def guided_orderings(seed: int, count: int) -> List[Tuple[str, ...]]:
     """Seeded biased sampling of legal orderings, deduplicated.
 
     The bias encodes what the benches have shown to matter: keep fusion
@@ -221,8 +212,6 @@ def guided_orderings(
         if rng.random() < 0.85:
             steps.append("fusion")
         steps.extend(("strip-mine", "tile-copies"))
-        if include_split and rng.random() < 0.25:
-            steps.append("split-strip-mine")
         cleanup = []
         if rng.random() < 0.8:
             cleanup.extend(["cse", "code-motion"])

@@ -1,18 +1,19 @@
 """The Section 4 transforms as declarative framework transformations.
 
-Each class wraps one proven pass of :mod:`repro.transforms` — vertical
-fusion, CSE, code motion, strip mining, tile-copy insertion, interchange —
-declaring its subgraph pattern and legality predicate so the ordering
-search (:mod:`repro.rewrite.orderings`) and the cost model can reason
-about *where* and *whether* it fires, while ``apply`` delegates to the
-original pass implementation so pipelines re-expressed through the
-framework stay bit-identical to the golden Figure 7 numbers.
+Each class is the one implementation of its transform — vertical fusion,
+CSE, code motion, strip mining, tile-copy insertion, interchange: it
+declares the subgraph pattern and legality predicate the ordering search
+(:mod:`repro.rewrite.orderings`) and the cost model consult, and its
+``apply`` rewrites the program with the private helpers of
+:mod:`repro.transforms` (the ``Transformer`` sweeps, the strip-mining axis
+plans, the interchange rules).
 
-``requires_tiling`` mirrors the legacy stage gating exactly: fusion runs
-unconditionally (the paper assumes it pre-tiling *and* it is semantics
-preserving on the baseline), everything else only fires on tiled
-configurations — the untiled baseline program must reach hardware
-generation untouched.
+``requires_tiling`` is the only tiling gate: fusion runs unconditionally
+(the paper assumes it pre-tiling *and* it is semantics preserving on the
+baseline), everything else only fires on tiled configurations — the
+untiled baseline program must reach hardware generation untouched.
+:class:`repro.pipeline.passes.TransformationStage` enforces it; calling
+``apply`` directly applies the transform whatever the configuration.
 """
 
 from __future__ import annotations
@@ -20,27 +21,17 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.dse.cache import config_signature
-from repro.ppl.ir import (
-    ArrayApply,
-    FlatMap,
-    GroupByFold,
-    Lambda,
-    Let,
-    Map,
-    MultiFold,
-    Pattern,
-)
-from repro.ppl.traversal import structurally_equal, walk
+from repro.ppl.ir import FlatMap, GroupByFold, Lambda, Let, Map, MultiFold, Pattern
 from repro.rewrite.framework import Match, PplTransformation, ShapePattern
-from repro.transforms.code_motion import CodeMotion, _split_invariant_lets
-from repro.transforms.cse import CommonSubexpressionElimination, _LetCSE
-from repro.transforms.fusion import FusionPass, _sym_only_under_applies
+from repro.transforms.code_motion import _PatternLICM, _split_invariant_lets
+from repro.transforms.cse import _LetCSE
+from repro.transforms.fusion import _fusable, _VerticalFusion
 from repro.transforms.interchange import (
-    InterchangePass,
+    _InterchangeRewriter,
     interchange_map_of_fold,
     split_and_interchange,
 )
-from repro.transforms.strip_mining import StripMiningPass, TileCopyInsertionPass
+from repro.transforms.strip_mining import _StripMiner, _TileCopier
 
 __all__ = [
     "VerticalFusion",
@@ -50,6 +41,21 @@ __all__ = [
     "TileCopies",
     "Interchange",
 ]
+
+
+def _with_body(program, body):
+    """The program with ``body``, or the program itself if nothing changed."""
+    return program if body is program.body else program.with_body(body)
+
+
+def _to_fixed_point(transformer, body):
+    """Rerun a ``Transformer`` sweep until the body stops changing."""
+    for _ in range(10):
+        new_body = transformer().transform(body)
+        if new_body is body:
+            break
+        body = new_body
+    return body
 
 
 class VerticalFusion(PplTransformation):
@@ -66,26 +72,10 @@ class VerticalFusion(PplTransformation):
         )
 
     def can_apply(self, program, match: Match, ctx) -> bool:
-        node: Let = match.node
-        if not _sym_only_under_applies(node.body, node.sym):
-            return False
-        reads = [
-            n
-            for n in walk(node.body)
-            if isinstance(n, ArrayApply) and n.array is node.sym
-        ]
-        if len(reads) > 1:
-            # Distinct index positions would duplicate the producer's work.
-            first = reads[0].indices
-            for other in reads[1:]:
-                if len(other.indices) != len(first) or not all(
-                    structurally_equal(a, b) for a, b in zip(first, other.indices)
-                ):
-                    return False
-        return True
+        return _fusable(match.node)
 
-    def legacy_pass(self, ctx):
-        return FusionPass()
+    def apply(self, program, ctx):
+        return _with_body(program, _to_fixed_point(_VerticalFusion, program.body))
 
 
 class LetCse(PplTransformation):
@@ -102,8 +92,8 @@ class LetCse(PplTransformation):
         # exactly when rewriting its chain changes something.
         return _LetCSE().transform(match.node) is not match.node
 
-    def legacy_pass(self, ctx):
-        return CommonSubexpressionElimination()
+    def apply(self, program, ctx):
+        return _with_body(program, _LetCSE().transform(program.body))
 
 
 class InvariantCodeMotion(PplTransformation):
@@ -128,8 +118,10 @@ class InvariantCodeMotion(PplTransformation):
                 return True
         return False
 
-    def legacy_pass(self, ctx):
-        return CodeMotion()
+    def apply(self, program, ctx):
+        # Iterate to a fixed point: hoisting out of an inner pattern can
+        # expose a hoist out of the enclosing pattern.
+        return _with_body(program, _to_fixed_point(_PatternLICM, program.body))
 
 
 class StripMine(PplTransformation):
@@ -146,13 +138,12 @@ class StripMine(PplTransformation):
         )
 
     def can_apply(self, program, match: Match, ctx) -> bool:
-        if not ctx.config.tiling or not ctx.config.tile_sizes:
-            return False
-        plans = StripMiningPass(ctx.config)._plan_axes(match.node.domain)
+        # Untiled configurations plan no tiled axis (``tile_size_for``).
+        plans = _StripMiner(ctx.config).plan_axes(match.node.domain)
         return any(plan.tiled for plan in plans)
 
-    def legacy_pass(self, ctx):
-        return StripMiningPass(ctx.config)
+    def apply(self, program, ctx):
+        return _with_body(program, _StripMiner(ctx.config).strip(program.body))
 
     def config_key(self, ctx) -> Tuple:
         return (config_signature(ctx.config),)
@@ -172,19 +163,23 @@ class TileCopies(PplTransformation):
         )
 
     def can_apply(self, program, match: Match, ctx) -> bool:
-        probe = TileCopyInsertionPass(ctx.config)
-        probe._input_arrays = set(program.inputs)
-        return probe._insert_copies(match.node, set()) is not match.node
+        probe = _TileCopier(program.inputs)
+        return probe.insert_copies(match.node, set()) is not match.node
 
-    def legacy_pass(self, ctx):
-        return TileCopyInsertionPass(ctx.config)
+    def apply(self, program, ctx):
+        copier = _TileCopier(program.inputs)
+        return _with_body(program, copier.process(program.body, tile_syms=set()))
 
     def config_key(self, ctx) -> Tuple:
         return (config_signature(ctx.config),)
 
 
 class Interchange(PplTransformation):
-    """Table 3 / Figure 5: move strided folds out of unstrided patterns."""
+    """Table 3 / Figure 5: move strided folds out of unstrided patterns.
+
+    ``apply`` records the rules that fired, in order, in
+    ``ctx.artifacts["applied_interchanges"]`` (``"rule1"`` or ``"split"``).
+    """
 
     name = "interchange"
     requires_tiling = True
@@ -207,10 +202,17 @@ class Interchange(PplTransformation):
         return False
 
     def apply(self, program, ctx):
-        interchange = InterchangePass(ctx.config)
-        result = interchange.run(program)
-        ctx.artifacts["applied_interchanges"] = list(getattr(interchange, "applied", []))
-        return result
+        body = program.body
+        applied = []
+        for _ in range(5):
+            rewriter = _InterchangeRewriter(ctx.config.split_budget)
+            new_body = rewriter.transform(body)
+            applied.extend(rewriter.applied)
+            if new_body is body:
+                break
+            body = new_body
+        ctx.artifacts["applied_interchanges"] = applied
+        return _with_body(program, body)
 
     def config_key(self, ctx) -> Tuple:
         return (config_signature(ctx.config),)

@@ -20,11 +20,12 @@ graph:
   stalls and DRAM-channel contention;
 * :mod:`repro.schedule.compare` — analytical-vs-event discrepancy reports
   used to calibrate the analytical model's knobs;
-* :mod:`repro.schedule.rewrite` — the schedule-level rewriter (transfer
-  coalescing, stage rebalancing, degenerate-group flattening) with a
-  legality checker proving the memory inventory, module set and DRAM
-  traffic are preserved; run as the ``rewrite-schedule`` pipeline stage of
-  the ``rewrite`` pipeline variant.
+* :mod:`repro.schedule.rewrite` — the schedule-level rewriter, which runs
+  the rules of :mod:`repro.rewrite.schedule` (transfer coalescing, stage
+  rebalancing, degenerate-group flattening), with a legality checker
+  proving the memory inventory, module set and DRAM traffic are
+  preserved; run as the ``rewrite-schedule`` pipeline stage of the
+  ``rewrite`` pipeline variant.
 
 Every downstream consumer — the simulator backends, the area model, the
 traffic inventory and the MaxJ code generator — reads the same Schedule
@@ -63,12 +64,8 @@ from repro.schedule.calibrate import (
 )
 from repro.schedule.rewrite import (
     BALANCE_FACTOR_CANDIDATES,
-    DegenerateGroupFlattening,
-    Rewrite,
     RewriteResult,
     ScheduleRewriter,
-    StageRebalancing,
-    TransferCoalescing,
     rewrite_schedule,
     tune_balance_factor,
     verify_rewrite,
@@ -83,13 +80,11 @@ __all__ = [
     "ComputeNode",
     "CycleDiscrepancy",
     "DEFAULT_TOLERANCE",
-    "DegenerateGroupFlattening",
     "EventScheduleBackend",
     "discrepancy_table",
     "MemoryNode",
     "MetapipelineSchedule",
     "ParallelSchedule",
-    "Rewrite",
     "RewriteResult",
     "Schedule",
     "ScheduleNode",
@@ -97,9 +92,7 @@ __all__ = [
     "SequentialSchedule",
     "StageGroup",
     "StageProfile",
-    "StageRebalancing",
     "StreamNode",
-    "TransferCoalescing",
     "TransferNode",
     "UNCALIBRATED_TOLERANCE",
     "build_schedule",

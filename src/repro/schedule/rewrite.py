@@ -2,35 +2,16 @@
 
 The Schedule IR makes the metapipeline an explicit artifact; this module
 makes it an *optimisable* one.  A :class:`ScheduleRewriter` clones a
-schedule and applies a sequence of :class:`Rewrite` rules to the stage
-tree — the hardware inventory is never touched, only *when* things run:
-
-* :class:`TransferCoalescing` — adjacent same-direction transfers inside a
-  sequential or metapipeline group merge into one larger-burst transfer
-  (total bytes preserved).  Every transfer pays one DRAM round-trip
-  latency per invocation, so ``k`` adjacent tile loads cost ``k`` latencies
-  where one coalesced load costs one; on the shared channel of the event
-  model that latency is occupancy every other transfer waits behind.
-* :class:`StageRebalancing` — metapipeline stages are split and merged so
-  per-stage cycle estimates sit within a balance factor of the slowest
-  stage.  A bottleneck stage that is itself a sequential group is split
-  into separate overlapped stages; adjacent under-full stages merge into
-  one stage, trimming per-stage sync handshakes and fill latency while the
-  steady-state period — set by the slowest stage — is provably unchanged
-  (pairs only merge when their combined estimate stays at or below it).
-  The cost oracle is selectable: ``cost_source="analytical"`` prices
-  stages with the closed forms of :mod:`repro.schedule.costs`,
-  ``cost_source="event"`` measures them from an event-backend profile
-  (:meth:`~repro.schedule.event.EventScheduleBackend.profile_schedule`),
-  so contention- and stall-bound stages are seen at their *observed*
-  durations rather than their idealised ones.  :func:`tune_balance_factor`
-  picks the factor per schedule by scoring rewritten candidates with the
-  event backend (``balance_factor="auto"`` in :func:`rewrite_schedule`).
-  A :class:`ProfileMemo` runs the event backend once per distinct tree
-  (:func:`tree_fingerprint`), so the candidates share their profiles.
-* :class:`DegenerateGroupFlattening` — a stage group with one stage and one
-  iteration is pure nesting overhead (the generator emits them around
-  single-pattern bodies); the child takes its place.
+schedule and applies a sequence of rules — the schedule transformations of
+:mod:`repro.rewrite.schedule` (degenerate-group flattening, transfer
+coalescing, stage rebalancing) — to the stage tree; the hardware inventory
+is never touched, only *when* things run.  Stage rebalancing is priced by
+the closed forms (:func:`node_cycles`) or by event-backend stage profiles;
+:func:`tune_balance_factor` picks its balance factor per schedule by
+scoring rewritten candidates with the event backend
+(``balance_factor="auto"`` in :func:`rewrite_schedule`), and a
+:class:`ProfileMemo` runs the event backend once per distinct tree
+(:func:`tree_fingerprint`), so the candidates share their profiles.
 
 Every rewrite preserves three invariants, asserted after rewriting by
 :func:`verify_rewrite` (raising
@@ -56,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ScheduleRewriteError
 from repro.schedule.costs import pipeline_cycles, stream_cycles, transfer_cycles
@@ -67,7 +48,6 @@ from repro.schedule.ir import (
     ParallelSchedule,
     Schedule,
     ScheduleNode,
-    SequentialSchedule,
     StageGroup,
     StreamNode,
     TransferNode,
@@ -75,17 +55,16 @@ from repro.schedule.ir import (
 from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
 
+if TYPE_CHECKING:  # pragma: no cover - the rules import this module
+    from repro.rewrite.framework import ScheduleTransformation
+
 __all__ = [
     "BALANCE_FACTOR_CANDIDATES",
     "COST_SOURCES",
     "DEFAULT_BALANCE_FACTOR",
-    "DegenerateGroupFlattening",
     "ProfileMemo",
-    "Rewrite",
     "RewriteResult",
     "ScheduleRewriter",
-    "StageRebalancing",
-    "TransferCoalescing",
     "clone_schedule",
     "node_cycles",
     "rewrite_schedule",
@@ -103,7 +82,7 @@ DEFAULT_BALANCE_FACTOR = 2.0
 #: per schedule (``balance_factor="auto"``).
 BALANCE_FACTOR_CANDIDATES = (1.25, 1.5, 2.0, 3.0, 4.0)
 
-#: Legal stage-cost oracles for :class:`StageRebalancing`.
+#: Legal stage-cost oracles for :class:`~repro.rewrite.schedule.RebalanceStages`.
 COST_SOURCES = ("analytical", "event")
 
 
@@ -171,18 +150,6 @@ def node_cycles(node: ScheduleNode, board, model: PerformanceModel) -> float:
     if isinstance(node, ComputeNode):
         return pipeline_cycles(node)
     return 0.0
-
-
-def _groups(schedule: Schedule) -> List[StageGroup]:
-    """All stage groups of the tree, materialised before any mutation."""
-    return [node for node in schedule.walk() if isinstance(node, StageGroup)]
-
-
-def _absorbed_modules(node: ScheduleNode) -> List:
-    """Every hardware module a node carries (own plus absorbed)."""
-    modules = [node.module] if node.module is not None else []
-    modules.extend(node.extra_modules)
-    return modules
 
 
 # ---------------------------------------------------------------------------
@@ -261,260 +228,6 @@ class ProfileMemo:
         by_position = self._entry(schedule, model)[1]
         nodes = list(schedule.walk())
         return {id(nodes[index]): p for index, p in by_position.items()}
-
-
-# ---------------------------------------------------------------------------
-# The Rewrite protocol and the built-in rewrites
-# ---------------------------------------------------------------------------
-
-
-class Rewrite:
-    """One named schedule rewrite: mutate the tree, count what fired.
-
-    Subclasses implement :meth:`apply`, returning the number of hits (each
-    merged pair, split stage or flattened group is one hit).  Rewrites
-    mutate the (cloned) schedule in place and must uphold the preservation
-    invariants :func:`verify_rewrite` asserts.
-    """
-
-    name: str = "rewrite"
-
-    def apply(self, schedule: Schedule, model: PerformanceModel) -> int:
-        raise NotImplementedError(f"{type(self).__name__} must implement apply")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class TransferCoalescing(Rewrite):
-    """Merge adjacent same-direction transfers into one larger burst.
-
-    Two tile loads issued back to back inside a sequential or metapipeline
-    group hit the same DRAM channel anyway; issuing them as one transfer
-    saves one round-trip latency per invocation and frees the channel for
-    the stages contending with it.  Parallel groups are left alone — their
-    stages are semantically concurrent, not back-to-back.  Total bytes (and
-    therefore traffic) are preserved by construction; the partner's command
-    generator is absorbed into ``extra_modules`` so the hardware inventory
-    is too.
-    """
-
-    name = "coalesce-transfers"
-
-    def apply(self, schedule: Schedule, model: PerformanceModel) -> int:
-        hits = 0
-        for group in _groups(schedule):
-            if isinstance(group, ParallelSchedule) or len(group.stages) < 2:
-                continue
-            merged: List[ScheduleNode] = []
-            for stage in group.stages:
-                previous = merged[-1] if merged else None
-                if (
-                    isinstance(stage, TransferNode)
-                    and isinstance(previous, TransferNode)
-                    and previous.direction == stage.direction
-                    and previous.burst_bytes == stage.burst_bytes
-                ):
-                    merged[-1] = self._merge(previous, stage)
-                    hits += 1
-                else:
-                    merged.append(stage)
-            group.stages = merged
-        return hits
-
-    @staticmethod
-    def _merge(first: TransferNode, second: TransferNode) -> TransferNode:
-        extra = list(first.extra_modules)
-        extra.extend(_absorbed_modules(second))
-        return TransferNode(
-            name=f"{first.name}+{second.name}",
-            module=first.module,
-            extra_modules=extra,
-            direction=first.direction,
-            bytes_per_invocation=first.bytes_per_invocation + second.bytes_per_invocation,
-            burst_bytes=first.burst_bytes,
-            # A source-less constituent is identified by its node name —
-            # the same fallback the traffic inventory uses — so the
-            # legality checker's source-set comparison stays exact.
-            source="+".join(t.source or t.name for t in (first, second)),
-            destination="+".join(
-                part for part in (first.destination, second.destination) if part
-            ),
-        )
-
-
-class StageRebalancing(Rewrite):
-    """Split bottleneck group stages and merge under-full neighbours.
-
-    Guided by per-stage cycle costs from the selected oracle
-    (``cost_source``): the analytical closed forms (:func:`node_cycles`,
-    the default) or measured event-backend stage profiles — mean
-    begin-to-done durations including DRAM contention waits and
-    backpressure effects, so a stage the closed forms call cheap but the
-    timeline shows contention-bound is balanced at its observed weight:
-
-    * **split** — a metapipeline stage that is itself a sequential group
-      (one iteration, several children) and costs more than
-      ``balance_factor ×`` every other stage is serialising work the
-      metapipeline could overlap; its children become stages of their own;
-    * **merge** — two adjacent stages each estimated below
-      ``slowest / balance_factor`` whose combined estimate stays at or
-      below the slowest stage fold into one sequential stage: one fewer
-      per-iteration sync handshake and a shorter fill, while the
-      steady-state period (the slowest stage) is unchanged.
-
-    With a ``memo`` the event profiles come from (and go to) that
-    :class:`ProfileMemo`; without one every profile is a fresh event run.
-    """
-
-    name = "rebalance-stages"
-
-    def __init__(
-        self,
-        balance_factor: float = DEFAULT_BALANCE_FACTOR,
-        cost_source: str = "analytical",
-        memo: Optional[ProfileMemo] = None,
-    ) -> None:
-        if balance_factor < 1.0:
-            raise ValueError(f"balance_factor must be >= 1.0, got {balance_factor}")
-        if cost_source not in COST_SOURCES:
-            raise ValueError(
-                f"unknown cost_source {cost_source!r}; choose from {list(COST_SOURCES)}"
-            )
-        self.balance_factor = balance_factor
-        self.cost_source = cost_source
-        self.memo = memo
-
-    def _profiles(
-        self, schedule: Schedule, model: PerformanceModel
-    ) -> Optional[Dict[int, StageProfile]]:
-        if self.cost_source != "event":
-            return None
-        if self.memo is not None:
-            return self.memo.profiles(schedule, model)
-        return EventScheduleBackend(model).profile_schedule(schedule)
-
-    def _stage_costs(
-        self,
-        group: MetapipelineSchedule,
-        board,
-        model,
-        profiles: Optional[Dict[int, StageProfile]],
-    ) -> List[float]:
-        """Per-stage costs from the profile when one covers the group.
-
-        Falls back to the analytical closed forms for groups the profile
-        missed (a nested metapipeline that never executed) or whose stage
-        list no longer matches (the tree changed since profiling).
-        """
-        if profiles is not None:
-            profile = profiles.get(id(group))
-            if profile is not None and len(profile.durations) == len(group.stages):
-                return list(profile.durations)
-        return [node_cycles(stage, board, model) for stage in group.stages]
-
-    def apply(self, schedule: Schedule, model: PerformanceModel) -> int:
-        board = schedule.board
-        hits = 0
-        profiles = self._profiles(schedule, model)
-        for group in _groups(schedule):
-            if not isinstance(group, MetapipelineSchedule) or group.iterations <= 1:
-                continue
-            split_hits = self._split(
-                group, board, model, self._stage_costs(group, board, model, profiles)
-            )
-            if split_hits and profiles is not None:
-                # The tree changed: measure the new stages before merging
-                # instead of mixing measured and stale costs.
-                profiles = self._profiles(schedule, model)
-            hits += split_hits
-            hits += self._merge(
-                group, board, model, self._stage_costs(group, board, model, profiles)
-            )
-        return hits
-
-    def _split(self, group: MetapipelineSchedule, board, model, costs: List[float]) -> int:
-        hits = 0
-        stages: List[ScheduleNode] = []
-        for index, stage in enumerate(group.stages):
-            rest = max((c for i, c in enumerate(costs) if i != index), default=0.0)
-            if (
-                isinstance(stage, SequentialSchedule)
-                and stage.iterations == 1
-                and len(stage.stages) >= 2
-                and costs[index] > self.balance_factor * rest
-            ):
-                # The group's controller is absorbed by its first child so
-                # the module inventory survives the split.
-                head = stage.stages[0]
-                head.extra_modules = _absorbed_modules(stage) + list(head.extra_modules)
-                stages.extend(stage.stages)
-                hits += 1
-            else:
-                stages.append(stage)
-        group.stages = stages
-        return hits
-
-    def _merge(self, group: MetapipelineSchedule, board, model, costs: List[float]) -> int:
-        hits = 0
-        stages = list(group.stages)
-        costs = list(costs)
-        while len(stages) > 2:
-            slowest = max(costs)
-            threshold = slowest / self.balance_factor
-            best_index = -1
-            best_combined = float("inf")
-            for i in range(len(stages) - 1):
-                combined = costs[i] + costs[i + 1]
-                if costs[i] < threshold and costs[i + 1] < threshold and combined <= slowest:
-                    if combined < best_combined:
-                        best_combined = combined
-                        best_index = i
-            if best_index < 0:
-                break
-            a, b = stages[best_index], stages[best_index + 1]
-            merged = SequentialSchedule(
-                name=f"{a.name}+{b.name}", stages=[a, b], iterations=1
-            )
-            stages[best_index : best_index + 2] = [merged]
-            costs[best_index : best_index + 2] = [best_combined]
-            hits += 1
-        group.stages = stages
-        return hits
-
-
-class DegenerateGroupFlattening(Rewrite):
-    """Collapse one-stage, one-iteration groups onto their only child.
-
-    The hardware generator wraps single-pattern bodies in their own
-    controllers; once the schedule is explicit those groups are pure
-    nesting — they time identically to their child and cost a controller
-    sync in the metapipeline recurrence.  The child absorbs the group's
-    controller module, keeping the inventory whole.
-    """
-
-    name = "flatten-degenerate-groups"
-
-    def apply(self, schedule: Schedule, model: PerformanceModel) -> int:
-        hits = 0
-
-        def flatten(node: ScheduleNode) -> ScheduleNode:
-            nonlocal hits
-            if isinstance(node, StageGroup):
-                node.stages = [flatten(stage) for stage in node.stages]
-                # Exactly one iteration: a zero-iteration group's body never
-                # runs, so replacing it with its child would *start* it.
-                if len(node.stages) == 1 and node.iterations == 1:
-                    child = node.stages[0]
-                    child.extra_modules = _absorbed_modules(node) + list(
-                        child.extra_modules
-                    )
-                    hits += 1
-                    return child
-            return node
-
-        schedule.root = flatten(schedule.root)
-        return hits
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +331,16 @@ class RewriteResult:
 
 
 class ScheduleRewriter:
-    """Apply a rewrite sequence to a schedule until it stops firing.
+    """Apply a rule sequence to a schedule until it stops firing.
 
-    The input schedule is cloned first — the design's cached schedule (and
-    everything keyed on it, including the golden analytical numbers) is
-    never mutated.  Rewrites run in order, the whole sequence repeating up
-    to ``max_rounds`` times or until a round fires nothing (flattening can
-    expose coalescing opportunities, coalescing feeds rebalancing).  The
-    preservation invariants are asserted once, on the final schedule.
+    Each rule is a :class:`~repro.rewrite.framework.ScheduleTransformation`
+    run through its ``apply_in_place``.  The input schedule is
+    cloned first — the design's cached schedule (and everything keyed on
+    it, including the golden analytical numbers) is never mutated.  Rules
+    run in order, the whole sequence repeating up to ``max_rounds`` times
+    or until a round fires nothing (flattening can expose coalescing
+    opportunities, coalescing feeds rebalancing).  The preservation
+    invariants are asserted once, on the final schedule.
 
     The default rebalancer profiles through ``memo`` (a fresh
     :class:`ProfileMemo` unless one is shared in), so rounds that leave
@@ -634,7 +349,7 @@ class ScheduleRewriter:
 
     def __init__(
         self,
-        rewrites: Optional[Sequence[Rewrite]] = None,
+        rewrites: Optional[Sequence["ScheduleTransformation"]] = None,
         balance_factor: float = DEFAULT_BALANCE_FACTOR,
         max_rounds: int = 4,
         cost_source: str = "analytical",
@@ -642,19 +357,24 @@ class ScheduleRewriter:
     ) -> None:
         self.balance_factor = balance_factor
         self.memo = memo if memo is not None else ProfileMemo()
-        self.rewrites: List[Rewrite] = (
-            list(rewrites)
-            if rewrites is not None
-            else [
-                DegenerateGroupFlattening(),
-                TransferCoalescing(),
-                StageRebalancing(
+        if rewrites is None:
+            # The rules import this module's cost oracle and profile memo.
+            from repro.rewrite.schedule import (
+                CoalesceTransfers,
+                FlattenDegenerateGroups,
+                RebalanceStages,
+            )
+
+            rewrites = [
+                FlattenDegenerateGroups(),
+                CoalesceTransfers(),
+                RebalanceStages(
                     balance_factor=balance_factor,
                     cost_source=cost_source,
                     memo=self.memo,
                 ),
             ]
-        )
+        self.rewrites: List["ScheduleTransformation"] = list(rewrites)
         self.max_rounds = max(1, max_rounds)
 
     def rewrite(
@@ -667,14 +387,14 @@ class ScheduleRewriter:
         for _ in range(self.max_rounds):
             fired = 0
             for rewrite in self.rewrites:
-                count = rewrite.apply(working, model)
+                count = rewrite.apply_in_place(working, model)
                 hits[rewrite.name] += count
                 fired += count
             rounds += 1
             if fired == 0:
                 break
         verify_rewrite(schedule, working)
-        result = RewriteResult(
+        return RewriteResult(
             original=schedule,
             schedule=working,
             hits=hits,
@@ -683,9 +403,6 @@ class ScheduleRewriter:
             event_runs=self.memo.runs,
             event_reuses=self.memo.reuses,
         )
-        if result.changed:
-            working.notes.append(result.summary())
-        return result
 
 
 def tune_balance_factor(
@@ -733,7 +450,7 @@ def tune_balance_factor(
 def rewrite_schedule(
     schedule: Schedule,
     model: Optional[PerformanceModel] = None,
-    rewrites: Optional[Sequence[Rewrite]] = None,
+    rewrites: Optional[Sequence["ScheduleTransformation"]] = None,
     balance_factor: Union[float, str] = DEFAULT_BALANCE_FACTOR,
     cost_source: str = "analytical",
 ) -> RewriteResult:
@@ -744,14 +461,21 @@ def rewrite_schedule(
     ``cost_source`` selects the rebalancer's stage-cost oracle
     (``"analytical"`` closed forms or measured ``"event"`` profiles).  Both
     only shape the default rewrite sequence — an explicit ``rewrites``
-    list is used as given, with the tuned factor recorded.
+    list is used as given, with the tuned factor recorded.  A rewrite that
+    fired leaves its :meth:`RewriteResult.summary` in the rewritten
+    schedule's notes (which the emitters print and no backend times).
     """
+    result = None
     factor = balance_factor
     if factor == "auto":
         tuned = tune_balance_factor(schedule, model, cost_source=cost_source)
-        if rewrites is None:
-            return tuned
         factor = tuned.balance_factor
-    return ScheduleRewriter(
-        rewrites=rewrites, balance_factor=factor, cost_source=cost_source
-    ).rewrite(schedule, model)
+        if rewrites is None:
+            result = tuned
+    if result is None:
+        result = ScheduleRewriter(
+            rewrites=rewrites, balance_factor=factor, cost_source=cost_source
+        ).rewrite(schedule, model)
+    if result.changed:
+        result.schedule.notes.append(result.summary())
+    return result

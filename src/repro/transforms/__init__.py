@@ -1,41 +1,20 @@
-"""Parallel pattern transformations (Section 4 of the paper).
+"""The rewrite machinery of the Section 4 parallel pattern transformations.
+
+Each transform is one framework class in :mod:`repro.rewrite.ppl`, which
+owns its pattern, legality and apply; these modules hold the private
+helpers those classes call:
 
 * :mod:`repro.transforms.fusion` — vertical fusion of producer/consumer
-  patterns (assumed to have already run before tiling in the paper).
-* :mod:`repro.transforms.cse` — common subexpression elimination over Lets.
+  patterns (assumed to have already run before tiling in the paper);
+* :mod:`repro.transforms.cse` — common subexpression elimination over Lets;
 * :mod:`repro.transforms.code_motion` — loop-invariant code motion of Lets
-  out of patterns.
-* :mod:`repro.transforms.strip_mining` — the Table 1 strip-mining rules plus
-  the second pass that converts predictable accesses into explicit tile
-  copies (Table 2).
+  out of patterns;
+* :mod:`repro.transforms.strip_mining` — the Table 1 strip-mining rules and
+  the tile-copy insertion that converts predictable accesses into explicit
+  tile copies (Table 2);
 * :mod:`repro.transforms.interchange` — the two pattern-interchange rules and
   the split heuristic (Table 3, Figure 5).
-* :mod:`repro.transforms.tiling` — the driver combining all of the above into
-  the paper's automatic tiling flow.
+
+The pipeline sequences them (:mod:`repro.rewrite.orderings`); the paper's
+Figure 1 flow is the ``default`` ordering.
 """
-
-from repro.transforms.base import Pass, PassPipeline
-from repro.transforms.cse import CommonSubexpressionElimination, eliminate_common_subexpressions
-from repro.transforms.code_motion import CodeMotion, hoist_invariant_lets
-from repro.transforms.fusion import FusionPass, fuse
-from repro.transforms.strip_mining import StripMiningPass, TileCopyInsertionPass, strip_mine
-from repro.transforms.interchange import InterchangePass, interchange
-from repro.transforms.tiling import TilingDriver, tile_program
-
-__all__ = [
-    "Pass",
-    "PassPipeline",
-    "CommonSubexpressionElimination",
-    "eliminate_common_subexpressions",
-    "CodeMotion",
-    "hoist_invariant_lets",
-    "FusionPass",
-    "fuse",
-    "StripMiningPass",
-    "TileCopyInsertionPass",
-    "strip_mine",
-    "InterchangePass",
-    "interchange",
-    "TilingDriver",
-    "tile_program",
-]

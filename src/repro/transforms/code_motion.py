@@ -3,7 +3,7 @@
 After strip mining and interchange, Let bindings (tile copies, intermediate
 results) can end up inside patterns even though their values do not depend on
 the pattern's indices.  Leaving them there would re-issue the tile load on
-every iteration.  This pass hoists such Lets out of the pattern functions —
+every iteration.  :class:`_PatternLICM` hoists such Lets out of the pattern functions —
 the paper's "code motion ... to move array tiles out of the innermost
 patterns".
 
@@ -14,14 +14,10 @@ bound between the function entry and the binding itself.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.ppl.ir import Expr, FlatMap, GroupByFold, Lambda, Let, Map, MultiFold, Node, Pattern, Sym
-from repro.ppl.program import Program
+from repro.ppl.ir import Expr, FlatMap, GroupByFold, Lambda, Let, Map, MultiFold, Pattern
 from repro.ppl.traversal import Transformer, free_syms, rebuild
-from repro.transforms.base import Pass
-
-__all__ = ["CodeMotion", "hoist_invariant_lets"]
 
 
 def _split_invariant_lets(body: Expr, bound_syms: set) -> tuple[List[Let], Expr]:
@@ -91,25 +87,3 @@ class _PatternLICM(Transformer):
 
     def rewrite_GroupByFold(self, node: GroupByFold):
         return self._hoist_from_pattern(node)
-
-
-class CodeMotion(Pass):
-    """Hoist pattern-invariant Let bindings out of pattern functions."""
-
-    name = "code-motion"
-
-    def run_on_body(self, program: Program) -> Expr:
-        body = program.body
-        # Iterate to a fixed point: hoisting out of an inner pattern can expose
-        # a hoist out of the enclosing pattern.
-        for _ in range(10):
-            new_body = _PatternLICM().transform(body)
-            if new_body is body:
-                break
-            body = new_body
-        return body
-
-
-def hoist_invariant_lets(program: Program) -> Program:
-    """Convenience function form of :class:`CodeMotion`."""
-    return CodeMotion().run(program)

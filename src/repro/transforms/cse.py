@@ -3,26 +3,22 @@
 The paper assumes CSE has run before and after strip mining ("We assume in
 these examples that CSE and code motion transformation passes have been run
 after strip mining to eliminate duplicate copies...").  Duplicate tile copies
-are exactly what this pass removes: when two Lets in the same scope bind
+are exactly what :class:`_LetCSE` removes: when two Lets in the same scope bind
 structurally identical values (e.g. two identical ``x.copy(b + ii)`` nodes
 produced while strip mining different accesses of the same array), the second
 binding is dropped and its uses are redirected to the first.
 
-The pass also deduplicates identical Let values nested directly under one
+It also deduplicates identical Let values nested directly under one
 another and removes Lets whose bound symbol is never used (dead-copy
 elimination).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.ppl.ir import Expr, Lambda, Let, Node, Sym
-from repro.ppl.program import Program
-from repro.ppl.traversal import Transformer, free_syms, structurally_equal, substitute, walk
-from repro.transforms.base import Pass
-
-__all__ = ["CommonSubexpressionElimination", "eliminate_common_subexpressions"]
+from repro.ppl.ir import Expr, Let, Node, Sym
+from repro.ppl.traversal import Transformer, free_syms, structurally_equal, substitute
 
 
 class _LetCSE(Transformer):
@@ -50,17 +46,3 @@ class _LetCSE(Transformer):
         if isinstance(body, Let):
             return self._transform_let_chain(body, available)
         return super().transform(body)
-
-
-class CommonSubexpressionElimination(Pass):
-    """Eliminate duplicate and dead Let bindings."""
-
-    name = "cse"
-
-    def run_on_body(self, program: Program) -> Expr:
-        return _LetCSE().transform(program.body)
-
-
-def eliminate_common_subexpressions(program: Program) -> Program:
-    """Convenience function form of :class:`CommonSubexpressionElimination`."""
-    return CommonSubexpressionElimination().run(program)

@@ -2,8 +2,9 @@
 
 The paper's tiling transformations assume "well known target-agnostic
 transformations like fusion ... have already been run" (Section 4) and its
-running example (Figure 4) is the fused form of k-means.  This pass
-implements the standard vertical fusion rules for that preprocessing step:
+running example (Figure 4) is the fused form of k-means.  These helpers
+implement the standard vertical fusion rules for that preprocessing step
+(:class:`repro.rewrite.ppl.VerticalFusion` applies them):
 
 * ``Map(d)(f)`` consumed element-wise by ``Map(d)(g)`` fuses to
   ``Map(d)(g ∘ f)`` — the intermediate array disappears.
@@ -20,31 +21,14 @@ not needed as a precondition of tiling; the applications in
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.ppl.ir import (
-    ArrayApply,
-    Expr,
-    Lambda,
-    Let,
-    Map,
-    MultiFold,
-    Node,
-    Pattern,
-    Sym,
-)
-from repro.ppl.program import Program
+from repro.ppl.ir import ArrayApply, Expr, Let, Map, Node, Sym
 from repro.ppl.traversal import (
     Transformer,
-    collect,
     free_syms,
     structurally_equal,
     substitute,
     walk,
 )
-from repro.transforms.base import Pass
-
-__all__ = ["FusionPass", "fuse"]
 
 
 def _sym_only_under_applies(body: Expr, array_sym: Sym) -> bool:
@@ -79,51 +63,37 @@ def _inline_producer(body: Expr, array_sym: Sym, producer: Map) -> Expr:
     return _Inline().transform(body)
 
 
+def _fusable(node: Let) -> bool:
+    """Whether a Let-bound Map producer may be inlined into its body."""
+    if not isinstance(node.value, Map):
+        return False
+    if not _sym_only_under_applies(node.body, node.sym):
+        return False
+    reads = [
+        n
+        for n in walk(node.body)
+        if isinstance(n, ArrayApply) and n.array is node.sym
+    ]
+    # Do not fuse when the producer is read at several distinct index
+    # positions — inlining would duplicate the producer's work (e.g. the
+    # centered-point vector of gda is read as sub(r) and sub(s)).
+    if len(reads) > 1:
+        first = reads[0].indices
+        for other in reads[1:]:
+            if len(other.indices) != len(first) or not all(
+                structurally_equal(a, b) for a, b in zip(first, other.indices)
+            ):
+                return False
+    return True
+
+
 class _VerticalFusion(Transformer):
     """Fuses Let-bound Map producers into their sole consumers."""
 
     def rewrite_Let(self, node: Let):
-        if not isinstance(node.value, Map):
+        if not _fusable(node):
             return node
-        producer = node.value
-        if not _sym_only_under_applies(node.body, node.sym):
-            return node
-        reads = [
-            n
-            for n in walk(node.body)
-            if isinstance(n, ArrayApply) and n.array is node.sym
-        ]
-        # Do not fuse when the producer is read at several distinct index
-        # positions — inlining would duplicate the producer's work (e.g. the
-        # centered-point vector of gda is read as sub(r) and sub(s)).
-        if len(reads) > 1:
-            first = reads[0].indices
-            for other in reads[1:]:
-                if len(other.indices) != len(first) or not all(
-                    structurally_equal(a, b) for a, b in zip(first, other.indices)
-                ):
-                    return node
-        fused_body = _inline_producer(node.body, node.sym, producer)
+        fused_body = _inline_producer(node.body, node.sym, node.value)
         if node.sym in free_syms(fused_body):  # pragma: no cover - defensive
             return node
         return fused_body
-
-
-class FusionPass(Pass):
-    """Vertical (producer → consumer) pattern fusion."""
-
-    name = "fusion"
-
-    def run_on_body(self, program: Program) -> Expr:
-        body = program.body
-        for _ in range(10):
-            new_body = _VerticalFusion().transform(body)
-            if new_body is body:
-                break
-            body = new_body
-        return body
-
-
-def fuse(program: Program) -> Program:
-    """Convenience function form of :class:`FusionPass`."""
-    return FusionPass().run(program)

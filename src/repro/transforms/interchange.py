@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import CompileConfig
-from repro.errors import TilingError
 from repro.ppl import builder as bld
 from repro.ppl.ir import (
     ArrayApply,
@@ -48,12 +46,10 @@ from repro.ppl.ir import (
     Pattern,
     Sym,
 )
-from repro.ppl.program import Program
-from repro.ppl.traversal import Transformer, free_syms, rebuild, substitute, walk
-from repro.ppl.types import INDEX, TensorType, TupleType, is_tuple
-from repro.transforms.base import Pass
+from repro.ppl.traversal import Transformer, free_syms, rebuild, substitute
+from repro.ppl.types import INDEX, TensorType, is_tuple
 
-__all__ = ["InterchangePass", "interchange", "interchange_map_of_fold", "split_and_interchange"]
+__all__ = ["interchange_map_of_fold", "split_and_interchange"]
 
 
 def _zero_location(rank: int) -> Expr:
@@ -309,7 +305,7 @@ def _apply_split(
 
 
 # ---------------------------------------------------------------------------
-# The pass
+# One sweep of both rules
 # ---------------------------------------------------------------------------
 
 
@@ -335,31 +331,3 @@ class _InterchangeRewriter(Transformer):
             self.applied.append("split")
             return split
         return node
-
-
-class InterchangePass(Pass):
-    """Apply the interchange rules wherever the reuse heuristic allows."""
-
-    name = "interchange"
-
-    def __init__(self, config: CompileConfig) -> None:
-        self.config = config
-
-    def run_on_body(self, program: Program) -> Expr:
-        if not self.config.tiling:
-            return program.body
-        body = program.body
-        self.applied: List[str] = []
-        for _ in range(5):
-            rewriter = _InterchangeRewriter(self.config.split_budget)
-            new_body = rewriter.transform(body)
-            self.applied.extend(rewriter.applied)
-            if new_body is body:
-                break
-            body = new_body
-        return body
-
-
-def interchange(program: Program, config: CompileConfig) -> Program:
-    """Convenience function form of :class:`InterchangePass`."""
-    return InterchangePass(config).run(program)

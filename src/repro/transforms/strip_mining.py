@@ -1,9 +1,11 @@
 """Strip mining of parallel patterns (Table 1 / Table 2 of the paper).
 
 Strip mining is the first half of the automatic tiling transformation.  It is
-implemented as two passes, exactly as described in Section 4:
+implemented as two steps, exactly as described in Section 4
+(:class:`repro.rewrite.ppl.StripMine` and :class:`repro.rewrite.ppl.TileCopies`
+apply them):
 
-1. :class:`StripMiningPass` partitions each pattern's iteration domain into
+1. :class:`_StripMiner` partitions each pattern's iteration domain into
    tiles of the user-specified size by breaking the pattern into a pair of
    perfectly nested patterns (Table 1).  The outer pattern iterates over the
    strided domain ``d/b`` (its index takes the values ``0, b, 2b, …``); the
@@ -18,11 +20,11 @@ implemented as two passes, exactly as described in Section 4:
      combines that partial accumulator into the global one.
    * ``FlatMap`` nests directly (concatenation is associative).
    * ``GroupByFold`` keeps its flat form (its output size is dynamic so tiles
-     of the output cannot be named statically); the pass records the tile
+     of the output cannot be named statically); strip mining records the tile
      size in metadata and the hardware CAM merges per-tile partial results.
      This is the one documented deviation from Table 1 — see DESIGN.md.
 
-2. :class:`TileCopyInsertionPass` converts array accesses with statically
+2. :class:`_TileCopier` converts array accesses with statically
    predictable (affine) access patterns into accesses of explicitly copied
    array tiles (the ``x.copy(b + ii)`` bindings of Table 2).  Accesses that
    are not affine in the loop indices — e.g. data-dependent reads — are left
@@ -58,7 +60,6 @@ from repro.ppl.ir import (
     Sym,
     Zeros,
 )
-from repro.ppl.program import Program
 from repro.ppl.traversal import (
     Transformer,
     free_syms,
@@ -66,10 +67,7 @@ from repro.ppl.traversal import (
     substitute,
     walk,
 )
-from repro.ppl.types import INDEX, TensorType, is_tensor
-from repro.transforms.base import Pass
-
-__all__ = ["StripMiningPass", "TileCopyInsertionPass", "strip_mine"]
+from repro.ppl.types import INDEX, TensorType
 
 
 _OUTER_NAMES = ["ii", "jj", "kk", "ll"]
@@ -77,7 +75,7 @@ _INNER_NAMES = ["i", "j", "k", "l"]
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: domain partitioning (Table 1)
+# Step 1: domain partitioning (Table 1)
 # ---------------------------------------------------------------------------
 
 
@@ -110,28 +108,17 @@ class _AxisPlan:
     def outer_stride(self) -> Expr:
         return Const(self.tile, INDEX) if self.tiled else self.extent
 
-    @property
-    def inner_extent(self) -> Expr:
-        return Const(self.tile, INDEX) if self.tiled else self.extent
 
-
-class StripMiningPass(Pass):
+class _StripMiner:
     """Break tiled pattern dimensions into perfectly nested pattern pairs."""
-
-    name = "strip-mining"
 
     def __init__(self, config: CompileConfig) -> None:
         self.config = config
 
-    def run_on_body(self, program: Program) -> Expr:
-        if not self.config.tiling or not self.config.tile_sizes:
-            return program.body
-        return self._strip(program.body)
-
     # -- recursion ------------------------------------------------------------
-    def _strip(self, node: Node) -> Node:
+    def strip(self, node: Node) -> Node:
         if isinstance(node, Pattern):
-            plans = self._plan_axes(node.domain)
+            plans = self.plan_axes(node.domain)
             if any(plan.tiled for plan in plans):
                 return self._strip_pattern(node, plans)
         return self._recurse(node)
@@ -144,9 +131,9 @@ class StripMiningPass(Pass):
         for name in node._fields:
             old = getattr(node, name)
             if isinstance(old, Node):
-                new = self._strip(old)
+                new = self.strip(old)
             elif isinstance(old, tuple):
-                new = tuple(self._strip(v) if isinstance(v, Node) else v for v in old)
+                new = tuple(self.strip(v) if isinstance(v, Node) else v for v in old)
             else:
                 new = old
             new_values[name] = new
@@ -158,7 +145,7 @@ class StripMiningPass(Pass):
                 changed = True
         return rebuild(node, new_values) if changed else node
 
-    def _plan_axes(self, domain: Domain) -> List[_AxisPlan]:
+    def plan_axes(self, domain: Domain) -> List[_AxisPlan]:
         plans = []
         for extent, stride in zip(domain.dims, domain.stride_exprs):
             already_strided = not (isinstance(stride, Const) and stride.value == 1)
@@ -217,7 +204,7 @@ class StripMiningPass(Pass):
     def _strip_map(self, node: Map, plans: List[_AxisPlan]) -> Node:
         outer_syms, inner_syms, global_idx = self._make_index_syms(plans)
         body = substitute(node.func.body, dict(zip(node.func.params, global_idx)))
-        body = self._strip(body)
+        body = self.strip(body)
         inner = Map(self._inner_domain(plans, outer_syms), Lambda(tuple(inner_syms), body))
         inner.with_meta(tile_of="Map", strip_level="inner")
 
@@ -244,13 +231,13 @@ class StripMiningPass(Pass):
         idx_map = dict(zip(node.index_func.params, global_idx))
         val_map = dict(zip(node.value_func.params[:-1], global_idx))
 
-        inner_index = Lambda(tuple(inner_syms), self._strip(substitute(node.index_func.body, idx_map)))
+        inner_index = Lambda(tuple(inner_syms), self.strip(substitute(node.index_func.body, idx_map)))
         acc_inner = node.value_func.params[-1]
         inner_value = Lambda(
             tuple(inner_syms) + (acc_inner,),
-            self._strip(substitute(node.value_func.body, val_map)),
+            self.strip(substitute(node.value_func.body, val_map)),
         )
-        init = self._strip(node.init)
+        init = self.strip(node.init)
         # The combine function is left untiled: it runs once per partial
         # accumulator pair, and hardware generation eliminates the redundant
         # whole-accumulator combine of Table 1's general rule anyway
@@ -307,7 +294,7 @@ class StripMiningPass(Pass):
     def _strip_flatmap(self, node: FlatMap, plans: List[_AxisPlan]) -> Node:
         outer_syms, inner_syms, global_idx = self._make_index_syms(plans)
         body = substitute(node.func.body, dict(zip(node.func.params, global_idx)))
-        body = self._strip(body)
+        body = self.strip(body)
         inner = FlatMap(self._inner_domain(plans, outer_syms), Lambda(tuple(inner_syms), body))
         inner.with_meta(tile_of="FlatMap", strip_level="inner")
         outer = FlatMap(self._outer_domain(plans), Lambda(tuple(outer_syms), inner))
@@ -332,21 +319,13 @@ class StripMiningPass(Pass):
         return new
 
     # -- helpers ---------------------------------------------------------------
-    def _strip_lambda(self, func: Optional[Lambda]) -> Optional[Lambda]:
-        if func is None:
-            return None
-        new_body = self._strip(func.body)
-        if new_body is func.body:
-            return func
-        return Lambda(func.params, new_body)
-
     @staticmethod
     def _apply_combine(combine: Lambda, left: Expr, right: Expr) -> Expr:
         return substitute(combine.body, dict(zip(combine.params, (left, right))))
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: tile copy insertion (Table 2)
+# Step 2: tile copy insertion (Table 2)
 # ---------------------------------------------------------------------------
 
 
@@ -396,24 +375,19 @@ def _form_to_expr(form: LinearForm) -> Expr:
     return expr if expr is not None else Const(0, INDEX)
 
 
-class TileCopyInsertionPass(Pass):
-    """Insert explicit tile copies for affine accesses within strided patterns."""
+class _TileCopier:
+    """Insert explicit tile copies for affine accesses within strided patterns.
 
-    name = "tile-copies"
+    Only main-memory inputs (``input_arrays``) are copied on chip.
+    """
 
-    def __init__(self, config: CompileConfig) -> None:
-        self.config = config
-
-    def run_on_body(self, program: Program) -> Expr:
-        if not self.config.tiling:
-            return program.body
-        self._input_arrays = set(program.inputs)
-        return self._process(program.body, tile_syms=set())
+    def __init__(self, input_arrays) -> None:
+        self.input_arrays = set(input_arrays)
 
     # -- recursion ------------------------------------------------------------
-    def _process(self, node: Node, tile_syms: set) -> Node:
+    def process(self, node: Node, tile_syms: set) -> Node:
         if isinstance(node, Pattern) and node.domain.is_strided:
-            node = self._insert_copies(node, tile_syms)
+            node = self.insert_copies(node, tile_syms)
         if isinstance(node, Let) and isinstance(node.value, ArrayCopy):
             tile_syms = tile_syms | {node.sym}
 
@@ -422,9 +396,9 @@ class TileCopyInsertionPass(Pass):
         for name in node._fields:
             old = getattr(node, name)
             if isinstance(old, Node):
-                new = self._process(old, tile_syms)
+                new = self.process(old, tile_syms)
             elif isinstance(old, tuple):
-                new = tuple(self._process(v, tile_syms) if isinstance(v, Node) else v for v in old)
+                new = tuple(self.process(v, tile_syms) if isinstance(v, Node) else v for v in old)
             else:
                 new = old
             new_values[name] = new
@@ -433,7 +407,7 @@ class TileCopyInsertionPass(Pass):
         return rebuild(node, new_values) if changed else node
 
     # -- the actual copy insertion ----------------------------------------------
-    def _insert_copies(self, pattern: Pattern, tile_syms: set) -> Pattern:
+    def insert_copies(self, pattern: Pattern, tile_syms: set) -> Pattern:
         strided_info = self._strided_axes(pattern)
         if not strided_info:
             return pattern
@@ -515,7 +489,7 @@ class TileCopyInsertionPass(Pass):
                 continue
             # Only main-memory input collections are worth copying on chip;
             # accumulators and function parameters are already on-chip values.
-            if array not in self._input_arrays or array not in pattern_free:
+            if array not in self.input_arrays or array not in pattern_free:
                 continue
             if array in rejected:
                 continue
@@ -576,9 +550,3 @@ def _identical(old, new) -> bool:
     if isinstance(old, tuple) and isinstance(new, tuple) and len(old) == len(new):
         return all(a is b for a, b in zip(old, new))
     return False
-
-
-def strip_mine(program: Program, config: CompileConfig) -> Program:
-    """Run both strip-mining passes (domain partitioning + tile copies)."""
-    partitioned = StripMiningPass(config).run(program)
-    return TileCopyInsertionPass(config).run(partitioned)

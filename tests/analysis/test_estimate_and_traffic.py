@@ -16,8 +16,8 @@ from repro.apps import get_benchmark
 from repro.config import CompileConfig
 from repro.hw.templates import Buffer, ReductionTree, VectorUnit
 from repro.ppl import builder as b
+from repro.pipeline import Session
 from repro.ppl.ir import Domain
-from repro.transforms.tiling import TilingDriver
 
 
 class TestStaticEvaluator:
@@ -106,9 +106,9 @@ class TestMinimumReads:
     def test_tiled_kmeans_centroid_reuse(self):
         bench = get_benchmark("kmeans")
         config = CompileConfig(tiling=True, tile_sizes={"n": 16, "k": 4})
-        tiled = TilingDriver(config).run(bench.build()).tiled
         sizes = {"n": 128, "k": 8, "d": 4}
         bindings = bench.bindings(sizes, np.random.default_rng(0))
+        tiled = Session().compile(bench.build(), config, bindings).tiled_program
         report = minimum_reads(tiled, bindings)
         assert report.words_read("centroids") == (128 // 16) * 8 * 4
         assert report.storage("points") == 16 * 4

@@ -79,11 +79,12 @@ def test_workload_keys_like_generated_bindings(case, seed, cycle_model):
     assert ref == ledger.locate(program, bindings, point, cycle_model)
 
 
+@pytest.mark.parametrize("vectorize", [False, True])
 @pytest.mark.parametrize("name", BENCH_NAMES)
-def test_reading_a_stand_in_fails_loudly(name):
+def test_reading_a_stand_in_fails_loudly(name, vectorize):
     bench = get_benchmark(name)
     workload = bench.workload()
     with pytest.raises(TypeError, match="holds no data"):
-        run_program(bench.build(), workload)
+        run_program(bench.build(), workload, vectorize=vectorize)
     with pytest.raises(TypeError):
         bench.reference(workload)

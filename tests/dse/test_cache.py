@@ -14,8 +14,8 @@ from repro.apps import get_benchmark
 from repro.config import CompileConfig
 from repro.dse.cache import ANALYSIS_CACHE, AnalysisCache, config_signature, env_signature
 from repro.ppl import builder as b
+from repro.pipeline import Session
 from repro.ppl.ir import structural_hash
-from repro.transforms.tiling import TilingDriver
 from repro.utils.naming import reset_names
 
 
@@ -366,17 +366,32 @@ class TestMemoizedAnalysesMatchUncached:
     def test_tiling_result_shared_across_par_and_meta(self):
         bench = get_benchmark("gemm")
         program = bench.build()
+        workload = bench.workload()
         tiles = dict(bench.tile_sizes)
-        tiling = TilingDriver(CompileConfig(tiling=True, tile_sizes=tiles)).run(program)
-        meta_config = CompileConfig(tiling=True, metapipelining=True, tile_sizes=tiles)
-        meta = TilingDriver(meta_config).run(program)
-        assert meta.tiled is tiling.tiled  # one tiling, shared
-        assert meta.config is meta_config  # but rebound to the caller's config
-        assert ANALYSIS_CACHE.hits["tiling_result"] >= 1
+        plain = Session().compile(program, CompileConfig(tiling=True, tile_sizes=tiles), workload)
+        meta_config = CompileConfig(
+            tiling=True, metapipelining=True, tile_sizes=tiles, par_factors={"m": 4}
+        )
+        meta = Session().compile(program, meta_config, workload)
+        assert meta.tiled_program is plain.tiled_program  # one tiling, shared
+        assert meta.tiling.config is meta_config  # but reported under the caller's config
+        transforms = [
+            record
+            for record in meta.report.records
+            if record.name not in ("generate-hardware", "build-schedule", "estimate-area")
+        ]
+        assert len(transforms) == 8 and all(record.cached for record in transforms)
+        assert ANALYSIS_CACHE.hits["pipeline_pass"] >= len(transforms)
 
     def test_tiling_cache_distinguishes_tile_sizes(self):
         bench = get_benchmark("gemm")
         program = bench.build()
-        small = TilingDriver(CompileConfig(tiling=True, tile_sizes={"m": 32})).run(program)
-        large = TilingDriver(CompileConfig(tiling=True, tile_sizes={"m": 64})).run(program)
-        assert small.tiled is not large.tiled
+        workload = bench.workload()
+        small = Session().compile(
+            program, CompileConfig(tiling=True, tile_sizes={"m": 32}), workload
+        )
+        large = Session().compile(
+            program, CompileConfig(tiling=True, tile_sizes={"m": 64}), workload
+        )
+        assert small.tiled_program is not large.tiled_program
+        assert not large.report.record("strip-mine").cached

@@ -7,18 +7,17 @@ from repro.config import BASELINE, CompileConfig
 from repro.dse.cache import AnalysisCache
 from repro.errors import PipelineError
 from repro.pipeline import (
-    CseStage,
-    FusionStage,
     PassContext,
     Pipeline,
     PipelinePass,
-    StripMineStage,
+    TransformationStage,
     default_pipeline,
     get_pipeline,
     pipeline_variants,
     register_pipeline_variant,
 )
 from repro.pipeline.variants import variant_signature
+from repro.rewrite import LetCse, StripMine, VerticalFusion
 
 
 def _gemm_program():
@@ -27,6 +26,73 @@ def _gemm_program():
 
 def _tiling_config():
     return CompileConfig(tiling=True, tile_sizes=dict(get_benchmark("gemm").tile_sizes))
+
+
+# The signature of every pass, as point-result keys embed it: a renamed
+# class or stage changes these tuples and with them every point key.
+_FUSION = ("TransformationStage[VerticalFusion]", "fusion")
+_STRIP = ("TransformationStage[StripMine]", "strip-mine")
+_COPIES = ("TransformationStage[TileCopies]", "tile-copies")
+_CSE = ("TransformationStage[LetCse]", "cse")
+_MOTION = ("TransformationStage[InvariantCodeMotion]", "code-motion")
+_INTERCHANGE = ("TransformationStage[Interchange]", "interchange")
+_POST_CSE = ("TransformationStage[LetCse]", "post-cse")
+_POST_MOTION = ("TransformationStage[InvariantCodeMotion]", "post-code-motion")
+_HARDWARE = ("GenerateHardwareStage", "generate-hardware")
+_SCHEDULE = ("BuildScheduleStage", "build-schedule")
+_AREA = ("EstimateAreaStage", "estimate-area")
+
+PINNED_SIGNATURES = {
+    "default": (
+        _FUSION, _STRIP, _COPIES, _CSE, _MOTION, _INTERCHANGE, _POST_CSE,
+        _POST_MOTION, _HARDWARE, _SCHEDULE, _AREA,
+    ),
+    "no-fusion": (
+        _STRIP, _COPIES, _CSE, _MOTION, _INTERCHANGE, _POST_CSE, _POST_MOTION,
+        _HARDWARE, _SCHEDULE, _AREA,
+    ),
+    "no-cse": (
+        _FUSION, _STRIP, _COPIES, _MOTION, _INTERCHANGE, _POST_MOTION,
+        _HARDWARE, _SCHEDULE, _AREA,
+    ),
+    "late-cleanup": (
+        _FUSION, _STRIP, _COPIES, _INTERCHANGE, _POST_CSE, _POST_MOTION,
+        _HARDWARE, _SCHEDULE, _AREA,
+    ),
+    "fixed-point-cleanup": (
+        _FUSION, _STRIP, _COPIES, _CSE, _MOTION, _INTERCHANGE,
+        (
+            "FixedPointPass[TransformationStage,TransformationStage]x4",
+            "fixed-point(post-cse+post-code-motion)",
+        ),
+        _HARDWARE, _SCHEDULE, _AREA,
+    ),
+    "rewrite": (
+        _FUSION, _STRIP, _COPIES, _CSE, _MOTION, _INTERCHANGE, _POST_CSE,
+        _POST_MOTION, _HARDWARE, _SCHEDULE,
+        ("TransformationStage[ScheduleRewrite[bf=2.0,cs=analytical]]", "rewrite-schedule"),
+        _AREA,
+    ),
+    "rewrite-profiled": (
+        _FUSION, _STRIP, _COPIES, _CSE, _MOTION, _INTERCHANGE, _POST_CSE,
+        _POST_MOTION, _HARDWARE, _SCHEDULE,
+        ("TransformationStage[ScheduleRewrite[bf=auto,cs=event]]", "rewrite-schedule"),
+        _AREA,
+    ),
+    "auto:fusion,strip-mine,tile-copies,cse,code-motion,interchange,post-cse,"
+    "post-code-motion,flatten-degenerate-groups,coalesce-transfers,"
+    "rebalance-stages": (
+        _FUSION, _STRIP, _COPIES, _CSE, _MOTION, _INTERCHANGE, _POST_CSE,
+        _POST_MOTION, _HARDWARE, _SCHEDULE,
+        ("TransformationStage[FlattenDegenerateGroups]", "flatten-degenerate-groups"),
+        ("TransformationStage[CoalesceTransfers]", "coalesce-transfers"),
+        (
+            "TransformationStage[RebalanceStages[bf=2.0,cs=analytical]]",
+            "rebalance-stages",
+        ),
+        _AREA,
+    ),
+}
 
 
 class NoOpPass(PipelinePass):
@@ -51,10 +117,12 @@ class TestComposition:
 
     def test_duplicate_pass_names_raise(self):
         with pytest.raises(PipelineError, match="duplicate pass names"):
-            Pipeline([CseStage("cse"), CseStage("cse")])
+            Pipeline([TransformationStage(LetCse()), TransformationStage(LetCse())])
 
     def test_duplicate_names_avoidable_with_explicit_names(self):
-        pipeline = Pipeline([CseStage("cse"), CseStage("post-cse")])
+        pipeline = Pipeline(
+            [TransformationStage(LetCse()), TransformationStage(LetCse(), name="post-cse")]
+        )
         assert pipeline.pass_names == ["cse", "post-cse"]
 
     def test_without_removes_and_preserves_order(self):
@@ -99,7 +167,7 @@ class TestVariants:
         assert "fusion" not in get_pipeline("no-fusion")
         no_cse = get_pipeline("no-cse")
         assert "cse" not in no_cse and "post-cse" not in no_cse
-        custom = Pipeline([FusionStage()], name="mine")
+        custom = Pipeline([TransformationStage(VerticalFusion())], name="mine")
         assert get_pipeline(custom) is custom
         assert get_pipeline(None).pass_names == default_pipeline().pass_names
 
@@ -112,17 +180,19 @@ class TestVariants:
     def test_registered_variant_resolves_and_invalidates_signature(self):
         register_pipeline_variant(
             "test-strip-only",
-            lambda: Pipeline([StripMineStage()], name="test-strip-only"),
+            lambda: Pipeline([TransformationStage(StripMine())], name="test-strip-only"),
         )
         try:
             assert "test-strip-only" in pipeline_variants()
-            assert variant_signature("test-strip-only") == (("StripMineStage", "strip-mine"),)
+            assert variant_signature("test-strip-only") == (_STRIP,)
             register_pipeline_variant(
                 "test-strip-only",
-                lambda: Pipeline([FusionStage()], name="test-strip-only"),
+                lambda: Pipeline(
+                    [TransformationStage(VerticalFusion())], name="test-strip-only"
+                ),
                 replace=True,
             )
-            assert variant_signature("test-strip-only") == (("FusionStage", "fusion"),)
+            assert variant_signature("test-strip-only") == (_FUSION,)
         finally:
             from repro.pipeline import variants
 
@@ -131,17 +201,19 @@ class TestVariants:
 
     def test_duplicate_registration_is_rejected(self):
         register_pipeline_variant(
-            "test-dup", lambda: Pipeline([StripMineStage()], name="test-dup")
+            "test-dup", lambda: Pipeline([TransformationStage(StripMine())], name="test-dup")
         )
         try:
             with pytest.raises(ValueError, match="already registered"):
                 register_pipeline_variant(
-                    "test-dup", lambda: Pipeline([FusionStage()], name="test-dup")
+                    "test-dup",
+                    lambda: Pipeline([TransformationStage(VerticalFusion())], name="test-dup"),
                 )
             # Shipped names are protected too.
             with pytest.raises(ValueError, match="already registered"):
                 register_pipeline_variant(
-                    "default", lambda: Pipeline([FusionStage()], name="default")
+                    "default",
+                    lambda: Pipeline([TransformationStage(VerticalFusion())], name="default"),
                 )
         finally:
             from repro.pipeline import variants
@@ -152,8 +224,18 @@ class TestVariants:
     def test_auto_prefix_is_reserved(self):
         with pytest.raises(ValueError, match="reserved"):
             register_pipeline_variant(
-                "auto:fusion", lambda: Pipeline([FusionStage()], name="auto:fusion")
+                "auto:fusion",
+                lambda: Pipeline([TransformationStage(VerticalFusion())], name="auto:fusion"),
             )
+
+
+class TestPinnedSignatures:
+    def test_every_registered_variant_is_pinned(self):
+        assert set(pipeline_variants()) <= set(PINNED_SIGNATURES)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SIGNATURES))
+    def test_variant_signature_is_pinned(self, name):
+        assert variant_signature(name) == PINNED_SIGNATURES[name]
 
 
 class TestInstrumentation:
@@ -229,7 +311,7 @@ class TestMemoisation:
 
     def test_different_tile_sizes_do_not_share_strip_mining(self):
         cache = AnalysisCache()
-        pipeline = Pipeline([StripMineStage()], name="strip")
+        pipeline = Pipeline([TransformationStage(StripMine())], name="strip")
         program = _gemm_program()
         pipeline.run(program, PassContext(config=_tiling_config(), cache=cache))
         other = CompileConfig(tiling=True, tile_sizes={"m": 32, "n": 32, "p": 32})

@@ -1,29 +1,14 @@
-"""The transformation framework: protocol, matching, parity, invariants."""
+"""The transformation framework: protocol, matching, stages, invariants."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.traffic import schedule_traffic
 from repro.apps import all_benchmarks
 from repro.config import BASELINE, CompileConfig
 from repro.dse.cache import AnalysisCache
 from repro.pipeline import Session
-from repro.pipeline.passes import (
-    BuildScheduleStage,
-    CodeMotionStage,
-    CseStage,
-    EstimateAreaStage,
-    FusionStage,
-    GenerateHardwareStage,
-    InterchangeStage,
-    PassContext,
-    StripMineStage,
-    TileCopyStage,
-    TransformationStage,
-)
-from repro.pipeline.pipeline import Pipeline
+from repro.pipeline.passes import PassContext, TransformationStage
 from repro.ppl.ir import Let, Map
-from repro.ppl.traversal import structurally_equal
 from repro.rewrite import (
     CoalesceTransfers,
     CostDelta,
@@ -119,7 +104,7 @@ class TestPplMatching:
         ctx = _ctx(_meta_config(bench))
         sites = VerticalFusion().matches(program, ctx)
         fused = VerticalFusion().apply(program, ctx)
-        # Sites found exactly when the legacy pass changes the program.
+        # Sites found exactly when applying changes the program.
         assert bool(sites) == (fused is not program)
 
     def test_cleanup_transforms_match_where_their_passes_fire(self):
@@ -227,45 +212,7 @@ class TestScheduleTransformations:
         assert "cs=event" in ScheduleRewrite(cost_source="event").signature()
 
 
-class TestTransformationStageParity:
-    """Re-expressed pipelines are bit-identical to the legacy stages."""
-
-    def _legacy_default(self):
-        return Pipeline(
-            [
-                FusionStage(),
-                StripMineStage(),
-                TileCopyStage(),
-                CseStage(),
-                CodeMotionStage(),
-                InterchangeStage(),
-                CseStage("post-cse"),
-                CodeMotionStage("post-code-motion"),
-                GenerateHardwareStage(),
-                BuildScheduleStage(),
-                EstimateAreaStage(),
-            ],
-            name="legacy-default",
-        )
-
-    @pytest.mark.parametrize("name", ["gemm", "tpchq6", "kmeans"])
-    def test_program_and_area_parity_on_benchmarks(self, name):
-        bench = _bench(name)
-        bindings = bench.bindings(SIZES[name], np.random.default_rng(0))
-        # One source program for both compilations: fresh symbol names per
-        # build() would defeat the structural comparison.
-        program = bench.build()
-        legacy = Session().compile(
-            program, _meta_config(bench), bindings, pipeline=self._legacy_default()
-        )
-        framework = Session().compile(program, _meta_config(bench), bindings)
-        assert structurally_equal(legacy.program.body, framework.program.body)
-        assert legacy.area.total == framework.area.total
-        assert (
-            legacy.simulate(cycle_model="analytical").cycles
-            == framework.simulate(cycle_model="analytical").cycles
-        )
-
+class TestTransformationStage:
     def test_stage_skips_ppl_transform_on_untiled_config(self):
         stage = TransformationStage(StripMine())
         program = _bench("gemm").build()

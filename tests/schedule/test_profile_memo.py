@@ -36,14 +36,16 @@ from repro.schedule import (
     StreamNode,
     TransferNode,
 )
+from repro.rewrite.schedule import (
+    CoalesceTransfers,
+    FlattenDegenerateGroups,
+    RebalanceStages,
+)
 from repro.schedule.rewrite import (
     BALANCE_FACTOR_CANDIDATES,
     DEFAULT_BALANCE_FACTOR,
-    DegenerateGroupFlattening,
     ProfileMemo,
     ScheduleRewriter,
-    StageRebalancing,
-    TransferCoalescing,
     tree_fingerprint,
     tune_balance_factor,
 )
@@ -65,9 +67,9 @@ def _schedule(root, name="drawn"):
 def _memo_free_rewrite(schedule, model, factor, cost_source):
     """The default rewrite sequence with every profile a fresh event run."""
     rewrites = [
-        DegenerateGroupFlattening(),
-        TransferCoalescing(),
-        StageRebalancing(balance_factor=factor, cost_source=cost_source),
+        FlattenDegenerateGroups(),
+        CoalesceTransfers(),
+        RebalanceStages(balance_factor=factor, cost_source=cost_source),
     ]
     return ScheduleRewriter(rewrites=rewrites, balance_factor=factor).rewrite(
         schedule, model

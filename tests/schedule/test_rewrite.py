@@ -19,6 +19,7 @@ from repro.hw.controllers import (
 from repro.hw.design import HardwareDesign
 from repro.hw.templates import ReductionTree, TileLoad, TileStore, VectorUnit
 from repro.pipeline import Session
+from repro.pipeline.passes import PassContext
 from repro.pipeline.variants import get_pipeline, pipeline_variants
 from repro.schedule import (
     AnalyticalScheduleBackend,
@@ -28,11 +29,13 @@ from repro.schedule import (
     SequentialSchedule,
     TransferNode,
 )
+from repro.rewrite.schedule import (
+    CoalesceTransfers,
+    FlattenDegenerateGroups,
+    RebalanceStages,
+)
 from repro.schedule.rewrite import (
     BALANCE_FACTOR_CANDIDATES,
-    DegenerateGroupFlattening,
-    StageRebalancing,
-    TransferCoalescing,
     clone_schedule,
     rewrite_schedule,
     tune_balance_factor,
@@ -110,7 +113,7 @@ class TestTransferCoalescing:
 
     def test_adjacent_same_direction_transfers_merge(self):
         schedule = self._schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         assert result.hits["coalesce-transfers"] == 1
         merged = result.schedule.transfers
         loads = [t for t in merged if t.direction == "load"]
@@ -122,7 +125,7 @@ class TestTransferCoalescing:
 
     def test_coalescing_preserves_traffic_and_modules(self):
         schedule = self._schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         before, after = schedule_traffic(schedule), schedule_traffic(result.schedule)
         assert before.read_bytes == after.read_bytes
         assert before.write_bytes == after.write_bytes
@@ -139,7 +142,7 @@ class TestTransferCoalescing:
         schedule = _design_with(
             SequentialController(name="seq", stages=[named, anonymous], iterations=2)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         assert result.hits["coalesce-transfers"] == 1
         assert result.schedule.transfers[0].source == "x+load_b"
 
@@ -149,12 +152,12 @@ class TestTransferCoalescing:
         schedule = _design_with(
             SequentialController(name="seq", stages=[load, store], iterations=2)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         assert result.hits["coalesce-transfers"] == 0
 
     def test_coalescing_saves_a_dram_latency(self):
         schedule = self._schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         before = EventScheduleBackend().run(schedule).cycles
         after = EventScheduleBackend().run(result.schedule).cycles
         assert after < before
@@ -169,7 +172,7 @@ class TestStageRebalancing:
         schedule = _design_with(
             MetapipelineController(name="meta", stages=[tiny_a, tiny_b, big], iterations=16)
         ).schedule()
-        result = rewrite_schedule(schedule, model=model, rewrites=[StageRebalancing()])
+        result = rewrite_schedule(schedule, model=model, rewrites=[RebalanceStages()])
         assert result.hits["rebalance-stages"] == 1
         meta = result.schedule.nodes_of(MetapipelineSchedule)[0]
         assert meta.num_stages == 2
@@ -191,7 +194,7 @@ class TestStageRebalancing:
         schedule = _design_with(
             MetapipelineController(name="meta", stages=[a, b, big], iterations=16)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[StageRebalancing()])
+        result = rewrite_schedule(schedule, rewrites=[RebalanceStages()])
         assert result.hits["rebalance-stages"] == 0
 
     def test_bottleneck_sequential_stage_splits(self):
@@ -202,7 +205,7 @@ class TestStageRebalancing:
         schedule = _design_with(
             MetapipelineController(name="meta", stages=[serial, small], iterations=16)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[StageRebalancing()])
+        result = rewrite_schedule(schedule, rewrites=[RebalanceStages()])
         assert result.hits["rebalance-stages"] >= 1
         meta = result.schedule.nodes_of(MetapipelineSchedule)[0]
         # The serial bottleneck became two overlapped stages.
@@ -213,7 +216,7 @@ class TestStageRebalancing:
 
     def test_balance_factor_validation(self):
         with pytest.raises(ValueError, match="balance_factor"):
-            StageRebalancing(balance_factor=0.5)
+            RebalanceStages(balance_factor=0.5)
 
 
 class TestProfiledRebalancing:
@@ -226,7 +229,7 @@ class TestProfiledRebalancing:
 
     def test_invalid_cost_source_rejected(self):
         with pytest.raises(ValueError, match="cost_source"):
-            StageRebalancing(cost_source="profiler")
+            RebalanceStages(cost_source="profiler")
 
     def test_event_cost_source_preserves_legality(self):
         schedule = self._benchmark_schedule()
@@ -286,7 +289,7 @@ class TestDegenerateFlattening:
         schedule = _design_with(
             SequentialController(name="outer", stages=[wrapped], iterations=1)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[DegenerateGroupFlattening()])
+        result = rewrite_schedule(schedule, rewrites=[FlattenDegenerateGroups()])
         assert result.hits["flatten-degenerate-groups"] == 2
         assert isinstance(result.schedule.root, ComputeNode)
         # The flattened controllers' modules survive on the child.
@@ -299,7 +302,7 @@ class TestDegenerateFlattening:
         schedule = _design_with(
             SequentialController(name="loop", stages=[unit], iterations=8)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[DegenerateGroupFlattening()])
+        result = rewrite_schedule(schedule, rewrites=[FlattenDegenerateGroups()])
         assert result.hits["flatten-degenerate-groups"] == 0
 
     def test_zero_iteration_groups_are_not_degenerate(self):
@@ -312,6 +315,25 @@ class TestDegenerateFlattening:
         result = rewrite_schedule(schedule)
         assert result.hits["flatten-degenerate-groups"] == 0
         assert EventScheduleBackend().run(result.schedule).cycles == 0
+
+    def test_only_rewrite_schedule_notes_the_rewrite(self):
+        # The summary note reaches emitted code through rewrite_schedule;
+        # the same rule run alone as a pipeline step adds none.
+        unit = VectorUnit(name="v", lanes=1, elements=64)
+        wrapped = SequentialController(name="wrapper", stages=[unit], iterations=1)
+        schedule = _design_with(wrapped).schedule()
+        noted = rewrite_schedule(schedule, rewrites=[FlattenDegenerateGroups()])
+        step, details = FlattenDegenerateGroups().apply_schedule(
+            schedule, PassContext(config=BASELINE)
+        )
+        assert noted.changed
+        assert noted.schedule.notes == schedule.notes + [noted.summary()]
+        assert step.notes == schedule.notes
+        assert step.root == noted.schedule.root
+        assert details == {
+            "rewrite_hits": dict(noted.hits),
+            "rewrite_rounds": noted.rounds,
+        }
 
 
 class TestLegalityChecker:

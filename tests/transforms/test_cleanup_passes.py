@@ -1,20 +1,27 @@
-"""Fusion, CSE and code motion passes."""
+"""Fusion, CSE and code motion transformations."""
 
 import numpy as np
 import pytest
 
 from repro.apps import get_benchmark
 from repro.config import CompileConfig
+from repro.pipeline import PassContext
 from repro.ppl import builder as b
 from repro.ppl.interp import run_program
 from repro.ppl.ir import ArrayCopy, Let, Map, MultiFold
 from repro.ppl.program import Program
 from repro.ppl.traversal import collect, count_nodes, find_patterns
 from repro.ppl.types import INDEX
-from repro.transforms.code_motion import CodeMotion
-from repro.transforms.cse import CommonSubexpressionElimination
-from repro.transforms.fusion import FusionPass
-from repro.transforms.strip_mining import strip_mine
+from repro.rewrite import InvariantCodeMotion, LetCse, StripMine, TileCopies, VerticalFusion
+
+#: Fusion, CSE and code motion read no configuration.
+CTX = PassContext(config=CompileConfig(tiling=True))
+
+
+def _strip_mine(program, config):
+    """Strip mining plus tile-copy insertion (Tables 1 and 2)."""
+    ctx = PassContext(config=config)
+    return TileCopies().apply(StripMine().apply(program, ctx), ctx)
 
 
 class TestFusion:
@@ -31,13 +38,13 @@ class TestFusion:
 
     def test_vertical_fusion_removes_intermediate(self):
         program = self._map_of_map_program()
-        fused = FusionPass().run(program)
+        fused = VerticalFusion().apply(program, CTX)
         assert not collect(fused.body, lambda node: isinstance(node, Let))
         assert len(find_patterns(fused.body)) == 1
 
     def test_fusion_preserves_semantics(self, rng):
         program = self._map_of_map_program()
-        fused = FusionPass().run(program)
+        fused = VerticalFusion().apply(program, CTX)
         x = rng.normal(size=9)
         np.testing.assert_allclose(
             run_program(fused, {"x": x, "n": 9}),
@@ -54,7 +61,7 @@ class TestFusion:
             lambda sq: b.fold(b.domain(n), b.flt(0.0), lambda i, acc: b.add(acc, b.apply_array(sq, i))),
         )
         program = Program("sumsq", inputs=[x], sizes=[n], body=body)
-        fused = FusionPass().run(program)
+        fused = VerticalFusion().apply(program, CTX)
         assert len(find_patterns(fused.body)) == 1
         x_val = rng.normal(size=11)
         assert run_program(fused, {"x": x_val, "n": 11}) == pytest.approx((x_val**2).sum())
@@ -69,7 +76,7 @@ class TestFusion:
             lambda r: b.fold(b.domain(n), b.flt(0.0), lambda i, acc: b.add(acc, b.apply_array(r, 0))),
         )
         program = Program("keep", inputs=[x], sizes=[n], body=body)
-        fused = FusionPass().run(program)
+        fused = VerticalFusion().apply(program, CTX)
         # Consumer reads a fixed element, not the loop index; fusion still
         # applies because the read is an element read, result stays correct.
         x_val = np.arange(12.0).reshape(4, 3)
@@ -81,7 +88,7 @@ class TestFusion:
     def test_benchmarks_already_fused(self):
         for name in ["gemm", "kmeans", "gda"]:
             program = get_benchmark(name).build()
-            fused = FusionPass().run(program)
+            fused = VerticalFusion().apply(program, CTX)
             assert count_nodes(fused.body) == count_nodes(program.body)
 
 
@@ -111,7 +118,7 @@ class TestCSE:
             ),
         )
         program = Program("dup", inputs=[x], sizes=[n], body=body)
-        after = CommonSubexpressionElimination().run(program)
+        after = LetCse().apply(program, CTX)
         copies = collect(after.body, lambda node: isinstance(node, ArrayCopy))
         assert len(copies) == 1
 
@@ -124,14 +131,14 @@ class TestCSE:
 
         body = Let(b.sym("dead", unused.ty), unused, used_body)
         program = Program("dead", inputs=[x], sizes=[n], body=body)
-        after = CommonSubexpressionElimination().run(program)
+        after = LetCse().apply(program, CTX)
         assert not collect(after.body, lambda node: isinstance(node, Let))
 
     def test_cse_preserves_semantics(self, rng):
         bench = get_benchmark("sumrows")
         program = bench.build()
-        tiled = strip_mine(program, CompileConfig(tiling=True, tile_sizes={"m": 2, "n": 2}))
-        after = CommonSubexpressionElimination().run(tiled)
+        tiled = _strip_mine(program, CompileConfig(tiling=True, tile_sizes={"m": 2, "n": 2}))
+        after = LetCse().apply(tiled, CTX)
         bindings = bench.bindings(rng=rng)
         np.testing.assert_allclose(run_program(after, bindings), run_program(program, bindings))
 
@@ -151,7 +158,7 @@ class TestCodeMotion:
 
         body = b.pmap(b.domain(n), body_fn)
         program = Program("hoistable", inputs=[x, y], sizes=[n, m], body=body)
-        hoisted = CodeMotion().run(program)
+        hoisted = InvariantCodeMotion().apply(program, CTX)
         assert isinstance(hoisted.body, Let), "the invariant tile copy must move out of the Map"
         assert isinstance(hoisted.body.body, Map)
 
@@ -165,15 +172,15 @@ class TestCodeMotion:
 
         body = b.pmap(b.domain(n), body_fn)
         program = Program("dependent", inputs=[x], sizes=[n], body=body)
-        hoisted = CodeMotion().run(program)
+        hoisted = InvariantCodeMotion().apply(program, CTX)
         assert isinstance(hoisted.body, Map), "index-dependent copies must stay inside the Map"
 
     def test_code_motion_preserves_semantics(self, rng):
         bench = get_benchmark("gemm")
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={"m": 2, "n": 2, "p": 2})
-        tiled = strip_mine(program, config)
-        after = CodeMotion().run(CommonSubexpressionElimination().run(tiled))
+        tiled = _strip_mine(program, config)
+        after = InvariantCodeMotion().apply(LetCse().apply(tiled, CTX), CTX)
         bindings = bench.bindings(rng=rng)
         np.testing.assert_allclose(
             run_program(after, bindings), run_program(program, bindings), rtol=1e-9

@@ -5,22 +5,31 @@ import pytest
 
 from repro.apps import get_benchmark
 from repro.config import CompileConfig
+from repro.pipeline import PassContext
 from repro.ppl import builder as b
 from repro.ppl.interp import run_program
 from repro.ppl.ir import Let, Map, MultiFold
 from repro.ppl.program import Program
 from repro.ppl.traversal import collect, find_patterns
 from repro.ppl.types import INDEX
-from repro.transforms.interchange import (
-    InterchangePass,
-    interchange_map_of_fold,
-    split_and_interchange,
-)
-from repro.transforms.strip_mining import strip_mine
+from repro.rewrite import Interchange, StripMine, TileCopies
+from repro.transforms.interchange import interchange_map_of_fold, split_and_interchange
 
 
 def _config(**tiles):
     return CompileConfig(tiling=True, tile_sizes=tiles)
+
+
+def _strip_mine(program, config):
+    """Strip mining plus tile-copy insertion (Tables 1 and 2)."""
+    ctx = PassContext(config=config)
+    return TileCopies().apply(StripMine().apply(program, ctx), ctx)
+
+
+def _interchange(program, config):
+    """Apply interchange; returns the program and the rules that fired."""
+    ctx = PassContext(config=config)
+    return Interchange().apply(program, ctx), ctx.artifacts["applied_interchanges"]
 
 
 def _map_of_strided_fold_program(tile=4):
@@ -104,8 +113,8 @@ class TestGemmInterchange:
     def _tiled_gemm(self):
         bench = get_benchmark("gemm")
         program = bench.build()
-        strip_mined = strip_mine(program, _config(m=2, n=2, p=2))
-        interchanged = InterchangePass(_config(m=2, n=2, p=2)).run(strip_mined)
+        strip_mined = _strip_mine(program, _config(m=2, n=2, p=2))
+        interchanged, _ = _interchange(strip_mined, _config(m=2, n=2, p=2))
         return bench, program, strip_mined, interchanged
 
     def test_rule1_applied(self):
@@ -139,14 +148,13 @@ class TestKmeansSplitInterchange:
         bench = get_benchmark("kmeans")
         program = bench.build()
         config = _config(n=4, k=2)
-        strip_mined = strip_mine(program, config)
-        interchange_pass = InterchangePass(config)
-        interchanged = interchange_pass.run(strip_mined)
-        return bench, program, strip_mined, interchanged, interchange_pass
+        strip_mined = _strip_mine(program, config)
+        interchanged, applied = _interchange(strip_mined, config)
+        return bench, program, strip_mined, interchanged, applied
 
     def test_split_applied(self):
-        _, _, _, interchanged, interchange_pass = self._tiled_kmeans()
-        assert "split" in interchange_pass.applied
+        _, _, _, interchanged, applied = self._tiled_kmeans()
+        assert "split" in applied
 
     def test_intermediate_vector_created(self):
         _, _, _, interchanged, _ = self._tiled_kmeans()
@@ -169,16 +177,15 @@ class TestKmeansSplitInterchange:
         bench = get_benchmark("kmeans")
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={"n": 4, "k": 2}, split_threshold_words=1)
-        strip_mined = strip_mine(program, config)
-        interchange_pass = InterchangePass(config)
-        interchange_pass.run(strip_mined)
-        assert "split" not in interchange_pass.applied
+        strip_mined = _strip_mine(program, config)
+        _, applied = _interchange(strip_mined, config)
+        assert "split" not in applied
 
 
 class TestSplitHelper:
     def test_returns_none_for_strided_pattern(self):
         bench = get_benchmark("kmeans")
-        strip_mined = strip_mine(bench.build(), _config(n=4, k=2))
+        strip_mined = _strip_mine(bench.build(), _config(n=4, k=2))
         outer = strip_mined.body
         # body is a Let(sumsCounts, MultiFold, ...); dig out the strided MultiFold
         patterns = [p for p in find_patterns(strip_mined.body) if p.domain.is_strided]
@@ -186,14 +193,14 @@ class TestSplitHelper:
         assert split_and_interchange(patterns[0], 10**9) is None
 
 
-class TestInterchangePassOnAllBenchmarks:
+class TestInterchangeOnAllBenchmarks:
     @pytest.mark.parametrize("name", ["outerprod", "sumrows", "gemm", "tpchq6", "gda", "kmeans"])
     def test_semantics_preserved(self, name, rng):
         bench = get_benchmark(name)
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={k: 2 for k in bench.tile_sizes})
-        strip_mined = strip_mine(program, config)
-        interchanged = InterchangePass(config).run(strip_mined)
+        strip_mined = _strip_mine(program, config)
+        interchanged, _ = _interchange(strip_mined, config)
         bindings = bench.bindings(rng=rng)
         np.testing.assert_allclose(
             np.asarray(run_program(interchanged, bindings), dtype=float),

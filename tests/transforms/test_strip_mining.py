@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import get_benchmark
 from repro.config import CompileConfig
+from repro.pipeline import PassContext, TransformationStage
 from repro.ppl import builder as b
 from repro.ppl.interp import run_program
 from repro.ppl.ir import ArrayCopy, FlatMap, Let, Map, MultiFold, Select, Cmp, ArrayLit, EmptyArray
@@ -12,11 +13,17 @@ from repro.ppl.printer import pretty
 from repro.ppl.program import Program
 from repro.ppl.traversal import collect, find_patterns
 from repro.ppl.types import INDEX
-from repro.transforms.strip_mining import StripMiningPass, TileCopyInsertionPass, strip_mine
+from repro.rewrite import StripMine, TileCopies
 
 
 def _config(**tiles):
     return CompileConfig(tiling=True, tile_sizes=tiles)
+
+
+def _strip_mine(program, config):
+    """Strip mining plus tile-copy insertion (Tables 1 and 2)."""
+    ctx = PassContext(config=config)
+    return TileCopies().apply(StripMine().apply(program, ctx), ctx)
 
 
 def _elementwise_map_program():
@@ -45,7 +52,7 @@ class TestTable2ElementwiseMap:
 
     def test_structure(self):
         program = _elementwise_map_program()
-        tiled = strip_mine(program, _config(n=4))
+        tiled = _strip_mine(program, _config(n=4))
         outer = tiled.body
         assert isinstance(outer, MultiFold)
         assert outer.domain.is_strided
@@ -56,7 +63,7 @@ class TestTable2ElementwiseMap:
 
     def test_tile_copy_inserted(self):
         program = _elementwise_map_program()
-        tiled = strip_mine(program, _config(n=4))
+        tiled = _strip_mine(program, _config(n=4))
         copies = collect(tiled.body, lambda node: isinstance(node, ArrayCopy))
         assert len(copies) == 1
         copy = copies[0]
@@ -64,7 +71,7 @@ class TestTable2ElementwiseMap:
 
     def test_semantics_preserved(self, rng):
         program = _elementwise_map_program()
-        tiled = strip_mine(program, _config(n=4))
+        tiled = _strip_mine(program, _config(n=4))
         x = rng.normal(size=12)
         base = run_program(program, {"x": x, "n": 12})
         opt = run_program(tiled, {"x": x, "n": 12})
@@ -72,7 +79,7 @@ class TestTable2ElementwiseMap:
 
     def test_untiled_dimension_left_alone(self):
         program = _elementwise_map_program()
-        tiled = strip_mine(program, _config(m=4))  # no tile size for "n"
+        tiled = _strip_mine(program, _config(m=4))  # no tile size for "n"
         assert isinstance(tiled.body, Map)
 
 
@@ -82,7 +89,7 @@ class TestTable2Sumrows:
     def test_structure(self):
         bench = get_benchmark("sumrows")
         program = bench.build()
-        tiled = strip_mine(program, _config(m=4, n=4))
+        tiled = _strip_mine(program, _config(m=4, n=4))
         outer = tiled.body
         assert isinstance(outer, MultiFold)
         assert outer.domain.is_strided
@@ -93,7 +100,7 @@ class TestTable2Sumrows:
 
     def test_tile_copy_of_input(self):
         bench = get_benchmark("sumrows")
-        tiled = strip_mine(bench.build(), _config(m=4, n=4))
+        tiled = _strip_mine(bench.build(), _config(m=4, n=4))
         copies = collect(tiled.body, lambda node: isinstance(node, ArrayCopy))
         assert len(copies) >= 1
         assert {c.array.name for c in copies} == {"x"}
@@ -101,7 +108,7 @@ class TestTable2Sumrows:
     def test_semantics_preserved(self, rng):
         bench = get_benchmark("sumrows")
         program = bench.build()
-        tiled = strip_mine(program, _config(m=3, n=4))
+        tiled = _strip_mine(program, _config(m=3, n=4))
         bindings = bench.bindings({"m": 6, "n": 8}, rng)
         np.testing.assert_allclose(
             run_program(tiled, bindings), run_program(program, bindings)
@@ -111,7 +118,7 @@ class TestTable2Sumrows:
         """Tile sizes that do not divide the extent still work (min checks)."""
         bench = get_benchmark("sumrows")
         program = bench.build()
-        tiled = strip_mine(program, _config(m=4, n=4))
+        tiled = _strip_mine(program, _config(m=4, n=4))
         bindings = bench.bindings({"m": 6, "n": 10}, rng)
         np.testing.assert_allclose(
             run_program(tiled, bindings), run_program(program, bindings)
@@ -123,7 +130,7 @@ class TestTable2Filter:
 
     def test_structure(self):
         program = _filter_program()
-        tiled = strip_mine(program, _config(n=4))
+        tiled = _strip_mine(program, _config(n=4))
         outer = tiled.body
         assert isinstance(outer, FlatMap)
         assert outer.domain.is_strided
@@ -135,7 +142,7 @@ class TestTable2Filter:
 
     def test_semantics_preserved(self, rng):
         program = _filter_program()
-        tiled = strip_mine(program, _config(n=4))
+        tiled = _strip_mine(program, _config(n=4))
         x = rng.normal(size=16)
         np.testing.assert_allclose(
             run_program(tiled, {"x": x, "n": 16}),
@@ -153,7 +160,7 @@ class TestStripMinedBenchmarks:
         bench = get_benchmark(name)
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={k: 2 for k in bench.tile_sizes})
-        tiled = strip_mine(program, config)
+        tiled = _strip_mine(program, config)
         bindings = bench.bindings(rng=rng)
         base = run_program(program, bindings)
         opt = run_program(tiled, bindings)
@@ -163,13 +170,13 @@ class TestStripMinedBenchmarks:
 
     def test_gemm_three_level_structure(self):
         bench = get_benchmark("gemm")
-        tiled = strip_mine(bench.build(), _config(m=2, n=2, p=2))
+        tiled = _strip_mine(bench.build(), _config(m=2, n=2, p=2))
         strided = [p for p in find_patterns(tiled.body) if p.domain.is_strided]
         assert len(strided) >= 2  # output tile loop + reduction tile loop
 
     def test_kmeans_points_tile_copy(self):
         bench = get_benchmark("kmeans")
-        tiled = strip_mine(bench.build(), _config(n=4))
+        tiled = _strip_mine(bench.build(), _config(n=4))
         copies = collect(tiled.body, lambda node: isinstance(node, ArrayCopy))
         assert any(c.array.name == "points" for c in copies)
         # centroids are not tiled in this configuration (k untiled), so no
@@ -178,14 +185,14 @@ class TestStripMinedBenchmarks:
 
     def test_kmeans_both_tiled_creates_centroid_copy(self):
         bench = get_benchmark("kmeans")
-        tiled = strip_mine(bench.build(), _config(n=4, k=2))
+        tiled = _strip_mine(bench.build(), _config(n=4, k=2))
         copies = collect(tiled.body, lambda node: isinstance(node, ArrayCopy))
         assert any(c.array.name == "centroids" for c in copies)
 
     def test_kmeans_both_tiled_semantics(self, rng):
         bench = get_benchmark("kmeans")
         program = bench.build()
-        tiled = strip_mine(program, _config(n=4, k=2))
+        tiled = _strip_mine(program, _config(n=4, k=2))
         bindings = bench.bindings({"n": 8, "k": 4, "d": 3}, rng)
         np.testing.assert_allclose(
             run_program(tiled, bindings), run_program(program, bindings), rtol=1e-9
@@ -195,14 +202,14 @@ class TestStripMinedBenchmarks:
 class TestPassBehaviour:
     def test_disabled_tiling_is_identity(self):
         program = _elementwise_map_program()
-        config = CompileConfig(tiling=False)
-        assert StripMiningPass(config).run(program).body is program.body
-        assert TileCopyInsertionPass(config).run(program).body is program.body
+        ctx = PassContext(config=CompileConfig(tiling=False, tile_sizes={"n": 4}))
+        assert TransformationStage(StripMine()).run(program, ctx) is program
+        assert TransformationStage(TileCopies()).run(program, ctx) is program
 
     def test_strided_pattern_not_restripped(self):
         program = _elementwise_map_program()
-        once = strip_mine(program, _config(n=4))
-        twice = StripMiningPass(_config(n=4)).run(once)
+        once = _strip_mine(program, _config(n=4))
+        twice = StripMine().apply(once, PassContext(config=_config(n=4)))
         # Already-strided dimensions are skipped; node count should not grow.
         from repro.ppl.traversal import count_nodes
 
@@ -210,7 +217,7 @@ class TestPassBehaviour:
 
     def test_printer_renders_tiled_program(self):
         program = _elementwise_map_program()
-        tiled = strip_mine(program, _config(n=4))
+        tiled = _strip_mine(program, _config(n=4))
         text = pretty(tiled.body)
         assert "copy" in text
         assert "multiFold" in text

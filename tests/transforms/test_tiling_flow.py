@@ -1,4 +1,5 @@
-"""The end-to-end tiling driver (strip mine → cleanup → interchange → cleanup)."""
+"""The Section 4 tiling flow of the default pipeline (strip mine → cleanup →
+interchange → cleanup), run through the pipeline and the session."""
 
 import numpy as np
 import pytest
@@ -6,29 +7,40 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import all_benchmarks, get_benchmark
-from repro.config import BASELINE, TILING, CompileConfig
+from repro.config import BASELINE, CompileConfig
+from repro.pipeline import PassContext, Session, default_pipeline
 from repro.ppl.interp import run_program
 from repro.ppl.ir import ArrayCopy
-from repro.ppl.traversal import collect, find_patterns
-from repro.transforms.tiling import TilingDriver, tile_program
+from repro.ppl.traversal import collect
 
 BENCHMARKS = [bench.name for bench in all_benchmarks()]
+
+#: The default flow's transform prefix: everything before hardware generation.
+TILING_FLOW = default_pipeline().without("generate-hardware", "build-schedule", "estimate-area")
 
 
 def _config_for(bench, scale=2):
     return CompileConfig(tiling=True, tile_sizes={k: scale for k in bench.tile_sizes})
 
 
-class TestDriverStages:
+def _tiled(program, config):
+    """The tiled program the default flow hands to hardware generation."""
+    return TILING_FLOW.run(program, PassContext(config=config)).program
+
+
+def _tiling(bench, config):
+    """The session's stage snapshots of one compile at test sizes."""
+    return Session().compile(bench.build(), config, bench.workload()).tiling
+
+
+class TestFlowStages:
     def test_baseline_config_is_identity(self):
-        bench = get_benchmark("gemm")
-        program = bench.build()
-        result = TilingDriver(BASELINE).run(program)
+        result = _tiling(get_benchmark("gemm"), BASELINE)
         assert result.tiled.body is result.fused.body
 
     def test_stages_recorded(self):
         bench = get_benchmark("gemm")
-        result = TilingDriver(_config_for(bench)).run(bench.build())
+        result = _tiling(bench, _config_for(bench))
         stages = result.stages()
         assert set(stages) == {"original", "fused", "strip_mined", "interchanged", "tiled"}
         assert stages["strip_mined"] is not stages["original"]
@@ -36,20 +48,16 @@ class TestDriverStages:
     def test_tiled_program_contains_copies(self):
         for name in ["sumrows", "gemm", "kmeans", "gda"]:
             bench = get_benchmark(name)
-            tiled = tile_program(bench.build(), _config_for(bench))
+            tiled = _tiled(bench.build(), _config_for(bench))
             assert collect(tiled.body, lambda n: isinstance(n, ArrayCopy)), name
 
     def test_interchange_recorded_for_gemm_and_kmeans(self):
         gemm = get_benchmark("gemm")
-        result = TilingDriver(
-            CompileConfig(tiling=True, tile_sizes={"m": 2, "n": 2, "p": 2})
-        ).run(gemm.build())
+        result = _tiling(gemm, CompileConfig(tiling=True, tile_sizes={"m": 2, "n": 2, "p": 2}))
         assert result.applied_interchanges
 
         kmeans = get_benchmark("kmeans")
-        result = TilingDriver(
-            CompileConfig(tiling=True, tile_sizes={"n": 4, "k": 2})
-        ).run(kmeans.build())
+        result = _tiling(kmeans, CompileConfig(tiling=True, tile_sizes={"n": 4, "k": 2}))
         assert "split" in result.applied_interchanges
 
 
@@ -58,7 +66,7 @@ class TestEndToEndSemantics:
     def test_tiled_program_matches_original(self, name, rng):
         bench = get_benchmark(name)
         program = bench.build()
-        tiled = tile_program(program, _config_for(bench))
+        tiled = _tiled(program, _config_for(bench))
         bindings = bench.bindings(rng=rng)
         np.testing.assert_allclose(
             np.asarray(run_program(tiled, bindings), dtype=float),
@@ -71,7 +79,7 @@ class TestEndToEndSemantics:
         bench = get_benchmark(name)
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes=dict(bench.tile_sizes))
-        tiled = tile_program(program, config)
+        tiled = _tiled(program, config)
         bindings = bench.bindings(rng=rng)
         np.testing.assert_allclose(
             np.asarray(run_program(tiled, bindings), dtype=float),
@@ -95,7 +103,7 @@ class TestPropertyBasedTiling:
         bench = get_benchmark("sumrows")
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={"m": bm, "n": bn})
-        tiled = tile_program(program, config)
+        tiled = _tiled(program, config)
         bindings = bench.bindings({"m": m, "n": n}, np.random.default_rng(seed))
         np.testing.assert_allclose(
             run_program(tiled, bindings), run_program(program, bindings), rtol=1e-9
@@ -113,7 +121,7 @@ class TestPropertyBasedTiling:
         bench = get_benchmark("gemm")
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={"m": tile, "n": tile, "p": tile + 1})
-        tiled = tile_program(program, config)
+        tiled = _tiled(program, config)
         bindings = bench.bindings({"m": m, "n": n, "p": p}, np.random.default_rng(seed))
         np.testing.assert_allclose(
             run_program(tiled, bindings), run_program(program, bindings), rtol=1e-9
@@ -133,7 +141,7 @@ class TestPropertyBasedTiling:
         bench = get_benchmark("kmeans")
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={"n": bn, "k": bk})
-        tiled = tile_program(program, config)
+        tiled = _tiled(program, config)
         bindings = bench.bindings({"n": n, "k": k, "d": d}, np.random.default_rng(seed))
         np.testing.assert_allclose(
             run_program(tiled, bindings), run_program(program, bindings), rtol=1e-9
