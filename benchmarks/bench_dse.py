@@ -44,14 +44,15 @@ measured inside the spawned processes.
 
 ``--batch`` runs the batched-evaluation phase instead: the sweep through
 a loop of scalar ``evaluate_point`` calls and through ``explore`` (whose
-in-process evaluation is the vectorized
-:func:`~repro.dse.batch.evaluate_point_batch` backend), cold (caches
+in-process evaluation is :func:`~repro.dse.batch.evaluate_point_batch`:
+one transform-prefix run per tiling group and one design per
+configuration, priced by the scalar path's own cost model), cold (caches
 disabled) and warm (point results pre-seeded), asserting bit-identical
 numbers and the ≥ 5× cold points/sec target.  It then sweeps every
-registered pipeline variant through the batched backend at smoke sizes,
+registered pipeline variant through the batched path at smoke sizes,
 records each variant's engagement counts (``ExplorationResult.
-batch_engagement``) and fails if any point fell back to scalar
-evaluation.
+batch_engagement``, where ``vector`` counts points the batched path
+evaluated) and fails if any point fell back to scalar evaluation.
 
 ``--smoke`` shrinks the workload for CI (affects ``--faults``,
 ``--serve`` and ``--batch``).
@@ -569,11 +570,11 @@ def run_batch_phase(smoke: bool) -> dict:
 
 
 def run_variant_engagement() -> dict:
-    """Sweep each registered variant through the batched backend (cold,
+    """Sweep each registered variant through the batched path (cold,
     smoke sizes) and fail on any fallback to scalar evaluation.
 
     Bit-identity tests cannot see a silent fallback — a variant that
-    stops engaging the vector path still returns the right numbers, only
+    stops engaging the batched path still returns the right numbers, only
     slower — so this gate reads the engagement counter instead.
     """
     space_dims = {name: SMOKE_SIZES[name] for name in ("m", "n", "p")}

@@ -1,4 +1,4 @@
-"""Batched design-point evaluation: the DSE hot loop over stacked points.
+"""Batched design-point evaluation: the DSE hot loop over shared work.
 
 :func:`evaluate_point_batch` evaluates a whole list of
 :class:`~repro.dse.space.DesignPoint` objects with the work factored the
@@ -22,31 +22,34 @@ way the points actually share it:
    env, preload plan, op counts, traffic records).  Each point then
    applies its own variant's schedule steps, each through its own
    transformation's ``apply`` (which never mutates its input).
-4. **Stacked closed forms** — schedules with equal
-   :func:`~repro.schedule.batched.schedule_signature` are priced in one
-   numpy pass (:func:`~repro.schedule.batched.batched_cycles` /
-   :func:`~repro.schedule.batched.batched_area`) instead of N tree walks.
+4. **One pricing call per group** — the group's schedules are priced by
+   one :func:`~repro.schedule.batched.batched_cycles` and one
+   :func:`~repro.schedule.batched.batched_area` call, which run the scalar
+   path's cost model (the analytical walk and the template area sum), and
+   each result is assembled by :meth:`PointResult.from_evaluation`, as
+   ``evaluate_point`` assembles its own.
 
-Results are **bit-identical** to calling ``evaluate_point`` per point —
-enforced by ``tests/dse/test_batched.py`` on all six benchmarks and by a
-generated-ordering differential test — and the ledger seeds the cache per
-point under the scalar path's key, so memoisation, journal replay and
-farm admission dedup cannot tell which path produced a result.
+Results are therefore **bit-identical** to calling ``evaluate_point`` per
+point; ``tests/dse/test_batched.py`` (all six benchmarks) and a
+generated-ordering differential test check the shared prefix, designs and
+schedule steps.  The ledger seeds the cache per point under the scalar
+path's key, so memoisation, journal replay and farm admission dedup cannot
+tell which path produced a result.
 
 This is the engine's only in-process evaluator:
 :func:`~repro.dse.engine.explore` and
 :class:`~repro.dse.engine.MultiBenchmarkExplorer` hand each benchmark's
 share of a search batch to one call.
 
-The vector path takes every pipeline whose terminal tail is the stock
+The batched path takes every pipeline whose terminal tail is the stock
 generate-hardware → build-schedule → schedule-level
 :class:`~repro.pipeline.passes.TransformationStage`\\ s → estimate-area
 sequence (stock classes: a subclass may do anything).  Other points fall
 back to scalar ``evaluate_point`` individually, and every point's outcome
-is counted in the caller's ``engagement`` Counter: ``"vector"``,
-``"cached"``, or the fallback reason — ``"event-model"`` (the event
-backend's timeline is stateful, not a closed form) or
-``"non-stock-tail"``.
+is counted in the caller's ``engagement`` Counter: ``"vector"`` (the
+batched path, under the key the benchmarks and tests read), ``"cached"``,
+or the fallback reason — ``"event-model"`` (the event backend's timeline is
+stateful, not a closed form) or ``"non-stock-tail"``.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from repro.pipeline.passes import (
 )
 from repro.pipeline.pipeline import Pipeline
 from repro.ppl.program import Program
-from repro.schedule.batched import batched_area, batched_cycles, schedule_signature
+from repro.schedule.batched import batched_area, batched_cycles
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
 from repro.utils.naming import fresh_naming_scope
@@ -79,7 +82,7 @@ _TERMINALS = (GenerateHardwareStage, BuildScheduleStage, EstimateAreaStage)
 
 
 class _Tail(NamedTuple):
-    """A stock pipeline split for the vector path."""
+    """A stock pipeline split for the batched path."""
 
     prefix: list
     prefix_signature: tuple
@@ -93,7 +96,7 @@ def _is_schedule_step(stage) -> bool:
 def _split_terminal_tail(pipe: Pipeline) -> Optional[_Tail]:
     """The prefix and schedule steps of a stock pipeline, else None.
 
-    The vector path replaces the terminal tail wholesale, so it only
+    The batched path replaces the terminal tail wholesale, so it only
     engages when the tail is exactly the stock sequence — generate-hardware,
     build-schedule, zero or more schedule-level transformation stages,
     estimate-area — with the stock classes (a subclass may do anything, so
@@ -223,7 +226,7 @@ def evaluate_point_batch(
         ctx = context(representative.config(), None)
         # One (design, lowered schedule, step context) per configuration.
         designs: Dict[tuple, tuple] = {}
-        schedules = []
+        built, schedules = [], []
         scope = fresh_naming_scope() if session.fresh_names else nullcontext()
         with scope:
             prefix = tail_for(representative.pipeline).prefix  # type: ignore[union-attr]
@@ -245,44 +248,20 @@ def evaluate_point_batch(
                 design, schedule, step_ctx = designs[design_key]
                 for stage in tail_for(point.pipeline).schedule_steps:  # type: ignore[union-attr]
                     schedule = stage.transformation.apply(schedule, step_ctx)
-                schedules.append((schedule, design))
+                built.append(design)
+                schedules.append(schedule)
         outcomes["vector"] += len(indices)
 
-        by_shape: Dict[tuple, List[int]] = {}
-        for position, (schedule, _) in enumerate(schedules):
-            by_shape.setdefault(schedule_signature(schedule), []).append(position)
-        for positions in by_shape.values():
-            stacked = [schedules[position][0] for position in positions]
-            cycles = batched_cycles(stacked, model)
-            logic, ffs, bram, dsps = batched_area(stacked)
-            for lane, position in enumerate(positions):
-                index = indices[position]
-                design = schedules[position][1]
-                device = stacked[lane].board.device
-                point_cycles = float(cycles[lane])
-                result = PointResult(
-                    point=points[index],
-                    cycles=point_cycles,
-                    seconds=point_cycles / device.clock_hz,
-                    logic=float(logic[lane]),
-                    ffs=float(ffs[lane]),
-                    bram_bits=float(bram[lane]),
-                    dsps=float(dsps[lane]),
-                    utilization={
-                        "logic": float(logic[lane]) / device.logic_cells,
-                        "ffs": float(ffs[lane]) / device.registers,
-                        "bram": float(bram[lane]) / device.bram_bits,
-                        "dsps": float(dsps[lane]) / device.dsps,
-                    },
-                    read_bytes=design.main_memory_read_bytes,
-                    write_bytes=design.main_memory_write_bytes,
-                )
-                if keys[index] is not None:
-                    ledger.seed(keys[index], result)
-                    # Same copy-on-return protection as evaluate_point: the
-                    # cached entry must never alias a caller-mutable dict.
-                    result = _detached(result)
-                results[index] = result
+        simulations = batched_cycles(schedules, model)
+        areas = batched_area(schedules)
+        for index, design, simulation, area in zip(indices, built, simulations, areas):
+            result = PointResult.from_evaluation(points[index], simulation, area, design)
+            if keys[index] is not None:
+                ledger.seed(keys[index], result)
+                # Same copy-on-return protection as evaluate_point: the
+                # cached entry must never alias a caller-mutable dict.
+                result = _detached(result)
+            results[index] = result
 
     return results  # type: ignore[return-value]
 

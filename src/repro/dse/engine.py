@@ -513,24 +513,9 @@ def evaluate_point(
             pipeline=point.pipeline,
             cycle_model=cycle_model,
         )
-        area = evaluated.compilation.area
-        design = evaluated.compilation.design
-        return PointResult(
-            point=point,
-            cycles=evaluated.simulation.cycles,
-            seconds=evaluated.simulation.seconds,
-            logic=area.total.logic,
-            ffs=area.total.ffs,
-            bram_bits=area.total.bram_bits,
-            dsps=area.total.dsps,
-            utilization={
-                "logic": area.logic_utilization,
-                "ffs": area.ff_utilization,
-                "bram": area.bram_utilization,
-                "dsps": area.dsp_utilization,
-            },
-            read_bytes=design.main_memory_read_bytes,
-            write_bytes=design.main_memory_write_bytes,
+        compilation = evaluated.compilation
+        return PointResult.from_evaluation(
+            point, evaluated.simulation, compilation.area, compilation.design
         )
 
     if not ANALYSIS_CACHE.enabled:

@@ -14,9 +14,14 @@ module path) keep working.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.dse.space import DesignPoint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.area import AreaReport
+    from repro.hw.design import HardwareDesign
+    from repro.sim.metrics import SimulationResult
 
 __all__ = ["PointResult"]
 
@@ -43,6 +48,33 @@ class PointResult:
     failed: bool = field(default=False, compare=False)
     failure: str = field(default="", compare=False)
     attempts: int = field(default=1, compare=False)
+
+    @classmethod
+    def from_evaluation(
+        cls,
+        point: DesignPoint,
+        simulation: "SimulationResult",
+        area: "AreaReport",
+        design: "HardwareDesign",
+    ) -> "PointResult":
+        """The outcome of a priced point: its cycles, area and DRAM traffic."""
+        return cls(
+            point=point,
+            cycles=simulation.cycles,
+            seconds=simulation.seconds,
+            logic=area.total.logic,
+            ffs=area.total.ffs,
+            bram_bits=area.total.bram_bits,
+            dsps=area.total.dsps,
+            utilization={
+                "logic": area.logic_utilization,
+                "ffs": area.ff_utilization,
+                "bram": area.bram_utilization,
+                "dsps": area.dsp_utilization,
+            },
+            read_bytes=design.main_memory_read_bytes,
+            write_bytes=design.main_memory_write_bytes,
+        )
 
     @property
     def label(self) -> str:

@@ -14,8 +14,8 @@ unit that applies a transform: a named class declaring
   clone-then-mutate with :func:`repro.schedule.rewrite.verify_rewrite` as
   the post-apply invariant checker for the Schedule IR);
 * :meth:`~Transformation.cost_delta` — the estimated cycle / area /
-  traffic / IR-size change, priced with the existing analytical closed
-  forms (:func:`repro.schedule.rewrite.node_cycles`,
+  traffic / IR-size change, priced with the closed-form models
+  (:func:`repro.schedule.analytical.node_cycles`,
   :func:`repro.analysis.traffic.schedule_traffic`,
   :func:`repro.analysis.area.estimate_area_of_schedule`).
 
@@ -280,7 +280,7 @@ class ScheduleTransformation(Transformation):
     def cost_delta(self, schedule: "Schedule", ctx: "PassContext") -> CostDelta:
         from repro.analysis.area import estimate_area_of_schedule
         from repro.analysis.traffic import schedule_traffic
-        from repro.schedule.rewrite import node_cycles
+        from repro.schedule.analytical import node_cycles
 
         model = self._model(ctx)
         sites = self.matches(schedule, ctx)

@@ -13,7 +13,8 @@ hardware inventory is never touched, only *when* things run:
 * :class:`RebalanceStages` — metapipeline stages are split and merged so
   per-stage cycle estimates sit within a balance factor of the slowest
   stage.  The cost oracle is selectable: ``cost_source="analytical"``
-  prices stages with the closed forms (:func:`node_cycles`),
+  prices stages with the analytical walk
+  (:func:`repro.schedule.analytical.node_cycles`),
   ``cost_source="event"`` measures them from an event-backend profile, so
   contention- and stall-bound stages are seen at their *observed*
   durations rather than their idealised ones.
@@ -36,6 +37,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.rewrite.framework import ScheduleTransformation, ShapePattern
+from repro.schedule.analytical import node_cycles
 from repro.schedule.event import EventScheduleBackend, StageProfile
 from repro.schedule.ir import (
     MetapipelineSchedule,
@@ -46,12 +48,7 @@ from repro.schedule.ir import (
     StageGroup,
     TransferNode,
 )
-from repro.schedule.rewrite import (
-    COST_SOURCES,
-    DEFAULT_BALANCE_FACTOR,
-    ProfileMemo,
-    node_cycles,
-)
+from repro.schedule.rewrite import COST_SOURCES, DEFAULT_BALANCE_FACTOR, ProfileMemo
 from repro.sim.model import PerformanceModel
 
 __all__ = [
@@ -148,8 +145,8 @@ class RebalanceStages(ScheduleTransformation):
     """Split bottleneck group stages and merge under-full neighbours.
 
     Guided by per-stage cycle costs from the selected oracle
-    (``cost_source``): the analytical closed forms (:func:`node_cycles`,
-    the default) or measured event-backend stage profiles — mean
+    (``cost_source``): the analytical walk
+    (:func:`~repro.schedule.analytical.node_cycles`, the default) or measured event-backend stage profiles — mean
     begin-to-done durations including DRAM contention waits and
     backpressure effects, so a stage the closed forms call cheap but the
     timeline shows contention-bound is balanced at its observed weight:

@@ -13,8 +13,10 @@ graph:
 * :mod:`repro.schedule.lower` — :func:`build_schedule`, the lowering from a
   :class:`~repro.hw.design.HardwareDesign` (run as the ``build-schedule``
   pipeline stage);
-* :mod:`repro.schedule.analytical` — the closed-form cycle evaluator (the
-  seed's performance model, bit-for-bit) expressed over the Schedule;
+* :mod:`repro.schedule.analytical` — the closed-form cycle model (the
+  seed's performance model, bit-for-bit) expressed over the Schedule: one
+  walk, :func:`~repro.schedule.analytical.node_cycles`, that the backend,
+  the schedule rewrites and batched DSE pricing all run;
 * :mod:`repro.schedule.event` — an event-driven cycle-level simulator over
   the same Schedule, modelling stage overlap, double-buffer backpressure
   stalls and DRAM-channel contention;

@@ -1,10 +1,12 @@
-"""The closed-form analytical cycle backend over the Schedule IR.
+"""The closed-form analytical cycle model over the Schedule IR.
 
-This is the seed's flat :class:`repro.sim.engine.Simulator` re-expressed
-as a Schedule consumer.  The arithmetic — formula, traversal order and
-float evaluation order — is kept *identical* so the analytical backend
-reproduces the pre-refactor cycle counts bit-for-bit (guarded by the
-integration equivalence tests against the recorded golden Figure 7 runs):
+:func:`node_cycles` is the one walk that composes the closed forms; the
+analytical backend times whole schedules with it, the schedule rewrites
+price candidate stage arrangements with it, and the batched DSE path
+reaches it through the backend.  The arithmetic — formula, traversal order
+and float evaluation order — is the seed's performance model, bit-for-bit
+(guarded by the integration equivalence tests against the recorded golden
+Figure 7 runs):
 
 * sequential groups: ``iterations × Σ stage``;
 * parallel groups: ``iterations × max stage``;
@@ -16,10 +18,14 @@ integration equivalence tests against the recorded golden Figure 7 runs):
 * baseline streams: traffic at the derated baseline efficiency plus a
   per-command-stream share of the DRAM latency;
 * compute leaves: ``elements / lanes + pipeline depth``.
+
+The leaf formulas live in :mod:`repro.schedule.costs`, shared with the
+event backend.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import SimulationError
@@ -36,8 +42,66 @@ from repro.schedule.ir import (
 )
 from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
+from repro.target.device import Board
 
-__all__ = ["AnalyticalScheduleBackend"]
+__all__ = ["AnalyticalScheduleBackend", "CycleTally", "node_cycles"]
+
+
+@dataclass
+class CycleTally:
+    """What a walk records besides the total: every node's cycles (keyed by
+    name) and the summed compute- and memory-leaf invocation cycles."""
+
+    per_node: Dict[str, float] = field(default_factory=dict)
+    compute: float = 0.0
+    memory: float = 0.0
+
+
+def node_cycles(
+    node: ScheduleNode,
+    board: Board,
+    model: PerformanceModel,
+    tally: Optional[CycleTally] = None,
+) -> float:
+    """Closed-form cycles of one node and its subtree.
+
+    With a ``tally`` the walk also records what the backend reports; the
+    rewrites call it without one to price a stage arrangement.
+    """
+    if isinstance(node, MetapipelineSchedule):
+        stage_cycles = [node_cycles(stage, board, model, tally) for stage in node.stages]
+        if stage_cycles:
+            sync = model.metapipeline_sync * len(stage_cycles)
+            cycles = sum(stage_cycles) + max(0, node.iterations - 1) * (
+                max(stage_cycles) + sync
+            )
+        else:
+            cycles = 0.0
+    elif isinstance(node, ParallelSchedule):
+        stage_cycles = [node_cycles(stage, board, model, tally) for stage in node.stages]
+        cycles = node.iterations * (max(stage_cycles) if stage_cycles else 0.0)
+    elif isinstance(node, SequentialSchedule):
+        stage_cycles = [node_cycles(stage, board, model, tally) for stage in node.stages]
+        cycles = node.iterations * sum(stage_cycles)
+    elif isinstance(node, TransferNode):
+        cycles = transfer_cycles(board, model, node.bytes_per_invocation)
+        if tally is not None:
+            tally.memory += cycles
+    elif isinstance(node, StreamNode):
+        cycles = stream_cycles(board, model, node)
+        if tally is not None:
+            tally.memory += cycles
+    elif isinstance(node, ComputeNode):
+        cycles = pipeline_cycles(node)
+        if tally is not None:
+            tally.compute += cycles
+    elif type(node) is ScheduleNode:
+        cycles = 0.0  # untimed memory leaf
+    else:
+        raise SimulationError(f"no timing rule for schedule node {node.kind}")
+    if tally is not None:
+        tally.per_node[node.name] = cycles
+    return cycles
 
 
 class AnalyticalScheduleBackend:
@@ -48,13 +112,9 @@ class AnalyticalScheduleBackend:
     def __init__(self, model: Optional[PerformanceModel] = None) -> None:
         self.model = model or PerformanceModel()
 
-    # -- public API ----------------------------------------------------------
     def run(self, schedule: Schedule) -> SimulationResult:
-        self._per_node: Dict[str, float] = {}
-        self._compute_cycles = 0.0
-        self._memory_cycles = 0.0
-        self._board = schedule.board
-        total = self._cycles(schedule.root)
+        tally = CycleTally()
+        total = node_cycles(schedule.root, schedule.board, self.model, tally)
         return SimulationResult(
             design_name=schedule.name,
             program_name=schedule.program_name,
@@ -63,59 +123,8 @@ class AnalyticalScheduleBackend:
             clock_hz=schedule.board.device.clock_hz,
             main_memory_read_bytes=schedule.main_memory_read_bytes,
             main_memory_write_bytes=schedule.main_memory_write_bytes,
-            per_module_cycles=dict(self._per_node),
-            compute_cycles=self._compute_cycles,
-            memory_cycles=self._memory_cycles,
+            per_module_cycles=tally.per_node,
+            compute_cycles=tally.compute,
+            memory_cycles=tally.memory,
             cycle_model=self.name,
         )
-
-    # -- per-node timing -----------------------------------------------------
-    def _cycles(self, node: ScheduleNode) -> float:
-        cycles = self._dispatch(node)
-        self._per_node[node.name] = cycles
-        return cycles
-
-    def _dispatch(self, node: ScheduleNode) -> float:
-        if isinstance(node, MetapipelineSchedule):
-            return self._metapipeline(node)
-        if isinstance(node, ParallelSchedule):
-            stage_cycles = [self._cycles(stage) for stage in node.stages]
-            return node.iterations * (max(stage_cycles) if stage_cycles else 0.0)
-        if isinstance(node, SequentialSchedule):
-            stage_cycles = [self._cycles(stage) for stage in node.stages]
-            return node.iterations * sum(stage_cycles)
-        if isinstance(node, TransferNode):
-            cycles = self._transfer_cycles(node.bytes_per_invocation)
-            self._memory_cycles += cycles
-            return cycles
-        if isinstance(node, StreamNode):
-            cycles = self._stream_cycles(node)
-            self._memory_cycles += cycles
-            return cycles
-        if isinstance(node, ComputeNode):
-            cycles = self._pipeline_cycles(node)
-            self._compute_cycles += cycles
-            return cycles
-        if type(node) is ScheduleNode:
-            return 0.0  # untimed memory leaf
-        raise SimulationError(f"no timing rule for schedule node {node.kind}")  # pragma: no cover
-
-    def _metapipeline(self, group: MetapipelineSchedule) -> float:
-        stage_cycles = [self._cycles(stage) for stage in group.stages]
-        if not stage_cycles:
-            return 0.0
-        slowest = max(stage_cycles)
-        fill = sum(stage_cycles)
-        steady_iterations = max(0, group.iterations - 1)
-        sync = self.model.metapipeline_sync * len(stage_cycles)
-        return fill + steady_iterations * (slowest + sync)
-
-    # -- leaf durations (shared closed forms, repro.schedule.costs) ----------
-    def _transfer_cycles(self, num_bytes: float) -> float:
-        return transfer_cycles(self._board, self.model, num_bytes)
-
-    def _stream_cycles(self, stream: StreamNode) -> float:
-        return stream_cycles(self._board, self.model, stream)
-
-    def _pipeline_cycles(self, unit: ComputeNode) -> float:
-        return pipeline_cycles(unit)

@@ -1,346 +1,38 @@
-"""Vectorized batched evaluation of analytical cycle and area closed forms.
+"""Pricing entry points of the batched DSE path.
 
-The DSE hot loop evaluates hundreds of design points per benchmark, and the
-analytical backend walks each point's schedule tree in Python — N
-independent walks whose arithmetic is embarrassingly stackable.  This
-module evaluates a whole **batch of schedules in one numpy pass**: leaf
-parameters (transfer bytes, stream traffic, compute elements/lanes, module
-lanes/banks/capacities) are gathered into ``(n_points,)`` parameter
-vectors, and the closed forms of :mod:`repro.schedule.costs` and
-:mod:`repro.analysis.area` are applied elementwise, composing group totals
-stage-by-stage with vector adds and ``np.maximum``.
-
-Bit-for-bit equivalence with the scalar walk is a hard requirement (the
-batched DSE path must be indistinguishable from per-point evaluation, and
-the equality tests in ``tests/dse/test_batched.py`` enforce it on all six
-benchmarks).  It holds because the vectorized composition preserves each
-point's *float evaluation order* exactly:
-
-* sequential groups accumulate stages left-to-right (``acc = acc + stage``,
-  matching ``sum()`` which folds from ``0.0``);
-* parallel groups fold ``np.maximum`` left-to-right (matching ``max()``);
-* metapipelines compute ``fill + steady × (slowest + sync)`` with the same
-  operand order as :class:`~repro.schedule.analytical.AnalyticalScheduleBackend`;
-* area totals accumulate per module in ``schedule.modules()`` order,
-  matching ``AreaEstimate.__add__``'s left-to-right fold.
-
-Only schedules with an identical *tree shape* stack (same node kinds and
-arities position-for-position — callers group by
-:func:`schedule_signature` first); within a shape group every parameter
-may differ per point.
-
-The entry points return plain numpy arrays — the DSE engine
-(:mod:`repro.dse.batch`) assembles them into
-:class:`~repro.dse.results.PointResult` objects.
+:func:`repro.dse.batch.evaluate_point_batch` prices each prefix group's
+schedules with one :func:`batched_cycles` call and one
+:func:`batched_area` call.  Both are loops over the one scalar cost model —
+the analytical backend's walk and the template area sum — so a batched
+result equals the scalar path's by construction.  Profiling chose the
+loops: a DSE batch holds only 4–8 schedules of any one tree shape, too
+few for a stacked array pass to beat the scalar walk.  The two names stay
+a layer of their own because the repository benchmark's tracer
+(``perfbench/tracer.py``) patches them to time batched pricing and count
+its schedules.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.errors import SimulationError
-from repro.hw.controllers import (
-    MetapipelineController,
-    ParallelController,
-    SequentialController,
-)
-from repro.hw.templates import (
-    CAM,
-    Buffer,
-    Cache,
-    MainMemoryStream,
-    ParallelFIFO,
-    ReductionTree,
-    ScalarPipe,
-    TileLoad,
-    TileStore,
-    VectorUnit,
-)
-from repro.analysis.area import _LANE_DSPS, _LANE_FFS, _LANE_LOGIC
-from repro.schedule.ir import (
-    ComputeNode,
-    MetapipelineSchedule,
-    ParallelSchedule,
-    Schedule,
-    ScheduleNode,
-    SequentialSchedule,
-    StreamNode,
-    TransferNode,
-)
+from repro.analysis.area import AreaReport, estimate_area_of_schedule
+from repro.schedule.analytical import AnalyticalScheduleBackend
+from repro.schedule.ir import Schedule
+from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
 
-__all__ = [
-    "batched_area",
-    "batched_cycles",
-    "schedule_signature",
-]
-
-
-def schedule_signature(schedule: Schedule) -> Tuple:
-    """Stacking key: schedules stack iff their signatures are equal.
-
-    Covers the stage-tree shape (node kinds and arities, plus the compute
-    unit kind, which selects a different closed form) and the module
-    inventory's kind sequence (the area pass walks ``modules()`` by
-    position).  Two points of one design space routinely differ only in
-    parameters — tile sizes, lanes, buffer depths — so e.g. the eight
-    (par × metapipelining) points sharing one tiled program split into at
-    most two shape groups (metapipelining toggles the controller tree).
-    """
-
-    def tree(node: ScheduleNode) -> Tuple:
-        return (
-            node.kind,
-            getattr(node, "unit", None),
-            tuple(tree(child) for child in node.children()),
-        )
-
-    modules = tuple(type(module).__name__ for module in schedule.modules())
-    return (tree(schedule.root), modules)
-
-
-# ---------------------------------------------------------------------------
-# Cycles
-# ---------------------------------------------------------------------------
+__all__ = ["batched_area", "batched_cycles"]
 
 
 def batched_cycles(
     schedules: Sequence[Schedule], model: Optional[PerformanceModel] = None
-) -> np.ndarray:
-    """Analytical cycle counts of same-shape schedules, one vector pass.
-
-    Equivalent to ``[AnalyticalScheduleBackend(model).run(s).cycles for s
-    in schedules]`` bit-for-bit, computed as one structure-directed
-    recursion over the shared tree shape with ``(n_points,)`` parameter
-    vectors at the leaves.  The caller must pre-group by
-    :func:`schedule_signature`; boards may differ per schedule (bandwidth
-    and latency stack like any other leaf parameter), the model's knobs are
-    shared scalars.
-
-    Note the model's ``dram_channels`` knob is irrelevant here — the
-    analytical closed forms never read it (only the event backend models
-    channel contention) — so points differing only in their DRAM-channel
-    gene may share one call.
-    """
-    model = model or PerformanceModel()
-    n = len(schedules)
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-
-    boards = [schedule.board for schedule in schedules]
-
-    def leaf_floats(nodes: Sequence[ScheduleNode], attr: str) -> np.ndarray:
-        return np.array([float(getattr(node, attr)) for node in nodes], dtype=np.float64)
-
-    def bandwidth(efficiency: float, knob: str) -> np.ndarray:
-        bpc = np.array(
-            [board.bytes_per_cycle * efficiency for board in boards], dtype=np.float64
-        )
-        bad = np.flatnonzero(bpc <= 0)
-        if bad.size:
-            board = boards[int(bad[0])]
-            raise SimulationError(
-                f"model yields {board.bytes_per_cycle * efficiency} DRAM bytes/cycle "
-                f"(board {board.bytes_per_cycle} bytes/cycle × {knob}={efficiency}); "
-                "transfers cannot be priced at zero bandwidth"
-            )
-        return bpc
-
-    latency = np.array(
-        [float(board.memory.latency_cycles) for board in boards], dtype=np.float64
-    )
-
-    def compose(nodes: Sequence[ScheduleNode]) -> np.ndarray:
-        rep = nodes[0]
-        if isinstance(rep, (MetapipelineSchedule, ParallelSchedule, SequentialSchedule)):
-            stage_cycles = [
-                compose([node.stages[i] for node in nodes])
-                for i in range(len(rep.stages))
-            ]
-            iterations = leaf_floats(nodes, "iterations")
-            if isinstance(rep, MetapipelineSchedule):
-                if not stage_cycles:
-                    return np.zeros(n, dtype=np.float64)
-                slowest = stage_cycles[0]
-                for stage in stage_cycles[1:]:
-                    slowest = np.maximum(slowest, stage)
-                fill = np.zeros(n, dtype=np.float64)
-                for stage in stage_cycles:
-                    fill = fill + stage
-                steady = np.maximum(0.0, iterations - 1.0)
-                sync = model.metapipeline_sync * len(stage_cycles)
-                return fill + steady * (slowest + sync)
-            if isinstance(rep, ParallelSchedule):
-                if not stage_cycles:
-                    return iterations * 0.0
-                slowest = stage_cycles[0]
-                for stage in stage_cycles[1:]:
-                    slowest = np.maximum(slowest, stage)
-                return iterations * slowest
-            total = np.zeros(n, dtype=np.float64)
-            for stage in stage_cycles:
-                total = total + stage
-            return iterations * total
-        if isinstance(rep, TransferNode):
-            num_bytes = leaf_floats(nodes, "bytes_per_invocation")
-            # The scalar path returns 0.0 for empty transfers *before* its
-            # zero-bandwidth guard, so only price (and only guard) lanes
-            # that actually move bytes.
-            positive = num_bytes > 0
-            efficiency = model.tiled_stream_efficiency
-            bpc = np.array(
-                [board.bytes_per_cycle * efficiency for board in boards],
-                dtype=np.float64,
-            )
-            bad = np.flatnonzero(positive & (bpc <= 0))
-            if bad.size:
-                board = boards[int(bad[0])]
-                raise SimulationError(
-                    f"model yields {board.bytes_per_cycle * efficiency} DRAM "
-                    f"bytes/cycle (board {board.bytes_per_cycle} bytes/cycle × "
-                    f"tiled_stream_efficiency={efficiency}); "
-                    "transfers cannot be priced at zero bandwidth"
-                )
-            safe_bpc = np.where(bpc <= 0, 1.0, bpc)
-            return np.where(positive, latency + num_bytes / safe_bpc, 0.0)
-        if isinstance(rep, StreamNode):
-            total_bytes = leaf_floats(nodes, "total_bytes")
-            requests = leaf_floats(nodes, "requests")
-            bpc = bandwidth(
-                model.baseline_stream_efficiency, "baseline_stream_efficiency"
-            )
-            transfer = total_bytes / bpc
-            overhead = requests * latency / max(1, model.baseline_outstanding)
-            return transfer + overhead
-        if isinstance(rep, ComputeNode):
-            lanes = leaf_floats(nodes, "lanes")
-            elements = leaf_floats(nodes, "elements")
-            ops = leaf_floats(nodes, "ops_per_element")
-            depth = leaf_floats(nodes, "pipeline_depth")
-            scalar_unit = np.array(
-                [node.unit == "scalar" for node in nodes], dtype=bool
-            )
-            effective = np.where(
-                scalar_unit, ops * np.maximum(1.0, elements), elements * ops
-            )
-            effective_lanes = np.where(
-                scalar_unit, 1.0, np.where(lanes == 0.0, 1.0, lanes)
-            )
-            return effective / effective_lanes + depth
-        if type(rep) is ScheduleNode:
-            return np.zeros(n, dtype=np.float64)  # untimed memory leaf
-        raise SimulationError(
-            f"no timing rule for schedule node {rep.kind}"
-        )  # pragma: no cover
-
-    return compose([schedule.root for schedule in schedules])
+) -> List[SimulationResult]:
+    """The analytical backend's result for each schedule, in order."""
+    backend = AnalyticalScheduleBackend(model)
+    return [backend.run(schedule) for schedule in schedules]
 
 
-# ---------------------------------------------------------------------------
-# Area
-# ---------------------------------------------------------------------------
-
-#: TileLoad/TileStore command-generator BRAM (8 bursts × 384 B queues).
-_TILE_UNIT_BRAM = 8.0 * 384.0 * 8.0
-#: MainMemoryStream address+data stream buffers (12 bursts × 384 B).
-_STREAM_BRAM = 12.0 * 384.0 * 8.0
-
-
-def _column_area(modules: Sequence[object]) -> Tuple[np.ndarray, ...]:
-    """(logic, ffs, bram_bits, dsps) vectors for one aligned module column.
-
-    The caller guarantees every module in the column has the same type
-    (schedules are grouped on the module-kind sequence), so one isinstance
-    dispatch on the representative picks the closed form for the column —
-    the same dispatch order as ``repro.analysis.area._area_of_module``.
-    """
-    n = len(modules)
-    rep = modules[0]
-
-    def gather(attr: str) -> np.ndarray:
-        return np.array(
-            [float(getattr(module, attr)) for module in modules], dtype=np.float64
-        )
-
-    def const(value: float) -> np.ndarray:
-        return np.full(n, value, dtype=np.float64)
-
-    zeros = np.zeros(n, dtype=np.float64)
-    if isinstance(rep, VectorUnit):
-        lanes = gather("lanes")
-        return _LANE_LOGIC * lanes, _LANE_FFS * lanes, zeros, _LANE_DSPS * lanes
-    if isinstance(rep, ReductionTree):
-        tree_factor = 1.0 + 0.5  # lanes of operators plus the log-depth tree
-        lanes = gather("lanes")
-        return (
-            _LANE_LOGIC * lanes * tree_factor,
-            _LANE_FFS * lanes * tree_factor,
-            zeros,
-            _LANE_DSPS * lanes,
-        )
-    if isinstance(rep, ScalarPipe):
-        return const(350.0), const(500.0), zeros, const(1.0)
-    if isinstance(rep, Buffer):
-        banks = gather("banks")
-        return (
-            150.0 + 40.0 * banks,
-            220.0 + 20.0 * banks,
-            gather("capacity_bits"),
-            zeros,
-        )
-    if isinstance(rep, Cache):
-        return const(2200.0), const(2600.0), gather("capacity_bits") * 1.25, zeros
-    if isinstance(rep, CAM):
-        return 25.0 * gather("entries"), gather("capacity_bits"), zeros, zeros
-    if isinstance(rep, ParallelFIFO):
-        return (
-            400.0 + 30.0 * gather("lanes"),
-            const(600.0),
-            gather("capacity_bits"),
-            zeros,
-        )
-    if isinstance(rep, (TileLoad, TileStore)):
-        return const(2600.0), const(4200.0), const(_TILE_UNIT_BRAM), zeros
-    if isinstance(rep, MainMemoryStream):
-        return const(3900.0), const(6300.0), const(_STREAM_BRAM), zeros
-    if isinstance(rep, MetapipelineController):
-        stages = gather("num_stages")
-        return 450.0 + 120.0 * stages, 700.0 + 150.0 * stages, zeros, zeros
-    if isinstance(rep, ParallelController):
-        stages = gather("num_stages")
-        return 280.0 + 60.0 * stages, const(400.0), zeros, zeros
-    if isinstance(rep, SequentialController):
-        stages = gather("num_stages")
-        return 220.0 + 40.0 * stages, const(320.0), zeros, zeros
-    return zeros, zeros, zeros, zeros
-
-
-def batched_area(
-    schedules: Sequence[Schedule],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked area totals (logic, ffs, bram_bits, dsps) of same-shape schedules.
-
-    Equivalent to ``estimate_area_of_schedule(s).total`` per schedule
-    bit-for-bit: module contributions accumulate left-to-right in
-    ``schedule.modules()`` order, the exact float fold of
-    ``AreaEstimate.__add__`` over the same sequence.  The caller must
-    pre-group by :func:`schedule_signature` so the module columns align.
-    """
-    n = len(schedules)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return empty, empty.copy(), empty.copy(), empty.copy()
-    inventories: List[List[object]] = [schedule.modules() for schedule in schedules]
-    logic = np.zeros(n, dtype=np.float64)
-    ffs = np.zeros(n, dtype=np.float64)
-    bram = np.zeros(n, dtype=np.float64)
-    dsps = np.zeros(n, dtype=np.float64)
-    for column in zip(*inventories):
-        col_logic, col_ffs, col_bram, col_dsps = _column_area(column)
-        logic = logic + col_logic
-        ffs = ffs + col_ffs
-        bram = bram + col_bram
-        dsps = dsps + col_dsps
-    return logic, ffs, bram, dsps
+def batched_area(schedules: Sequence[Schedule]) -> List[AreaReport]:
+    """The area report of each schedule, in order."""
+    return [estimate_area_of_schedule(schedule) for schedule in schedules]

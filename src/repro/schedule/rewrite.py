@@ -6,7 +6,8 @@ schedule and applies a sequence of rules — the schedule transformations of
 :mod:`repro.rewrite.schedule` (degenerate-group flattening, transfer
 coalescing, stage rebalancing) — to the stage tree; the hardware inventory
 is never touched, only *when* things run.  Stage rebalancing is priced by
-the closed forms (:func:`node_cycles`) or by event-backend stage profiles;
+the analytical model's walk (:func:`repro.schedule.analytical.node_cycles`)
+or by event-backend stage profiles;
 :func:`tune_balance_factor` picks its balance factor per schedule by
 scoring rewritten candidates with the event backend
 (``balance_factor="auto"`` in :func:`rewrite_schedule`), and a
@@ -40,18 +41,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ScheduleRewriteError
-from repro.schedule.costs import pipeline_cycles, stream_cycles, transfer_cycles
 from repro.schedule.event import EventScheduleBackend, StageProfile
-from repro.schedule.ir import (
-    ComputeNode,
-    MetapipelineSchedule,
-    ParallelSchedule,
-    Schedule,
-    ScheduleNode,
-    StageGroup,
-    StreamNode,
-    TransferNode,
-)
+from repro.schedule.ir import Schedule, ScheduleNode, StageGroup
 from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
 
@@ -66,7 +57,6 @@ __all__ = [
     "RewriteResult",
     "ScheduleRewriter",
     "clone_schedule",
-    "node_cycles",
     "rewrite_schedule",
     "tree_fingerprint",
     "tune_balance_factor",
@@ -87,7 +77,7 @@ COST_SOURCES = ("analytical", "event")
 
 
 # ---------------------------------------------------------------------------
-# Cloning and analytical per-node estimates
+# Cloning
 # ---------------------------------------------------------------------------
 
 
@@ -123,33 +113,6 @@ def clone_schedule(schedule: Schedule) -> Schedule:
         main_memory_write_bytes=schedule.main_memory_write_bytes,
         notes=list(schedule.notes),
     )
-
-
-def node_cycles(node: ScheduleNode, board, model: PerformanceModel) -> float:
-    """Analytical cycle estimate of one node — the rewrites' cost oracle.
-
-    The same closed forms the analytical backend composes
-    (:mod:`repro.schedule.costs`), evaluated statelessly so a rewrite can
-    price candidate stage arrangements without running a backend.
-    """
-    if isinstance(node, MetapipelineSchedule):
-        stage_cycles = [node_cycles(stage, board, model) for stage in node.stages]
-        if not stage_cycles:
-            return 0.0
-        sync = model.metapipeline_sync * len(stage_cycles)
-        return sum(stage_cycles) + max(0, node.iterations - 1) * (max(stage_cycles) + sync)
-    if isinstance(node, ParallelSchedule):
-        stage_cycles = [node_cycles(stage, board, model) for stage in node.stages]
-        return node.iterations * (max(stage_cycles) if stage_cycles else 0.0)
-    if isinstance(node, StageGroup):
-        return node.iterations * sum(node_cycles(stage, board, model) for stage in node.stages)
-    if isinstance(node, TransferNode):
-        return transfer_cycles(board, model, node.bytes_per_invocation)
-    if isinstance(node, StreamNode):
-        return stream_cycles(board, model, node)
-    if isinstance(node, ComputeNode):
-        return pipeline_cycles(node)
-    return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Cycle simulation standing in for the FPGA board — over the Schedule IR.
 
-Every hardware design is lowered to an explicit metapipeline
-:class:`~repro.schedule.ir.Schedule` and timed by one of two backends:
+:func:`simulate` lowers every hardware design to an explicit metapipeline
+:class:`~repro.schedule.ir.Schedule` and times it with one of two backends:
 
 * ``cycle_model="analytical"`` — closed-form per-stage cycle counts
   composed over the schedule tree (the seed's performance model,
@@ -11,13 +11,15 @@ Every hardware design is lowered to an explicit metapipeline
   milliseconds per design, used to calibrate the analytical knobs (see
   :mod:`repro.schedule.compare` and ``benchmarks/bench_sim.py``).
 
-The functional result of a design is obtained by running the reference
-interpreter on the design's program, so output correctness is checked end
-to end as well.
+Timing reads sizes and shapes only: a design compiled against a
+shape-only workload (:meth:`~repro.apps.base.Benchmark.workload`) is
+simulated without generating input data.  Functional outputs come from
+the PPL interpreter (:mod:`repro.ppl.interp`), which the tests and
+examples run separately on real inputs.
 """
 
 from repro.sim.model import PerformanceModel
 from repro.sim.metrics import SimulationResult, speedup
-from repro.sim.engine import Simulator, simulate
+from repro.sim.engine import simulate
 
-__all__ = ["PerformanceModel", "SimulationResult", "Simulator", "simulate", "speedup"]
+__all__ = ["PerformanceModel", "SimulationResult", "simulate", "speedup"]

@@ -1,11 +1,12 @@
 """Cycle simulation of hardware designs, via the Schedule IR.
 
-The simulator no longer walks the hardware design graph directly: every
-design is first lowered to an explicit metapipeline
-:class:`~repro.schedule.ir.Schedule` (:func:`repro.schedule.build_schedule`),
-and one of two backends evaluates it:
+:func:`simulate` is the one entry point.  It lowers a design to its
+explicit metapipeline :class:`~repro.schedule.ir.Schedule`
+(:func:`repro.schedule.build_schedule`), unless it is handed a schedule
+already, and times it with one of two backends
+(:func:`repro.schedule.compare.get_backend`):
 
-* ``cycle_model="analytical"`` — the closed-form evaluator
+* ``cycle_model="analytical"`` — the closed-form cost model
   (:class:`~repro.schedule.analytical.AnalyticalScheduleBackend`): the
   seed's performance model, bit-for-bit, used by the DSE inner loop;
 * ``cycle_model="event"`` — the event-driven simulator
@@ -30,31 +31,7 @@ from repro.sim.model import PerformanceModel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedule.ir import Schedule
 
-__all__ = ["Simulator", "simulate"]
-
-
-class Simulator:
-    """Computes cycle counts for a hardware design (or a pre-built schedule)."""
-
-    def __init__(
-        self,
-        model: Optional[PerformanceModel] = None,
-        cycle_model: str = "analytical",
-    ) -> None:
-        # Imported here (not at module level) to keep repro.sim importable
-        # from inside the schedule backends' own imports.
-        from repro.schedule.compare import get_backend
-
-        self.model = model or PerformanceModel()
-        self.backend = get_backend(cycle_model, self.model)
-        self.cycle_model = cycle_model
-
-    def run(self, design: Union[HardwareDesign, "Schedule"]) -> SimulationResult:
-        from repro.schedule.ir import Schedule
-        from repro.schedule.lower import build_schedule
-
-        schedule = design if isinstance(design, Schedule) else build_schedule(design)
-        return self.backend.run(schedule)
+__all__ = ["simulate"]
 
 
 def simulate(
@@ -63,4 +40,12 @@ def simulate(
     cycle_model: str = "analytical",
 ) -> SimulationResult:
     """Simulate a design and return its cycle count and derived metrics."""
-    return Simulator(model, cycle_model=cycle_model).run(design)
+    # Imported here (not at module level) to keep repro.sim importable
+    # from inside the schedule backends' own imports.
+    from repro.schedule.compare import get_backend
+    from repro.schedule.ir import Schedule
+    from repro.schedule.lower import build_schedule
+
+    backend = get_backend(cycle_model, model)
+    schedule = design if isinstance(design, Schedule) else build_schedule(design)
+    return backend.run(schedule)

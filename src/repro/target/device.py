@@ -9,7 +9,7 @@ command streams.  Three layers of the reproduction consume this description:
   utilisation;
 * :mod:`repro.hw.generation` uses the memory system's burst size to round
   tile transfers up to whole bursts and to size baseline command streams;
-* :mod:`repro.sim.engine` turns byte counts into cycles using the board's
+* :mod:`repro.schedule.costs` turns byte counts into cycles using the board's
   bytes-per-cycle bandwidth and DRAM latency.
 
 The absolute numbers are calibrated to be plausible for the Max4 MAIA

@@ -16,12 +16,14 @@ from repro.dse.engine import evaluate_point, explore
 from repro.dse.resilience import FaultPlan, ResiliencePolicy
 from repro.dse.search import hypervolume, run_search
 from repro.dse.space import DesignPoint, DesignSpace, default_space
+from repro.errors import SimulationError
 from repro.hw.generation import HardwareGenerator
 from repro.pipeline.passes import EstimateAreaStage, TransformationStage
 from repro.pipeline.session import CompilerSession
 from repro.pipeline.variants import get_pipeline, pipeline_variants
 from repro.rewrite import ScheduleRewrite
 from repro.schedule.event import EventScheduleBackend
+from repro.sim.model import PerformanceModel
 
 BENCH_NAMES = [bench.name for bench in all_benchmarks()]
 
@@ -128,6 +130,33 @@ class TestBitIdentity:
         bad = DesignPoint.make({"m": 64}, par=4, pipeline="not-a-variant")
         with pytest.raises(ValueError, match="pipeline"):
             evaluate_point_batch(program, bindings, [bad])
+
+    @pytest.mark.parametrize(
+        "knob, failing",
+        [("tiled_stream_efficiency", 8), ("baseline_stream_efficiency", 4)],
+    )
+    def test_zero_bandwidth_raises_like_scalar(self, knob, failing):
+        """A zero-bandwidth model fails the same points with the same message."""
+        bench = get_benchmark("sumrows")
+        program = bench.build()
+        workload = bench.workload(bench.test_sizes)
+        model = PerformanceModel(**{knob: 0.0})
+        points = default_space({name: bench.test_sizes[name] for name in bench.tile_sizes})
+        raised = 0
+        for point in points:
+            try:
+                expected = evaluate_point(program, workload, point, model=model)
+            except SimulationError as error:
+                raised += 1
+                with pytest.raises(SimulationError) as caught:
+                    evaluate_point_batch(program, workload, [point], model=model)
+                assert str(caught.value) == str(error)
+                assert f"{knob}=0.0" in str(error)
+            else:
+                _assert_results_bit_identical(
+                    [expected], evaluate_point_batch(program, workload, [point], model=model)
+                )
+        assert raised == failing
 
 
 class _SubclassedEstimate(EstimateAreaStage):

@@ -71,6 +71,25 @@ class TestBackendSelection:
         assert simulate(design).cycle_model == "analytical"
         assert simulate(design, cycle_model="event").cycle_model == "event"
 
+    def test_unknown_node_kind_raises_in_the_one_walk(self):
+        """The backend and the rewrites' cost oracle share one walk, so both
+        reject a node kind without a timing rule."""
+        from dataclasses import dataclass
+
+        from repro.schedule.analytical import AnalyticalScheduleBackend, node_cycles
+        from repro.schedule.ir import Schedule, ScheduleNode, SequentialSchedule
+
+        @dataclass
+        class Unknown(ScheduleNode):
+            pass
+
+        root = SequentialSchedule(name="seq", stages=[Unknown(name="odd")])
+        schedule = Schedule(name="s", program_name="p", config_label="c", root=root)
+        with pytest.raises(SimulationError, match="no timing rule for schedule node Unknown"):
+            AnalyticalScheduleBackend().run(schedule)
+        with pytest.raises(SimulationError, match="no timing rule for schedule node Unknown"):
+            node_cycles(root, DEFAULT_BOARD, PerformanceModel())
+
 
 class TestBenchmarkParity:
     """The acceptance gate: event runs end-to-end on every registered

@@ -9,7 +9,7 @@ from repro.config import BASELINE, CompileConfig
 from repro.hw.controllers import MetapipelineController, ParallelController, SequentialController
 from repro.hw.design import HardwareDesign
 from repro.hw.templates import MainMemoryStream, TileLoad, VectorUnit
-from repro.sim.engine import Simulator, simulate
+from repro.sim.engine import simulate
 from repro.sim.metrics import speedup
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD
