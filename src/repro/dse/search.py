@@ -317,7 +317,7 @@ def pareto_rank(results: Sequence) -> Dict[DesignPoint, int]:
     """Non-dominated sorting rank per point (0 = on the Pareto front).
 
     Repeatedly peels the (cycles, area) front; each peel gets the next
-    rank.  One lexicographic sort up front, then each peel is a vectorized
+    rank.  One lexicographic sort up front, then each peel is a whole-array
     prefix-minimum sweep over the still-unranked points — the same fronts,
     in the same order, as peeling with ``pareto_front`` (which shares the
     sort key and the strict-``<`` tie rule), without re-sorting per rank.

@@ -2,9 +2,9 @@
 
 The interpreter executes any PPL expression against concrete numpy inputs.
 It is the semantic oracle of the whole reproduction: every transformation
-pass (fusion, strip mining, interchange) is tested by checking that the
-interpreted result is unchanged, and the functional half of the hardware
-simulator reuses it to produce the accelerator's output values.
+(fusion, strip mining, interchange) is tested by checking that the
+interpreted result is unchanged.  There is one evaluation path, a
+recursive walk that calls each pattern's lambda once per index.
 
 Value representation:
 
@@ -19,45 +19,17 @@ multiple partial accumulators and merges them with the combine function,
 which is how the associativity requirements of the paper are exercised in
 the property-based tests.
 
-Vectorized fast path
---------------------
-
-With ``vectorize=True`` the interpreter evaluates element-wise ``Map``
-bodies and separable ``MultiFold`` reductions as whole-array numpy
-operations instead of one recursive Python evaluation per element:
-
-* index variables become broadcastable ``numpy.arange`` grids, scalar
-  operators become ufuncs, and ``x(i, j)`` becomes advanced indexing;
-* a fold whose value function is ``acc ⊕ f(indices)`` (⊕ one of ``+ * min
-  max``, ``f`` accumulator-free) evaluates ``f`` on the whole grid and
-  reduces with ``ufunc.accumulate`` in the reference's left-to-right
-  row-major order, so the result is bit-for-bit identical;
-* a MultiFold writing accumulator location ``(i, …)`` taken directly from
-  its index variables reduces along the non-location axes the same way;
-* a FlatMap filter — ``Select(pred, ArrayLit(...), EmptyArray())`` in
-  either branch order, or an unconditional ``ArrayLit`` body — evaluates
-  predicate and elements on the whole grid and gathers surviving rows in
-  row-major order;
-* a GroupByFold with a separable value function histograms through the
-  combiner's unbuffered ``ufunc.at`` (``np.add.at`` applies updates
-  strictly in element order, so each bucket folds in the reference's
-  visiting order), with ``np.bincount`` for pure integer counting.
-
-Bodies outside this fragment (tuple-valued results, data-dependent
-locations, array-typed ``Let`` bindings, tile copies, …) fall back to the
-reference recursive evaluator — per subexpression, so a non-vectorizable
-pattern still vectorizes its vectorizable children.  Equivalence with the
-reference path is enforced by ``tests/ppl/test_vectorized_interp.py``;
-``Interpreter.vector_hits`` counts which fast paths actually engaged, so
-those tests can assert a pattern took the vector path rather than silently
-falling back.
+Array accesses are bounds-checked: a negative element index, slice index,
+tile-copy offset or accumulator location raises :class:`InterpreterError`
+instead of wrapping around, and so does an element read past the end.  A
+tile copy that runs past the end truncates at the array edge, which is
+what the partial last tile of a strip-mined loop relies on.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -83,7 +55,6 @@ from repro.ppl.ir import (
     MakeTuple,
     Map,
     MultiFold,
-    Node,
     Select,
     Sym,
     TupleGet,
@@ -91,22 +62,11 @@ from repro.ppl.ir import (
     Zeros,
 )
 from repro.ppl.program import Program
-from repro.ppl.types import ScalarType, TensorType, TupleType, is_scalar, is_tensor, is_tuple
+from repro.ppl.types import ScalarType, TupleType, is_tensor
 
 __all__ = ["Interpreter", "evaluate", "run_program"]
 
 Value = Union[int, float, bool, tuple, np.ndarray]
-
-
-class _VectorFallback(Exception):
-    """Raised when a speculative vector evaluation must abort.
-
-    The vector path evaluates both branches of every ``Select``, so an
-    array read that is out of bounds in untaken positions (legal in the
-    reference evaluation, which never executes them) cannot be completed;
-    the whole pattern then falls back to the reference path, preserving
-    reference semantics exactly.
-    """
 
 
 def _numpy_dtype(element) -> object:
@@ -122,24 +82,12 @@ def _numpy_dtype(element) -> object:
 
 
 class Interpreter:
-    """Evaluates PPL expressions in an environment mapping symbols to values.
+    """Evaluates PPL expressions in an environment mapping symbols to values."""
 
-    ``vectorize=True`` enables the whole-array numpy fast path for
-    element-wise ``Map`` bodies and separable ``MultiFold`` reductions (see
-    the module docstring); everything else falls back to the recursive
-    reference evaluation, which remains the semantic oracle.
-    """
-
-    def __init__(self, parallel_partitions: int = 1, vectorize: bool = False) -> None:
+    def __init__(self, parallel_partitions: int = 1) -> None:
         if parallel_partitions < 1:
             raise InterpreterError("parallel_partitions must be >= 1")
         self.parallel_partitions = parallel_partitions
-        self.vectorize = vectorize
-        # Observability for the fast path: which vector patterns engaged
-        # (``map``, ``fold``, ``location_fold``, ``flatmap``, ``groupby``,
-        # ``groupby_bincount``) and how often.  Tests assert on these to
-        # prove a pattern was vectorized rather than silently falling back.
-        self.vector_hits: Counter = Counter()
 
     # -- public API ----------------------------------------------------------
     def evaluate(self, expr: Expr, env: Mapping[Sym, Value]) -> Value:
@@ -243,10 +191,10 @@ class Interpreter:
     # -- arrays ---------------------------------------------------------------
     def _eval_ArrayApply(self, expr: ArrayApply, env) -> Value:
         array = self._eval(expr.array, env)
-        indices = tuple(int(self._eval(i, env)) for i in expr.indices)
+        indices = tuple(_index(self._eval(i, env), "array index") for i in expr.indices)
         try:
             value = array[indices]
-        except IndexError as exc:  # pragma: no cover - defensive
+        except IndexError as exc:
             raise InterpreterError(f"array index {indices} out of bounds") from exc
         return value.item() if isinstance(value, np.generic) else value
 
@@ -257,14 +205,14 @@ class Interpreter:
             if s is None:
                 spec.append(slice(None))
             else:
-                spec.append(int(self._eval(s, env)))
+                spec.append(_index(self._eval(s, env), "slice index"))
         return array[tuple(spec)]
 
     def _eval_ArrayCopy(self, expr: ArrayCopy, env) -> Value:
         array = self._eval(expr.array, env)
         spec = []
-        for axis, (offset, size) in enumerate(zip(expr.offsets, expr.sizes)):
-            start = int(self._eval(offset, env))
+        for offset, size in zip(expr.offsets, expr.sizes):
+            start = _index(self._eval(offset, env), "tile offset")
             if size is None:
                 spec.append(slice(None))
             else:
@@ -343,10 +291,6 @@ class Interpreter:
 
     # -- patterns ---------------------------------------------------------------
     def _eval_Map(self, expr: Map, env) -> Value:
-        if self.vectorize:
-            result = self._vector_map(expr, env)
-            if result is not None:
-                return result
         indices = self._domain_indices(expr.domain, env)
         shape = self._domain_shape(expr.domain, env)
         element = expr.ty.element
@@ -356,15 +300,9 @@ class Interpreter:
             value = self._call(expr.func, list(index), env)
             position = tuple(i // s for i, s in zip(index, strides))
             out[position] = value
-        if out.dtype != object:
-            return out
         return out
 
     def _eval_MultiFold(self, expr: MultiFold, env) -> Value:
-        if self.vectorize and self.parallel_partitions == 1:
-            result = self._vector_multifold(expr, env)
-            if result is not None:
-                return result
         init = self._eval(expr.init, env)
         indices = self._domain_indices(expr.domain, env)
         partitions = self._partition(indices)
@@ -386,13 +324,11 @@ class Interpreter:
         return result
 
     def _multifold_step(self, expr: MultiFold, acc: Value, index: tuple[int, ...], env) -> Value:
-        location = self._call(expr.index_func, list(index), env)
-        loc = _as_index_tuple(location)
-        acc_sym = expr.value_func.params[-1]
-
         if expr.is_scalar_fold:
             return self._call(expr.value_func, list(index) + [acc], env)
 
+        loc = _as_index_tuple(self._call(expr.index_func, list(index), env))
+        acc_sym = expr.value_func.params[-1]
         if not isinstance(acc, np.ndarray):
             raise InterpreterError("MultiFold accumulator with a range must be an array")
 
@@ -419,10 +355,6 @@ class Interpreter:
         return acc
 
     def _eval_FlatMap(self, expr: FlatMap, env) -> Value:
-        if self.vectorize:
-            result = self._vector_flatmap(expr, env)
-            if result is not None:
-                return result
         indices = self._domain_indices(expr.domain, env)
         chunks = []
         for index in indices:
@@ -435,10 +367,6 @@ class Interpreter:
         return np.concatenate(chunks)
 
     def _eval_GroupByFold(self, expr: GroupByFold, env) -> Value:
-        if self.vectorize and self.parallel_partitions == 1:
-            result = self._vector_groupbyfold(expr, env)
-            if result is not None:
-                return result
         indices = self._domain_indices(expr.domain, env)
         partitions = self._partition(indices)
         init = self._eval(expr.init, env)
@@ -467,425 +395,6 @@ class Interpreter:
             out[i] = (key, value)
         return out
 
-    # -- vectorized fast path ---------------------------------------------------
-    def _vector_map(self, expr: Map, env: Dict[Sym, Value]) -> Optional[np.ndarray]:
-        """Whole-array evaluation of an element-wise Map, or None to fall back."""
-        element = expr.ty.element
-        if not isinstance(element, ScalarType):
-            return None
-        params = expr.func.params
-        if not _vectorizable(expr.func.body, frozenset(params)):
-            return None
-        shape = self._domain_shape(expr.domain, env)
-        grid = self._index_grids(params, expr.domain, env, lead_rank=0)
-        if grid is None:
-            return None
-        try:
-            with np.errstate(all="ignore"):
-                values = self._veval(expr.func.body, env, grid, rank=len(shape))
-                out = np.empty(shape, dtype=_numpy_dtype(element))
-                out[...] = values
-        except _VectorFallback:
-            return None
-        self.vector_hits["map"] += 1
-        return out
-
-    def _vector_multifold(self, expr: MultiFold, env: Dict[Sym, Value]) -> Optional[Value]:
-        """Whole-array evaluation of a separable MultiFold, or None to fall back."""
-        separable = _separable_update(expr)
-        if separable is None:
-            return None
-        op, rest = separable
-        index_params = expr.value_func.params[:-1]
-        grid_syms = frozenset(index_params)
-        if not _vectorizable(rest, grid_syms):
-            return None
-        if not _grid_free(expr.init, grid_syms) or not _domain_grid_free(expr.domain, grid_syms):
-            return None
-
-        try:
-            if expr.is_scalar_fold:
-                if not isinstance(expr.init.ty, ScalarType):
-                    return None
-                with np.errstate(all="ignore"):
-                    result = self._vector_fold_values(expr, op, rest, env, {}, rank=0)
-                if result is None:
-                    return None
-                self.vector_hits["fold"] += 1
-                return result.item() if isinstance(result, np.ndarray) else result
-
-            return self._vector_location_fold(expr, op, rest, env)
-        except _VectorFallback:
-            return None
-
-    def _vector_location_fold(
-        self, expr: MultiFold, op: np.ufunc, rest: Expr, env: Dict[Sym, Value]
-    ) -> Optional[np.ndarray]:
-        """Fast path for MultiFolds whose location is a projection of the indices.
-
-        Covers reductions like ``sumrows`` — location ``i`` (or a tuple of
-        distinct index variables), scalar accumulator slice, separable
-        update — by reducing the generated-value grid along the
-        non-location axes in the reference's row-major order.  Strided
-        domains generate sparse raw-index locations; those land on a
-        strided region ``accumulator[0:extent:stride]`` of the same shape
-        as the iteration grid, so they vectorize the same way.
-        """
-        acc_sym = expr.value_func.params[-1]
-        if not isinstance(acc_sym.ty, ScalarType):
-            return None
-        loc_axes = _location_axes(expr)
-        if loc_axes is None:
-            return None
-
-        index_params = expr.value_func.params[:-1]
-        rank = expr.domain.rank
-        grid = self._index_grids(index_params, expr.domain, env, lead_rank=0)
-        if grid is None:
-            return None
-        shape = self._domain_shape(expr.domain, env)
-        extents = [int(self._eval(e, env)) for e in expr.domain.dims]
-        strides = [int(self._eval(s, env)) for s in expr.domain.stride_exprs]
-
-        init = self._eval(expr.init, env)
-        if not isinstance(init, np.ndarray) or init.dtype == object:
-            return None
-        if init.ndim != len(loc_axes):
-            return None
-        for position, axis in enumerate(loc_axes):
-            # The reference raises IndexError when a raw location falls
-            # outside the accumulator; a numpy slice would clamp silently,
-            # so out-of-bounds locations stay on the reference path.
-            last = (shape[axis] - 1) * strides[axis]
-            if shape[axis] and last >= init.shape[position]:
-                return None
-
-        with np.errstate(all="ignore"):
-            values = self._veval(rest, env, grid, rank=rank)
-            values = np.broadcast_to(np.asarray(values), shape)
-            if np.result_type(init.dtype, values.dtype) != init.dtype:
-                return None
-            _check_fold_operands(op, init, values, init.dtype)
-            other_axes = tuple(a for a in range(rank) if a not in loc_axes)
-            ordered = np.transpose(values, loc_axes + other_axes)
-            loc_shape = tuple(shape[a] for a in loc_axes)
-            ordered = ordered.reshape(loc_shape + (-1,)).astype(init.dtype, copy=False)
-
-            out = np.array(init, copy=True)
-            region = tuple(
-                slice(0, extents[axis], strides[axis]) for axis in loc_axes
-            )
-            seq = np.concatenate([out[region][..., None], ordered], axis=-1)
-            out[region] = op.accumulate(seq, axis=-1)[..., -1]
-        self.vector_hits["location_fold"] += 1
-        return out
-
-    def _vector_flatmap(self, expr: FlatMap, env: Dict[Sym, Value]) -> Optional[np.ndarray]:
-        """Whole-array evaluation of a FlatMap filter, or None to fall back.
-
-        Covers the filter idiom — ``Select(pred, ArrayLit(...),
-        EmptyArray())`` in either branch order — and the unconditional
-        ``ArrayLit(...)`` body, with vectorizable scalar predicate and
-        elements.  Predicate and elements are evaluated on the whole index
-        grid and surviving rows gathered in row-major order, which matches
-        the reference's per-index concatenation bit for bit.  Speculative
-        hazards (reads out of bounds or division by zero in filtered-out
-        positions) raise :class:`_VectorFallback` from the shared ``_veval``
-        machinery, handing the pattern back to the reference path.
-        """
-        element = expr.ty.element
-        if not isinstance(element, ScalarType):
-            return None
-        params = expr.func.params
-        grid_syms = frozenset(params)
-        body = expr.func.body
-
-        cond: Optional[Expr] = None
-        negate = False
-        if isinstance(body, Select):
-            if isinstance(body.if_true, ArrayLit) and isinstance(body.if_false, EmptyArray):
-                lit, cond = body.if_true, body.cond
-            elif isinstance(body.if_false, ArrayLit) and isinstance(body.if_true, EmptyArray):
-                lit, cond, negate = body.if_false, body.cond, True
-            else:
-                return None
-        elif isinstance(body, ArrayLit):
-            lit = body
-        else:
-            return None
-
-        if cond is not None and not _vectorizable(cond, grid_syms):
-            return None
-        if not all(_vectorizable(e, grid_syms) for e in lit.elements):
-            return None
-
-        shape = self._domain_shape(expr.domain, env)
-        if not lit.elements or shape[0] == 0:
-            return np.zeros((0,), dtype=_numpy_dtype(element))
-        grid = self._index_grids(params, expr.domain, env, lead_rank=0)
-        if grid is None:
-            return None
-        try:
-            with np.errstate(all="ignore"):
-                if cond is None:
-                    mask = np.ones(shape, dtype=bool)
-                else:
-                    mask = np.broadcast_to(
-                        np.asarray(self._veval(cond, env, grid, rank=1)), shape
-                    ).astype(bool)
-                    if negate:
-                        mask = ~mask
-                columns = [
-                    np.broadcast_to(np.asarray(self._veval(e, env, grid, rank=1)), shape)
-                    for e in lit.elements
-                ]
-        except _VectorFallback:
-            return None
-        stacked = np.stack(columns, axis=-1)
-        if stacked.dtype == object:
-            return None
-        self.vector_hits["flatmap"] += 1
-        if not mask.any():
-            return np.zeros((0,), dtype=_numpy_dtype(element))
-        return stacked[mask].ravel()
-
-    def _vector_groupbyfold(
-        self, expr: GroupByFold, env: Dict[Sym, Value]
-    ) -> Optional[np.ndarray]:
-        """Whole-array histogramming of a GroupByFold, or None to fall back.
-
-        Keys and bucket values are evaluated on the full (rank-1) index
-        grid; the per-bucket folds run through the combiner's unbuffered
-        ``ufunc.at`` — ``np.add.at`` and friends apply updates strictly in
-        element order, so each bucket accumulates in exactly the
-        reference's visiting order and float results are bit-identical.
-        Pure integer counting (init 0, all-ones values) takes
-        ``np.bincount`` instead.  Tuple keys, non-integral float keys and
-        speculative hazards fall back to the reference path, as do updates
-        that are not of the separable ``acc ⊕ f(i)`` form.
-        """
-        separable = _separable_update(expr)
-        if separable is None:
-            return None
-        op, rest = separable
-        if not isinstance(expr.init.ty, ScalarType):
-            return None
-        key_param = expr.key_func.params[0]
-        value_param = expr.value_func.params[0]
-        if not _vectorizable(expr.key_func.body, frozenset((key_param,))):
-            return None
-        if not _vectorizable(rest, frozenset((value_param,))):
-            return None
-
-        extent = int(self._eval(expr.domain.dims[0], env))
-        stride = int(self._eval(expr.domain.stride_exprs[0], env))
-        if stride <= 0:
-            raise InterpreterError(f"non-positive domain stride {stride}")
-        indices = np.arange(0, extent, stride, dtype=np.int64)
-        if indices.size == 0:
-            return np.empty((0,), dtype=object)
-
-        init = self._eval(expr.init, env)
-        if isinstance(init, np.generic):
-            init = init.item()
-        if isinstance(init, bool) or not isinstance(init, (int, float)):
-            return None
-
-        try:
-            with np.errstate(all="ignore"):
-                keys = np.broadcast_to(
-                    np.asarray(
-                        self._veval(expr.key_func.body, env, {key_param: indices}, rank=1)
-                    ),
-                    indices.shape,
-                )
-                values = np.broadcast_to(
-                    np.asarray(self._veval(rest, env, {value_param: indices}, rank=1)),
-                    indices.shape,
-                )
-        except _VectorFallback:
-            return None
-
-        if keys.dtype.kind == "f":
-            # The reference normalises integral float keys to int before
-            # bucketing; non-integral (or non-finite) keys keep the
-            # reference path's Python-number ordering subtleties.
-            if not np.isfinite(keys).all() or not (keys == np.trunc(keys)).all():
-                return None
-            if keys.size and np.abs(keys).max() >= 2**62:
-                return None
-            keys = keys.astype(np.int64)
-        elif keys.dtype.kind not in "bi":
-            return None
-
-        dtype = np.result_type(np.asarray(init), values)
-        if dtype == object:
-            return None
-        values = values.astype(dtype, copy=False)
-        init_array = np.asarray(init, dtype=dtype)
-        _check_fold_operands(op, init_array, values, dtype)
-
-        uniques, inverse = np.unique(keys, return_inverse=True)
-        if (
-            op is np.add
-            and init == 0
-            and values.dtype.kind == "i"
-            and bool(np.all(values == 1))
-        ):
-            buckets = np.bincount(inverse, minlength=len(uniques)).astype(np.int64)
-            self.vector_hits["groupby_bincount"] += 1
-        else:
-            buckets = np.full(uniques.shape, init_array, dtype=dtype)
-            op.at(buckets, inverse, values)
-            self.vector_hits["groupby"] += 1
-
-        out = np.empty((len(uniques),), dtype=object)
-        for position in range(len(uniques)):
-            out[position] = (
-                _normalize_key(uniques[position].item()),
-                buckets[position].item(),
-            )
-        return out
-
-    def _vector_fold_values(
-        self,
-        expr: MultiFold,
-        op: np.ufunc,
-        rest: Expr,
-        env: Dict[Sym, Value],
-        grid: Dict[Sym, Value],
-        rank: int,
-    ) -> Optional[Value]:
-        """Reduce ``init ⊕ rest(i₀) ⊕ rest(i₁) ⊕ …`` in row-major order.
-
-        ``grid``/``rank`` describe the enclosing vectorized context (empty
-        for a top-level fold): the fold's index axes are appended after the
-        context's axes, the generated values are materialised on the full
-        grid, and ``ufunc.accumulate`` applies them left-to-right so the
-        result matches the reference fold bit-for-bit.
-        """
-        index_params = expr.value_func.params[:-1]
-        fold_shape = self._domain_shape(expr.domain, env)
-        r = len(fold_shape)
-        inner_grid = {
-            sym: value[(Ellipsis,) + (None,) * r] if isinstance(value, np.ndarray) else value
-            for sym, value in grid.items()
-        }
-        fold_grids = self._index_grids(index_params, expr.domain, env, lead_rank=rank)
-        if fold_grids is None:
-            return None
-        inner_grid.update(fold_grids)
-
-        values = self._veval(rest, env, inner_grid, rank=rank + r)
-        init = self._eval(expr.init, env)
-
-        values = np.asarray(values)
-        target = np.broadcast_shapes(values.shape, (1,) * rank + fold_shape)
-        values = np.broadcast_to(values, target)
-        lead = values.shape[: len(target) - r]
-        values = values.reshape(lead + (-1,))
-
-        dtype = np.result_type(np.asarray(init), values)
-        _check_fold_operands(op, np.asarray(init), values, dtype)
-        seq = np.concatenate(
-            [
-                np.broadcast_to(np.asarray(init, dtype=dtype), lead + (1,)),
-                values.astype(dtype, copy=False),
-            ],
-            axis=-1,
-        )
-        return op.accumulate(seq, axis=-1)[..., -1]
-
-    def _index_grids(
-        self, params: Sequence[Sym], domain: Domain, env, lead_rank: int
-    ) -> Optional[Dict[Sym, np.ndarray]]:
-        """Broadcastable index arrays, one axis per domain dimension.
-
-        Axis ``a`` of the domain occupies array axis ``lead_rank + a`` in a
-        grid of total rank ``lead_rank + domain.rank``.
-        """
-        rank = domain.rank
-        grids: Dict[Sym, np.ndarray] = {}
-        for axis, (param, extent_expr, stride_expr) in enumerate(
-            zip(params, domain.dims, domain.stride_exprs)
-        ):
-            extent = int(self._eval(extent_expr, env))
-            stride = int(self._eval(stride_expr, env))
-            if stride <= 0:
-                raise InterpreterError(f"non-positive domain stride {stride}")
-            shape = (1,) * (lead_rank + axis) + (-1,) + (1,) * (rank - 1 - axis)
-            grids[param] = np.arange(0, extent, stride, dtype=np.int64).reshape(shape)
-        return grids
-
-    def _veval(self, expr: Expr, env: Dict[Sym, Value], grid: Dict[Sym, Value], rank: int) -> Value:
-        """Evaluate a vectorizable expression over index grids.
-
-        ``env`` is the ordinary (scalar / whole-array) environment; ``grid``
-        holds per-grid-cell values: the index arrays plus Let bindings whose
-        values vary across the grid.  Expressions reaching main-memory
-        arrays (``ArrayApply``/``ArrayDim``) evaluate the array operand with
-        the reference evaluator — the vectorizability check guarantees it is
-        grid-independent.
-        """
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, Sym):
-            if expr in grid:
-                return grid[expr]
-            return self._eval_Sym(expr, env)
-        if isinstance(expr, BinOp):
-            lhs = self._veval(expr.lhs, env, grid, rank)
-            rhs = self._veval(expr.rhs, env, grid, rank)
-            return _vector_binop(expr, lhs, rhs)
-        if isinstance(expr, UnaryOp):
-            return _vector_unaryop(expr.op, self._veval(expr.operand, env, grid, rank))
-        if isinstance(expr, Cmp):
-            lhs = self._veval(expr.lhs, env, grid, rank)
-            rhs = self._veval(expr.rhs, env, grid, rank)
-            return _vector_cmp(expr.op, lhs, rhs)
-        if isinstance(expr, Select):
-            cond = self._veval(expr.cond, env, grid, rank)
-            if_true = self._veval(expr.if_true, env, grid, rank)
-            if_false = self._veval(expr.if_false, env, grid, rank)
-            return np.where(cond, if_true, if_false)
-        if isinstance(expr, Let):
-            inner = dict(grid)
-            inner[expr.sym] = self._veval(expr.value, env, grid, rank)
-            return self._veval(expr.body, env, inner, rank)
-        if isinstance(expr, ArrayApply):
-            array = np.asarray(self._eval(expr.array, env))
-            indices = tuple(
-                np.asarray(self._veval(i, env, grid, rank), dtype=np.int64)
-                for i in expr.indices
-            )
-            for axis, index in enumerate(indices):
-                dim = array.shape[axis]
-                # Out-of-range positions may sit in untaken Select branches
-                # the reference path never evaluates — abort speculation.
-                if np.any((index < -dim) | (index >= dim)):
-                    raise _VectorFallback()
-            gathered = array[indices]
-            # The reference returns each element via .item() — a Python
-            # float/int, i.e. double precision — so narrow input dtypes
-            # must widen here or every intermediate would round narrow.
-            if gathered.dtype.kind == "f" and gathered.dtype != np.float64:
-                gathered = gathered.astype(np.float64)
-            elif gathered.dtype.kind in "iu" and gathered.dtype != np.int64:
-                gathered = gathered.astype(np.int64)
-            return gathered
-        if isinstance(expr, ArrayDim):  # includes ArrayLen
-            array = np.asarray(self._eval(expr.array, env))
-            return int(array.shape[expr.axis])
-        if isinstance(expr, MultiFold):
-            separable = _separable_update(expr)
-            if separable is None:  # pragma: no cover - excluded by the check
-                raise InterpreterError("non-separable fold reached the vector path")
-            op, rest = separable
-            return self._vector_fold_values(expr, op, rest, env, grid, rank)
-        raise InterpreterError(  # pragma: no cover - excluded by the check
-            f"vector path does not support {type(expr).__name__}"
-        )
-
     # -- helpers ---------------------------------------------------------------
     def _partition(self, indices: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
         if self.parallel_partitions == 1 or len(indices) <= 1:
@@ -893,252 +402,6 @@ class Interpreter:
         count = min(self.parallel_partitions, len(indices))
         size = -(-len(indices) // count)
         return [indices[i : i + size] for i in range(0, len(indices), size)]
-
-
-# ---------------------------------------------------------------------------
-# Vectorizability analysis and numpy operator mappings
-# ---------------------------------------------------------------------------
-
-# Fold combiners with a sequential-semantics ``accumulate`` (left-to-right,
-# so the vector path reproduces the reference fold order exactly).
-_FOLD_UFUNCS: Dict[str, np.ufunc] = {
-    "+": np.add,
-    "*": np.multiply,
-    "min": np.minimum,
-    "max": np.maximum,
-}
-
-
-def _check_fold_operands(op: np.ufunc, init: np.ndarray, values: np.ndarray, dtype) -> None:
-    """Abort vector folds whose accumulate would diverge from the reference.
-
-    * ``np.minimum``/``np.maximum`` propagate NaN where Python's
-      ``min``/``max`` keep an operand — NaN-free data is required for
-      exact equivalence.
-    * Integer accumulates wrap at 64 bits where Python ints do not;
-      products fall back outright and sums fall back unless a cheap bound
-      proves they stay far inside the int64 range.
-    """
-    if op in (np.minimum, np.maximum):
-        for operand in (init, values):
-            if operand.dtype.kind == "f" and np.isnan(operand).any():
-                raise _VectorFallback()
-        return
-    if np.issubdtype(np.dtype(dtype), np.integer):
-        if op is np.multiply:
-            raise _VectorFallback()
-        magnitude = 0
-        if values.size:
-            magnitude = max(abs(int(np.min(values))), abs(int(np.max(values))))
-        if init.size:
-            magnitude = max(magnitude, int(np.max(np.abs(init))))
-        if magnitude * (values.size + 1) >= 2**62:
-            raise _VectorFallback()
-
-# ``exp``/``log`` are excluded: numpy's SIMD implementations may differ from
-# ``math``'s libm calls in the last ulp, which would break the bit-for-bit
-# equivalence contract of the fast path.
-_VECTOR_UNARY_OPS = ("neg", "abs", "sqrt", "recip", "not")
-
-
-def _grid_free(node: Node, grid_syms: frozenset) -> bool:
-    """True when no symbol of ``grid_syms`` occurs anywhere under ``node``."""
-    from repro.ppl.traversal import walk
-
-    return all(n not in grid_syms for n in walk(node) if isinstance(n, Sym))
-
-
-def _domain_grid_free(domain: Domain, grid_syms: frozenset) -> bool:
-    return all(
-        _grid_free(e, grid_syms) for e in (*domain.dims, *domain.stride_exprs)
-    )
-
-
-def _separable_update(fold: MultiFold) -> Optional[tuple]:
-    """Match ``value_func = (…, acc) => acc ⊕ rest`` with accumulator-free rest.
-
-    Returns ``(ufunc, rest)`` for a combiner ⊕ whose ``accumulate`` is
-    sequential, or None when the update is not separable.
-    """
-    body = fold.value_func.body
-    acc = fold.value_func.params[-1]
-    if not isinstance(body, BinOp) or body.op not in _FOLD_UFUNCS:
-        return None
-    for other, rest in ((body.lhs, body.rhs), (body.rhs, body.lhs)):
-        if other is acc and _grid_free(rest, frozenset((acc,))):
-            return _FOLD_UFUNCS[body.op], rest
-    return None
-
-
-def _location_axes(fold: MultiFold) -> Optional[tuple[int, ...]]:
-    """Domain axes a projection-style location reads, in location order.
-
-    Matches ``index_func = (i, j, …) => i`` or ``=> (i, k, …)`` with
-    distinct index variables; anything else (constants, arithmetic,
-    data-dependent locations) returns None.
-    """
-    params = fold.index_func.params
-    body = fold.index_func.body
-    parts = body.elements if isinstance(body, MakeTuple) else (body,)
-    axes: list[int] = []
-    for part in parts:
-        if not isinstance(part, Sym) or part not in params:
-            return None
-        axes.append(params.index(part))
-    if len(set(axes)) != len(axes):
-        return None
-    return tuple(axes)
-
-
-def _vectorizable(node: Node, grid_syms: frozenset) -> bool:
-    """Static check that ``node`` evaluates correctly on the vector path.
-
-    ``grid_syms`` holds the symbols whose values vary across the grid (index
-    variables and Let bindings).  Array operands must be grid-independent —
-    they are evaluated once with the reference evaluator — and only node
-    kinds with an exact numpy counterpart are admitted.
-    """
-    if isinstance(node, Const):
-        return isinstance(node.value, (int, float, bool))
-    if isinstance(node, Sym):
-        return isinstance(node.ty, ScalarType)
-    if isinstance(node, (BinOp, Cmp)):
-        return _vectorizable(node.lhs, grid_syms) and _vectorizable(node.rhs, grid_syms)
-    if isinstance(node, UnaryOp):
-        return node.op in _VECTOR_UNARY_OPS and _vectorizable(node.operand, grid_syms)
-    if isinstance(node, Select):
-        return all(
-            _vectorizable(child, grid_syms)
-            for child in (node.cond, node.if_true, node.if_false)
-        )
-    if isinstance(node, Let):
-        return (
-            isinstance(node.value.ty, ScalarType)
-            and _vectorizable(node.value, grid_syms)
-            and _vectorizable(node.body, grid_syms | {node.sym})
-        )
-    if isinstance(node, ArrayApply):
-        return _grid_free(node.array, grid_syms) and all(
-            _vectorizable(index, grid_syms) for index in node.indices
-        )
-    if isinstance(node, ArrayDim):  # includes ArrayLen
-        return _grid_free(node.array, grid_syms)
-    if isinstance(node, MultiFold):
-        if not node.is_scalar_fold or not isinstance(node.init.ty, ScalarType):
-            return False
-        separable = _separable_update(node)
-        if separable is None:
-            return False
-        if not _domain_grid_free(node.domain, grid_syms):
-            return False
-        if not _grid_free(node.init, grid_syms):
-            return False
-        inner = grid_syms | frozenset(node.value_func.params[:-1])
-        return _vectorizable(separable[1], inner)
-    return False
-
-
-def _max_magnitude(value: Value) -> int:
-    if isinstance(value, np.ndarray):
-        if value.size == 0:
-            return 0
-        return max(abs(int(np.min(value))), abs(int(np.max(value))))
-    return abs(int(value))
-
-
-def _guard_int_overflow(lhs: Value, rhs: Value, multiplicative: bool) -> None:
-    """Abort when int64 arithmetic could wrap where Python ints would not.
-
-    The reference computes with arbitrary-precision Python ints and raises
-    ``OverflowError`` only when a too-large result is *stored*; the vector
-    path would wrap silently, so any possibly-overflowing integer
-    operation falls back to the reference.
-    """
-    int_like = lambda v: (
-        v.dtype.kind in "iu" if isinstance(v, np.ndarray) else isinstance(v, int)
-    )
-    if not (int_like(lhs) and int_like(rhs)):
-        return
-    left, right = _max_magnitude(lhs), _max_magnitude(rhs)
-    bound = left * right if multiplicative else left + right
-    if bound >= 2**62:
-        raise _VectorFallback()
-
-
-def _vector_binop(expr: BinOp, lhs: Value, rhs: Value) -> Value:
-    op = expr.op
-    if op == "+":
-        _guard_int_overflow(lhs, rhs, multiplicative=False)
-        return lhs + rhs
-    if op == "-":
-        _guard_int_overflow(lhs, rhs, multiplicative=False)
-        return lhs - rhs
-    if op == "*":
-        _guard_int_overflow(lhs, rhs, multiplicative=True)
-        return lhs * rhs
-    if op == "/":
-        # The reference raises ZeroDivisionError on a taken zero divisor;
-        # a zero might equally sit in an untaken Select branch — fall back
-        # so the reference path decides loudly.
-        if np.any(np.equal(rhs, 0)):
-            raise _VectorFallback()
-        if isinstance(expr.ty, ScalarType) and expr.ty.is_int:
-            if _is_array(lhs) or _is_array(rhs):
-                return np.asarray(lhs).astype(np.int64) // np.asarray(rhs).astype(np.int64)
-            return int(lhs) // int(rhs)
-        return lhs / rhs
-    if op == "%":
-        if np.any(np.equal(rhs, 0)):
-            raise _VectorFallback()
-        return lhs % rhs
-    if op == "min":
-        # Python's min returns rhs only when strictly smaller, so NaNs keep
-        # the other operand — np.where reproduces that exactly (np.minimum
-        # would propagate NaN from either side).
-        return np.where(np.less(rhs, lhs), rhs, lhs)
-    if op == "max":
-        return np.where(np.greater(rhs, lhs), rhs, lhs)
-    if op == "and":
-        return np.logical_and(lhs, rhs)
-    if op == "or":
-        return np.logical_or(lhs, rhs)
-    raise InterpreterError(f"unknown binary operator {op!r}")  # pragma: no cover
-
-
-def _vector_unaryop(op: str, value: Value) -> Value:
-    if op == "neg":
-        return -value
-    if op == "abs":
-        return np.abs(value)
-    if op == "sqrt":
-        # math.sqrt raises on negative operands where np.sqrt yields NaN;
-        # the negative value may also sit in an untaken branch — fall back.
-        if np.any(np.less(value, 0)):
-            raise _VectorFallback()
-        return np.sqrt(value)
-    if op == "recip":
-        if np.any(np.equal(value, 0)):
-            raise _VectorFallback()
-        return 1.0 / value
-    if op == "not":
-        return np.logical_not(value)
-    raise InterpreterError(f"unary operator {op!r} is not vectorizable")  # pragma: no cover
-
-
-def _vector_cmp(op: str, lhs: Value, rhs: Value) -> Value:
-    if op == "<":
-        return np.less(lhs, rhs)
-    if op == "<=":
-        return np.less_equal(lhs, rhs)
-    if op == ">":
-        return np.greater(lhs, rhs)
-    if op == ">=":
-        return np.greater_equal(lhs, rhs)
-    if op == "==":
-        return np.equal(lhs, rhs)
-    if op == "!=":
-        return np.not_equal(lhs, rhs)
-    raise InterpreterError(f"unknown comparison {op!r}")  # pragma: no cover
 
 
 def _is_array(value: Value) -> bool:
@@ -1151,10 +414,17 @@ def _copy_value(value: Value) -> Value:
     return value
 
 
+def _index(value: Value, what: str) -> int:
+    """``value`` as an index; a negative one raises where numpy would wrap around."""
+    index = int(value)
+    if index < 0:
+        raise InterpreterError(f"negative {what} {index}")
+    return index
+
+
 def _as_index_tuple(location: Value) -> tuple[int, ...]:
-    if isinstance(location, tuple):
-        return tuple(int(v) for v in location)
-    return (int(location),)
+    parts = location if isinstance(location, tuple) else (location,)
+    return tuple(_index(v, "accumulator location") for v in parts)
 
 
 def _normalize_key(key: Value) -> object:
@@ -1167,27 +437,14 @@ def _normalize_key(key: Value) -> object:
     return key
 
 
-def evaluate(
-    expr: Expr,
-    env: Mapping[Sym, Value],
-    parallel_partitions: int = 1,
-    vectorize: bool = False,
-) -> Value:
+def evaluate(expr: Expr, env: Mapping[Sym, Value], parallel_partitions: int = 1) -> Value:
     """Evaluate a single expression in the given environment."""
-    return Interpreter(parallel_partitions, vectorize=vectorize).evaluate(expr, env)
+    return Interpreter(parallel_partitions).evaluate(expr, env)
 
 
 def run_program(
-    program: Program,
-    bindings: Mapping[str, Value],
-    parallel_partitions: int = 1,
-    vectorize: bool = True,
+    program: Program, bindings: Mapping[str, Value], parallel_partitions: int = 1
 ) -> Value:
-    """Run a whole program with ``name -> value`` bindings for inputs and sizes.
-
-    The numpy fast path is on by default; pass ``vectorize=False`` to force
-    the recursive reference evaluation everywhere (the two are equivalent —
-    see ``tests/ppl/test_vectorized_interp.py``).
-    """
+    """Run a whole program with ``name -> value`` bindings for inputs and sizes."""
     env = program.bind(bindings)
-    return Interpreter(parallel_partitions, vectorize=vectorize).evaluate(program.body, env)
+    return Interpreter(parallel_partitions).evaluate(program.body, env)

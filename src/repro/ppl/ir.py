@@ -417,6 +417,9 @@ class ArrayCopy(Expr):
     paper).  ``offsets`` and ``sizes`` have one entry per dimension of the
     source array; a size of ``None`` copies the full dimension.  ``reuse``
     marks overlapping tiles (e.g. sliding windows) with their reuse factor.
+    A region that runs past the end of the array is truncated at its edge:
+    the partial last tile of a strip-mined loop relies on that.  A negative
+    offset is an error.
     """
 
     _fields = ("array", "offsets", "tile_sizes")

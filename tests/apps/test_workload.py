@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.estimate import input_shapes, workload_env
 from repro.apps import all_benchmarks, get_benchmark
+from repro.config import CompileConfig
 from repro.dse.engine import PointLedger
 from repro.dse.space import default_space
 from repro.pipeline.session import CompilerSession
@@ -79,12 +80,18 @@ def test_workload_keys_like_generated_bindings(case, seed, cycle_model):
     assert ref == ledger.locate(program, bindings, point, cycle_model)
 
 
-@pytest.mark.parametrize("vectorize", [False, True])
+@pytest.mark.parametrize("stage", ["source", "tiled"])
 @pytest.mark.parametrize("name", BENCH_NAMES)
-def test_reading_a_stand_in_fails_loudly(name, vectorize):
+def test_reading_a_stand_in_fails_loudly(name, stage):
+    """Compiling needs shapes only, but running the source or the tiled
+    program (whose tile copies read the inputs) on a stand-in raises."""
     bench = get_benchmark(name)
     workload = bench.workload()
+    program = bench.build()
+    if stage == "tiled":
+        config = CompileConfig(tiling=True, tile_sizes={key: 5 for key in bench.tile_sizes})
+        program = CompilerSession().compile(program, config, workload).tiled_program
     with pytest.raises(TypeError, match="holds no data"):
-        run_program(bench.build(), workload, vectorize=vectorize)
+        run_program(program, workload)
     with pytest.raises(TypeError):
         bench.reference(workload)

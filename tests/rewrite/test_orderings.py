@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import all_benchmarks
 from repro.config import CompileConfig
@@ -172,8 +174,8 @@ class TestReexpressedVariants:
             bench.build(), config, bindings, pipeline=ordering_name(steps)
         )
         np.testing.assert_array_equal(
-            np.asarray(run_program(base.program, bindings)),
-            np.asarray(run_program(novel.program, bindings)),
+            np.asarray(run_program(base.tiled_program, bindings)),
+            np.asarray(run_program(novel.tiled_program, bindings)),
         )
 
     def test_dse_sweeps_auto_orderings_through_the_pipeline_gene(self):
@@ -193,3 +195,28 @@ class TestReexpressedVariants:
         assert set(names) <= swept
         by_pipeline = {r.point.pipeline: r.cycles for r in result.evaluated}
         assert all(cycles > 0 for cycles in by_pipeline.values())
+
+
+PPL_ORDERINGS = list(enumerate_legal_orderings(include_schedule=False))
+
+
+@given(
+    bench=st.sampled_from(all_benchmarks()),
+    steps=st.sampled_from(PPL_ORDERINGS),
+    tile=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_every_legal_ordering_computes_the_reference(bench, steps, tile, seed):
+    """Any legal PPL ordering at any small tile size (partial tiles included,
+    since tiles of 1-5 rarely divide the test sizes) still computes what the
+    app's numpy reference computes."""
+    bindings = bench.bindings(rng=np.random.default_rng(seed))
+    config = CompileConfig(tiling=True, tile_sizes={name: tile for name in bench.tile_sizes})
+    compiled = Session().compile(bench.build(), config, bindings, pipeline=ordering_name(steps))
+    np.testing.assert_allclose(
+        np.asarray(run_program(compiled.tiled_program, bindings), dtype=float),
+        np.asarray(bench.reference(bindings), dtype=float),
+        rtol=1e-9,
+        err_msg=ordering_name(steps),
+    )
