@@ -619,7 +619,12 @@ def _timed_init(out_dir, *init_args) -> None:
     started = time.perf_counter()
     _init_worker(*init_args)
     elapsed = time.perf_counter() - started
-    Path(out_dir, f"worker-{os.getpid()}.seconds").write_text(repr(elapsed))
+    # Write aside, then rename: the parent polls for the final name and
+    # must never read a stamp that is created but not yet written.
+    stamp = Path(out_dir, f"worker-{os.getpid()}.seconds")
+    partial = stamp.with_suffix(".partial")
+    partial.write_text(repr(elapsed))
+    os.replace(partial, stamp)
 
 
 def _measure_spawn(workers: int, store: Path, snap: Path, warmup: str) -> dict:

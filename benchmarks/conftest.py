@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md's experiment index).  ``pytest benchmarks/ --benchmark-only``
-prints the regenerated rows alongside the paper's numbers.
+(README.md, "Deviations from the paper", lists where the reproduction
+departs from it).  ``pytest benchmarks/ --benchmark-only`` prints the
+regenerated rows alongside the paper's numbers.
 """
 
 from __future__ import annotations

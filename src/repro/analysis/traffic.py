@@ -14,9 +14,9 @@ program:
   every enclosing loop from the outermost down to the deepest loop whose
   index participates in selecting the row, times the row length.
 
-:func:`on_chip_storage` reports the words of on-chip buffering each data
-structure needs in the same model (one row for direct accesses, the tile for
-copies).
+Each entry of the report also carries the words of on-chip buffering its
+data structure needs in the same model (``TrafficEntry.on_chip_words``: one
+row for direct accesses, the tile for copies).
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ way the points actually share it:
    terminal generate/schedule/area passes) runs once per group.  Variants
    with the same PPL prefix — ``default`` and ``rewrite``, or ``auto:``
    orderings that differ only in their schedule steps — share a group.
+   The prefix runs through the pipeline's pass memo, the one scalar
+   compiles use, where the groups of one tiling structure share each
+   tiling pass's symbolic run and each group instantiates its own
+   configuration (:mod:`repro.transforms.symbolic`).
 3. **One design per configuration** — within a group, hardware generation
    and lowering run once per ``(tile sizes, par, metapipelining)``,
    reusing one :class:`~repro.hw.generation.GenerationShared` (workload

@@ -58,6 +58,7 @@ Invalidation rules:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -149,6 +150,23 @@ def _store_write_lock(path: Path) -> Iterator[None]:
             fcntl.flock(handle, fcntl.LOCK_UN)
         finally:
             handle.close()
+
+
+def _unpickle(blob: bytes) -> object:
+    """``pickle.loads`` with the cyclic collector paused.
+
+    A store unpickles into one large graph of new containers, which would
+    trigger repeated collections that walk the growing graph and free
+    nothing.  Pausing them cut ``bench_dse.py``'s warm disk rerun (a
+    249 KiB store) from about 50 to 34 ms on a 2-core host.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(blob)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class AnalysisCache:
@@ -346,12 +364,12 @@ class AnalysisCache:
             if hashlib.blake2b(body, digest_size=_CHECKSUM_BYTES).digest() != checksum:
                 raise CacheIntegrityError(f"checksum mismatch in {path}")
             try:
-                payload = pickle.loads(body)
+                payload = _unpickle(body)
             except Exception as exc:
                 raise CacheIntegrityError(f"undecodable store {path}: {exc}") from exc
         else:
             try:
-                payload = pickle.loads(blob)
+                payload = _unpickle(blob)
             except Exception as exc:
                 raise CacheIntegrityError(f"unparsable store {path}: {exc}") from exc
         if not isinstance(payload, dict):

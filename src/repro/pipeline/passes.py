@@ -42,6 +42,7 @@ from repro.hw.generation import generate_hardware
 from repro.ppl.program import Program
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
+from repro.transforms.symbolic import TileGuards
 
 __all__ = [
     "PassContext",
@@ -83,6 +84,10 @@ class PassContext:
     model: Optional[PerformanceModel] = None
     cache: Optional[AnalysisCache] = None
     artifacts: Dict[str, object] = field(default_factory=dict)
+    # Set by the pipeline while a memoised PPL transformation runs: the
+    # transforms then emit placeholder tile sizes and decide on tile values
+    # through these guards (repro.transforms.symbolic).  None: constants.
+    tile_guards: Optional[TileGuards] = None
 
     def __post_init__(self) -> None:
         if self.cache is None:
@@ -134,6 +139,12 @@ class PipelinePass:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
+    #: Whether the pass takes programs holding placeholder tile sizes: true
+    #: only for the stock PPL transformation stages and fixed-point groups
+    #: of them.  The pipeline instantiates a symbolic program before any
+    #: other pass receives it.
+    symbolic: bool = False
+
 
 class TransformationStage(PipelinePass):
     """Run one framework :class:`~repro.rewrite.framework.Transformation`.
@@ -160,6 +171,7 @@ class TransformationStage(PipelinePass):
 
     def __init__(self, transformation, name: Optional[str] = None) -> None:
         self.transformation = transformation
+        self.symbolic = type(self) is TransformationStage and transformation.ir == "ppl"
         super().__init__(name or transformation.name)
 
     def run(self, program: Program, ctx: PassContext) -> Program:
@@ -217,6 +229,7 @@ class FixedPointPass(PipelinePass):
         if not self.passes:
             raise PipelineError("fixed_point needs at least one pass to iterate")
         self.max_iters = max(1, max_iters)
+        self.symbolic = type(self) is FixedPointPass and all(p.symbolic for p in self.passes)
         inner = "+".join(p.name for p in self.passes)
         super().__init__(name or f"fixed-point({inner})")
 

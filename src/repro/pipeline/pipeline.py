@@ -24,6 +24,18 @@ program — even at a different position, or in a different pipeline — hits
 the same entry; cached outputs are reused wholesale, so design points that
 differ only in knobs no transform reads (parallelisation factors, the
 metapipelining flag) share every transform result.
+
+Tile sizes are shared the same way.  With the cache on, the stock PPL
+transformation stages run *symbolically* (:mod:`repro.transforms.symbolic`):
+strip mining emits a placeholder size symbol per tiled key, so the tiling
+passes key on the tiling structure (which keys are tiled, the split
+budget) and every tile size of one structure reaches the same entries.  A
+pass that decides on a tile value records the decision as a guard, and its
+entry (a :class:`GuardedPayloads`) serves a configuration only where the
+guards hold, gaining another alternative where they fail.  :meth:`Pipeline.run`
+instantiates the symbolic program for the configuration before the first
+pass that is not a stock PPL transformation, or at the end; traced
+snapshots are instantiated when read.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PipelineError
 from repro.pipeline.passes import (
@@ -42,10 +54,25 @@ from repro.pipeline.passes import (
 )
 from repro.ppl.program import Program
 from repro.ppl.traversal import count_nodes
+from repro.transforms.symbolic import TileGuards, guards_hold, holds_placeholders, instance
 
 __all__ = ["PassRecord", "PipelineReport", "PipelineOutcome", "Pipeline"]
 
 _MISSING = object()
+
+
+def _memo_names(program: Program) -> Tuple[tuple, tuple, bool]:
+    """The input and size names a memo key carries for ``program``, and
+    whether it holds placeholder tile sizes; cached on the program, which
+    memoised passes hand back to every compile that reaches it."""
+    cached = program.__dict__.get("_memo_names")
+    if cached is None:
+        cached = program._memo_names = (
+            tuple(array.name for array in program.inputs),
+            tuple(size.name for size in program.sizes),
+            holds_placeholders(program),
+        )
+    return cached
 
 
 def _node_count(body) -> int:
@@ -171,21 +198,64 @@ class PipelineReport:
         }
 
 
-@dataclass
 class PipelineOutcome:
-    """Everything one pipeline run produced."""
+    """Everything one pipeline run produced.
 
-    program: Program
-    trace: List[Tuple[str, Program]] = field(default_factory=list)
-    report: Optional[PipelineReport] = None
+    ``raw_trace`` holds the program after every step as the run saw it:
+    the symbolic stretch holds placeholder tile sizes.  :attr:`trace` and
+    :meth:`stage` instantiate those snapshots for the run's configuration
+    when read.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        trace: Optional[List[Tuple[str, Program]]] = None,
+        report: Optional[PipelineReport] = None,
+        resolve: Optional[Callable[[Program], Program]] = None,
+    ) -> None:
+        self.program = program
+        self.raw_trace: List[Tuple[str, Program]] = list(trace or [])
+        self.report = report
+        self._resolve = resolve
+
+    def resolve(self, program: Program) -> Program:
+        """A traced snapshot instantiated for the run's configuration."""
+        return program if self._resolve is None else self._resolve(program)
+
+    @property
+    def trace(self) -> List[Tuple[str, Program]]:
+        return [(name, self.resolve(program)) for name, program in self.raw_trace]
 
     def stage(self, pass_name: str) -> Optional[Program]:
         """The program recorded after ``pass_name`` (last occurrence), or None."""
         found = None
-        for name, program in self.trace:
+        for name, program in self.raw_trace:
             if name == pass_name:
                 found = program
-        return found
+        return None if found is None else self.resolve(found)
+
+
+class GuardedPayloads:
+    """The memo value of a pass whose run decided on tile values.
+
+    Each alternative pairs a payload with the guard record of the run that
+    produced it (:class:`~repro.transforms.symbolic.TileGuards`).  A lookup
+    serves the first alternative whose guards hold for the configuration;
+    a configuration that none serves runs the pass and adds one.
+    """
+
+    def __init__(self, alternatives: Tuple = ()) -> None:
+        self.alternatives = tuple(alternatives)
+
+    def select(self, tile_sizes) -> object:
+        for record, payload in self.alternatives:
+            if guards_hold(record, tile_sizes):
+                return payload
+        return _MISSING
+
+    def adding(self, record, payload) -> "GuardedPayloads":
+        return GuardedPayloads(self.alternatives + ((record, payload),))
 
 
 class Pipeline:
@@ -309,60 +379,100 @@ class Pipeline:
         return self._derived(passes)
 
     # -- execution -----------------------------------------------------------
-    def _memo_key(self, pass_: PipelinePass, program: Program, ctx: PassContext):
-        contribution = pass_.cache_key(ctx)
-        if contribution is None or not ctx.cache.enabled:
-            return None
-        return (
-            program.body.structural_hash(),
-            tuple(array.name for array in program.inputs),
-            tuple(size.name for size in program.sizes),
-            type(pass_).__name__,
-            contribution,
-        )
+    @staticmethod
+    def _memoized(pass_: PipelinePass, key, program: Program, ctx: PassContext):
+        """The pass's payload from the memo, or from running it: (payload, cached)."""
+        cache = ctx.cache
+        tiles = ctx.config.tile_sizes
+        entry = cache.get("pipeline_pass", key, _MISSING)
+        payload = entry.select(tiles) if isinstance(entry, GuardedPayloads) else entry
+        if payload is not _MISSING:
+            cache.hits["pipeline_pass"] += 1
+            return payload, True
+        cache.misses["pipeline_pass"] += 1
+        guards = TileGuards(tiles) if pass_.symbolic else None
+        ctx.tile_guards = guards
+        try:
+            payload = pass_.payload(pass_.run(program, ctx), ctx)
+        finally:
+            ctx.tile_guards = None
+        record = guards.record() if guards is not None else ()
+        if record:
+            base = entry if isinstance(entry, GuardedPayloads) else GuardedPayloads()
+            cache.put("pipeline_pass", key, base.adding(record, payload))
+        else:
+            cache.put("pipeline_pass", key, payload)
+        return payload, False
 
     def run(self, program: Program, ctx: PassContext) -> PipelineOutcome:
-        """Run every pass in order, memoising and instrumenting each."""
+        """Run every pass in order, memoising and instrumenting each.
+
+        A pass is memoised on the incoming program's structural hash, its
+        input and size names, the pass class and the pass's ``cache_key``.
+        With the cache on, the PPL transformation stages run symbolically
+        (see the module docstring): the program is instantiated for the
+        configuration once, before the first other pass or at the end.
+        """
         started = time.perf_counter()
         trace: List[Tuple[str, Program]] = [("input", program)]
         report = PipelineReport(pipeline=self.name, program=program.name)
+        tiles = ctx.config.tile_sizes
+        sharing = ctx.cache.enabled
         current = program
+        inputs, sizes, pending = _memo_names(current)
+        # An instance has its symbolic program's node count, and a pass
+        # that returns its input changes nothing: neither is re-walked.
+        nodes = _node_count(current.body)
         for pass_ in self.passes:
-            nodes_before = _node_count(current.body)
+            symbolic = sharing and pass_.symbolic
+            if pending and not symbolic:
+                current = instance(current, tiles)
+                inputs, sizes, pending = _memo_names(current)
             pass_started = time.perf_counter()
-            key = self._memo_key(pass_, current, ctx)
-            if key is None:
+            contribution = pass_.cache_key(ctx) if sharing else None
+            if contribution is None:
                 payload = pass_.payload(pass_.run(current, ctx), ctx)
                 cached = False
             else:
-                ran = False
-
-                def compute(pass_=pass_, current=current):
-                    nonlocal ran
-                    ran = True
-                    return pass_.payload(pass_.run(current, ctx), ctx)
-
-                payload = ctx.cache.memoize("pipeline_pass", key, compute)
-                cached = not ran
+                key = (
+                    current.body.structural_hash(),
+                    inputs,
+                    sizes,
+                    type(pass_).__name__,
+                    contribution,
+                )
+                payload, cached = self._memoized(pass_, key, current, ctx)
             next_program = pass_.restore(payload, ctx)
             elapsed = time.perf_counter() - pass_started
+            same = next_program is current
+            nodes_after = nodes if same else _node_count(next_program.body)
             report.records.append(
                 PassRecord(
                     name=pass_.name,
                     seconds=elapsed,
                     cached=cached,
-                    nodes_before=nodes_before,
-                    nodes_after=_node_count(next_program.body),
-                    changed=(
-                        next_program.body.structural_hash()
-                        != current.body.structural_hash()
-                    ),
+                    nodes_before=nodes,
+                    nodes_after=nodes_after,
+                    changed=not same
+                    and next_program.body.structural_hash() != current.body.structural_hash(),
                     iterations=ctx.artifacts.pop(PASS_ITERATIONS_KEY, 1),
                     budget_seconds=pass_.budget_seconds,
                     details=ctx.artifacts.pop(PASS_DETAILS_KEY, {}),
                 )
             )
             trace.append((pass_.name, next_program))
-            current = next_program
+            nodes = nodes_after
+            if not same:
+                current = next_program
+                inputs, sizes, pending = _memo_names(current)
+        if pending:
+            current = instance(current, tiles)
         report.total_seconds = time.perf_counter() - started
-        return PipelineOutcome(program=current, trace=trace, report=report)
+        return PipelineOutcome(
+            program=current,
+            trace=trace,
+            report=report,
+            resolve=lambda snapshot: (
+                instance(snapshot, tiles) if holds_placeholders(snapshot) else snapshot
+            ),
+        )

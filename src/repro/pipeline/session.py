@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Union
 
 from repro.analysis.area import AreaReport, estimate_area
 from repro.config import CompileConfig
@@ -54,32 +54,49 @@ from repro.utils.naming import fresh_naming_scope
 __all__ = ["CompilationResult", "CompilerSession", "Session", "TilingResult"]
 
 
-@dataclass
 class TilingResult:
     """The paper's stage snapshots of one compile's Section 4 tiling flow.
 
     ``strip_mined`` is the program just before pattern interchange (after
     the first cleanup), ``interchanged`` the program right after it, and
     ``tiled`` the program hardware generation saw; the Figure 5c table and
-    the Table 3 harness read these forms.
+    the Table 3 harness read these forms.  A snapshot taken from the
+    symbolic stretch of the pipeline is instantiated for ``config`` when
+    first read (``resolve``).
     """
 
-    original: Program
-    fused: Program
-    strip_mined: Program
-    interchanged: Program
-    tiled: Program
-    config: CompileConfig
-    applied_interchanges: List[str] = field(default_factory=list)
+    _STAGES = ("original", "fused", "strip_mined", "interchanged", "tiled")
+
+    def __init__(
+        self,
+        original: Program,
+        fused: Program,
+        strip_mined: Program,
+        interchanged: Program,
+        tiled: Program,
+        config: CompileConfig,
+        applied_interchanges: Optional[List[str]] = None,
+        resolve: Optional[Callable[[Program], Program]] = None,
+    ) -> None:
+        self._snapshots = dict(zip(self._STAGES, (original, fused, strip_mined, interchanged, tiled)))
+        self._resolve = resolve
+        self.config = config
+        self.applied_interchanges = list(applied_interchanges or [])
+
+    def _stage(self, name: str) -> Program:
+        snapshot = self._snapshots[name]
+        if self._resolve is not None:
+            snapshot = self._snapshots[name] = self._resolve(snapshot)
+        return snapshot
+
+    original = property(lambda self: self._stage("original"))
+    fused = property(lambda self: self._stage("fused"))
+    strip_mined = property(lambda self: self._stage("strip_mined"))
+    interchanged = property(lambda self: self._stage("interchanged"))
+    tiled = property(lambda self: self._stage("tiled"))
 
     def stages(self) -> Dict[str, Program]:
-        return {
-            "original": self.original,
-            "fused": self.fused,
-            "strip_mined": self.strip_mined,
-            "interchanged": self.interchanged,
-            "tiled": self.tiled,
-        }
+        return {name: self._stage(name) for name in self._STAGES}
 
 
 @dataclass
@@ -329,13 +346,14 @@ class CompilerSession:
         after it.  Pipelines without an interchange pass collapse the
         intermediate stages onto the final program.
         """
+        trace = outcome.raw_trace
         fused = outcome.stage("fusion") or program
         tiled = outcome.program
-        names = [name for name, _ in outcome.trace]
+        names = [name for name, _ in trace]
         if "interchange" in names:
             index = names.index("interchange")
-            strip_mined = outcome.trace[index - 1][1]
-            interchanged = outcome.trace[index][1]
+            strip_mined = trace[index - 1][1]
+            interchanged = trace[index][1]
         else:
             strip_mined = tiled
             interchanged = tiled
@@ -346,7 +364,8 @@ class CompilerSession:
             interchanged=interchanged,
             tiled=tiled,
             config=config,
-            applied_interchanges=list(ctx.artifacts.get("applied_interchanges", [])),
+            applied_interchanges=ctx.artifacts.get("applied_interchanges", []),
+            resolve=outcome.resolve,
         )
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.dse.cache import config_signature
 from repro.ppl.ir import FlatMap, GroupByFold, Lambda, Let, Map, MultiFold, Pattern
+from repro.ppl.program import Program
 from repro.rewrite.framework import Match, PplTransformation, ShapePattern
 from repro.transforms.code_motion import _PatternLICM, _split_invariant_lets
 from repro.transforms.cse import _LetCSE
@@ -41,6 +41,18 @@ __all__ = [
     "TileCopies",
     "Interchange",
 ]
+
+
+def _tiling_structure(config) -> Tuple:
+    """The memo-key part of a configuration for the symbolic tiling passes.
+
+    Which keys are tiled and the split budget: tile *values* enter a
+    symbolic run only as placeholders and as guarded decisions
+    (:mod:`repro.transforms.symbolic`), so every configuration with the
+    same structure shares one entry.  The tiling flag is keyed by
+    :class:`~repro.pipeline.passes.TransformationStage`.
+    """
+    return ("structure", tuple(sorted(config.tile_sizes)), config.split_budget)
 
 
 def _with_body(program, body):
@@ -143,10 +155,21 @@ class StripMine(PplTransformation):
         return any(plan.tiled for plan in plans)
 
     def apply(self, program, ctx):
-        return _with_body(program, _StripMiner(ctx.config).strip(program.body))
+        miner = _StripMiner(ctx.config, ctx.tile_guards, program.sizes)
+        body = miner.strip(program.body)
+        if body is program.body:
+            return program
+        return Program(
+            name=program.name,
+            inputs=list(program.inputs),
+            sizes=list(program.sizes)
+            + [size for size in miner.placeholders.values() if size not in program.sizes],
+            body=body,
+            output_names=list(program.output_names),
+        )
 
     def config_key(self, ctx) -> Tuple:
-        return (config_signature(ctx.config),)
+        return _tiling_structure(ctx.config)
 
 
 class TileCopies(PplTransformation):
@@ -169,9 +192,6 @@ class TileCopies(PplTransformation):
     def apply(self, program, ctx):
         copier = _TileCopier(program.inputs)
         return _with_body(program, copier.process(program.body, tile_syms=set()))
-
-    def config_key(self, ctx) -> Tuple:
-        return (config_signature(ctx.config),)
 
 
 class Interchange(PplTransformation):
@@ -205,7 +225,7 @@ class Interchange(PplTransformation):
         body = program.body
         applied = []
         for _ in range(5):
-            rewriter = _InterchangeRewriter(ctx.config.split_budget)
+            rewriter = _InterchangeRewriter(ctx.config.split_budget, ctx.tile_guards)
             new_body = rewriter.transform(body)
             applied.extend(rewriter.applied)
             if new_body is body:
@@ -215,7 +235,7 @@ class Interchange(PplTransformation):
         return _with_body(program, body)
 
     def config_key(self, ctx) -> Tuple:
-        return (config_signature(ctx.config),)
+        return _tiling_structure(ctx.config)
 
     def payload(self, program, ctx) -> object:
         return (program, tuple(ctx.artifacts.get("applied_interchanges", ())))

@@ -3,8 +3,8 @@
 These constants encode the behaviour of the memory system and the pipelined
 units that the cycle model uses.  They are deliberately explicit (rather than
 buried in the code) because they are the calibration knobs of the
-reproduction; EXPERIMENTS.md documents the values used for the published
-runs.
+reproduction; README.md ("Deviations from the paper") records their
+defaults and which runs vary them.
 """
 
 from __future__ import annotations

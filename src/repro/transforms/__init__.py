@@ -13,7 +13,9 @@ helpers those classes call:
   the tile-copy insertion that converts predictable accesses into explicit
   tile copies (Table 2);
 * :mod:`repro.transforms.interchange` — the two pattern-interchange rules and
-  the split heuristic (Table 3, Figure 5).
+  the split heuristic (Table 3, Figure 5);
+* :mod:`repro.transforms.symbolic` — placeholder tile sizes, the guards on
+  tile values, and the instantiation of a symbolic tiling per configuration.
 
 The pipeline sequences them (:mod:`repro.rewrite.orderings`); the paper's
 Figure 1 flow is the ``default`` ordering.

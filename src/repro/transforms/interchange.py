@@ -48,6 +48,7 @@ from repro.ppl.ir import (
 )
 from repro.ppl.traversal import Transformer, free_syms, rebuild, substitute
 from repro.ppl.types import INDEX, TensorType, is_tuple
+from repro.transforms.symbolic import TileGuards, placeholder_key, static_words
 
 __all__ = ["interchange_map_of_fold", "split_and_interchange"]
 
@@ -58,31 +59,47 @@ def _zero_location(rank: int) -> Expr:
     return Const(0, INDEX)
 
 
-def _static_extent(extent: Expr) -> Optional[int]:
-    """A static upper bound on a domain extent, if one exists.
+def _static_extent(extent: Expr) -> Optional[Tuple]:
+    """Operands whose minimum statically bounds a domain extent, if any.
 
     Tile-local domains carry the partial-tile clamp ``min(b, d - ii)``; the
-    constant operand of the ``min`` is a valid static bound.
+    tile operand of the ``min`` is a valid static bound.  Operands are ints,
+    or the extent keys of placeholder tile sizes (a symbolic run).
     """
     if isinstance(extent, Const) and isinstance(extent.value, int):
-        return extent.value
+        return (extent.value,)
+    key = placeholder_key(extent)
+    if key is not None:
+        return (key,)
     if isinstance(extent, BinOp) and extent.op == "min":
-        bounds = [_static_extent(extent.lhs), _static_extent(extent.rhs)]
-        known = [bound for bound in bounds if bound is not None]
-        return min(known) if known else None
+        known = (_static_extent(extent.lhs) or ()) + (_static_extent(extent.rhs) or ())
+        return known or None
     return None
 
 
-def _static_words(domain: Domain, element_ty) -> Optional[int]:
-    """Number of scalar words of an intermediate over ``domain``, if static."""
-    words = 1
+def _static_words(domain: Domain, element_ty) -> Optional[Tuple[Tuple[Tuple, ...], int]]:
+    """Static bounds of an intermediate over ``domain``: per-axis operands
+    (see :func:`_static_extent`) and scalar words per element, if static."""
+    dims = []
     for extent in domain.dims:
         bound = _static_extent(extent)
         if bound is None:
             return None
-        words *= bound
+        dims.append(bound)
     fields = len(element_ty.fields) if is_tuple(element_ty) else 1
-    return words * fields
+    return tuple(dims), fields
+
+
+def _fits_budget(words, budget_words: int, guards: Optional[TileGuards]) -> bool:
+    """Whether the intermediate of :func:`_static_words` fits on chip.
+
+    A bound on a placeholder tile size is decided through the run's
+    ``guards``; without them (a direct call) it is unknown, so no split.
+    """
+    dims, fields = words
+    if any(isinstance(value, str) for operands in dims for value in operands):
+        return guards is not None and guards.within(dims, fields, budget_words)
+    return static_words(dims, fields, {}) <= budget_words
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +226,15 @@ class _ReplaceNode(Transformer):
         return super().transform(node)
 
 
-def split_and_interchange(pattern: Pattern, budget_words: int) -> Optional[Expr]:
+def split_and_interchange(
+    pattern: Pattern, budget_words: int, guards: Optional[TileGuards] = None
+) -> Optional[Expr]:
     """Split a strided scalar fold out of an unstrided pattern's functions.
 
     Returns ``Let(intermediate, interchanged_fold_of_map, pattern')`` when the
     rewrite applies and the intermediate fits within ``budget_words``;
-    otherwise ``None``.
+    otherwise ``None``.  ``guards`` decides budgets over placeholder tile
+    sizes in a symbolic run.
     """
     if pattern.domain.is_strided:
         return None
@@ -246,7 +266,7 @@ def split_and_interchange(pattern: Pattern, budget_words: int) -> Optional[Expr]
                 continue
 
             words = _static_words(pattern.domain, candidate.init.ty)
-            if words is None or words > budget_words:
+            if words is None or not _fits_budget(words, budget_words, guards):
                 continue
 
             rewritten = _apply_split(pattern, field_name, func, index_params, candidate)
@@ -310,8 +330,9 @@ def _apply_split(
 
 
 class _InterchangeRewriter(Transformer):
-    def __init__(self, budget_words: int) -> None:
+    def __init__(self, budget_words: int, guards: Optional[TileGuards] = None) -> None:
         self.budget_words = budget_words
+        self.guards = guards
         self.applied: List[str] = []
 
     def rewrite_Map(self, node: Map):
@@ -319,14 +340,14 @@ class _InterchangeRewriter(Transformer):
         if result is not None:
             self.applied.append("rule1")
             return result
-        split = split_and_interchange(node, self.budget_words)
+        split = split_and_interchange(node, self.budget_words, self.guards)
         if split is not None:
             self.applied.append("split")
             return split
         return node
 
     def rewrite_MultiFold(self, node: MultiFold):
-        split = split_and_interchange(node, self.budget_words)
+        split = split_and_interchange(node, self.budget_words, self.guards)
         if split is not None:
             self.applied.append("split")
             return split

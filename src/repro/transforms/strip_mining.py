@@ -10,7 +10,10 @@ apply them):
    perfectly nested patterns (Table 1).  The outer pattern iterates over the
    strided domain ``d/b`` (its index takes the values ``0, b, 2b, …``); the
    inner pattern operates on a tile of size ``b`` and its indices are added to
-   the outer index to form the global index.
+   the outer index to form the global index.  ``b`` is a constant, or inside
+   a memoised pipeline run the tiled key's placeholder size symbol
+   (:mod:`repro.transforms.symbolic`), which one run shares across tile
+   sizes.
 
    * ``Map`` becomes a ``MultiFold`` over the strided domain whose value
      function produces one output tile per iteration and whose combine
@@ -22,7 +25,8 @@ apply them):
    * ``GroupByFold`` keeps its flat form (its output size is dynamic so tiles
      of the output cannot be named statically); strip mining records the tile
      size in metadata and the hardware CAM merges per-tile partial results.
-     This is the one documented deviation from Table 1 — see DESIGN.md.
+     This is the one documented deviation from Table 1 — see README.md,
+     "Deviations from the paper".
 
 2. :class:`_TileCopier` converts array accesses with statically
    predictable (affine) access patterns into accesses of explicitly copied
@@ -34,7 +38,7 @@ apply them):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.access import LinearForm, linear_form
 from repro.config import CompileConfig
@@ -68,6 +72,7 @@ from repro.ppl.traversal import (
     walk,
 )
 from repro.ppl.types import INDEX, TensorType
+from repro.transforms.symbolic import TileGuards, placeholder, placeholder_key
 
 
 _OUTER_NAMES = ["ii", "jj", "kk", "ll"]
@@ -98,22 +103,44 @@ class _AxisPlan:
     """How one domain axis is handled during strip mining."""
 
     extent: Expr
-    tile: Optional[int]  # None = untiled
+    # None = untiled; otherwise the tile value, or its placeholder size
+    # symbol in a symbolic run (see :mod:`repro.transforms.symbolic`).
+    tile: Union[int, Sym, None]
 
     @property
     def tiled(self) -> bool:
         return self.tile is not None
 
     @property
+    def size(self) -> Expr:
+        """The tile size as an IR expression."""
+        return self.tile if isinstance(self.tile, Sym) else Const(self.tile, INDEX)
+
+    @property
     def outer_stride(self) -> Expr:
-        return Const(self.tile, INDEX) if self.tiled else self.extent
+        return self.size if self.tiled else self.extent
 
 
 class _StripMiner:
-    """Break tiled pattern dimensions into perfectly nested pattern pairs."""
+    """Break tiled pattern dimensions into perfectly nested pattern pairs.
 
-    def __init__(self, config: CompileConfig) -> None:
+    With ``guards`` (a symbolic run) a tile other than 1 becomes the
+    extent key's placeholder size symbol, reusing any placeholder already
+    listed in ``sizes``; every decision on a tile value goes through the
+    guards.  ``placeholders`` holds the symbols the run used.
+    """
+
+    def __init__(
+        self,
+        config: CompileConfig,
+        guards: Optional[TileGuards] = None,
+        sizes: Sequence[Sym] = (),
+    ) -> None:
         self.config = config
+        self.guards = guards
+        self.placeholders: Dict[str, Sym] = {
+            key: size for size in sizes if (key := placeholder_key(size)) is not None
+        }
 
     # -- recursion ------------------------------------------------------------
     def strip(self, node: Node) -> Node:
@@ -153,10 +180,15 @@ class _StripMiner:
             tile = None
             if not already_strided and key is not None:
                 tile = self.config.tile_size_for(key)
-                if tile is not None and isinstance(extent, Const) and extent.value <= tile:
-                    tile = None  # the whole dimension already fits in one tile
+                if tile is not None and self.guards is not None and not self.guards.unit(key):
+                    tile = self._placeholder(key)
             plans.append(_AxisPlan(extent, tile))
         return plans
+
+    def _placeholder(self, key: str) -> Sym:
+        if key not in self.placeholders:
+            self.placeholders[key] = placeholder(key)
+        return self.placeholders[key]
 
     # -- per-pattern rules -----------------------------------------------------
     def _make_index_syms(self, plans: Sequence[_AxisPlan]) -> tuple[list[Sym], list[Sym], list[Expr]]:
@@ -185,7 +217,7 @@ class _StripMiner:
         dims = []
         for plan, outer in zip(plans, outer_syms):
             if plan.tiled:
-                dims.append(bld.minimum(Const(plan.tile, INDEX), bld.sub(plan.extent, outer)))
+                dims.append(bld.minimum(plan.size, bld.sub(plan.extent, outer)))
             else:
                 dims.append(plan.extent)
         return Domain(tuple(dims))
@@ -308,7 +340,8 @@ class _StripMiner:
     def _strip_groupbyfold(self, node: GroupByFold, plans: List[_AxisPlan]) -> Node:
         # Documented deviation: the output key space is dynamic, so the flat
         # form is kept and the tile size is recorded for the hardware CAM and
-        # the traffic model (see the module docstring and DESIGN.md).
+        # the traffic model (see the module docstring and README.md, "Deviations
+        # from the paper").
         new = self._recurse(node)
         if isinstance(new, Pattern):
             new.with_meta(

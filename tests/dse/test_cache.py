@@ -15,8 +15,21 @@ from repro.config import CompileConfig
 from repro.dse.cache import ANALYSIS_CACHE, AnalysisCache, config_signature, env_signature
 from repro.ppl import builder as b
 from repro.pipeline import Session
-from repro.ppl.ir import structural_hash
+from repro.ppl.ir import Pattern, structural_hash
+from repro.ppl.traversal import walk
 from repro.utils.naming import reset_names
+
+
+def _fingerprint(program):
+    """Structural hash, pattern meta in walk order (the hash ignores meta)
+    and the pre-order index of each non-leaf node's first occurrence."""
+    nodes = list(walk(program.body))
+    first = {}
+    return (
+        program.body.structural_hash(),
+        [dict(node.meta) for node in nodes if isinstance(node, Pattern)],
+        [first.setdefault(id(node), index) for index, node in enumerate(nodes) if node.children()],
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -383,15 +396,22 @@ class TestMemoizedAnalysesMatchUncached:
         assert len(transforms) == 8 and all(record.cached for record in transforms)
         assert ANALYSIS_CACHE.hits["pipeline_pass"] >= len(transforms)
 
-    def test_tiling_cache_distinguishes_tile_sizes(self):
+    def test_tiling_cache_shares_one_structure_across_tile_sizes(self):
         bench = get_benchmark("gemm")
-        program = bench.build()
-        workload = bench.workload()
-        small = Session().compile(
-            program, CompileConfig(tiling=True, tile_sizes={"m": 32}), workload
-        )
-        large = Session().compile(
-            program, CompileConfig(tiling=True, tile_sizes={"m": 64}), workload
-        )
+        uncached = AnalysisCache()
+        uncached.enabled = False
+
+        def compile_(tiles, cache=None):
+            config = CompileConfig(tiling=True, tile_sizes=tiles)
+            return bench.compile(config, session=Session(cache=cache))
+
+        small = compile_({"m": 32})
+        large = compile_({"m": 64})
+        direct = compile_({"m": 64}, uncached)
+        assert large.report.record("strip-mine").cached
         assert small.tiled_program is not large.tiled_program
-        assert not large.report.record("strip-mine").cached
+        assert (
+            small.tiled_program.body.structural_hash()
+            != large.tiled_program.body.structural_hash()
+        )
+        assert _fingerprint(large.tiled_program) == _fingerprint(direct.tiled_program)

@@ -17,11 +17,26 @@ from repro.pipeline import (
     register_pipeline_variant,
 )
 from repro.pipeline.variants import variant_signature
+from repro.ppl.ir import Pattern
+from repro.ppl.traversal import walk
 from repro.rewrite import LetCse, StripMine, VerticalFusion
+from repro.utils.naming import fresh_naming_scope
 
 
 def _gemm_program():
     return get_benchmark("gemm").build()
+
+
+def _fingerprint(program):
+    """Structural hash, pattern meta in walk order (the hash ignores meta)
+    and the pre-order index of each non-leaf node's first occurrence."""
+    nodes = list(walk(program.body))
+    first = {}
+    return (
+        program.body.structural_hash(),
+        [dict(node.meta) for node in nodes if isinstance(node, Pattern)],
+        [first.setdefault(id(node), index) for index, node in enumerate(nodes) if node.children()],
+    )
 
 
 def _tiling_config():
@@ -309,11 +324,23 @@ class TestMemoisation:
         second = pipeline.run(program, PassContext(config=config, cache=cache))
         assert not any(record.cached for record in second.report.records)
 
-    def test_different_tile_sizes_do_not_share_strip_mining(self):
-        cache = AnalysisCache()
+    def test_different_tile_sizes_share_strip_mining(self):
+        """A second tile size of the same structure is served by the first
+        run's symbolic entry and instantiates to its own cache-off result."""
         pipeline = Pipeline([TransformationStage(StripMine())], name="strip")
-        program = _gemm_program()
-        pipeline.run(program, PassContext(config=_tiling_config(), cache=cache))
         other = CompileConfig(tiling=True, tile_sizes={"m": 32, "n": 32, "p": 32})
-        outcome = pipeline.run(program, PassContext(config=other, cache=cache))
-        assert not outcome.report.records[0].cached
+        uncached = AnalysisCache()
+        uncached.enabled = False
+
+        def run(config, cache):
+            with fresh_naming_scope():
+                return pipeline.run(_gemm_program(), PassContext(config=config, cache=cache))
+
+        cache = AnalysisCache()
+        first = run(_tiling_config(), cache)
+        second = run(other, cache)
+        direct = run(other, uncached)
+        assert second.report.records[0].cached
+        assert second.program is not first.program
+        assert second.program.body.structural_hash() != first.program.body.structural_hash()
+        assert _fingerprint(second.program) == _fingerprint(direct.program)

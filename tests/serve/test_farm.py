@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.apps import get_benchmark
 from repro.dse.batch import evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE
-from repro.dse.engine import MultiBenchmarkExplorer, explore
+from repro.dse.engine import MultiBenchmarkExplorer, evaluate_point, explore
 from repro.dse.resilience import FaultPlan, FaultSpec, ResiliencePolicy
-from repro.dse.space import DesignPoint
+from repro.dse.space import DesignPoint, default_space
 from repro.errors import FarmError
+from repro.rewrite import (
+    InvariantCodeMotion,
+    Interchange,
+    LetCse,
+    StripMine,
+    TileCopies,
+    VerticalFusion,
+)
 from repro.serve import CompileFarm, CompileRequest, SnapshotView, SyncClient
+from repro.serve.snapshot import attach_snapshot, write_snapshot
 
 SIZES = {
     "sumrows": {"m": 1024, "n": 64},
@@ -343,6 +354,47 @@ class TestStoreCompatibility:
         assert farm.stats.scheduled == 0
         assert farm.stats.supervision.evaluations == 0
         assert [r.result for r in responses] == expected
+
+
+    def test_store_serves_tile_sizes_it_never_saw(self, tmp_path, monkeypatch):
+        """The batched path writes one symbolic tiling per structure: a store
+        holding a third of gemm's space serves every transform pass of the
+        whole space to the scalar path farm lanes evaluate with, through
+        ``load_disk`` and through a snapshot attach alike."""
+        bench = get_benchmark("gemm")
+        sizes = SIZES["gemm"]
+        program = bench.build()
+        workload = bench.workload(sizes)
+        points = list(default_space({name: sizes[name] for name in bench.tile_sizes}).points)
+        third = [p for p in points if p.tiles.get("m", 16) == 16]
+        assert 3 * len(third) >= len(points) and len(third) < len(points) / 2
+        with ANALYSIS_CACHE.disabled():
+            expected = [evaluate_point(program, workload, point) for point in points]
+        evaluate_point_batch(program, workload, third)
+        store = tmp_path / "store.pkl"
+        ANALYSIS_CACHE.save_disk(store)
+
+        applied = Counter()
+        for transformation in (
+            VerticalFusion, StripMine, TileCopies, LetCse, InvariantCodeMotion, Interchange
+        ):
+            def counted(self, subject, ctx, _apply=transformation.apply):
+                applied[type(self).__name__] += 1
+                return _apply(self, subject, ctx)
+
+            monkeypatch.setattr(transformation, "apply", counted)
+
+        snapshot = tmp_path / "store.snap"
+        for attach in ("load_disk", "snapshot"):
+            ANALYSIS_CACHE.clear()
+            ANALYSIS_CACHE.load_disk(store)
+            if attach == "snapshot":
+                write_snapshot(snapshot)
+                ANALYSIS_CACHE.clear()
+                attach_snapshot(ANALYSIS_CACHE, snapshot)
+            results = [evaluate_point(program, workload, point) for point in points]
+            assert results == expected, attach
+            assert not applied, attach
 
 
 def _attached_tables():
