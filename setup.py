@@ -1,9 +1,10 @@
-"""Setuptools shim.
+"""Setuptools project metadata.
 
-The pyproject.toml is the canonical project metadata; this file exists so the
-package can be installed editable (``pip install -e . --no-use-pep517``) in
-offline environments that lack the ``wheel`` package required by PEP 660
-editable installs.
+This file is the project's only packaging metadata (there is no
+``pyproject.toml``).  Being a plain ``setup.py``, it also lets the package be
+installed editable (``pip install -e . --no-use-pep517``) in offline
+environments that lack the ``wheel`` package required by PEP 660 editable
+installs.
 """
 
 from setuptools import find_packages, setup

@@ -1,32 +1,17 @@
 """Static analyses over the PPL IR.
 
-* :mod:`repro.analysis.access` — linear-form extraction and affine / non-affine
-  classification of array accesses (used by tile-copy insertion and by memory
-  allocation to decide between buffers and caches).
-* :mod:`repro.analysis.memory` — on-chip memory allocation (Section 5,
-  "Memory Allocation").
-* :mod:`repro.analysis.metapipeline` — metapipeline stage scheduling
-  (Section 5, "Metapipelining").
-* :mod:`repro.analysis.traffic` — analytical main-memory / on-chip storage
-  model reproducing Figure 5c.
+* :mod:`repro.analysis.access` — linear forms of index expressions (used by
+  tile-copy insertion and by the traffic models).
+* :mod:`repro.analysis.estimate` — size evaluation, scalar-op counts, and the
+  one walk over input accesses with the per-occurrence traffic records that
+  hardware generation and the cycle model read.
+* :mod:`repro.analysis.traffic` — Figure 5c's minimum main-memory reads and
+  on-chip storage, derived from the same walk, and the DRAM transfer
+  inventory of a schedule.
 * :mod:`repro.analysis.area` — FPGA resource model (logic / FF / BRAM)
   reproducing the resource half of Figure 7.
 """
 
-from repro.analysis.access import (
-    AccessClass,
-    AccessInfo,
-    LinearForm,
-    classify_access,
-    collect_accesses,
-    linear_form,
-)
+from repro.analysis.access import LinearForm, linear_form
 
-__all__ = [
-    "AccessClass",
-    "AccessInfo",
-    "LinearForm",
-    "classify_access",
-    "collect_accesses",
-    "linear_form",
-]
+__all__ = ["LinearForm", "linear_form"]

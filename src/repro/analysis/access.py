@@ -1,49 +1,23 @@
-"""Array access pattern analysis.
-
-The paper's tiling and memory-allocation decisions hinge on classifying each
-array access:
-
-* **affine** accesses — linear combinations of loop indices and compile-time
-  sizes — can be covered by tile copies (strip mining, Section 4) and served
-  from on-chip buffers;
-* **non-affine** accesses — data-dependent indices such as
-  ``sums(minDistIndex, j)`` in k-means or the bucket select of a GroupByFold —
-  are served by caches / CAMs (Section 5, Table 4).
+"""Linear forms of index expressions.
 
 :func:`linear_form` extracts the linear form of an index expression as integer
 coefficients over symbols plus a constant, failing (returning ``None``) when
-the expression is not linear.  :func:`classify_access` then uses the caller's
-knowledge of which symbols are loop indices and which are compile-time sizes
-to decide the access class.
+the expression is not linear — e.g. a product of two symbols or a
+data-dependent index such as ``sums(minDistIndex, j)`` in k-means.  Tile-copy
+insertion (Section 4) reads the forms to decide whether a copy covers an
+access and to rewrite the access into tile-local indices; the traffic
+models (:mod:`repro.analysis.estimate`, :mod:`repro.analysis.traffic`) read
+them to find which loop indices an access's row or stream follows.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
-from repro.ppl.ir import (
-    ArrayApply,
-    ArrayCopy,
-    ArraySlice,
-    BinOp,
-    Const,
-    Expr,
-    Node,
-    Sym,
-    UnaryOp,
-)
-from repro.ppl.traversal import walk
+from repro.ppl.ir import BinOp, Const, Expr, Sym, UnaryOp
 
-__all__ = [
-    "LinearForm",
-    "AccessClass",
-    "AccessInfo",
-    "linear_form",
-    "classify_access",
-    "collect_accesses",
-]
+__all__ = ["LinearForm", "linear_form"]
 
 
 @dataclass
@@ -72,16 +46,8 @@ class LinearForm:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def symbols(self) -> set[Sym]:
-        return set(self.coeffs)
-
     def coefficient(self, sym: Sym) -> int:
         return self.coeffs.get(sym, 0)
-
-    def restricted_to(self, syms: Iterable[Sym]) -> "LinearForm":
-        """The part of the form involving only the given symbols (no constant)."""
-        allowed = set(syms)
-        return LinearForm({s: c for s, c in self.coeffs.items() if s in allowed}, 0)
 
     def without(self, syms: Iterable[Sym]) -> "LinearForm":
         """The form with the given symbols' terms removed (constant kept)."""
@@ -136,81 +102,3 @@ def linear_form(expr: Expr) -> Optional[LinearForm]:
             return None
     return None
 
-
-class AccessClass(enum.Enum):
-    """Classification of a single array access."""
-
-    AFFINE = "affine"
-    NON_AFFINE = "non_affine"
-    CONSTANT = "constant"
-
-
-@dataclass
-class AccessInfo:
-    """One array access site found in an expression tree."""
-
-    node: Node
-    array: Expr
-    index_exprs: tuple[Optional[Expr], ...]
-    access_class: AccessClass
-
-    @property
-    def is_affine(self) -> bool:
-        return self.access_class in (AccessClass.AFFINE, AccessClass.CONSTANT)
-
-    @property
-    def array_name(self) -> str:
-        return self.array.name if isinstance(self.array, Sym) else type(self.array).__name__
-
-
-def classify_access(
-    index_exprs: Sequence[Optional[Expr]],
-    loop_indices: Iterable[Sym],
-    size_syms: Iterable[Sym] = (),
-) -> AccessClass:
-    """Classify an access given its per-dimension index expressions.
-
-    ``None`` entries (full-dimension slices) are trivially affine.  An index
-    is affine when it is linear over loop indices and compile-time size
-    symbols only; any other symbol (a data-dependent value) or non-linear
-    structure makes the access non-affine.
-    """
-    allowed = set(loop_indices) | set(size_syms)
-    saw_index = False
-    for index in index_exprs:
-        if index is None:
-            continue
-        form = linear_form(index)
-        if form is None:
-            return AccessClass.NON_AFFINE
-        if not set(form.coeffs) <= allowed:
-            return AccessClass.NON_AFFINE
-        if any(sym in form.coeffs for sym in loop_indices):
-            saw_index = True
-    return AccessClass.AFFINE if saw_index else AccessClass.CONSTANT
-
-
-def collect_accesses(
-    root: Node,
-    loop_indices: Iterable[Sym],
-    size_syms: Iterable[Sym] = (),
-) -> list[AccessInfo]:
-    """All array accesses (reads, slices, copies) under ``root``, classified."""
-    loop_indices = list(loop_indices)
-    size_syms = list(size_syms)
-    result: list[AccessInfo] = []
-    for node in walk(root):
-        if isinstance(node, ArrayApply):
-            indices: tuple[Optional[Expr], ...] = tuple(node.indices)
-            array = node.array
-        elif isinstance(node, ArraySlice):
-            indices = node.specs
-            array = node.array
-        elif isinstance(node, ArrayCopy):
-            indices = tuple(node.offsets)
-            array = node.array
-        else:
-            continue
-        access_class = classify_access(indices, loop_indices, size_syms)
-        result.append(AccessInfo(node, array, indices, access_class))
-    return result

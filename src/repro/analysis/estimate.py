@@ -1,6 +1,6 @@
 """Static estimators used by hardware generation and the performance model.
 
-Three estimators operate on (possibly tiled) PPL programs given concrete
+The estimators operate on (possibly tiled) PPL programs given concrete
 workload sizes:
 
 * :class:`StaticEvaluator` — evaluates size expressions (domain extents, tile
@@ -12,20 +12,24 @@ workload sizes:
   baseline and optimised designs perform the same arithmetic (the paper keeps
   the innermost parallelism factor constant), so this is counted on the IR
   independent of tiling.
-* :class:`TrafficAnalyzer` — enumerates main-memory access sites (element
-  reads, slices, tile copies) with their trip counts, word counts and
-  sequentiality.  This powers both the baseline memory model and the
-  Figure 5c traffic table.
+* :func:`input_accesses` — the one walk over input accesses: each
+  occurrence of an input-array element read, slice or tile copy, with its
+  loop stack.  :func:`traffic_records` derives hardware generation's
+  per-occurrence :class:`AccessRecord` list from it (trips, words and
+  stream class, for the baseline memory model and the unhandled-access
+  accounting of tiled designs); Figure 5c's
+  :func:`~repro.analysis.traffic.minimum_reads` and the preload plan of
+  :class:`~repro.hw.generation.GenerationShared` derive from it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Collection, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.access import linear_form
 from repro.dse.cache import ANALYSIS_CACHE, env_signature
-from repro.errors import AnalysisError
 from repro.ppl.ir import (
     ArrayApply,
     ArrayCopy,
@@ -40,7 +44,6 @@ from repro.ppl.ir import (
     GroupByFold,
     Lambda,
     Let,
-    MakeTuple,
     Map,
     MultiFold,
     Node,
@@ -57,7 +60,8 @@ __all__ = [
     "StaticEvaluator",
     "count_scalar_ops",
     "AccessRecord",
-    "TrafficAnalyzer",
+    "input_accesses",
+    "traffic_records",
     "workload_env",
     "input_shapes",
 ]
@@ -176,6 +180,17 @@ class StaticEvaluator:
             total *= max(1, self.eval_or(extent, 1))
         return total
 
+    def copy_words(self, copy: ArrayCopy) -> int:
+        """Words one tile copy moves; a full dimension counts its whole extent."""
+        shape = self.shapes.get(copy.array.name, ()) if isinstance(copy.array, Sym) else ()
+        words = 1
+        for axis, size in enumerate(copy.sizes):
+            if size is None:
+                words *= shape[axis] if axis < len(shape) else 1
+            else:
+                words *= max(1, self.eval_or(size, 1))
+        return words
+
 
 # ---------------------------------------------------------------------------
 # Scalar work estimation
@@ -239,8 +254,46 @@ def _count_scalar_ops(node: Node, evaluator: StaticEvaluator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Traffic analysis
+# Input accesses
 # ---------------------------------------------------------------------------
+
+#: One enclosing loop of an access: a pattern lambda's params and the
+#: pattern's trip count.
+Loop = Tuple[Tuple[Sym, ...], int]
+
+
+def input_accesses(
+    root: Node, inputs: Collection[str], evaluator: StaticEvaluator
+) -> Iterator[Tuple[Expr, Tuple[Loop, ...]]]:
+    """Each occurrence of an input-array read, slice or tile copy under ``root``.
+
+    Yields the access with its loop stack: one :data:`Loop` per enclosing
+    pattern lambda, outermost first.  A node the tree reaches twice is
+    yielded twice.  Fold ``combine`` functions and domains are not entered,
+    a ``Let`` yields its value's accesses before its body's, and inside an
+    access only its index expressions (a copy's offsets and sizes) are
+    visited.
+    """
+    pending: List[Tuple[Node, Tuple[Loop, ...]]] = [(root, ())]
+    while pending:
+        node, loops = pending.pop()
+        if isinstance(node, (ArrayApply, ArraySlice, ArrayCopy)):
+            if isinstance(node.array, Sym) and node.array.name in inputs:
+                yield node, loops
+            nested = [(child, loops) for child in node.children() if child is not node.array]
+        elif isinstance(node, Pattern):
+            trips = evaluator.domain_trips(node.domain)
+            nested = []
+            for name, value in node.field_values().items():
+                if name == "combine":
+                    continue
+                if isinstance(value, Lambda):
+                    nested.append((value.body, loops + ((value.params, trips),)))
+                elif isinstance(value, Expr):
+                    nested.append((value, loops))
+        else:
+            nested = [(child, loops) for child in node.children()]
+        pending.extend(reversed(nested))
 
 
 @dataclass
@@ -257,10 +310,8 @@ class AccessRecord:
     """
 
     array: str
-    kind: str  # "read", "slice", "copy"
     words_per_trip: int
     trips: int
-    sequential: bool
     is_copy: bool
     stream: str = "sequential"
     run_words: int = 1
@@ -274,198 +325,81 @@ class AccessRecord:
         return max(1, -(-self.total_words // max(1, self.run_words)))
 
 
-class TrafficAnalyzer:
-    """Enumerates accesses to main-memory (input) arrays with trip counts."""
+def traffic_records(
+    program: Program, evaluator: StaticEvaluator, root: Optional[Node] = None
+) -> List[AccessRecord]:
+    """One record per input access under ``root`` (default: the body), in walk order.
 
-    def __init__(
-        self,
-        program: Program,
-        evaluator: StaticEvaluator,
-        word_bytes: int = 4,
-    ) -> None:
-        self.program = program
-        self.evaluator = evaluator
-        self.word_bytes = word_bytes
-        self.input_names = {array.name for array in program.inputs}
-        self.records: List[AccessRecord] = []
+    A record's trips are the product of its loop stack, and a read's stream
+    class follows the scalar params of the innermost loop that has any.
 
-    # -- public API ----------------------------------------------------------
-    def analyze(self, root: Optional[Node] = None) -> List[AccessRecord]:
-        """Enumerate the access records under ``root`` (default: whole body).
+    Memoised on (root structure, program input set, workload): hardware
+    generation re-analyzes every pattern it lowers, and a design-space
+    sweep re-analyzes the same tiled subtrees across points.  Records are
+    treated as immutable by all consumers; the cached tuple is copied into
+    a fresh list on every call so mutating the returned list cannot poison
+    the cache.
+    """
+    target = root if root is not None else program.body
+    inputs = frozenset(array.name for array in program.inputs)
+    if not ANALYSIS_CACHE.enabled:
+        return _traffic_records(target, inputs, evaluator)
+    key = (target.structural_hash(), tuple(sorted(inputs)), evaluator.signature())
+    cached = ANALYSIS_CACHE.memoize(
+        "traffic_records", key, lambda: tuple(_traffic_records(target, inputs, evaluator))
+    )
+    return list(cached)
 
-        Memoised on (root structure, program input set, workload, word
-        size): hardware generation re-analyzes every pattern it lowers, and
-        a design-space sweep re-analyzes the same tiled subtrees across
-        points.  Records are treated as immutable by all consumers; the
-        cached list is copied on every hit so accidental mutation of the
-        returned list cannot poison the cache.
-        """
-        target = root if root is not None else self.program.body
-        if not ANALYSIS_CACHE.enabled:
-            self.records = self._collect(target)
-            return self.records
-        key = (
-            target.structural_hash(),
-            tuple(sorted(self.input_names)),
-            self.evaluator.signature(),
-            self.word_bytes,
+
+def _traffic_records(
+    root: Node, inputs: Collection[str], evaluator: StaticEvaluator
+) -> List[AccessRecord]:
+    records: List[AccessRecord] = []
+    for node, loops in input_accesses(root, inputs, evaluator):
+        is_copy = isinstance(node, ArrayCopy)
+        if is_copy:
+            words = run_words = evaluator.copy_words(node)
+            stream = "sequential"
+        else:
+            shape = evaluator.shapes.get(node.array.name, ())
+            words, stream, run_words = _stream(node, shape, loops)
+        records.append(
+            AccessRecord(
+                array=node.array.name,
+                words_per_trip=words,
+                trips=math.prod(trips for _, trips in loops),
+                is_copy=is_copy,
+                stream=stream,
+                run_words=run_words,
+            )
         )
-        cached = ANALYSIS_CACHE.memoize(
-            "traffic_records", key, lambda: tuple(self._collect(target))
-        )
-        self.records = list(cached)
-        return self.records
+    return records
 
-    def _collect(self, root: Node) -> List[AccessRecord]:
-        self.records = []
-        self._visit(root, trips=1, inner_syms=())
-        return self.records
 
-    def words_by_array(self, copies_only: bool = False) -> Dict[str, int]:
-        """Total main-memory words read per array."""
-        result: Dict[str, int] = {}
-        for record in self.records:
-            if copies_only and not record.is_copy:
-                continue
-            result[record.array] = result.get(record.array, 0) + record.total_words
-        return result
-
-    def total_words(self, copies_only: bool = False) -> int:
-        return sum(self.words_by_array(copies_only).values())
-
-    # -- traversal -------------------------------------------------------------
-    def _array_name(self, array: Expr) -> Optional[str]:
-        if isinstance(array, Sym) and array.name in self.input_names:
-            return array.name
-        return None
-
-    def _shape_of(self, array: Sym) -> Tuple[int, ...]:
-        shapes = self.evaluator.shapes
-        if array.name in shapes:
-            return shapes[array.name]
-        return tuple()
-
-    def _visit(self, node: Node, trips: int, inner_syms: Tuple[Sym, ...]) -> None:
-        if node is None:
-            return
-
-        if isinstance(node, ArrayCopy):
-            name = self._array_name(node.array)
-            if name is not None:
-                words = self._copy_words(node, name)
-                self.records.append(
-                    AccessRecord(
-                        array=name,
-                        kind="copy",
-                        words_per_trip=words,
-                        trips=trips,
-                        sequential=True,
-                        is_copy=True,
-                        stream="sequential",
-                        run_words=words,
-                    )
-                )
-            # Index expressions inside the copy do not access main memory.
-            for offset in node.offsets:
-                self._visit(offset, trips, inner_syms)
-            for size in node.tile_sizes:
-                self._visit(size, trips, inner_syms)
-            return
-
-        if isinstance(node, (ArrayApply, ArraySlice)):
-            name = self._array_name(node.array)
-            if name is not None:
-                words, stream, run_words = self._classify_access(node, inner_syms)
-                self.records.append(
-                    AccessRecord(
-                        array=name,
-                        kind="slice" if isinstance(node, ArraySlice) else "read",
-                        words_per_trip=words,
-                        trips=trips,
-                        sequential=stream == "sequential",
-                        is_copy=False,
-                        stream=stream,
-                        run_words=run_words,
-                    )
-                )
-            for child in node.children():
-                if child is not node.array:
-                    self._visit(child, trips, inner_syms)
-            return
-
-        if isinstance(node, Pattern):
-            pattern_trips = self.evaluator.domain_trips(node.domain)
-            for name, value in node.field_values().items():
-                if name == "combine" or isinstance(value, Domain):
-                    continue
-                if isinstance(value, Lambda):
-                    index_params = tuple(
-                        p for p in value.params if not is_tensor(p.ty) and not _is_accumulator(p, value)
-                    )
-                    self._visit(value.body, trips * pattern_trips, index_params or inner_syms)
-                elif isinstance(value, Expr):
-                    self._visit(value, trips, inner_syms)
-            return
-
-        if isinstance(node, Let):
-            self._visit(node.value, trips, inner_syms)
-            self._visit(node.body, trips, inner_syms)
-            return
-
-        for child in node.children():
-            self._visit(child, trips, inner_syms)
-
-    # -- sizing helpers ----------------------------------------------------------
-    def _copy_words(self, node: ArrayCopy, name: str) -> int:
-        shape = self._shape_of(node.array)
+def _stream(
+    node: Expr, shape: Tuple[int, ...], loops: Tuple[Loop, ...]
+) -> Tuple[int, str, int]:
+    """Words per trip, stream class, and contiguous run length of a read or slice."""
+    if isinstance(node, ArraySlice):
         words = 1
-        for axis, size in enumerate(node.sizes):
-            if size is None:
-                words *= shape[axis] if axis < len(shape) else 1
-            else:
-                words *= max(1, self.evaluator.eval_or(size, 1))
-        return words
+        for axis in node.kept_axes:
+            words *= shape[axis] if axis < len(shape) else 1
+        return max(1, words), "sequential", max(1, words)
 
-    def _classify_access(
-        self, node: Node, inner_syms: Tuple[Sym, ...]
-    ) -> Tuple[int, str, int]:
-        """Words per trip, stream class, and contiguous run length of one access."""
-        shape = self._shape_of(node.array)
-        inner = set(inner_syms)
-
-        if isinstance(node, ArraySlice):
-            words = 1
-            for axis in node.kept_axes:
-                words *= shape[axis] if axis < len(shape) else 1
-            return max(1, words), "sequential", max(1, words)
-
-        indices = node.indices
-        last_form = linear_form(indices[-1]) if indices else None
-        last_uses_inner = last_form is not None and bool(set(last_form.coeffs) & inner)
-        outer_uses_inner = False
-        for index in indices[:-1]:
-            form = linear_form(index)
-            if form is not None and set(form.coeffs) & inner:
-                outer_uses_inner = True
-        non_affine = any(linear_form(index) is None for index in indices)
-
-        row_words = shape[-1] if shape else 1
-        if non_affine:
-            return 1, "random", 1
-        if last_uses_inner:
-            # The innermost loop walks the fastest-moving dimension: runs are
-            # whole rows (or the whole array for rank-1 inputs).
-            if len(shape) <= 1:
-                run = shape[0] if shape else 1
-            else:
-                run = row_words
-            return 1, "sequential", max(1, run)
-        if outer_uses_inner:
-            # Column walk: the innermost loop strides across rows.
-            return 1, "strided", 1
+    # The stream follows the scalar params of the innermost loop that has any.
+    inner: Set[Sym] = set()
+    for params, _ in reversed(loops):
+        inner = {param for param in params if not is_tensor(param.ty)}
+        if inner:
+            break
+    forms = [linear_form(index) for index in node.indices]
+    if any(form is None for form in forms):
         return 1, "random", 1
-
-
-def _is_accumulator(param: Sym, func: Lambda) -> bool:
-    """Heuristically identify a lambda's accumulator parameter (last, non-index)."""
-    return param is func.params[-1] and len(func.params) > 1 and is_tensor(param.ty)
+    if forms and set(forms[-1].coeffs) & inner:
+        # The innermost loop walks the fastest-moving dimension: runs are
+        # whole rows (or the whole array for rank-1 inputs).
+        return 1, "sequential", max(1, shape[-1] if shape else 1)
+    if any(set(form.coeffs) & inner for form in forms[:-1]):
+        # Column walk: the innermost loop strides across rows.
+        return 1, "strided", 1
+    return 1, "random", 1

@@ -3,8 +3,9 @@
 Figure 5c of the paper reports, for k-means clustering after each IR
 transformation (fused → strip mined → interchanged), the *minimum* number of
 words read from main memory and the on-chip storage required for each data
-structure.  :func:`minimum_reads` computes exactly that count for any PPL
-program:
+structure.  :func:`minimum_reads` computes that count for any PPL program
+from the shared access walk (:func:`repro.analysis.estimate.input_accesses`),
+counting an IR node the tree reaches twice once:
 
 * for explicit tile copies the count is simply (copy words) × (trips of the
   enclosing loops) — the copies literally are the main-memory reads;
@@ -16,30 +17,22 @@ program:
 
 Each entry of the report also carries the words of on-chip buffering its
 data structure needs in the same model (``TrafficEntry.on_chip_words``: one
-row for direct accesses, the tile for copies).
+row for direct accesses, the tile for copies);
+:func:`intermediate_storage_words` sizes the ``minDistWithIndex`` row.
+
+:func:`schedule_traffic` inventories the DRAM transfers of a lowered
+schedule instead, with the trip counts of the stage groups around them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.analysis.access import linear_form
-from repro.analysis.estimate import StaticEvaluator, input_shapes, workload_env
-from repro.dse.cache import ANALYSIS_CACHE
-from repro.ppl.ir import (
-    ArrayApply,
-    ArrayCopy,
-    ArraySlice,
-    Domain,
-    Expr,
-    Lambda,
-    Let,
-    MultiFold,
-    Node,
-    Pattern,
-    Sym,
-)
+from repro.analysis.estimate import StaticEvaluator, input_accesses, input_shapes, workload_env
+from repro.ppl.ir import ArrayCopy, ArraySlice, Expr, Let, MultiFold, Sym
 from repro.ppl.program import Program
 from repro.ppl.traversal import collect
 
@@ -49,7 +42,6 @@ __all__ = [
     "TransferInventory",
     "TransferRecord",
     "minimum_reads",
-    "analyze_traffic",
     "schedule_traffic",
 ]
 
@@ -82,174 +74,70 @@ class TrafficReport:
         return self.entries[array].on_chip_words if array in self.entries else 0
 
 
-@dataclass
-class _Loop:
-    syms: Tuple[Sym, ...]
-    trips: int
-
-
-class _TrafficWalker:
-    def __init__(self, program: Program, evaluator: StaticEvaluator) -> None:
-        self.program = program
-        self.ev = evaluator
-        self.inputs = {array.name for array in program.inputs}
-        self.report = TrafficReport(label=program.name)
-        # Nodes already counted (the same IR node can appear several times in
-        # the tree when an expression is reused, e.g. ``square(x) = x * x``;
-        # hardware reads the value once).
-        self._seen_nodes: set = set()
-        # Direct-access sites grouped by (array, row-selection signature):
-        # every site in a group reads the same row, which is buffered once.
-        self._direct_sites: Dict[Tuple[str, frozenset], Dict[str, int]] = {}
-
-    def run(self) -> TrafficReport:
-        self._visit(self.program.body, loops=[])
-        for (array, _signature), site in self._direct_sites.items():
-            entry = self.report.entry(array)
-            entry.main_memory_words += site["reads"]
-            entry.on_chip_words = max(entry.on_chip_words, site["row_words"])
-        return self.report
-
-    # -- helpers -------------------------------------------------------------
-    def _shape(self, array: Sym) -> Tuple[int, ...]:
-        return self.ev.shapes.get(array.name, ())
-
-    def _visit(self, node: Node, loops: List[_Loop]) -> None:
-        if node is None:
-            return
-
-        if isinstance(node, ArrayCopy) and isinstance(node.array, Sym) and node.array.name in self.inputs:
-            if id(node) in self._seen_nodes:
-                return
-            self._seen_nodes.add(id(node))
-            words = self._copy_words(node)
-            trips = 1
-            for loop in loops:
-                trips *= loop.trips
-            entry = self.report.entry(node.array.name)
-            entry.main_memory_words += words * trips
-            entry.on_chip_words = max(entry.on_chip_words, words)
-            return
-
-        if isinstance(node, (ArrayApply, ArraySlice)) and isinstance(node.array, Sym):
-            if node.array.name in self.inputs and id(node) not in self._seen_nodes:
-                self._seen_nodes.add(id(node))
-                self._count_direct_access(node, loops)
-            for child in node.children():
-                if child is not node.array:
-                    self._visit(child, loops)
-            return
-
-        if isinstance(node, Pattern):
-            trips = self.ev.domain_trips(node.domain)
-            for name, value in node.field_values().items():
-                if name == "combine" or isinstance(value, Domain):
-                    continue
-                if isinstance(value, Lambda):
-                    loop = _Loop(syms=tuple(value.params), trips=trips)
-                    self._visit(value.body, loops + [loop])
-                elif isinstance(value, Expr):
-                    self._visit(value, loops)
-            return
-
-        if isinstance(node, Let):
-            self._visit(node.value, loops)
-            self._visit(node.body, loops)
-            return
-
-        for child in node.children():
-            self._visit(child, loops)
-
-    def _copy_words(self, node: ArrayCopy) -> int:
-        shape = self._shape(node.array)
-        words = 1
-        for axis, size in enumerate(node.sizes):
-            if size is None:
-                words *= shape[axis] if axis < len(shape) else 1
-            else:
-                words *= max(1, self.ev.eval_or(size, 1))
-        return words
-
-    def _count_direct_access(self, node: Node, loops: List[_Loop]) -> None:
-        array: Sym = node.array
-        shape = self._shape(array)
-        if isinstance(node, ArraySlice):
-            row_indices = [spec for spec in node.specs if spec is not None]
-            row_words = 1
-            for axis in node.kept_axes:
-                row_words *= shape[axis] if axis < len(shape) else 1
-        else:
-            indices = list(node.indices)
-            row_indices = indices[:-1] if len(indices) > 1 else []
-            last_axis = len(indices) - 1
-            row_words = shape[last_axis] if last_axis < len(shape) else 1
-            if len(indices) == 1:
-                # Rank-1 array: the whole array is the "row".
-                row_words = shape[0] if shape else 1
-
-        row_syms = set()
-        for index in row_indices:
-            form = linear_form(index)
-            if form is not None:
-                row_syms |= set(form.coeffs)
-
-        # Product of trips of every loop from the outermost down to the
-        # deepest loop selecting the row.
-        deepest = -1
-        for level, loop in enumerate(loops):
-            if set(loop.syms) & row_syms:
-                deepest = level
-        reads = 1
-        for level in range(deepest + 1):
-            reads *= loops[level].trips
-
-        signature = frozenset(sym.name for sym in row_syms)
-        key = (array.name, signature)
-        site = self._direct_sites.setdefault(key, {"reads": 0, "row_words": 0})
-        site["reads"] = max(site["reads"], reads * max(1, row_words))
-        site["row_words"] = max(site["row_words"], max(1, row_words))
-
-
-def _copy_report(report: TrafficReport) -> TrafficReport:
-    return TrafficReport(
-        label=report.label,
-        entries={
-            array: TrafficEntry(entry.array, entry.main_memory_words, entry.on_chip_words)
-            for array, entry in report.entries.items()
-        },
-    )
-
-
 def minimum_reads(program: Program, bindings: Mapping[str, object]) -> TrafficReport:
     """Minimum main-memory words read and on-chip storage per input array.
 
-    Memoised on (program structure, input set, workload); callers mutate
-    the report label, so cache hits return a fresh copy.
+    Derived from the shared access walk
+    (:func:`~repro.analysis.estimate.input_accesses`).  The same IR node
+    can appear several times in the tree when an expression is reused
+    (e.g. ``square(x) = x * x``); hardware reads the value once, so only
+    its first occurrence counts.
     """
     evaluator = StaticEvaluator(workload_env(program, bindings), input_shapes(program, bindings))
-    if not ANALYSIS_CACHE.enabled:
-        return _TrafficWalker(program, evaluator).run()
-    key = (
-        program.body.structural_hash(),
-        tuple(sorted(array.name for array in program.inputs)),
-        evaluator.signature(),
-    )
-    cached = ANALYSIS_CACHE.memoize(
-        "minimum_reads", key, lambda: _TrafficWalker(program, evaluator).run()
-    )
-    return _copy_report(cached)
+    inputs = {array.name for array in program.inputs}
+    report = TrafficReport(label=program.name)
+    seen: Set[int] = set()
+    # Direct-access sites grouped by (array, row-selection signature): every
+    # site in a group reads the same row, which is buffered once.  Values
+    # are (reads, row words).
+    rows: Dict[Tuple[str, frozenset], Tuple[int, int]] = {}
+    for node, loops in input_accesses(program.body, inputs, evaluator):
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        name = node.array.name
+        if isinstance(node, ArrayCopy):
+            words = evaluator.copy_words(node)
+            entry = report.entry(name)
+            entry.main_memory_words += words * math.prod(trips for _, trips in loops)
+            entry.on_chip_words = max(entry.on_chip_words, words)
+            continue
+        row_syms, row_words = _row(node, evaluator.shapes.get(name, ()))
+        # Product of trips of every loop from the outermost down to the
+        # deepest loop selecting the row.
+        deepest = max(
+            (level for level, (params, _) in enumerate(loops) if row_syms.intersection(params)),
+            default=-1,
+        )
+        reads = math.prod(trips for _, trips in loops[: deepest + 1]) * row_words
+        key = (name, frozenset(sym.name for sym in row_syms))
+        old_reads, old_words = rows.get(key, (0, 0))
+        rows[key] = (max(old_reads, reads), max(old_words, row_words))
+    for (name, _signature), (reads, row_words) in rows.items():
+        entry = report.entry(name)
+        entry.main_memory_words += reads
+        entry.on_chip_words = max(entry.on_chip_words, row_words)
+    return report
 
 
-def analyze_traffic(
-    programs: Mapping[str, Program], bindings: Mapping[str, object]
-) -> Dict[str, TrafficReport]:
-    """Traffic reports for several program forms (fused / strip mined / interchanged)."""
-    reports: Dict[str, TrafficReport] = {}
-    for label, program in programs.items():
-        report = minimum_reads(program, bindings)
-        report.label = label
-        reports[label] = report
-    return reports
+def _row(node: Expr, shape: Tuple[int, ...]) -> Tuple[Set[Sym], int]:
+    """The symbols selecting a direct access's row, and the row's words."""
+    if isinstance(node, ArraySlice):
+        row_indices = [spec for spec in node.specs if spec is not None]
+        row_words = 1
+        for axis in node.kept_axes:
+            row_words *= shape[axis] if axis < len(shape) else 1
+    else:
+        # A rank-1 array is one row.
+        row_indices = node.indices[:-1]
+        last_axis = len(node.indices) - 1
+        row_words = shape[last_axis] if last_axis < len(shape) else 1
+    row_syms: Set[Sym] = set()
+    for index in row_indices:
+        form = linear_form(index)
+        if form is not None:
+            row_syms |= set(form.coeffs)
+    return row_syms, max(1, row_words)
 
 
 # ---------------------------------------------------------------------------

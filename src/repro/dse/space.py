@@ -142,17 +142,17 @@ class DesignSpace:
         return self
 
 
-def tile_candidates(extent: int, maximum: Optional[int] = None) -> List[int]:
-    """Power-of-two tile sizes for a dimension of the given extent."""
-    maximum = min(extent, maximum or extent)
+def tile_candidates(extent: int) -> List[int]:
+    """Power-of-two tile sizes from 16 up to ``extent``, ascending.
+
+    An extent under 16 yields only itself: ``tile_candidates(6) == [6]``.
+    """
     sizes = []
     size = 16
-    while size <= maximum:
+    while size <= extent:
         sizes.append(size)
         size *= 2
-    if not sizes:
-        sizes = [max(1, maximum)]
-    return sizes
+    return sizes or [max(1, extent)]
 
 
 def default_space(
@@ -169,10 +169,12 @@ def default_space(
 
     ``tiled_dims`` maps each size symbol the benchmark tiles to its full
     extent (usually ``{name: sizes[name] for name in bench.tile_sizes}``).
-    Candidate tiles are the largest ``max_tiles_per_dim`` powers of two not
-    exceeding the extent; the cartesian product with ``pars``, the
-    metapipelining flag and the pass-pipeline variants forms the space,
-    optionally decimated to ``max_points`` with a deterministic stride.
+    Candidate tiles are the last ``max_tiles_per_dim`` of
+    :func:`tile_candidates`: the largest powers of two from 16 up to the
+    extent, or the extent alone when it is under 16.  The cartesian product
+    with ``pars``, the metapipelining flag and the pass-pipeline variants
+    forms the space, optionally decimated to ``max_points`` with a
+    deterministic stride.
     ``pipelines`` names registered pipeline variants
     (:func:`repro.pipeline.variants.pipeline_variants`); passing more than
     one makes the transform ordering an extra search gene.  ``channels``

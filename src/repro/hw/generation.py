@@ -37,9 +37,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.analysis.estimate import (
     AccessRecord,
     StaticEvaluator,
-    TrafficAnalyzer,
     count_scalar_ops,
+    input_accesses,
     input_shapes,
+    traffic_records,
     workload_env,
 )
 from repro.config import CompileConfig
@@ -66,9 +67,7 @@ from repro.hw.templates import (
     VectorUnit,
 )
 from repro.ppl.ir import (
-    ArrayApply,
     ArrayCopy,
-    ArraySlice,
     Expr,
     FlatMap,
     GroupByFold,
@@ -114,10 +113,13 @@ class GenerationShared:
     builds one instance per tiled program and shares it across all the
     (par, metapipelining) points lowered from it.  Results are identical to
     recomputing from scratch; the caches only skip repeated IR walks over
-    the same hash-consed nodes.  The analyses behind them (scalar ops,
-    traffic records, the preload plan) are also memoised by content in the
-    analysis cache, so a scalar evaluation building a fresh instance per
-    point still reuses them across points and requests.
+    the same hash-consed nodes.  The traffic records and the preload plan
+    both derive from the one walk over input accesses
+    (:func:`~repro.analysis.estimate.input_accesses`).  The analyses behind
+    the caches (scalar ops, traffic records, the preload plan) are also
+    memoised by content in the analysis cache, so a scalar evaluation
+    building a fresh instance per point still reuses them across points and
+    requests.
     """
 
     def __init__(self, program: Program, bindings: Mapping[str, object]) -> None:
@@ -129,7 +131,6 @@ class GenerationShared:
         # see its shape as (), and it is never preloaded: it is priced as an
         # empty array, silently.
         self.evaluator = StaticEvaluator(env, self.shapes)
-        self._analyzer = TrafficAnalyzer(program, self.evaluator)
         self._preload_plan: Optional[Tuple[Tuple[str, int], ...]] = None
         self._ops: Dict[int, float] = {}
         self._records: Dict[int, List[AccessRecord]] = {}
@@ -146,7 +147,7 @@ class GenerationShared:
         key = id(node)
         cached = self._records.get(key)
         if cached is None:
-            cached = self._records[key] = list(self._analyzer.analyze(node))
+            cached = self._records[key] = traffic_records(self.program, self.evaluator, node)
         return cached
 
     def preload_plan(self) -> Tuple[Tuple[str, int], ...]:
@@ -174,11 +175,9 @@ class GenerationShared:
     def _walk_preload_plan(self) -> Tuple[Tuple[str, int], ...]:
         copied = set()
         accessed = set()
-        for node in walk(self.program.body):
-            if isinstance(node, ArrayCopy) and isinstance(node.array, Sym):
-                copied.add(node.array.name)
-            elif isinstance(node, (ArrayApply, ArraySlice)) and isinstance(node.array, Sym):
-                accessed.add(node.array.name)
+        inputs = {array.name for array in self.program.inputs}
+        for node, _loops in input_accesses(self.program.body, inputs, self.evaluator):
+            (copied if isinstance(node, ArrayCopy) else accessed).add(node.array.name)
         plan: List[Tuple[str, int]] = []
         for array in self.program.inputs:
             if array.name in copied or array.name not in accessed:
@@ -370,7 +369,7 @@ class HardwareGenerator:
         )
 
     def _emit_tile_load(self, name: str, copy: ArrayCopy, parent: Controller, trips: int) -> None:
-        words = self._copy_words(copy)
+        words = self.evaluator.copy_words(copy)
         burst = self.board.memory.burst_bytes
         bytes_per_invocation = max(burst, -(-words * WORD_BYTES // burst) * burst)
         parent.add(
@@ -392,16 +391,6 @@ class HardwareGenerator:
             )
         )
         self.read_bytes += bytes_per_invocation * trips
-
-    def _copy_words(self, copy: ArrayCopy) -> int:
-        shape = self.shapes.get(copy.array.name, ()) if isinstance(copy.array, Sym) else ()
-        words = 1
-        for axis, size in enumerate(copy.sizes):
-            if size is None:
-                words *= shape[axis] if axis < len(shape) else 1
-            else:
-                words *= max(1, self.evaluator.eval_or(size, 1))
-        return words
 
     def _emit_tile_loop(self, name: str, pattern: Pattern, parent: Controller, trips: int) -> None:
         iterations = self.evaluator.domain_trips(pattern.domain)

@@ -1,13 +1,12 @@
-"""Access-pattern analysis: linear forms and affine classification."""
+"""Linear forms of index expressions."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.access import AccessClass, classify_access, collect_accesses, linear_form
+from repro.analysis.access import linear_form
 from repro.ppl import builder as b
 from repro.ppl.ir import BinOp, Select, UnaryOp
-from repro.ppl.types import FLOAT32, INDEX
 
 
 class TestLinearForm:
@@ -49,10 +48,9 @@ class TestLinearForm:
 
         assert linear_form(Select(Cmp("<", i, b.idx(1)), i, b.idx(0))) is None
 
-    def test_restriction_and_removal(self):
+    def test_removal(self):
         i, j = b.index_sym("i"), b.index_sym("j")
         form = linear_form(b.add(i, b.add(j, 5)))
-        assert set(form.restricted_to([i]).coeffs) == {i}
         assert set(form.without([i]).coeffs) == {j}
         assert form.without([i]).constant == 5
 
@@ -67,39 +65,3 @@ class TestLinearForm:
         assert form.coefficient(j) == (c if c not in (0,) else 0)
         assert form.constant == k
 
-
-class TestClassification:
-    def test_affine_access(self):
-        i = b.index_sym("i")
-        ii = b.index_sym("ii")
-        assert classify_access([b.add(ii, i)], [i, ii]) == AccessClass.AFFINE
-
-    def test_non_affine_when_data_dependent(self):
-        i = b.index_sym("i")
-        idx = b.sym("minDistIndex", INDEX)
-        assert classify_access([idx, i], [i]) == AccessClass.NON_AFFINE
-
-    def test_constant_access(self):
-        i = b.index_sym("i")
-        assert classify_access([b.idx(3)], [i]) == AccessClass.CONSTANT
-
-    def test_slice_dims_are_affine(self):
-        i = b.index_sym("i")
-        assert classify_access([i, None], [i]) == AccessClass.AFFINE
-
-    def test_collect_accesses_classifies_sites(self):
-        n = b.size_sym("n")
-        x = b.array_sym("x", 2)
-        idx_arr = b.array_sym("perm", 1)
-        body = b.pmap(
-            b.domain(n),
-            lambda i: b.add(
-                b.apply_array(x, i, 0),
-                b.apply_array(x, b.apply_array(idx_arr, i), 0),
-            ),
-        )
-        func = body.func
-        accesses = collect_accesses(func.body, func.params, [n])
-        x_accesses = [a for a in accesses if a.array_name == "x"]
-        assert any(a.is_affine for a in x_accesses)
-        assert any(not a.is_affine for a in x_accesses)

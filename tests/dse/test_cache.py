@@ -5,9 +5,9 @@ import pytest
 
 from repro.analysis.estimate import (
     StaticEvaluator,
-    TrafficAnalyzer,
     count_scalar_ops,
     input_shapes,
+    traffic_records,
     workload_env,
 )
 from repro.apps import get_benchmark
@@ -366,14 +366,13 @@ class TestMemoizedAnalysesMatchUncached:
 
     def test_traffic_records_identical_and_copy_safe(self):
         program, _, evaluator = self._setup("kmeans")
-        analyzer = TrafficAnalyzer(program, evaluator)
         with ANALYSIS_CACHE.disabled():
-            cold = analyzer.analyze()
-        warm = TrafficAnalyzer(program, evaluator).analyze()
+            cold = traffic_records(program, evaluator)
+        warm = traffic_records(program, evaluator)
         assert [vars(r) for r in warm] == [vars(r) for r in cold]
         # Mutating the returned list must not poison the cache.
         warm.clear()
-        again = TrafficAnalyzer(program, evaluator).analyze()
+        again = traffic_records(program, evaluator)
         assert [vars(r) for r in again] == [vars(r) for r in cold]
 
     def test_tiling_result_shared_across_par_and_meta(self):

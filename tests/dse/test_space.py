@@ -38,7 +38,9 @@ class TestDesignPoint:
 class TestSpaceEnumeration:
     def test_tile_candidates_are_powers_of_two_within_extent(self):
         assert tile_candidates(256) == [16, 32, 64, 128, 256]
+        assert tile_candidates(20) == [16]
         assert tile_candidates(8) == [8]
+        assert tile_candidates(6) == [6]
 
     def test_default_space_covers_the_cartesian_product(self):
         space = default_space({"n": 256}, pars=(8, 16), metapipelining=(False, True))

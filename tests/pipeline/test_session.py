@@ -104,10 +104,14 @@ class TestStageSnapshots:
     @pytest.mark.parametrize("tile", [2, 5])
     @pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda bench: bench.name)
     def test_every_snapshot_computes_the_source_program(self, bench, tile):
-        """5 divides none of the tiled test sizes: every tiled loop ends in a
-        partial tile."""
+        """Every tiled loop ends in a partial tile: 5 divides none of the
+        tiled test sizes, and for tile 2 each even tiled extent is raised by
+        one."""
         program = bench.build()
-        bindings = bench.bindings(rng=np.random.default_rng(3))
+        sizes = dict(bench.test_sizes)
+        if tile == 2:
+            sizes.update((name, sizes[name] | 1) for name in bench.tile_sizes)
+        bindings = bench.bindings(sizes, rng=np.random.default_rng(3))
         config = CompileConfig(tiling=True, tile_sizes={name: tile for name in bench.tile_sizes})
         tiling = Session(cache=AnalysisCache()).compile(program, config, bindings).tiling
         assert tiling.config is config and tiling.original is program
