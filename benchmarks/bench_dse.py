@@ -32,7 +32,8 @@ overhead — supervised ``explore`` against the bare
 :func:`~repro.dse.batch.evaluate_point_batch` over the same points,
 asserted < 5% — then a seeded crash/hang/error/corrupt
 :class:`~repro.dse.resilience.FaultPlan` plus a corrupted disk store
-through a pooled sweep, asserting bit-identical recovery.
+through a pooled sweep, asserting bit-identical recovery within four
+per-attempt timeouts of wall-clock.
 
 ``--serve`` runs the compile-farm phase instead: a mixed, deliberately
 duplicated request stream over three benchmarks through one
@@ -353,17 +354,22 @@ def run_pipeline_phase() -> dict:
 
 SUPERVISION_OVERHEAD_CEILING = 0.05  # fault-free supervision must stay < 5%
 FAULTS_REPEATS = 3
+CHAOS_TIMEOUT = 5.0  # the chaos run's per-attempt timeout, in seconds
+#: The chaos run must finish within this many timeouts: each incident
+#: costs one flat timeout, whatever its position in the batch.
+CHAOS_TIMEOUT_CEILING = 4
 SMOKE_SIZES = {"m": 256, "n": 256, "p": 256}
 
 
 def run_faults_phase(smoke: bool) -> dict:
     """Chaos smoke: supervision overhead, seeded fault recovery, store repair.
 
-    Asserts three things: fault-free supervision costs < 5% wall-clock over
+    Asserts four things: fault-free supervision costs < 5% wall-clock over
     the bare batched evaluator; a seeded crash/hang/error/corrupt schedule plus
     a corrupted disk store still completes *bit-identical* to the fault-free
-    run with nothing quarantined; and the corrupted store is quarantined
-    aside and rebuilt.
+    run with nothing quarantined; the chaos run takes at most
+    ``CHAOS_TIMEOUT_CEILING`` per-attempt timeouts of wall-clock; and the
+    corrupted store is quarantined aside and rebuilt.
     """
     sizes = SMOKE_SIZES if smoke else SIZES
     space = default_space(
@@ -426,7 +432,7 @@ def run_faults_phase(smoke: bool) -> dict:
                 BENCHMARK, sizes=sizes, space=space, prune=False, workers=2,
                 disk_cache=store,
                 resilience=ResiliencePolicy(
-                    timeout=5.0, retries=2, backoff=0.01, fault_plan=plan
+                    timeout=CHAOS_TIMEOUT, retries=2, backoff=0.01, fault_plan=plan
                 ),
             )
         t_chaos = time.perf_counter() - started
@@ -448,6 +454,11 @@ def run_faults_phase(smoke: bool) -> dict:
         f"bit-identical, supervision {stats}"
     )
     assert stats["recovered"] >= len(plan) - 1  # the hang may exhaust its worker slot
+    ceiling = CHAOS_TIMEOUT_CEILING * CHAOS_TIMEOUT
+    assert t_chaos <= ceiling, (
+        f"chaos run took {t_chaos:.2f}s, over {CHAOS_TIMEOUT_CEILING} x the "
+        f"{CHAOS_TIMEOUT:.0f}s timeout ({ceiling:.0f}s)"
+    )
     return {
         "points": len(space),
         "smoke": smoke,
@@ -458,6 +469,7 @@ def run_faults_phase(smoke: bool) -> dict:
         "chaos": {
             "faults": len(plan),
             "seconds": round(t_chaos, 4),
+            "ceiling_seconds": ceiling,
             "bit_identical": True,
             "quarantined": 0,
             "store_repaired": True,

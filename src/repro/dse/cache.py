@@ -102,13 +102,18 @@ _MISSING = object()
 #: v8: pipeline variants are re-expressed as framework transformation
 #: orderings (:mod:`repro.rewrite`), changing every pass-sequence
 #: signature embedded in point-result keys.
-CACHE_VERSION = 8
+#: v9: the ``minimum_reads`` table is retired and ``traffic_records`` keys
+#: lost their word-size component.  Merge-on-save copies every table and
+#: entry of the store it overwrites, so a retired table or an old key
+#: shape would live on in every later store: a change that retires a table
+#: or changes a table's key shape bumps the version.
+CACHE_VERSION = 9
 
-#: Header of a checksummed store: magic, then a 16-byte blake2b digest of
-#: the pickled payload, then the payload.  Stores written before the header
-#: existed (naked pickles) still load; a store failing its checksum or its
-#: unpickling is *quarantined* — renamed aside and rebuilt on the next save
-#: — instead of crashing the sweep that touched it.
+#: Header of a store: magic, then a 16-byte blake2b digest of the pickled
+#: payload, then the payload.  A file without it, or failing its checksum
+#: or its unpickling, is *quarantined* — renamed aside and rebuilt on the
+#: next save — instead of crashing the sweep that touched it; no
+#: unverified bytes reach ``pickle.loads``.
 _STORE_MAGIC = b"RCHS"
 _CHECKSUM_BYTES = 16
 
@@ -350,28 +355,23 @@ class AnalysisCache:
     def _read_store(self, path: Path) -> dict:
         """Parse and validate a persisted store.
 
-        Checksummed stores (the current format) are verified byte-for-byte
-        before unpickling; stores from before the header existed fall back
-        to a plain unpickle.  Raises :class:`~repro.errors.CacheIntegrityError`
-        for anything that fails validation — truncated writes, bit rot,
+        The body is verified byte-for-byte against the header's checksum
+        before it is unpickled.  Raises
+        :class:`~repro.errors.CacheIntegrityError` for anything that fails
+        validation — truncated writes, bit rot, files without the header,
         or files that were never a store at all.
         """
         blob = path.read_bytes()
         header = len(_STORE_MAGIC) + _CHECKSUM_BYTES
-        if blob[: len(_STORE_MAGIC)] == _STORE_MAGIC:
-            checksum = blob[len(_STORE_MAGIC) : header]
-            body = blob[header:]
-            if hashlib.blake2b(body, digest_size=_CHECKSUM_BYTES).digest() != checksum:
-                raise CacheIntegrityError(f"checksum mismatch in {path}")
-            try:
-                payload = _unpickle(body)
-            except Exception as exc:
-                raise CacheIntegrityError(f"undecodable store {path}: {exc}") from exc
-        else:
-            try:
-                payload = _unpickle(blob)
-            except Exception as exc:
-                raise CacheIntegrityError(f"unparsable store {path}: {exc}") from exc
+        if blob[: len(_STORE_MAGIC)] != _STORE_MAGIC:
+            raise CacheIntegrityError(f"no store header in {path}")
+        checksum, body = blob[len(_STORE_MAGIC) : header], blob[header:]
+        if hashlib.blake2b(body, digest_size=_CHECKSUM_BYTES).digest() != checksum:
+            raise CacheIntegrityError(f"checksum mismatch in {path}")
+        try:
+            payload = _unpickle(body)
+        except Exception as exc:
+            raise CacheIntegrityError(f"undecodable store {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise CacheIntegrityError(
                 f"store {path} holds {type(payload).__name__}, expected dict"

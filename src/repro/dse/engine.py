@@ -775,12 +775,14 @@ def _explore_lanes(
     Every run is supervised (``resilience=None`` means
     ``ResiliencePolicy()``), and the evaluator follows from what the run
     has: the ``farm`` client; the supervised pool when ``workers > 1``
-    (per point; a pool that cannot be spawned degrades to serial
-    evaluation); otherwise in-process, where each lane's share of a round
-    is one :func:`~repro.dse.batch.evaluate_point_batch` call and points a
-    fault plan targets detour through per-point supervision.
-    ``supervision["evaluations"]`` counts every point evaluation the run
-    performed, on every path.
+    (per point, through :meth:`SupervisedEvaluator.evaluate
+    <repro.dse.resilience.SupervisedEvaluator.evaluate>`; a pool that
+    cannot be spawned degrades to serial evaluation); otherwise
+    in-process, where each lane's share of a round is one
+    :func:`~repro.dse.batch.evaluate_point_batch` call and points a fault
+    plan targets detour through per-point supervision.
+    ``supervision["evaluations"]`` counts every evaluation attempt the run
+    made, on every path.
     """
     policy = resilience if resilience is not None else ResiliencePolicy()
     workers = min(workers or 1, max(1, sum(lane.survivors for lane in lanes)))
@@ -1056,7 +1058,7 @@ def explore(
             with and without the schedule rewriter).  Only consulted when
             ``space`` is None; an explicit space carries its own genes.
         resilience: the :class:`repro.dse.resilience.ResiliencePolicy`
-            supervising every evaluation — per-point timeouts (pooled
+            supervising every evaluation — a per-attempt timeout (pooled
             runs), bounded retries with backoff, pool respawn, quarantine
             of deterministically-failing points, checkpoint/resume
             journaling and (in tests) fault injection.  ``None`` means

@@ -5,17 +5,19 @@ A multi-benchmark sweep is long-running, parallel work: one hung
 store used to abort the whole exploration.  This module is the recovery
 layer the engine (:mod:`repro.dse.engine`) wraps its evaluation paths in:
 
-* :class:`ResiliencePolicy` — the knobs: per-point wall-clock timeout,
+* :class:`ResiliencePolicy` — the knobs: per-attempt wall-clock timeout,
   bounded retries with exponential backoff + deterministic jitter, pool
   respawn limits, a checkpoint-journal path and an optional fault plan.
-* :class:`SupervisedEvaluator` — the supervision loop itself.  In pooled
-  mode it submits tasks asynchronously, detects timeouts (which is also
-  how lost results from crashed workers surface), respawns the pool to
-  reclaim hung workers, and — when the pool is unrecoverable — falls back
-  to in-process serial evaluation with a ``RuntimeWarning`` so sweeps
-  always complete.  Points that keep failing are *quarantined*: reported
-  on the :class:`~repro.dse.engine.ExplorationResult` instead of crashing
-  the sweep, and never re-evaluated within the run.
+* :class:`SupervisedEvaluator` — the supervision loop itself, one
+  coroutine per task, which the engine and the compile farm
+  (:mod:`repro.serve.farm`) both run.  A pooled attempt that outlives the
+  timeout (which is also how lost results from crashed workers surface)
+  retires its pool, so the next attempt gets a fresh one; when the pool
+  is unrecoverable, attempts fall back to in-process evaluation with a
+  ``RuntimeWarning`` so sweeps always complete.  Points that keep failing
+  are *quarantined*: reported on the
+  :class:`~repro.dse.engine.ExplorationResult` instead of crashing the
+  sweep, and never re-evaluated within the run.
 * :class:`CheckpointJournal` — an append-only sidecar of evaluated point
   results (length-prefixed, per-record blake2b checksums), so an
   interrupted ``explore(...)`` resumes without re-evaluating anything it
@@ -34,6 +36,7 @@ bit-identical to the fault-free one.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import math
 import os
@@ -41,12 +44,15 @@ import pickle
 import struct
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import (
     BinaryIO,
     Callable,
     Dict,
+    Hashable,
     List,
     Mapping,
     Optional,
@@ -250,15 +256,19 @@ class ResiliencePolicy:
     """How the engine supervises point evaluations.
 
     Args:
-        timeout: per-point wall-clock budget in seconds (pooled mode).  A
-            task exceeding it is treated as failed and its pool respawned —
+        timeout: wall-clock budget in seconds of one pooled attempt, from
+            its submission to its result.  An attempt exceeding it fails,
             which is also how results lost to a crashed worker surface
-            (the supervisor can only observe their absence).  The budget
-            is scaled for tasks queued behind others in the same wave, so
-            a deep batch on few workers does not time out spuriously.
-            ``None`` disables the watchdog (hangs then block forever — only
-            sensible when no faults are possible).  Serial evaluation
-            cannot be preempted, so the timeout only applies to pools.
+            (the supervisor can only observe their absence), and retires
+            its pool: the next attempt gets a fresh one, and the old pool
+            is terminated once its other attempts have settled there, so
+            one incident costs one respawn and cuts no other attempt off.
+            The budget is flat: at most ``max(4, 2 × workers)`` attempts
+            are in flight, so an attempt queues behind at most about one
+            other per worker.  ``None`` disables the watchdog (hangs then
+            block forever — only sensible when no faults are possible).
+            Inline attempts cannot be preempted, so the timeout only
+            applies to pools.
         retries: extra attempts after the first failure (0 = fail fast).
         backoff: base delay before the first retry, in seconds.
         backoff_factor: multiplier applied per additional attempt.
@@ -273,12 +283,6 @@ class ResiliencePolicy:
             next run, so a killed sweep resumes without re-evaluating.
         fault_plan: deterministic fault-injection schedule (tests and the
             ``--faults`` benchmark; None in production).
-        max_inflight: backpressure bound for the compile farm
-            (:mod:`repro.serve`): how many evaluations may be scheduled but
-            unfinished at once before admission awaits a free slot.  ``None``
-            lets the farm pick ``max(4, 2 × workers)``.  Batch evaluators
-            (the engine's search loop) ignore it — their batches are already
-            bounded by the strategy.
         seed: seed of the jitter generator.
     """
 
@@ -290,7 +294,6 @@ class ResiliencePolicy:
     max_pool_respawns: int = 3
     checkpoint: Optional[Union[str, Path]] = None
     fault_plan: Optional[FaultPlan] = None
-    max_inflight: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -298,10 +301,6 @@ class ResiliencePolicy:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive or None, got {self.timeout}")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1 or None, got {self.max_inflight}"
-            )
 
     def backoff_seconds(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff before retry number ``attempt`` (1-based), with jitter."""
@@ -331,38 +330,44 @@ class SupervisionStats:
     cancelled: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "evaluations": self.evaluations,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "recovered": self.recovered,
-            "quarantined": self.quarantined,
-            "pool_respawns": self.pool_respawns,
-            "serial_fallback": self.serial_fallback,
-            "resumed": self.resumed,
-            "cancelled": self.cancelled,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
-# Pool lifecycle supervision (shared by the evaluator and the compile farm)
+# Pool lifecycle supervision
 # ---------------------------------------------------------------------------
+
+
+#: How long :meth:`PoolSupervisor.teardown` lets tasks still running on a
+#: pool finish before terminating it.  ``Pool.terminate`` SIGTERMs the
+#: workers, and one killed while it sends a result leaves the result
+#: queue's lock held, on which the pool's own teardown then waits forever.
+#: A healthy evaluation returns well within this; a stuck one is killed.
+_TERMINATE_GRACE = 1.0
+
+
+def _terminate(pool) -> None:
+    try:
+        pool.terminate()
+        pool.join()
+    except Exception:
+        pass
 
 
 class PoolSupervisor:
-    """Owns one worker pool's spawn / respawn / teardown lifecycle.
+    """Owns the worker pool's spawn / retire / teardown lifecycle.
 
-    Extracted from :class:`SupervisedEvaluator` so the compile farm
-    (:mod:`repro.serve.farm`) reuses the same policy-bounded recovery
-    behaviour instead of growing a second, subtly different pool manager:
-    :meth:`acquire` lazily spawns the pool (respecting the respawn budget),
-    :meth:`respawn` tears it down after a timeout so the next acquire gets a
-    clean one, and once the pool is declared *unrecoverable* — spawn failure
-    or respawn budget exhausted — :meth:`acquire` returns ``None`` forever
-    and the owner degrades to in-process serial evaluation.
+    :meth:`acquire` lazily spawns the pool (respecting the respawn budget).
+    :meth:`retire` takes it out of service after an attempt on it timed
+    out, so the next acquire spawns a fresh one.  The retired pool is
+    terminated once the attempts still running on it (counted by
+    :meth:`enter` and :meth:`leave`) have settled: ``Pool.terminate``
+    fires no callbacks, so terminating it at once would strand them.  Once
+    the pool is declared *unrecoverable* — spawn failure or respawn budget
+    exhausted — :meth:`acquire` returns ``None`` forever and attempts run
+    in-process.
 
-    Counters land in the shared :class:`SupervisionStats` so a farm and an
-    exploration report respawns/fallbacks identically.
+    Counters land in the shared :class:`SupervisionStats`.
     """
 
     def __init__(
@@ -376,12 +381,11 @@ class PoolSupervisor:
         self._factory = pool_factory
         self._pool = None
         self._respawns = 0
+        self._running: Counter = Counter()
+        #: Per pool, the ``AsyncResult`` of each task that may still run.
+        self._jobs: Dict[object, list] = {}
+        self._retired: List[object] = []
         self.unrecoverable = False
-
-    @property
-    def enabled(self) -> bool:
-        """Whether pooled evaluation is configured at all."""
-        return self._factory is not None
 
     def acquire(self):
         """The live pool, spawning one if needed; None when serial-only."""
@@ -404,22 +408,52 @@ class PoolSupervisor:
             return None
         return self._pool
 
-    def respawn(self) -> None:
-        """Tear the pool down (hung/crashed worker); next acquire respawns."""
-        self.teardown()
+    def enter(self, pool, job) -> None:
+        """Count an attempt submitted to ``pool`` as ``job`` (its ``AsyncResult``)."""
+        self._running[pool] += 1
+        jobs = self._jobs.setdefault(pool, [])
+        jobs[:] = [each for each in jobs if not each.ready()]
+        jobs.append(job)
+
+    def leave(self, pool) -> None:
+        """Count an attempt on ``pool`` settled; terminate it if retired and drained."""
+        self._running[pool] -= 1
+        if self._running[pool] <= 0:
+            del self._running[pool]
+            if pool in self._retired:
+                self._retired.remove(pool)
+                self._jobs.pop(pool, None)
+                _terminate(pool)
+
+    def retire(self, pool) -> None:
+        """Take ``pool`` out of service: an attempt on it timed out.
+
+        Only the live pool is retired, so one incident costs one respawn
+        however many of the pool's attempts then time out.
+        """
+        if pool is not self._pool:
+            return
+        self._pool = None
         self._respawns += 1
         self.stats.pool_respawns += 1
+        self._retired.append(pool)
 
     def teardown(self) -> None:
-        if self._pool is not None:
-            try:
-                self._pool.terminate()
-                self._pool.join()
-            except Exception:
-                pass
-            self._pool = None
+        """Terminate the live pool and every retired one.
 
-    close = teardown
+        Tasks an interrupt or a cancellation left running get
+        :data:`_TERMINATE_GRACE` seconds to finish first.
+        """
+        deadline = time.monotonic() + _TERMINATE_GRACE
+        for pool in [self._pool, *self._retired]:
+            if pool is not None:
+                for job in self._jobs.get(pool, ()):
+                    job.wait(max(0.0, deadline - time.monotonic()))
+                _terminate(pool)
+        self._pool = None
+        self._retired.clear()
+        self._running.clear()
+        self._jobs.clear()
 
     def _give_up(self, why: str) -> None:
         if not self.unrecoverable:
@@ -431,7 +465,6 @@ class PoolSupervisor:
                 RuntimeWarning,
                 stacklevel=4,
             )
-        self.teardown()
 
 
 # ---------------------------------------------------------------------------
@@ -533,24 +566,29 @@ class CheckpointJournal:
 # The supervised evaluator
 # ---------------------------------------------------------------------------
 
-#: A task as the engine ships it: (benchmark name, design point).
-Task = Tuple[str, DesignPoint]
+#: A task: ``(benchmark name, design point, *extra)``.  A pooled attempt
+#: ships ``(benchmark, point, attempt, *extra)`` to the pool; the compile
+#: farm's one extra is the request's cycle model.
+Task = Tuple
 
 
 class SupervisedEvaluator:
     """Run evaluation tasks under a :class:`ResiliencePolicy`.
 
-    The engine constructs one per exploration and calls :meth:`evaluate`
-    with each pooled search batch — and, in-process, with the points a
-    fault plan targets or a batched evaluation that raised.  Construction
-    is cheap; the worker pool (if any) is created lazily by
-    ``pool_factory`` on first pooled use and respawned after timeouts, so
-    a hung worker can never wedge the sweep.
+    :meth:`run` is the supervision loop: one coroutine per task, owning
+    its attempts, their backoff, the timeout of each pooled attempt,
+    result validation, in-process fault firing, the quarantine memo and
+    :attr:`stats`.  The compile farm awaits it per scheduled request on
+    its event loop; the engine calls :meth:`evaluate`, which drives it over
+    a batch on a private event loop.  At most ``max(4, 2 × workers)``
+    tasks are in flight at once.
 
-    ``serial_compute`` evaluates one task in-process — the
-    ``workers <= 1`` per-point path and the graceful-degradation fallback
-    when the pool is unrecoverable.  ``pooled_task`` is the picklable
-    function the pool executes, receiving ``(benchmark, point, attempt)``.
+    ``serial_compute`` evaluates one task in-process: the ``workers <= 1``
+    path and the fallback when the pool is unrecoverable.  Inline attempts
+    run on the event loop's own thread, because the process-global
+    :data:`~repro.dse.cache.ANALYSIS_CACHE` is not thread-safe.
+    ``pooled_task`` is the picklable function the pool executes; the pool
+    (if any) is created lazily by ``pool_factory`` on first pooled use.
     """
 
     def __init__(
@@ -562,19 +600,23 @@ class SupervisedEvaluator:
         pooled_task: Optional[Callable] = None,
     ) -> None:
         self.policy = policy
-        self.workers = max(1, workers)
-        self._serial_compute = serial_compute
+        self._compute = serial_compute
         self._pooled_task = pooled_task
-        self._rng = np.random.default_rng(policy.seed)
+        self._jitter = np.random.default_rng(policy.seed)
+        self._slots = asyncio.Semaphore(max(4, 2 * workers))
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.stats = SupervisionStats()
         self.pools = PoolSupervisor(policy, pool_factory, self.stats)
-        #: Points that failed deterministically: never re-evaluated, their
-        #: failure record is replayed on any later proposal.
-        self.quarantine: Dict[Task, PointResult] = {}
+        #: Tasks that failed every attempt, by key: never re-evaluated,
+        #: their failure record is replayed on any later proposal.
+        self.quarantine: Dict[Hashable, PointResult] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
         self.pools.teardown()
+        if self._loop is not None:
+            self._loop.close()
+            self._loop = None
 
     def __enter__(self) -> "SupervisedEvaluator":
         return self
@@ -582,155 +624,122 @@ class SupervisedEvaluator:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- shared helpers ----------------------------------------------------
-    def _quarantined(self, task: Task, reason: str, attempts: int) -> PointResult:
-        record = PointResult(
-            point=task[1], failed=True, failure=reason, attempts=attempts
-        )
-        self.quarantine[task] = record
-        self.stats.quarantined += 1
-        return record
+    # -- the supervision loop ----------------------------------------------
+    async def run(self, task: Task, key: Optional[Hashable] = None) -> PointResult:
+        """Evaluate one task; a point failing every attempt comes back ``failed=True``.
 
-    def _sleep_backoff(self, attempt: int) -> None:
-        delay = self.policy.backoff_seconds(attempt, self._rng)
-        if delay > 0:
-            time.sleep(delay)
-
-    # -- evaluation --------------------------------------------------------
-    def evaluate(self, tasks: Sequence[Task]) -> List[PointResult]:
-        """Evaluate tasks in order; failed points come back ``failed=True``.
-
-        Results align with ``tasks``.  Previously quarantined points are
-        served their failure record instantly (no re-evaluation), so a
-        strategy re-proposing a broken neighbour costs nothing.
+        ``key`` names the task in the quarantine memo: a key that failed
+        before is served its failure record without re-evaluation.  None
+        keeps the task out of the memo.
         """
-        out: List[Optional[PointResult]] = [None] * len(tasks)
-        todo: List[int] = []
-        for i, task in enumerate(tasks):
-            known = self.quarantine.get(task)
-            if known is not None:
-                out[i] = known
-            else:
-                todo.append(i)
-        if todo:
-            pooled = self.workers > 1 and self.pools.enabled
-            if pooled and not self.pools.unrecoverable:
-                self._evaluate_pooled(tasks, todo, out)
-            else:
-                for i in todo:
-                    out[i] = self._evaluate_serial(tasks[i])
-        return [result for result in out]  # fully populated by now
-
-    # -- serial supervision ------------------------------------------------
-    def _evaluate_serial(self, task: Task) -> PointResult:
-        bench, point = task
-        plan = self.policy.fault_plan
+        known = self.quarantine.get(key) if key is not None else None
+        if known is not None:
+            return known
+        policy = self.policy
         reason = "unknown failure"
         attempt = 0
-        for attempt in range(1, self.policy.retries + 2):
-            try:
-                marker = None
-                if plan is not None:
-                    marker = plan.fire(bench, point.label, attempt, in_worker=False)
+        async with self._slots:
+            for attempt in range(1, policy.retries + 2):
                 self.stats.evaluations += 1
-                result = self._serial_compute(task)
-                if marker == "corrupt":
-                    result = corrupt_result(result)
-                problem = validate_point_result(result, point)
-                if problem is not None:
-                    raise CorruptResultError(problem)
-                if attempt > 1:
-                    self.stats.recovered += 1
-                return result
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                if isinstance(exc, EvaluationTimeoutError):
-                    self.stats.timeouts += 1
-                if attempt <= self.policy.retries:
-                    self.stats.retries += 1
-                    self._sleep_backoff(attempt)
-        return self._quarantined(task, reason, attempt)
-
-    # -- pooled supervision ------------------------------------------------
-    def _wave_timeout(self, slot: int) -> Optional[float]:
-        """Per-get budget for the task in wave position ``slot``.
-
-        Tasks queue behind each other on a finite pool, so a flat per-task
-        timeout would spuriously expire for deep batches; the budget grows
-        with the task's depth in the wave instead.
-        """
-        if self.policy.timeout is None:
-            return None
-        return self.policy.timeout * (1 + slot // self.workers)
-
-    def _evaluate_pooled(
-        self,
-        tasks: Sequence[Task],
-        todo: List[int],
-        out: List[Optional[PointResult]],
-    ) -> None:
-        import multiprocessing as mp
-
-        attempts: Dict[int, int] = {i: 0 for i in todo}
-        pending: List[int] = list(todo)
-        while pending:
-            pool = self.pools.acquire()
-            if pool is None:
-                for i in pending:
-                    # The serial path re-supervises from attempt 1: fault
-                    # schedules key on attempts, so a plan that already
-                    # fired in a worker does not re-fire spuriously here
-                    # unless it was scheduled to.
-                    out[i] = self._evaluate_serial(tasks[i])
-                return
-            handles = []
-            for i in pending:
-                attempts[i] += 1
-                bench, point = tasks[i]
-                self.stats.evaluations += 1
-                handles.append(
-                    (i, pool.apply_async(self._pooled_task, ((bench, point, attempts[i]),)))
-                )
-            failures: Dict[int, str] = {}
-            succeeded: List[int] = []
-            hit_timeout = False
-            for slot, (i, handle) in enumerate(handles):
                 try:
-                    value = handle.get(self._wave_timeout(slot))
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except mp.TimeoutError:
-                    hit_timeout = True
-                    self.stats.timeouts += 1
-                    failures[i] = (
-                        f"timed out after {self.policy.timeout:.1f}s "
-                        "(hung or crashed worker)"
-                    )
-                    continue
+                    result = await self._attempt(task, attempt)
+                    problem = validate_point_result(result, task[1])
+                    if problem is not None:
+                        raise CorruptResultError(problem)
                 except Exception as exc:
-                    failures[i] = f"{type(exc).__name__}: {exc}"
-                    continue
-                problem = validate_point_result(value, tasks[i][1])
-                if problem is not None:
-                    failures[i] = problem
-                    continue
-                out[i] = value
-                if attempts[i] > 1:
-                    self.stats.recovered += 1
-                succeeded.append(i)
-            if hit_timeout:
-                # A timed-out task may still occupy (or have killed) its
-                # worker; terminate and respawn so retries run on a clean
-                # pool.  Bounded by max_pool_respawns via PoolSupervisor.
-                self.pools.respawn()
-            pending = []
-            for i, why in failures.items():
-                if attempts[i] > self.policy.retries:
-                    out[i] = self._quarantined(tasks[i], why, attempts[i])
+                    reason = f"{type(exc).__name__}: {exc}"
+                    if isinstance(exc, EvaluationTimeoutError):
+                        self.stats.timeouts += 1
                 else:
+                    if attempt > 1:
+                        self.stats.recovered += 1
+                    return result
+                if attempt <= policy.retries:
                     self.stats.retries += 1
-                    pending.append(i)
-            if pending:
-                self._sleep_backoff(max(attempts[i] for i in pending))
+                    delay = policy.backoff_seconds(attempt, self._jitter)
+                    if delay > 0:
+                        await asyncio.sleep(delay)
+        self.stats.quarantined += 1
+        record = PointResult(point=task[1], failed=True, failure=reason, attempts=attempt)
+        if key is not None:
+            self.quarantine[key] = record
+        return record
+
+    async def _attempt(self, task: Task, attempt: int) -> PointResult:
+        """One attempt: on the pool under the timeout, else inline."""
+        pool = self.pools.acquire()
+        if pool is None:
+            plan = self.policy.fault_plan
+            marker = None
+            if plan is not None:
+                marker = plan.fire(task[0], task[1].label, attempt, in_worker=False)
+            result = self._compute(task)
+            return corrupt_result(result) if marker == "corrupt" else result
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+
+        def deliver(apply) -> None:
+            try:
+                loop.call_soon_threadsafe(apply)
+            except RuntimeError:
+                pass  # loop closed mid-shutdown; the result is moot
+
+        def on_ok(value) -> None:
+            deliver(lambda: future.done() or future.set_result(value))
+
+        def on_error(exc) -> None:
+            deliver(lambda: future.done() or future.set_exception(exc))
+
+        job = pool.apply_async(
+            self._pooled_task,
+            ((task[0], task[1], attempt, *task[2:]),),
+            callback=on_ok,
+            error_callback=on_error,
+        )
+        self.pools.enter(pool, job)
+        try:
+            return await asyncio.wait_for(future, self.policy.timeout)
+        except asyncio.TimeoutError:
+            # The hung (or crashed) worker stays behind on this pool;
+            # attempts still running there finish before it goes.
+            self.pools.retire(pool)
+            raise EvaluationTimeoutError(
+                f"timed out after {self.policy.timeout:.1f}s (hung or crashed worker)"
+            ) from None
+        finally:
+            self.pools.leave(pool)
+
+    # -- the synchronous entry point -----------------------------------------
+    def evaluate(self, tasks: Sequence[Task]) -> List[PointResult]:
+        """Evaluate tasks; results align with ``tasks``.
+
+        Drives :meth:`run` over the batch on this evaluator's private event
+        loop, keying the quarantine memo by task.  Called from inside a
+        coroutine, this thread's own loop is busy (and blocked on this
+        call), so the private loop runs on a helper thread instead.
+        """
+        if not tasks:
+            return []
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            return self._drive(tasks)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            return helper.submit(self._drive, tasks).result()
+
+    def _drive(self, tasks: Sequence[Task]) -> List[PointResult]:
+        if self._loop is None:
+            self._loop = asyncio.new_event_loop()
+        loop = self._loop
+        runs = [loop.create_task(self.run(task, task)) for task in tasks]
+        settled = asyncio.gather(*runs, return_exceptions=True)
+        try:
+            loop.run_until_complete(settled)
+        except BaseException:
+            # An interrupt: cancel what the batch left in flight, so the
+            # loop is idle for the next batch or close().
+            for run in runs:
+                run.cancel()
+            loop.run_until_complete(settled)
+            raise
+        return [run.result() for run in runs]

@@ -396,7 +396,7 @@ def run_figure7(
     whether the schedule rewriter pays off.
 
     ``resilience`` (a :class:`repro.dse.resilience.ResiliencePolicy`)
-    supervises the DSE sweeps: per-point timeouts, retries, quarantine of
+    supervises the DSE sweeps: per-attempt timeouts, retries, quarantine of
     failing points and checkpoint/resume journaling — so a long Figure 7
     run survives hung or crashed evaluations and completes with the
     failures reported instead of aborting.

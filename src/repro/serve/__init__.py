@@ -6,9 +6,11 @@ single-process affair; this package fronts it with a service. A
 (benchmark, :class:`~repro.dse.space.DesignPoint`, pipeline, cycle_model)
 requests, dedupes them against in-flight work and the shared
 :class:`~repro.dse.cache.AnalysisCache` *before* anything is scheduled,
-fans the residual work over the supervised worker pool
-(:class:`~repro.dse.resilience.PoolSupervisor`), and streams per-request
-results back as they finish, tagged with stable request ids.
+evaluates the residue under the engine's supervision loop
+(:class:`~repro.dse.resilience.SupervisedEvaluator`: retries, a flat
+timeout per pooled attempt, one pool respawn per hang or crash), and
+streams per-request results back as they finish, tagged with stable
+request ids.
 
 Layers
 ------
@@ -19,7 +21,7 @@ Layers
   pool workers attach a warm store lazily instead of paying a full
   ``load_disk`` on spawn.
 * :mod:`repro.serve.farm` — the asyncio server core: admission, dedup,
-  backpressure, supervision, journaled graceful shutdown.
+  journal-first completion, journaled graceful shutdown.
 * :mod:`repro.serve.client` — :class:`~repro.serve.client.Client` (async)
   and :class:`~repro.serve.client.SyncClient` (background-loop) facades;
   the sync facade is what :class:`~repro.dse.engine.MultiBenchmarkExplorer`

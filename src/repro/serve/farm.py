@@ -20,25 +20,26 @@ byte:
    scheduling (``status="cached"``).
 3. **in-flight coalescing** — a digest currently being evaluated gains a
    waiter instead of a second evaluation (``status="coalesced"``).
-4. **schedule** — only the residue reaches the pool
-   (``status="evaluated"``), bounded by the policy's ``max_inflight``
-   backpressure semaphore.
+4. **schedule** — only the residue is evaluated (``status="evaluated"``).
 
 Completion is journal-first: a finished evaluation is appended to the
 journal, then seeded into the analysis cache, and only then handed to its
 waiters — so a SIGINT at any instant loses zero *completed* evaluations
-(the PR 6 resume machinery replays the journal on the next start).
+(a farm started over the same journal replays them).
 
 With ``workers > 1``, starting the farm writes a memory-mapped snapshot
 of the live cache that the pool's workers attach lazily
 (:mod:`repro.serve.snapshot`); an inline farm (``workers=1``) writes none.
 
-Pool supervision reuses :class:`~repro.dse.resilience.PoolSupervisor`
-verbatim: timeouts respawn the pool, a spawn failure or exhausted respawn
-budget degrades to in-process serial evaluation.  The serial fallback runs
-*inline on the event-loop thread* deliberately — the process-global
-:data:`~repro.dse.cache.ANALYSIS_CACHE` is not thread-safe, and the
-degraded mode trades loop responsiveness for correctness.
+Each scheduled request is one run of the engine's supervision loop,
+:meth:`SupervisedEvaluator.run <repro.dse.resilience.SupervisedEvaluator.run>`:
+retries with backoff, a flat timeout per pooled attempt, one pool respawn
+per hang or crash, the quarantine memo, and at most ``max(4, 2 × workers)``
+requests in flight.  In-process evaluation — an inline farm, or a pool
+that could not be spawned or respawned — runs *on the event-loop thread*
+deliberately: the process-global :data:`~repro.dse.cache.ANALYSIS_CACHE`
+is not thread-safe, and the farm trades loop responsiveness for
+correctness.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.apps import get_benchmark
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import (
@@ -75,17 +74,12 @@ from repro.dse.engine import (
 from repro.dse.resilience import (
     PoolSupervisor,
     ResiliencePolicy,
+    SupervisedEvaluator,
     SupervisionStats,
-    corrupt_result,
-    validate_point_result,
 )
 from repro.dse.results import PointResult
 from repro.dse.space import DesignPoint
-from repro.errors import (
-    CorruptResultError,
-    EvaluationTimeoutError,
-    FarmError,
-)
+from repro.errors import FarmError
 from repro.pipeline.session import CompilerSession
 from repro.serve.protocol import CompileRequest, CompileResponse, gather
 from repro.sim.model import PerformanceModel
@@ -100,16 +94,18 @@ class FarmStats:
 
     ``scheduled`` is the load-bearing dedup counter: duplicate submissions
     (in one batch or across concurrent batches) must never move it more
-    than once per distinct point.  ``supervision`` is the shared
-    :class:`~repro.dse.resilience.SupervisionStats` the pool supervisor
-    writes into, so respawns and fallbacks are reported exactly as an
-    exploration would report them.
+    than once per distinct point.  ``supervision`` is the
+    :class:`~repro.dse.resilience.SupervisionStats` of the farm's
+    :class:`~repro.dse.resilience.SupervisedEvaluator`, so retries,
+    respawns and fallbacks are reported exactly as an exploration would
+    report them.
 
     ``cache`` holds the most recent per-table snapshot of the analysis
     cache — entries, evictions, hits, misses and the derived hit rate —
     refreshed by :meth:`CompileFarm.cache_metrics` and on farm shutdown.
-    It is deliberately *not* merged into :meth:`as_dict`, whose consumers
-    (``supervision.update(...)`` in the explorer) index flat integers.
+    It is deliberately *not* merged into :meth:`as_dict`, which stays flat
+    integers: an exploration routed through the farm reports it as its
+    ``supervision`` counters, and the TCP ``stats`` op sends it as is.
     """
 
     received: int = 0
@@ -267,12 +263,9 @@ class CompileFarm:
         self._session: Optional[CompilerSession] = None
         self._serial_session: Optional[CompilerSession] = None
         self._ledger: Optional[PointLedger] = None
-        self._quarantine: Dict[bytes, PointResult] = {}
         self._inflight: Dict[bytes, "asyncio.Task"] = {}
         self._tasks: Set["asyncio.Task"] = set()
-        self._slots: Optional[asyncio.Semaphore] = None
-        self._rng = np.random.default_rng(self.policy.seed)
-        self.pools: Optional[PoolSupervisor] = None
+        self.supervisor: Optional[SupervisedEvaluator] = None
         self._next_id = 0
         self._started = False
         self._closing = False
@@ -296,6 +289,11 @@ class CompileFarm:
     def board_name(self) -> str:
         return self.board.name
 
+    @property
+    def pools(self) -> Optional[PoolSupervisor]:
+        """The worker pool's lifecycle, once the farm has started."""
+        return self.supervisor.pools if self.supervisor is not None else None
+
     def cache_metrics(self) -> Dict[str, Dict[str, float]]:
         """Refresh :attr:`FarmStats.cache` from the live analysis cache."""
         self.stats.record_cache(ANALYSIS_CACHE.stats())
@@ -303,7 +301,7 @@ class CompileFarm:
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "CompileFarm":
-        """Build lanes, warm the cache, load the journal, arm the pool."""
+        """Build lanes, warm the cache, load the journal, arm the supervisor."""
         if self._started:
             raise FarmError("farm already started")
         self._lanes = {}
@@ -358,11 +356,27 @@ class CompileFarm:
                     ),
                 )
 
-        self.pools = PoolSupervisor(self.policy, pool_factory, self.stats.supervision)
-        bound = self.policy.max_inflight
-        if bound is None:
-            bound = max(4, 2 * self.workers)
-        self._slots = asyncio.Semaphore(bound)
+        def compute(task: Tuple[str, DesignPoint, str]) -> PointResult:
+            bench, point, cycle_model = task
+            lane = self._lanes[bench]
+            return evaluate_point(
+                lane.program,
+                lane.workload,
+                point,
+                board=self.board,
+                model=self.model,
+                session=self._serial_session,
+                cycle_model=cycle_model,
+            )
+
+        self.supervisor = SupervisedEvaluator(
+            self.policy,
+            compute,
+            workers=self.workers,
+            pool_factory=pool_factory,
+            pooled_task=_evaluate_point_task,
+        )
+        self.stats.supervision = self.supervisor.stats
         self._started = True
         return self
 
@@ -386,8 +400,8 @@ class CompileFarm:
                 task.cancel()
             if self._tasks:
                 await asyncio.gather(*list(self._tasks), return_exceptions=True)
-        if self.pools is not None:
-            self.pools.teardown()
+        if self.supervisor is not None:
+            self.supervisor.close()
         if self._ledger is not None:
             self._ledger.close()
         if self.store is not None:
@@ -474,7 +488,7 @@ class CompileFarm:
             self.stats.journal_hits += 1
             self.stats.supervision.resumed += 1
             return "journal", journaled
-        known = self._quarantine.get(ref.digest) if ref.digest is not None else None
+        known = self.supervisor.quarantine.get(ref.digest)
         if known is not None:
             return "failed", known
         cached = self._ledger.lookup(ref.key)
@@ -492,9 +506,7 @@ class CompileFarm:
             # parent-side miss is recorded here; the serial path's
             # ``memoize()`` inside evaluate_point accounts for itself.
             ANALYSIS_CACHE.misses["point_results"] += 1
-        task = asyncio.get_running_loop().create_task(
-            self._evaluate(lane, request, ref)
-        )
+        task = asyncio.get_running_loop().create_task(self._evaluate(request, ref))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         if ref.digest is not None:
@@ -537,118 +549,17 @@ class CompileFarm:
         )
 
     # -- evaluation ----------------------------------------------------------
-    async def _evaluate(
-        self, lane: _FarmLane, request: CompileRequest, ref: PointRef
-    ) -> PointResult:
-        async with self._slots:
-            result = await self._run_supervised(lane, request)
+    async def _evaluate(self, request: CompileRequest, ref: PointRef) -> PointResult:
+        result = await self.supervisor.run(
+            (request.benchmark, request.point, request.cycle_model), ref.digest
+        )
         # Journal-first completion: by the time any waiter observes the
         # result, it has already been made durable — a SIGINT between
         # completion and response loses nothing.
         if result.failed:
             self.stats.failed += 1
-            if ref.digest is not None:
-                self._quarantine[ref.digest] = result
             return result
         self._ledger.record(ref, result)
         self._ledger.seed(ref.key, result)
         self.stats.completed += 1
         return result
-
-    async def _run_supervised(
-        self, lane: _FarmLane, request: CompileRequest
-    ) -> PointResult:
-        """One point under the resilience policy: retries, timeouts, respawn."""
-        policy = self.policy
-        point = request.point
-        reason = "unknown failure"
-        attempt = 0
-        for attempt in range(1, policy.retries + 2):
-            pool = self.pools.acquire() if self.pools is not None else None
-            try:
-                self.stats.supervision.evaluations += 1
-                if pool is None:
-                    value = self._serial_compute(lane, request, attempt)
-                else:
-                    value = await self._pool_apply(
-                        pool,
-                        (request.benchmark, point, attempt, request.cycle_model),
-                        policy.timeout,
-                    )
-                problem = validate_point_result(value, point)
-                if problem is not None:
-                    raise CorruptResultError(problem)
-                if attempt > 1:
-                    self.stats.supervision.recovered += 1
-                return value
-            except (KeyboardInterrupt, SystemExit, asyncio.CancelledError):
-                raise
-            except EvaluationTimeoutError as exc:
-                reason = str(exc)
-                self.stats.supervision.timeouts += 1
-                # The hung task may still occupy its worker; respawn so
-                # the retry runs on a clean pool (respawn budget applies).
-                if pool is not None:
-                    self.pools.respawn()
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            if attempt <= policy.retries:
-                self.stats.supervision.retries += 1
-                delay = policy.backoff_seconds(attempt, self._rng)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-        self.stats.supervision.quarantined += 1
-        return PointResult(
-            point=point, failed=True, failure=reason, attempts=attempt
-        )
-
-    def _serial_compute(
-        self, lane: _FarmLane, request: CompileRequest, attempt: int
-    ) -> PointResult:
-        plan = self.policy.fault_plan
-        marker = None
-        if plan is not None:
-            marker = plan.fire(
-                request.benchmark, request.point.label, attempt, in_worker=False
-            )
-        result = evaluate_point(
-            lane.program,
-            lane.workload,
-            request.point,
-            board=self.board,
-            model=self.model,
-            session=self._serial_session,
-            cycle_model=request.cycle_model,
-        )
-        if marker == "corrupt":
-            result = corrupt_result(result)
-        return result
-
-    async def _pool_apply(
-        self, pool, task: Tuple, timeout: Optional[float]
-    ) -> PointResult:
-        """Bridge one ``apply_async`` onto the event loop, with a watchdog."""
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
-
-        def deliver(apply) -> None:
-            try:
-                loop.call_soon_threadsafe(apply)
-            except RuntimeError:
-                pass  # loop closed mid-shutdown; the result is moot
-
-        def on_ok(value) -> None:
-            deliver(lambda: future.done() or future.set_result(value))
-
-        def on_error(exc) -> None:
-            deliver(lambda: future.done() or future.set_exception(exc))
-
-        pool.apply_async(
-            _evaluate_point_task, (task,), callback=on_ok, error_callback=on_error
-        )
-        try:
-            return await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            raise EvaluationTimeoutError(
-                f"timed out after {timeout:.1f}s (hung or crashed worker)"
-            ) from None

@@ -1,7 +1,12 @@
 """The analysis cache, structural hashing and memoisation correctness."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.estimate import (
     StaticEvaluator,
@@ -162,16 +167,23 @@ class TestDiskPersistence:
         assert fresh.get("t", ("k", 1)) == "value"
         assert fresh.get("u", ("k", 2)) == (1, 2.5)
 
-    def test_version_mismatch_invalidates(self, tmp_path):
-        import pickle
+    def test_version_mismatch_invalidates(self, tmp_path, monkeypatch):
+        import warnings
+
+        import repro.dse.cache as cache_module
 
         store = tmp_path / "analysis.pkl"
-        store.write_bytes(
-            pickle.dumps({"version": -1, "tables": {"t": [("k", "stale")]}})
-        )
+        stale = AnalysisCache()
+        stale.put("t", "k", "stale")
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_VERSION", -1)
+            assert stale.save_disk(store)
         cache = AnalysisCache()
-        assert cache.load_disk(store) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # ignored silently, not quarantined
+            assert cache.load_disk(store) == 0
         assert cache.get("t", "k") is None
+        assert store.exists()
 
     def test_corrupt_store_is_ignored(self, tmp_path):
         store = tmp_path / "analysis.pkl"
@@ -304,18 +316,52 @@ class TestStoreHardening:
         with pytest.warns(RuntimeWarning, match="failed validation"):
             assert AnalysisCache().load_disk(store) == 0
 
-    def test_legacy_naked_pickle_store_still_loads(self, tmp_path):
+    def test_headerless_store_is_quarantined_unread(self, tmp_path, monkeypatch):
         import pickle
 
+        import repro.dse.cache as cache_module
         from repro.dse.cache import CACHE_VERSION
 
         store = tmp_path / "analysis.pkl"
         store.write_bytes(
             pickle.dumps({"version": CACHE_VERSION, "tables": {"t": [("k", "v")]}})
         )
-        cache = AnalysisCache()
-        assert cache.load_disk(store) == 1
-        assert cache.get("t", "k") == "v"
+
+        def unverified(blob):
+            raise AssertionError("unverified bytes reached pickle.loads")
+
+        monkeypatch.setattr(cache_module, "_unpickle", unverified)
+        with pytest.warns(RuntimeWarning, match="no store header"):
+            assert AnalysisCache().load_disk(store) == 0
+        assert (tmp_path / "analysis.pkl.corrupt").exists()
+
+    @given(
+        mutation=st.sampled_from(["flip", "truncate", "extend"]),
+        position=st.integers(0, 2**16),
+        mask=st.integers(1, 255),
+        extra=st.binary(min_size=1, max_size=32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_damaged_store_is_quarantined_never_raised(self, mutation, position, mask, extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = Path(tmp) / "analysis.pkl"
+            writer = AnalysisCache()
+            writer.put("t", "k", "v")
+            writer.put("u", ("key", 1), [1.0, 2.5])
+            assert writer.save_disk(store)
+            blob = bytearray(store.read_bytes())
+            if mutation == "flip":
+                blob[position % len(blob)] ^= mask
+            elif mutation == "truncate":
+                del blob[position % len(blob) :]
+            else:
+                at = position % (len(blob) + 1)
+                blob[at:at] = extra
+            store.write_bytes(bytes(blob))
+            with pytest.warns(RuntimeWarning, match="failed validation"):
+                assert AnalysisCache().load_disk(store) == 0
+            assert not store.exists()
+            assert store.with_name("analysis.pkl.corrupt").exists()
 
     def test_merge_on_save_keeps_concurrent_writers_entries(self, tmp_path):
         """Two processes saving to one store must not lose each other's
