@@ -49,7 +49,11 @@ in-process evaluation is :func:`~repro.dse.batch.evaluate_point_batch`:
 one transform-prefix run per tiling group and one design per
 configuration, priced by the scalar path's own cost model), cold (caches
 disabled) and warm (point results pre-seeded), asserting bit-identical
-numbers and the ≥ 5× cold points/sec target.  It then sweeps every
+numbers and the ≥ 5× cold points/sec target.  A cold sweep of the same
+space over the ``default`` and ``rewrite`` pipelines — the shape of the
+repository benchmark's ``sweep-cold`` workload, whose ``rewrite`` points
+reuse their ``default`` twins' designs and area — records its batched
+points/sec (median of repeats).  It then sweeps every
 registered pipeline variant through the batched path at smoke sizes,
 records each variant's engagement counts (``ExplorationResult.
 batch_engagement``, where ``vector`` counts points the batched path
@@ -481,6 +485,55 @@ def run_faults_phase(smoke: bool) -> dict:
 BATCH_SPEEDUP_TARGET = 5.0
 
 
+#: Pipelines of the cold sweep: the repository benchmark's sweep-cold pair.
+SWEEP_PIPELINES = ("default", "rewrite")
+#: Repeats of the cold sweep; the record keeps the median.
+SWEEP_REPEATS = 15
+
+
+def _batch_space(sizes, smoke: bool, pipelines=("default",)):
+    return default_space(
+        {name: sizes[name] for name in ("m", "n", "p")},
+        pars=(4, 8, 16, 32),
+        max_tiles_per_dim=2 if smoke else 3,
+        pipelines=pipelines,
+    )
+
+
+def run_cold_sweep(sizes, smoke: bool) -> dict:
+    """The batch phase's space over ``default`` and ``rewrite``, cold.
+
+    As in the repository benchmark's ``sweep-cold`` workload, the analysis
+    cache is cleared before each repeat and stays on, so the pass memo
+    serves within a sweep, and every point must take the batched path.
+    The sweep runs in this one thread, so it is timed in process CPU
+    time: on an idle host that is its wall time, and on a shared one it
+    leaves out the time other processes hold the cores.
+    """
+    space = _batch_space(sizes, smoke, SWEEP_PIPELINES)
+    seconds = []
+    for _ in range(SWEEP_REPEATS):
+        ANALYSIS_CACHE.clear()
+        started = time.process_time()
+        result = explore(BENCHMARK, sizes=sizes, space=space, prune=False)
+        seconds.append(time.process_time() - started)
+        assert result.batch_engagement == {"vector": len(space)}, result.batch_engagement
+    ANALYSIS_CACHE.clear()
+    median = statistics.median(seconds)
+    print(
+        f"[DSE batch] cold sweep over {'/'.join(SWEEP_PIPELINES)}: {len(space)} points, "
+        f"median {median:.3f} CPU s of {SWEEP_REPEATS} ({len(space) / median:.0f} pts/s)"
+    )
+    return {
+        "points": len(space),
+        "pipelines": list(SWEEP_PIPELINES),
+        "repeats": SWEEP_REPEATS,
+        "clock": "process_time",
+        "seconds_batched": round(median, 4),
+        "points_per_second_batched": round(len(space) / median, 2),
+    }
+
+
 def run_batch_phase(smoke: bool) -> dict:
     """Scalar vs batched point evaluation: points/sec cold and warm.
 
@@ -489,14 +542,11 @@ def run_batch_phase(smoke: bool) -> dict:
     so both paths pay full compile cost; warm runs pre-seed the
     point-result table so both paths serve pure hits.  The batched backend
     must return bit-identical numbers and hit the ≥ 5× cold throughput
-    target.
+    target.  The record also carries the cold ``default``/``rewrite``
+    sweep (:func:`run_cold_sweep`) and each variant's engagement counts.
     """
     sizes = SMOKE_SIZES if smoke else SIZES
-    space = default_space(
-        {name: sizes[name] for name in ("m", "n", "p")},
-        pars=(4, 8, 16, 32),
-        max_tiles_per_dim=2 if smoke else 3,
-    )
+    space = _batch_space(sizes, smoke)
     points = len(space)
     print(f"[DSE batch] {BENCHMARK} {points} points, sizes {sizes}")
     def scalar():
@@ -557,12 +607,14 @@ def run_batch_phase(smoke: bool) -> dict:
         f"batched cold speedup {speedup_cold:.2f}x below the "
         f"{BATCH_SPEEDUP_TARGET:.0f}x target"
     )
+    sweep = run_cold_sweep(sizes, smoke)
     engagement = run_variant_engagement()
     return {
         "points": points,
         "smoke": smoke,
         "bit_identical": True,
         "engagement": engagement,
+        "sweep_cold": sweep,
         "cold": {
             "seconds_scalar": round(t_scalar_cold, 4),
             "seconds_batched": round(t_batched_cold, 4),

@@ -14,7 +14,7 @@ depths and the number of load/store units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 from repro.hw.controllers import (
     Controller,
@@ -57,14 +57,6 @@ class AreaEstimate:
     ffs: float = 0.0
     bram_bits: float = 0.0
     dsps: float = 0.0
-
-    def __add__(self, other: "AreaEstimate") -> "AreaEstimate":
-        return AreaEstimate(
-            logic=self.logic + other.logic,
-            ffs=self.ffs + other.ffs,
-            bram_bits=self.bram_bits + other.bram_bits,
-            dsps=self.dsps + other.dsps,
-        )
 
     def scaled(self, factor: float) -> "AreaEstimate":
         return AreaEstimate(
@@ -191,20 +183,30 @@ def estimate_area_of_schedule(schedule) -> AreaReport:
     so costing the schedule and costing the design graph give identical
     totals — but the schedule is the one object the cycle backends and the
     MaxJ emitter also consume.
+
+    The sums run in module order into four local floats and one
+    four-float list per kind, so nothing is allocated per module.
     """
-    total = AreaEstimate()
-    by_kind: Dict[str, AreaEstimate] = {}
+    logic = ffs = bram_bits = dsps = 0.0
+    by_kind: Dict[str, List[float]] = {}
     for module in schedule.modules():
         estimate = area_of_module(module)
-        total = total + estimate
-        if module.kind not in by_kind:
-            by_kind[module.kind] = AreaEstimate()
-        by_kind[module.kind] = by_kind[module.kind] + estimate
+        logic += estimate.logic
+        ffs += estimate.ffs
+        bram_bits += estimate.bram_bits
+        dsps += estimate.dsps
+        kind = by_kind.get(module.kind)
+        if kind is None:
+            kind = by_kind[module.kind] = [0.0, 0.0, 0.0, 0.0]
+        kind[0] += estimate.logic
+        kind[1] += estimate.ffs
+        kind[2] += estimate.bram_bits
+        kind[3] += estimate.dsps
     return AreaReport(
         design_name=schedule.name,
         config_label=schedule.config_label,
-        total=total,
-        by_kind=by_kind,
+        total=AreaEstimate(logic, ffs, bram_bits, dsps),
+        by_kind={name: AreaEstimate(*sums) for name, sums in by_kind.items()},
         device=schedule.board.device,
     )
 

@@ -26,19 +26,33 @@ way the points actually share it:
    env, preload plan, op counts, traffic records).  Each point then
    applies its own variant's schedule steps, each through its own
    transformation's ``apply`` (which never mutates its input).
-4. **One pricing call per group** — the group's schedules are priced by
-   one :func:`~repro.schedule.batched.batched_cycles` and one
-   :func:`~repro.schedule.batched.batched_area` call, which run the scalar
-   path's cost model (the analytical walk and the template area sum), and
-   each result is assembled by :meth:`PointResult.from_evaluation`, as
+4. **One pricing call per group, area once per design** — the group's
+   schedules are timed by one
+   :func:`~repro.schedule.batched.batched_cycles` call, which runs the
+   scalar path's analytical walk per point.  Area is priced by one
+   :func:`~repro.schedule.batched.batched_area` call (the template area
+   sum) over each design's lowered schedule, once, and every point of
+   that design — a ``rewrite`` point and its ``default`` twin alike —
+   gets that report.  This is sound because every stock schedule step
+   (``CoalesceTransfers``, ``FlattenDegenerateGroups``,
+   ``RebalanceStages``, ``ScheduleRewrite``) ends in
+   :meth:`~repro.schedule.rewrite.ScheduleRewriter.rewrite`, whose
+   :func:`~repro.schedule.rewrite.verify_rewrite` asserts that the module
+   multiset and the memory records — exactly what the area sum adds —
+   are unchanged.  The template costs are quarter-integers, so their
+   float sums are exact in any order: a rewritten tree listing the same
+   modules in another order sums to the same bits.  A step whose
+   ``apply`` or ``apply_schedule`` is not a stock one (a subclass may do
+   anything) makes its points price their own schedules.
+   Each result is assembled by :meth:`PointResult.from_evaluation`, as
    ``evaluate_point`` assembles its own.
 
 Results are therefore **bit-identical** to calling ``evaluate_point`` per
 point; ``tests/dse/test_batched.py`` (all six benchmarks) and a
-generated-ordering differential test check the shared prefix, designs and
-schedule steps.  The ledger seeds the cache per point under the scalar
-path's key, so memoisation, journal replay and farm admission dedup cannot
-tell which path produced a result.
+generated-ordering differential test check the shared prefix, designs,
+schedule steps and area reuse.  The ledger seeds the cache per point under
+the scalar path's key, so memoisation, journal replay and farm admission
+dedup cannot tell which path produced a result.
 
 This is the engine's only in-process evaluator:
 :func:`~repro.dse.engine.explore` and
@@ -75,7 +89,10 @@ from repro.pipeline.passes import (
 )
 from repro.pipeline.pipeline import Pipeline
 from repro.ppl.program import Program
+from repro.rewrite.framework import ScheduleTransformation
+from repro.rewrite.schedule import ScheduleRewrite
 from repro.schedule.batched import batched_area, batched_cycles
+from repro.schedule.ir import Schedule
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
 from repro.utils.naming import fresh_naming_scope
@@ -91,10 +108,36 @@ class _Tail(NamedTuple):
     prefix: list
     prefix_signature: tuple
     schedule_steps: list
+    #: Some step's output is not checked by ``ScheduleRewriter.rewrite``,
+    #: so each point prices its own schedule's area.
+    own_area: bool
 
 
 def _is_schedule_step(stage) -> bool:
     return isinstance(stage, TransformationStage) and stage.transformation.ir == "schedule"
+
+
+#: The ``apply_schedule`` implementations that end in
+#: ``ScheduleRewriter.rewrite``: a rule run alone through a rewriter, and
+#: the composite rewriter (``rewrite_schedule`` or its tuning).
+_VERIFIED_APPLY_SCHEDULE = (
+    ScheduleTransformation.apply_schedule,
+    ScheduleRewrite.apply_schedule,
+)
+
+
+def _keeps_inventory(stage: TransformationStage) -> bool:
+    """Whether the step's output passed ``verify_rewrite`` against its input.
+
+    True for the stock ``apply`` over a stock ``apply_schedule``: the
+    module multiset and the memory records — all the area sum reads — are
+    then the input's.
+    """
+    cls = type(stage.transformation)
+    return (
+        cls.apply is ScheduleTransformation.apply
+        and cls.apply_schedule in _VERIFIED_APPLY_SCHEDULE
+    )
 
 
 def _split_terminal_tail(pipe: Pipeline) -> Optional[_Tail]:
@@ -127,7 +170,12 @@ def _split_terminal_tail(pipe: Pipeline) -> Optional[_Tail]:
     ):
         return None
     prefix = list(pipe.passes[:split])
-    return _Tail(prefix, tuple(stage.signature() for stage in prefix), steps)
+    return _Tail(
+        prefix,
+        tuple(stage.signature() for stage in prefix),
+        steps,
+        not all(_keeps_inventory(stage) for stage in steps),
+    )
 
 
 def evaluate_point_batch(
@@ -231,6 +279,10 @@ def evaluate_point_batch(
         # One (design, lowered schedule, step context) per configuration.
         designs: Dict[tuple, tuple] = {}
         built, schedules = [], []
+        # The schedule each point's area is read from, by id: its design's
+        # lowered one unless a step may change the inventory.
+        area_schedules: Dict[int, Schedule] = {}
+        area_keys: List[int] = []
         scope = fresh_naming_scope() if session.fresh_names else nullcontext()
         with scope:
             prefix = tail_for(representative.pipeline).prefix  # type: ignore[union-attr]
@@ -238,6 +290,7 @@ def evaluate_point_batch(
             shared = GenerationShared(tiled, bindings)
             for index in indices:
                 point = points[index]
+                tail = tail_for(point.pipeline)
                 design_key = (point.tile_sizes, point.par, point.metapipelining)
                 if design_key not in designs:
                     config = point.config()
@@ -249,17 +302,23 @@ def evaluate_point_batch(
                         design.schedule(),
                         context(config, point.par),
                     )
-                design, schedule, step_ctx = designs[design_key]
-                for stage in tail_for(point.pipeline).schedule_steps:  # type: ignore[union-attr]
+                design, lowered, step_ctx = designs[design_key]
+                schedule = lowered
+                for stage in tail.schedule_steps:  # type: ignore[union-attr]
                     schedule = stage.transformation.apply(schedule, step_ctx)
+                priced = schedule if tail.own_area else lowered  # type: ignore[union-attr]
+                area_schedules.setdefault(id(priced), priced)
+                area_keys.append(id(priced))
                 built.append(design)
                 schedules.append(schedule)
         outcomes["vector"] += len(indices)
 
         simulations = batched_cycles(schedules, model)
-        areas = batched_area(schedules)
-        for index, design, simulation, area in zip(indices, built, simulations, areas):
-            result = PointResult.from_evaluation(points[index], simulation, area, design)
+        areas = dict(zip(area_schedules, batched_area(list(area_schedules.values()))))
+        for index, design, simulation, area_key in zip(indices, built, simulations, area_keys):
+            result = PointResult.from_evaluation(
+                points[index], simulation, areas[area_key], design
+            )
             if keys[index] is not None:
                 ledger.seed(keys[index], result)
                 # Same copy-on-return protection as evaluate_point: the

@@ -566,6 +566,11 @@ class CheckpointJournal:
 # The supervised evaluator
 # ---------------------------------------------------------------------------
 
+
+class _Expired(Exception):
+    """Set on a pooled attempt's future when its timeout passes."""
+
+
 #: A task: ``(benchmark name, design point, *extra)``.  A pooled attempt
 #: ships ``(benchmark, point, attempt, *extra)`` to the pool; the compile
 #: farm's one extra is the request's cycle model.
@@ -690,6 +695,10 @@ class SupervisedEvaluator:
         def on_error(exc) -> None:
             deliver(lambda: future.done() or future.set_exception(exc))
 
+        def expire() -> None:
+            if not future.done():
+                future.set_exception(_Expired())
+
         job = pool.apply_async(
             self._pooled_task,
             ((task[0], task[1], attempt, *task[2:]),),
@@ -697,9 +706,16 @@ class SupervisedEvaluator:
             error_callback=on_error,
         )
         self.pools.enter(pool, job)
+        # A timer rather than asyncio.wait_for, which hands back a result
+        # that arrived after its task was cancelled (3.10, 3.11): awaiting
+        # the future itself raises a requested cancellation, so a
+        # cancelled attempt never reaches validation.
+        timer = None
+        if self.policy.timeout is not None:
+            timer = loop.call_later(self.policy.timeout, expire)
         try:
-            return await asyncio.wait_for(future, self.policy.timeout)
-        except asyncio.TimeoutError:
+            return await future
+        except _Expired:
             # The hung (or crashed) worker stays behind on this pool;
             # attempts still running there finish before it goes.
             self.pools.retire(pool)
@@ -707,6 +723,8 @@ class SupervisedEvaluator:
                 f"timed out after {self.policy.timeout:.1f}s (hung or crashed worker)"
             ) from None
         finally:
+            if timer is not None:
+                timer.cancel()
             self.pools.leave(pool)
 
     # -- the synchronous entry point -----------------------------------------
@@ -733,13 +751,19 @@ class SupervisedEvaluator:
         loop = self._loop
         runs = [loop.create_task(self.run(task, task)) for task in tasks]
         settled = asyncio.gather(*runs, return_exceptions=True)
-        try:
-            loop.run_until_complete(settled)
-        except BaseException:
-            # An interrupt: cancel what the batch left in flight, so the
-            # loop is idle for the next batch or close().
-            for run in runs:
-                run.cancel()
-            loop.run_until_complete(settled)
-            raise
+        interrupt: Optional[BaseException] = None
+        while not settled.done():
+            try:
+                loop.run_until_complete(settled)
+            except BaseException as exc:
+                # An interrupt: cancel what the batch left in flight and
+                # drain until every run has settled, so the loop is idle
+                # for the next batch or close().  A further interrupt
+                # during the drain cancels again; the first is raised.
+                if interrupt is None:
+                    interrupt = exc
+                for run in runs:
+                    run.cancel()
+        if interrupt is not None:
+            raise interrupt
         return [run.result() for run in runs]

@@ -1,15 +1,18 @@
 """Pricing entry points of the batched DSE path.
 
-:func:`repro.dse.batch.evaluate_point_batch` prices each prefix group's
-schedules with one :func:`batched_cycles` call and one
-:func:`batched_area` call.  Both are loops over the one scalar cost model —
-the analytical backend's walk and the template area sum — so a batched
-result equals the scalar path's by construction.  Profiling chose the
-loops: a DSE batch holds only 4–8 schedules of any one tree shape, too
-few for a stacked array pass to beat the scalar walk.  The two names stay
-a layer of their own because the repository benchmark's tracer
-(``perfbench/tracer.py``) patches them to time batched pricing and count
-its schedules.
+:func:`repro.dse.batch.evaluate_point_batch` prices each prefix group
+with one :func:`batched_cycles` call over every point's schedule and one
+:func:`batched_area` call over each design's lowered schedule, once per
+design: a point whose schedule steps all end in ``verify_rewrite`` has its
+design's module inventory, so it shares that report, and only a point
+with a non-stock step brings its own schedule.  Both are loops over the
+one scalar cost model — the analytical backend's walk and the template
+area sum — so a batched result equals the scalar path's by construction.
+Profiling chose the loops: a DSE batch holds only 4–8 schedules of any
+one tree shape, too few for a stacked array pass to beat the scalar walk.
+The two names stay a layer of their own because the repository
+benchmark's tracer (``perfbench/tracer.py``) patches them to time batched
+pricing and count its schedules.
 """
 
 from __future__ import annotations

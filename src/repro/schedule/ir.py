@@ -75,9 +75,21 @@ class ScheduleNode:
         return []
 
     def walk(self) -> Iterator["ScheduleNode"]:
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """This node and every node below it, in preorder.
+
+        Built with an explicit stack over the stage groups (the only
+        interior nodes) rather than a recursive generator: the rewriter,
+        the module inventory and the profile memo walk every tree several
+        times per design point.
+        """
+        order: List[ScheduleNode] = []
+        stack: List[ScheduleNode] = [self]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if isinstance(node, StageGroup):
+                stack.extend(reversed(node.stages))
+        return iter(order)
 
 
 @dataclass

@@ -42,7 +42,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ScheduleRewriteError
 from repro.schedule.event import EventScheduleBackend, StageProfile
-from repro.schedule.ir import Schedule, ScheduleNode, StageGroup
+from repro.schedule.ir import (
+    Schedule,
+    ScheduleNode,
+    StageGroup,
+    StreamNode,
+    TransferNode,
+)
 from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
 
@@ -198,6 +204,48 @@ class ProfileMemo:
 # ---------------------------------------------------------------------------
 
 
+def _inventory(schedule: Schedule) -> Tuple[Counter, int, int, frozenset]:
+    """What :func:`verify_rewrite` compares, from one walk of the tree.
+
+    Returns the module-id multiset (tree modules, absorbed
+    ``extra_modules`` and the memory inventory, as
+    :meth:`Schedule.modules` lists them), the DRAM read and write totals
+    and the set of transferred source arrays, each as
+    :func:`~repro.analysis.traffic.schedule_traffic` derives it: a
+    transfer's or stream's bytes times the iterations of its enclosing
+    groups, a stream's ``store_bytes`` counted as writes under the record
+    name ``<name>_store``, and coalesced sources split on ``'+'``.  The
+    leaves are visited in preorder, so the byte totals add in the
+    inventory's order.
+    """
+    ids: List[int] = []
+    sources: List[str] = []
+    reads = writes = 0
+    stack: List[Tuple[ScheduleNode, int]] = [(schedule.root, 1)]
+    while stack:
+        node, trips = stack.pop()
+        if node.module is not None:
+            ids.append(id(node.module))
+        ids.extend(map(id, node.extra_modules))
+        if isinstance(node, StageGroup):
+            inner = trips * max(1, node.iterations)
+            stack.extend((stage, inner) for stage in reversed(node.stages))
+        elif isinstance(node, TransferNode):
+            if node.direction == "store":
+                writes += node.bytes_per_invocation * trips
+            elif node.direction in ("load", "stream"):
+                reads += node.bytes_per_invocation * trips
+            sources.extend((node.source or node.name).split("+"))
+        elif isinstance(node, StreamNode):
+            reads += node.read_bytes * trips
+            sources.extend((node.source or node.name).split("+"))
+            if node.store_bytes:
+                writes += node.store_bytes * trips
+                sources.extend((node.source or f"{node.name}_store").split("+"))
+    ids.extend(id(memory.module) for memory in schedule.memories)
+    return Counter(ids), reads, writes, frozenset(sources)
+
+
 def verify_rewrite(original: Schedule, rewritten: Schedule) -> None:
     """Assert the rewritten schedule preserves what rewrites must not change.
 
@@ -207,10 +255,11 @@ def verify_rewrite(original: Schedule, rewritten: Schedule) -> None:
     schedules.
     The checks are exact — a rewriter that loses a transfer's bytes, drops
     a command generator or forgets a double buffer fails loudly rather
-    than silently reporting optimistic cycles.
+    than silently reporting optimistic cycles.  Each tree is walked once
+    (:func:`_inventory`); the totals equal the module list and the
+    :func:`~repro.analysis.traffic.schedule_traffic` inventory they stand
+    for.
     """
-    from repro.analysis.traffic import schedule_traffic
-
     if [id(memory) for memory in original.memories] != [
         id(memory) for memory in rewritten.memories
     ]:
@@ -219,8 +268,8 @@ def verify_rewrite(original: Schedule, rewritten: Schedule) -> None:
             f"({len(original.memories)} -> {len(rewritten.memories)} records)"
         )
 
-    before = Counter(id(module) for module in original.modules())
-    after = Counter(id(module) for module in rewritten.modules())
+    before, reads_before, writes_before, sources_before = _inventory(original)
+    after, reads_after, writes_after, sources_after = _inventory(rewritten)
     if before != after:
         lost = sum((before - after).values())
         gained = sum((after - before).values())
@@ -229,11 +278,9 @@ def verify_rewrite(original: Schedule, rewritten: Schedule) -> None:
             f"({lost} module(s) lost, {gained} gained)"
         )
 
-    traffic_before = schedule_traffic(original)
-    traffic_after = schedule_traffic(rewritten)
     for label, a, b in (
-        ("read", traffic_before.read_bytes, traffic_after.read_bytes),
-        ("write", traffic_before.write_bytes, traffic_after.write_bytes),
+        ("read", reads_before, reads_after),
+        ("write", writes_before, writes_after),
     ):
         if a != b:
             raise ScheduleRewriteError(
@@ -241,16 +288,9 @@ def verify_rewrite(original: Schedule, rewritten: Schedule) -> None:
                 f"traffic: {a:,} -> {b:,} bytes"
             )
 
-    def source_set(inventory) -> frozenset:
-        # Coalesced transfers join their sources with '+': every
-        # constituent array must still be transferred somewhere.
-        return frozenset(
-            source
-            for record in inventory.records
-            for source in (record.source or record.name).split("+")
-        )
-
-    if source_set(traffic_before) != source_set(traffic_after):
+    # Coalesced transfers join their sources with '+': every constituent
+    # array must still be transferred somewhere.
+    if sources_before != sources_after:
         raise ScheduleRewriteError(
             f"rewrite of {original.name!r} dropped (or invented) a DRAM source array"
         )

@@ -1,8 +1,8 @@
 """Batched design-point evaluation: bit-identity with the scalar path on
 every benchmark, pipeline-variant and cycle-model coverage, vector-path
-engagement and design sharing across variants, cache seeding, explore()
-integration, chaos determinism, and the annealing strategy's efficiency
-criterion."""
+engagement, design sharing across variants and area priced once per
+design, cache seeding, explore() integration, chaos determinism, and the
+annealing strategy's efficiency criterion."""
 
 from collections import Counter
 
@@ -266,6 +266,67 @@ class TestEngagement:
             monkeypatch.setattr(EventScheduleBackend, "run", forbidden)
             batched = evaluate_point_batch(program, bindings, points)
         _assert_results_bit_identical(scalar, batched)
+
+
+class _DropAbsorbed(ScheduleRewrite):
+    """The composite rewrite, then one absorbed module forgotten: a step
+    whose output ``verify_rewrite`` never checked."""
+
+    def apply_schedule(self, schedule, ctx):
+        rewritten, details = super().apply_schedule(schedule, ctx)
+        for node in rewritten.walk():
+            if node.extra_modules:
+                node.extra_modules.pop()
+                break
+        return rewritten, details
+
+
+class TestAreaOncePerDesign:
+    def test_area_is_priced_once_per_design(self, monkeypatch):
+        """A ``rewrite`` point reuses its ``default`` twin's area report; a
+        step overriding ``apply_schedule`` prices its own schedule."""
+        import repro.schedule.batched as batched
+
+        bench = get_benchmark("gemm")
+        program, workload = bench.build(), bench.workload(bench.test_sizes)
+        dims = {name: bench.test_sizes[name] for name in bench.tile_sizes}
+        points = list(default_space(dims, pipelines=("default", "rewrite")))
+        priced = []
+        real = batched.estimate_area_of_schedule
+
+        def counted(schedule):
+            priced.append(schedule)
+            return real(schedule)
+
+        monkeypatch.setattr(batched, "estimate_area_of_schedule", counted)
+        engagement = Counter()
+        with ANALYSIS_CACHE.disabled():
+            results = evaluate_point_batch(program, workload, points, engagement=engagement)
+        assert engagement == Counter({"vector": len(points)})
+        designs = {(p.tile_sizes, p.par, p.metapipelining) for p in points}
+        assert len(priced) == len(designs) == len(points) // 2
+
+        session = _session_with_tail(
+            lambda pipe: pipe.replaced(
+                "rewrite-schedule", TransformationStage(_DropAbsorbed())
+            )
+        )
+        dropping = list(_space_for(bench))
+        with ANALYSIS_CACHE.disabled():
+            scalar = [
+                evaluate_point(program, workload, p, session=session) for p in dropping
+            ]
+            del priced[:]
+            engagement = Counter()
+            own = evaluate_point_batch(
+                program, workload, dropping, session=session, engagement=engagement
+            )
+        assert engagement == Counter({"vector": len(dropping)})
+        assert len(priced) == len(dropping)
+        _assert_results_bit_identical(scalar, own)
+        twins = {result.point: result for result in results}
+        assert all(r.logic <= twins[r.point].logic for r in own)
+        assert any(r.logic < twins[r.point].logic for r in own)
 
 
 class TestCacheInteraction:

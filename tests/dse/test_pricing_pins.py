@@ -6,7 +6,8 @@ batched-vs-scalar tests compare the batched path with the scalar one.
 These two digests pin the numbers themselves — every float through
 ``float.hex`` — so any change to the cycle walk, the area sum, the leaf
 closed forms or the ``PointResult`` assembly shows up here, whichever
-path computed it.
+path computed it.  The point results are pinned with the analysis cache
+off and on (computed, then served), against the one digest.
 """
 
 import hashlib
@@ -45,7 +46,7 @@ def _digest(lines) -> str:
     return hashlib.blake2b("\n".join(lines).encode(), digest_size=16).hexdigest()
 
 
-def test_point_results_are_pinned():
+def _point_result_lines(evaluate):
     lines = []
     for bench in all_benchmarks():
         program = bench.build()
@@ -53,16 +54,34 @@ def test_point_results_are_pinned():
         dims = {name: bench.test_sizes[name] for name in bench.tile_sizes}
         for variant in VARIANTS:
             points = list(default_space(dims, pipelines=(variant,)))
-            with ANALYSIS_CACHE.disabled():
-                results = evaluate_point_batch(program, workload, points)
-            for result in results:
+            for result in evaluate(program, workload, points):
                 lines.append(
                     bench.name
                     + "|"
                     + "|".join(_exact(getattr(result, f.name)) for f in fields(PointResult))
                 )
     assert len(lines) == 264
-    assert _digest(lines) == POINT_RESULTS_DIGEST
+    return lines
+
+
+def test_point_results_are_pinned():
+    def evaluate(program, workload, points):
+        with ANALYSIS_CACHE.disabled():
+            return evaluate_point_batch(program, workload, points)
+
+    assert _digest(_point_result_lines(evaluate)) == POINT_RESULTS_DIGEST
+
+
+def test_point_results_are_pinned_through_the_cache():
+    """The same digest with the analysis cache on: the pass memo, symbolic
+    tiling, the module-area memo and the point-results table all serve."""
+    ANALYSIS_CACHE.clear()
+    try:
+        first = _point_result_lines(evaluate_point_batch)
+        served = _point_result_lines(evaluate_point_batch)
+    finally:
+        ANALYSIS_CACHE.clear()
+    assert _digest(first) == _digest(served) == POINT_RESULTS_DIGEST
 
 
 def test_figure7_cycle_accounting_is_pinned():

@@ -4,7 +4,8 @@
 it over each batch on a private event loop.  These tests pin what that
 buys a pooled sweep — a hang anywhere in a batch costs one flat timeout —
 and what it must not break: ``explore`` called from inside a coroutine,
-and a ``KeyboardInterrupt`` in the middle of a pooled batch.
+and a ``KeyboardInterrupt`` in the middle of a pooled batch, including a
+second one while the first one's drain runs.
 """
 
 import asyncio
@@ -16,7 +17,14 @@ import pytest
 from repro.apps import get_benchmark
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import explore
-from repro.dse.resilience import FaultPlan, FaultSpec, PoolSupervisor, ResiliencePolicy
+from repro.dse.resilience import (
+    FaultPlan,
+    FaultSpec,
+    PoolSupervisor,
+    ResiliencePolicy,
+    SupervisedEvaluator,
+)
+from repro.dse.results import PointResult
 from repro.dse.search import Strategy
 from repro.dse.space import DesignPoint, DesignSpace, default_space
 
@@ -130,6 +138,100 @@ def test_keyboard_interrupt_in_a_pooled_batch_returns_partials(monkeypatch):
     assert [r.point for r in result.evaluated] == list(space)[:2]
     assert "INTERRUPTED" in result.summary()
     assert set(multiprocessing.active_children()) - before == set()
+
+
+def _answer(task):
+    return PointResult(point=task[1], cycles=1.0)
+
+
+class _AnsweredPool:
+    """A pool whose results are back before the attempts await them, so an
+    interrupt finds the rest of the batch holding delivered results."""
+
+    def apply_async(self, fn, args, callback, error_callback):
+        callback(fn(*args))
+        return _Job([], ready=True)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def _interrupted_batch(monkeypatch, on_validate, on_leave=None):
+    """Drive one interrupted batch; return the evaluator and the interrupt."""
+    import repro.dse.resilience as resilience
+
+    real = resilience.validate_point_result
+    monkeypatch.setattr(
+        resilience, "validate_point_result",
+        lambda result, point: on_validate(point) or real(result, point),
+    )
+    if on_leave is not None:
+        real_leave = PoolSupervisor.leave
+
+        def leave(self, pool):
+            real_leave(self, pool)
+            on_leave()
+
+        monkeypatch.setattr(PoolSupervisor, "leave", leave)
+    evaluator = SupervisedEvaluator(
+        ResiliencePolicy(timeout=60.0), _answer,
+        pool_factory=_AnsweredPool, pooled_task=_answer,
+    )
+    tasks = [("gemm", DesignPoint.make(None, par=par)) for par in (1, 2, 4, 8, 16, 32)]
+    with pytest.raises(KeyboardInterrupt) as raised:
+        evaluator.evaluate(tasks)
+    monkeypatch.undo()
+    return evaluator, tasks, raised.value
+
+
+def _assert_settled_and_reusable(evaluator, tasks):
+    with evaluator:
+        assert not asyncio.all_tasks(evaluator._loop)
+        results = evaluator.evaluate(tasks)
+    assert [r.point for r in results] == [task[1] for task in tasks]
+    assert not any(r.failed for r in results)
+
+
+def test_interrupts_at_two_successive_validations_leave_no_task_pending(monkeypatch):
+    """A cancelled run neither validates nor retries: its result is back,
+    but the interrupt's cancellation wins.  The drain settles every run,
+    the first interrupt is raised, and the next batch runs."""
+    validated = []
+
+    def interrupting(point):
+        validated.append(point)
+        if len(validated) <= 2:
+            raise KeyboardInterrupt(len(validated))
+
+    evaluator, tasks, interrupt = _interrupted_batch(monkeypatch, interrupting)
+    assert interrupt.args == (1,)
+    assert len(validated) == 1
+    assert evaluator.stats.retries == 0
+    _assert_settled_and_reusable(evaluator, tasks)
+
+
+def test_an_interrupt_during_the_drain_cancels_again(monkeypatch):
+    """A second interrupt while the first one's drain runs (here: as a
+    cancelled attempt leaves its pool) does not escape the drain."""
+    interrupts = []
+
+    def interrupting(point):
+        if not interrupts:
+            interrupts.append("validate")
+            raise KeyboardInterrupt("validate")
+
+    def leaving():
+        if interrupts == ["validate"]:
+            interrupts.append("drain")
+            raise KeyboardInterrupt("drain")
+
+    evaluator, tasks, interrupt = _interrupted_batch(monkeypatch, interrupting, leaving)
+    assert interrupts == ["validate", "drain"]
+    assert interrupt.args == ("validate",)
+    _assert_settled_and_reusable(evaluator, tasks)
 
 
 class _Job:
