@@ -58,11 +58,6 @@ class AreaEstimate:
     bram_bits: float = 0.0
     dsps: float = 0.0
 
-    def scaled(self, factor: float) -> "AreaEstimate":
-        return AreaEstimate(
-            self.logic * factor, self.ffs * factor, self.bram_bits * factor, self.dsps * factor
-        )
-
 
 # Per-lane cost of a pipelined single-precision floating point operator.
 _LANE_LOGIC = 650.0

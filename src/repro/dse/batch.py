@@ -19,13 +19,20 @@ way the points actually share it:
    The prefix runs through the pipeline's pass memo, the one scalar
    compiles use, where the groups of one tiling structure share each
    tiling pass's symbolic run and each group instantiates its own
-   configuration (:mod:`repro.transforms.symbolic`).
+   configuration (:mod:`repro.transforms.symbolic`).  The tiled program
+   and its :class:`~repro.hw.generation.GenerationShared` (workload env,
+   preload plan, op counts, traffic records) are kept by the session
+   (:meth:`~repro.pipeline.session.CompilerSession.config_state`), keyed
+   by the point key's workload head, the prefix signature and the config
+   signature: a later call on the same session — a batch or a single
+   point — that meets the configuration again skips the prefix and the
+   per-node re-analysis.
 3. **One design per configuration** — within a group, hardware generation
-   and lowering run once per ``(tile sizes, par, metapipelining)``,
-   reusing one :class:`~repro.hw.generation.GenerationShared` (workload
-   env, preload plan, op counts, traffic records).  Each point then
-   applies its own variant's schedule steps, each through its own
-   transformation's ``apply`` (which never mutates its input).
+   and lowering run once per ``(tile sizes, par, metapipelining)`` on the
+   configuration's shared state.  Each point then applies its own
+   variant's schedule steps, each through its own transformation's
+   ``apply`` (which never mutates its input).  Designs are not kept
+   across calls.
 4. **One pricing call per group, area once per design** — the group's
    schedules are timed by one
    :func:`~repro.schedule.batched.batched_cycles` call, which runs the
@@ -47,6 +54,11 @@ way the points actually share it:
    Each result is assembled by :meth:`PointResult.from_evaluation`, as
    ``evaluate_point`` assembles its own.
 
+Steps 2–4 for one configuration are :func:`price_configuration`, which is
+also how :func:`~repro.dse.engine.evaluate_point` prices a single stock
+point under the analytical model with the analysis cache on: a farm
+request or a pool task costs what its share of a batch would.
+
 Results are therefore **bit-identical** to calling ``evaluate_point`` per
 point; ``tests/dse/test_batched.py`` (all six benchmarks) and a
 generated-ordering differential test check the shared prefix, designs,
@@ -54,7 +66,7 @@ schedule steps and area reuse.  The ledger seeds the cache per point under
 the scalar path's key, so memoisation, journal replay and farm admission
 dedup cannot tell which path produced a result.
 
-This is the engine's only in-process evaluator:
+This is the engine's only in-process batch evaluator:
 :func:`~repro.dse.engine.explore` and
 :class:`~repro.dse.engine.MultiBenchmarkExplorer` hand each benchmark's
 share of a search batch to one call.
@@ -97,7 +109,7 @@ from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
 from repro.utils.naming import fresh_naming_scope
 
-__all__ = ["evaluate_point_batch"]
+__all__ = ["evaluate_point_batch", "price_configuration"]
 
 _TERMINALS = (GenerateHardwareStage, BuildScheduleStage, EstimateAreaStage)
 
@@ -105,12 +117,19 @@ _TERMINALS = (GenerateHardwareStage, BuildScheduleStage, EstimateAreaStage)
 class _Tail(NamedTuple):
     """A stock pipeline split for the batched path."""
 
-    prefix: list
+    prefix: Pipeline
     prefix_signature: tuple
     schedule_steps: list
     #: Some step's output is not checked by ``ScheduleRewriter.rewrite``,
     #: so each point prices its own schedule's area.
     own_area: bool
+
+
+class _ConfigState(NamedTuple):
+    """One tiling configuration's tiled program and its generation state."""
+
+    tiled: Program
+    shared: GenerationShared
 
 
 def _is_schedule_step(stage) -> bool:
@@ -169,13 +188,102 @@ def _split_terminal_tail(pipe: Pipeline) -> Optional[_Tail]:
         type(stage) is TransformationStage and _is_schedule_step(stage) for stage in steps
     ):
         return None
-    prefix = list(pipe.passes[:split])
+    prefix = Pipeline(pipe.passes[:split], name="batched-prefix")
     return _Tail(
         prefix,
-        tuple(stage.signature() for stage in prefix),
+        prefix.signature(),
         steps,
         not all(_keeps_inventory(stage) for stage in steps),
     )
+
+
+def _config_state(
+    program: Program,
+    bindings: Mapping[str, object],
+    tail: _Tail,
+    config,
+    session,
+    head: Optional[tuple],
+) -> _ConfigState:
+    """The configuration's tiled program and generation state, via the session."""
+
+    def build() -> _ConfigState:
+        ctx = PassContext(
+            config=config,
+            bindings=bindings,
+            board=session.board,
+            model=session.model,
+            cache=session.cache,
+        )
+        scope = fresh_naming_scope() if session.fresh_names else nullcontext()
+        with scope:
+            tiled = tail.prefix.run(program, ctx).program
+        return _ConfigState(tiled, GenerationShared(tiled, bindings))
+
+    key = (head, tail.prefix_signature, config_signature(config))
+    return session.config_state(key, build)
+
+
+def price_configuration(
+    program: Program,
+    bindings: Mapping[str, object],
+    points: Sequence[DesignPoint],
+    tails: Sequence[_Tail],
+    session,
+    model: Optional[PerformanceModel],
+    head: Optional[tuple],
+) -> List[PointResult]:
+    """Price points of one tiling configuration: the batched path's per-point code.
+
+    ``points`` share one prefix signature and config signature, and
+    ``tails[i]`` is the stock tail of ``points[i]``'s gene.  The
+    configuration's state comes from the session's memo (keyed with
+    ``head``, the workload part of the points' keys); then generate →
+    lower once per design, each point's own schedule steps, one
+    :func:`batched_cycles` call under ``model``, and :func:`batched_area`
+    once per design (see the module docstring).
+    """
+    state = _config_state(program, bindings, tails[0], points[0].config(), session, head)
+    board = session.board
+    # One (design, lowered schedule, step context) per configuration.
+    designs: Dict[tuple, tuple] = {}
+    built, schedules = [], []
+    # The schedule each point's area is read from, by id: its design's
+    # lowered one unless a step may change the inventory.
+    area_schedules: Dict[int, Schedule] = {}
+    area_keys: List[int] = []
+    for point, tail in zip(points, tails):
+        design_key = (point.tile_sizes, point.par, point.metapipelining)
+        if design_key not in designs:
+            config = point.config()
+            design = generate_hardware(
+                state.tiled, config, bindings, board=board, par=point.par, shared=state.shared
+            )
+            step_ctx = PassContext(
+                config=config,
+                bindings=bindings,
+                board=board,
+                par=point.par,
+                model=session.model,
+                cache=session.cache,
+            )
+            designs[design_key] = (design, design.schedule(), step_ctx)
+        design, lowered, step_ctx = designs[design_key]
+        schedule = lowered
+        for stage in tail.schedule_steps:
+            schedule = stage.transformation.apply(schedule, step_ctx)
+        priced = schedule if tail.own_area else lowered
+        area_schedules.setdefault(id(priced), priced)
+        area_keys.append(id(priced))
+        built.append(design)
+        schedules.append(schedule)
+
+    simulations = batched_cycles(schedules, model)
+    areas = dict(zip(area_schedules, batched_area(list(area_schedules.values()))))
+    return [
+        PointResult.from_evaluation(point, simulation, areas[area_key], design)
+        for point, design, simulation, area_key in zip(points, built, simulations, area_keys)
+    ]
 
 
 def evaluate_point_batch(
@@ -208,7 +316,6 @@ def evaluate_point_batch(
     if session is None:
         session = CompilerSession(board=board, model=model)
     else:
-        board = session.board
         model = model if model is not None else session.model
     outcomes = engagement if engagement is not None else Counter()
     ledger = PointLedger(session, model=model)
@@ -232,11 +339,14 @@ def evaluate_point_batch(
             scalar(index, "event-model")
         return results  # type: ignore[return-value]
 
+    # The workload part of the configuration-memo key (the memo is
+    # bypassed with the cache off).
+    head = ledger.head(program, bindings) if ANALYSIS_CACHE.enabled else None
     tails: Dict[str, Optional[_Tail]] = {}
 
     def tail_for(gene: str) -> Optional[_Tail]:
         if gene not in tails:
-            tails[gene] = _split_terminal_tail(session.pipeline_for(gene))
+            tails[gene] = session.pipeline_split(gene, _split_terminal_tail)
         return tails[gene]
 
     # -- pass 1: serve memoised points, collect the rest -----------------------
@@ -262,63 +372,19 @@ def evaluate_point_batch(
             (tail.prefix_signature, config_signature(point.config())), []
         ).append(index)
 
-    def context(config, par: Optional[int]) -> PassContext:
-        return PassContext(
-            config=config,
-            bindings=bindings,
-            board=board,
-            par=par,
-            model=session.model,
-            cache=session.cache,
-        )
-
-    # -- pass 2: one prefix run per group, one design per configuration --------
+    # -- pass 2: one configuration's state and pricing per group ---------------
     for indices in groups.values():
-        representative = points[indices[0]]
-        ctx = context(representative.config(), None)
-        # One (design, lowered schedule, step context) per configuration.
-        designs: Dict[tuple, tuple] = {}
-        built, schedules = [], []
-        # The schedule each point's area is read from, by id: its design's
-        # lowered one unless a step may change the inventory.
-        area_schedules: Dict[int, Schedule] = {}
-        area_keys: List[int] = []
-        scope = fresh_naming_scope() if session.fresh_names else nullcontext()
-        with scope:
-            prefix = tail_for(representative.pipeline).prefix  # type: ignore[union-attr]
-            tiled = Pipeline(prefix, name="batched-prefix").run(program, ctx).program
-            shared = GenerationShared(tiled, bindings)
-            for index in indices:
-                point = points[index]
-                tail = tail_for(point.pipeline)
-                design_key = (point.tile_sizes, point.par, point.metapipelining)
-                if design_key not in designs:
-                    config = point.config()
-                    design = generate_hardware(
-                        tiled, config, bindings, board=board, par=point.par, shared=shared
-                    )
-                    designs[design_key] = (
-                        design,
-                        design.schedule(),
-                        context(config, point.par),
-                    )
-                design, lowered, step_ctx = designs[design_key]
-                schedule = lowered
-                for stage in tail.schedule_steps:  # type: ignore[union-attr]
-                    schedule = stage.transformation.apply(schedule, step_ctx)
-                priced = schedule if tail.own_area else lowered  # type: ignore[union-attr]
-                area_schedules.setdefault(id(priced), priced)
-                area_keys.append(id(priced))
-                built.append(design)
-                schedules.append(schedule)
+        priced = price_configuration(
+            program,
+            bindings,
+            [points[index] for index in indices],
+            [tail_for(points[index].pipeline) for index in indices],
+            session,
+            model,
+            head,
+        )
         outcomes["vector"] += len(indices)
-
-        simulations = batched_cycles(schedules, model)
-        areas = dict(zip(area_schedules, batched_area(list(area_schedules.values()))))
-        for index, design, simulation, area_key in zip(indices, built, simulations, area_keys):
-            result = PointResult.from_evaluation(
-                points[index], simulation, areas[area_key], design
-            )
+        for index, result in zip(indices, priced):
             if keys[index] is not None:
                 ledger.seed(keys[index], result)
                 # Same copy-on-return protection as evaluate_point: the
@@ -327,4 +393,3 @@ def evaluate_point_batch(
             results[index] = result
 
     return results  # type: ignore[return-value]
-

@@ -116,7 +116,11 @@ class ExplorationResult:
     sweep, for the whole suite.  ``batch_engagement`` totals the batched
     evaluator's per-point outcomes for this benchmark (``vector``,
     ``cached`` or a fallback reason; see :mod:`repro.dse.batch`); it is
-    empty when a pool or a farm evaluated the points.
+    empty when a pool or a farm evaluated the points.  ``cache_stats``
+    holds the analysis cache's per-table counters of an in-process run,
+    plus ``config_state``: the entries, hits, misses and evictions of the
+    run's per-configuration session memo
+    (:meth:`~repro.pipeline.session.CompilerSession.config_state`).
     """
 
     benchmark: str
@@ -295,6 +299,28 @@ def _effective_model(
     return replace(base, dram_channels=channels)
 
 
+#: How many leading fields of a point key are its :func:`_workload_head`.
+_HEAD_FIELDS = 4
+
+
+def _workload_head(program: Program, bindings: Mapping[str, object]) -> Tuple:
+    """The workload part of every point key of ``(program, bindings)``.
+
+    The program's structural hash, its input and size names, and the
+    workload signature (sizes and input shapes, never array contents): the
+    first :data:`_HEAD_FIELDS` fields of the key, and the part of the
+    session's configuration-memo key that tells workloads apart.
+    """
+    from repro.analysis.estimate import input_shapes, workload_env
+
+    return (
+        program.body.structural_hash(),
+        tuple(array.name for array in program.inputs),
+        tuple(size.name for size in program.sizes),
+        env_signature(workload_env(program, bindings), input_shapes(program, bindings)),
+    )
+
+
 def _point_key(
     program: Program,
     bindings: Mapping[str, object],
@@ -302,20 +328,25 @@ def _point_key(
     session: CompilerSession,
     model: Optional[PerformanceModel],
     cycle_model: str = "analytical",
+    *,
+    head: Optional[Tuple] = None,
 ) -> Optional[Tuple]:
     """Cross-process cache key for one whole point evaluation, or None.
 
     The only place a ``point_results`` key is derived.  Exploration results
     are size-driven (array *contents* never reach the static analyses or
     the cycle model), so the workload signature — structural hash plus
-    size/shape bindings — plus the point, board and model parameters fully
-    determines the outcome.  The pipeline part is the signature of the
-    pipeline ``session`` *actually compiles* for the point's gene (not the
-    registry's), so a session with an overridden pipeline cannot poison
-    the shared table; the point's channel gene is folded into ``model``.
-    Subclassed boards or models and unregistered pipeline genes give None
-    (no memoisation) rather than risk a stale hit; compiling a point with
-    an unregistered gene raises ``ValueError`` anyway.
+    size/shape bindings (:func:`_workload_head`) — plus the point, board
+    and model parameters fully determines the outcome.  The pipeline part
+    is the signature of the pipeline ``session`` *actually compiles* for
+    the point's gene (not the registry's), so a session with an overridden
+    pipeline cannot poison the shared table; the point's channel gene is
+    folded into ``model``.  Subclassed boards or models and unregistered
+    pipeline genes give None (no memoisation) rather than risk a stale
+    hit; compiling a point with an unregistered gene raises ``ValueError``
+    anyway.  ``head`` is :meth:`PointLedger.head`'s memoised head of these
+    very ``program`` and ``bindings`` objects; without it the head is
+    derived here.
     """
     try:
         signature = _pipeline_signature(session, point.pipeline)
@@ -325,13 +356,9 @@ def _point_key(
     model = _effective_model(model, point)
     if type(board) is not Board or (model is not None and type(model) is not PerformanceModel):
         return None
-    from repro.analysis.estimate import input_shapes, workload_env
-
-    return (
-        program.body.structural_hash(),
-        tuple(array.name for array in program.inputs),
-        tuple(size.name for size in program.sizes),
-        env_signature(workload_env(program, bindings), input_shapes(program, bindings)),
+    if head is None:
+        head = _workload_head(program, bindings)
+    return head + (
         point.tile_sizes,
         point.par,
         point.metapipelining,
@@ -396,7 +423,10 @@ class PointLedger:
     ``session`` resolves pipeline genes and supplies the board and model
     for keys (``model`` overrides the session's, as ``evaluate_point``'s
     argument does); ``checkpoint`` names the journal sidecar, None for no
-    journaling.
+    journaling.  A lane keys every point of one program and workload, so
+    the ledger derives their :func:`_workload_head` once per pair of
+    objects (:meth:`head`); a lane's program and workload are never
+    mutated while the ledger keys them.
     """
 
     def __init__(
@@ -411,6 +441,17 @@ class PointLedger:
         self.journaled: Dict[bytes, PointResult] = (
             self.journal.load() if self.journal is not None else {}
         )
+        #: (program, bindings, head) by the ids of the program and bindings.
+        self._heads: Dict[Tuple[int, int], Tuple] = {}
+
+    def head(self, program: Program, bindings: Mapping[str, object]) -> Tuple:
+        """The workload head of ``(program, bindings)``, derived once per pair."""
+        ident = (id(program), id(bindings))
+        entry = self._heads.get(ident)
+        if entry is None:
+            # The entry holds both objects, so their ids stay theirs.
+            entry = self._heads[ident] = (program, bindings, _workload_head(program, bindings))
+        return entry[2]
 
     def key(
         self,
@@ -420,7 +461,15 @@ class PointLedger:
         cycle_model: str,
     ) -> Optional[Tuple]:
         """The point's cache key, or None when it cannot be keyed."""
-        return _point_key(program, bindings, point, self.session, self.model, cycle_model)
+        return _point_key(
+            program,
+            bindings,
+            point,
+            self.session,
+            self.model,
+            cycle_model,
+            head=self.head(program, bindings),
+        )
 
     def locate(
         self,
@@ -483,13 +532,22 @@ def evaluate_point(
 ) -> PointResult:
     """Evaluate one design point to its scalar (cycles, area) outcome.
 
-    The reference every faster path is checked against.  Whole evaluations
-    are memoised in the analysis cache (``point_results`` table) under a
-    process-stable key, so re-sweeps in one process — and, through the
-    disk-persisted store, across processes — skip compilation and
-    simulation entirely.  When a ``session`` is supplied, its board, model
-    and pipeline resolution are authoritative (for the key as much as for
-    the compile — they must never diverge).
+    With the analysis cache disabled this runs the whole pipeline
+    (:func:`evaluate_config`), terminal passes included, and reads or
+    writes no session state: the reference every faster path is checked
+    against.  With the cache on, whole evaluations are memoised in the
+    analysis cache (``point_results`` table) under a process-stable key, so
+    re-sweeps in one process — and, through the disk-persisted store,
+    across processes — skip compilation and simulation entirely; and a
+    point with a stock tail under the analytical model is priced by the
+    batched path's per-point code on its configuration's state kept by the
+    session (:func:`repro.dse.batch.price_configuration`), so a
+    configuration seen before skips the pass prefix and the per-node
+    re-analysis.  Results are bit-identical either way.
+
+    When a ``session`` is supplied, its board, model and pipeline
+    resolution are authoritative (for the key as much as for the compile —
+    they must never diverge).
     """
     if session is None:
         session = CompilerSession(board=board, model=model)
@@ -522,11 +580,24 @@ def evaluate_point(
         return compute()
     # Keying resolves the pipeline gene through the registry's memoised
     # signature; the variant pipeline itself is only constructed on a
-    # miss, inside the compile.
+    # miss.
     key = _point_key(program, bindings, point, session, model, cycle_model)
     if key is None:
         return compute()
-    return _detached(ANALYSIS_CACHE.memoize("point_results", key, compute))
+
+    def priced() -> PointResult:
+        if cycle_model != "analytical":
+            return compute()
+        from repro.dse.batch import _split_terminal_tail, price_configuration
+
+        tail = session.pipeline_split(point.pipeline, _split_terminal_tail)
+        if tail is None:
+            return compute()
+        head = key[:_HEAD_FIELDS]
+        (result,) = price_configuration(program, bindings, [point], [tail], session, model, head)
+        return result
+
+    return _detached(ANALYSIS_CACHE.memoize("point_results", key, priced))
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +1023,14 @@ def _explore_lanes(
     supervision = counters.as_dict() if counters is not None else {}
     # Pool workers memoise in their own forked copies of the cache, so
     # parent stats would misrepresent a pooled run.
-    cache_stats = ANALYSIS_CACHE.stats() if memoize and workers <= 1 else {}
+    cache_stats = {}
+    if memoize and workers <= 1:
+        cache_stats = ANALYSIS_CACHE.stats()
+        # The batched path and the per-point fallback keep their own memos.
+        fallback = fallback_session.config_state_stats()
+        cache_stats["config_state"] = {
+            name: count + fallback[name] for name, count in session.config_state_stats().items()
+        }
     return {
         lane.name: ExplorationResult(
             benchmark=lane.name,

@@ -20,20 +20,28 @@ names (and therefore structural hashes) a pure function of the compile —
 but is only safe when the program itself was built inside the same scope;
 :meth:`repro.apps.base.Benchmark.compile` arranges exactly that.
 
-Sessions are cheap: they hold no per-program state beyond bounded
-instrumentation, and by default they share the process-global
+Sessions are cheap to create: by default they share the process-global
 :data:`~repro.dse.cache.ANALYSIS_CACHE`, so creating one session per sweep
-(or per worker) costs nothing while keeping ownership explicit.  (The old
-module-level ``repro.compiler`` entry points served one deprecation release
-as shims and have been removed.)
+(or per worker) costs nothing while keeping ownership explicit.  Besides
+bounded instrumentation, a session keeps per-program state for the DSE
+evaluators: the generation state of recently seen tiling configurations
+(:meth:`CompilerSession.config_state`), an LRU of at most
+:data:`CONFIG_STATE_LIMIT` entries keyed by content, and each pipeline
+gene's split into pass prefix and terminal tail
+(:meth:`CompilerSession.pipeline_split`).  So a long-lived session — a farm
+lane's, a pool worker's — serves a configuration it has seen before
+without building a pipeline or re-running the pass prefix.  Both are
+bypassed while the analysis cache is disabled.  (The old module-level
+``repro.compiler`` entry points served one deprecation release as shims
+and have been removed.)
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Union
+from typing import Callable, Deque, Dict, Hashable, List, Mapping, Optional, TypeVar, Union
 
 from repro.analysis.area import AreaReport, estimate_area
 from repro.config import CompileConfig
@@ -42,7 +50,7 @@ from repro.hw.design import HardwareDesign
 from repro.hw.generation import generate_hardware
 from repro.pipeline.passes import PassContext
 from repro.pipeline.pipeline import Pipeline, PipelineOutcome, PipelineReport
-from repro.pipeline.variants import get_pipeline
+from repro.pipeline.variants import get_pipeline, registry_generation
 from repro.ppl.program import Program
 from repro.schedule.ir import Schedule
 from repro.sim.engine import simulate
@@ -51,7 +59,21 @@ from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
 from repro.utils.naming import fresh_naming_scope
 
-__all__ = ["CompilationResult", "CompilerSession", "Session", "TilingResult"]
+__all__ = [
+    "CONFIG_STATE_LIMIT",
+    "CompilationResult",
+    "CompilerSession",
+    "Session",
+    "TilingResult",
+]
+
+#: How many tiling configurations' generation state one session keeps
+#: (:meth:`CompilerSession.config_state`); the least recently used entry is
+#: evicted first.  The six apps' default spaces hold 114 configurations.
+CONFIG_STATE_LIMIT = 256
+
+_State = TypeVar("_State")
+_MISSING = object()
 
 
 class TilingResult:
@@ -164,6 +186,10 @@ class CompilerSession:
         self.reports: Deque[PipelineReport] = deque(maxlen=keep_reports)
         self.compilations = 0
         self.pass_totals: Dict[str, Dict[str, float]] = {}
+        self._config_states: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._config_counts: Counter = Counter()
+        #: gene → (session pipeline, registry generation, split).
+        self._splits: Dict[str, tuple] = {}
 
     def clone(self) -> "CompilerSession":
         """A fresh session with this one's configuration and no history.
@@ -322,14 +348,78 @@ class CompilerSession:
         return "\n".join(lines)
 
     # -- cache management ------------------------------------------------------
+    def config_state(self, key: Hashable, build: Callable[[], _State]) -> _State:
+        """The state ``build`` makes for one tiling configuration, kept by ``key``.
+
+        The DSE evaluators (:mod:`repro.dse.batch`) keep each configuration's
+        tiled program and its :class:`~repro.hw.generation.GenerationShared`
+        here, keyed by content: the point key's workload head, the prefix
+        pass signature and the config signature.  The memo is an LRU of at
+        most :data:`CONFIG_STATE_LIMIT` entries.  While the analysis cache is
+        disabled it is bypassed: ``build`` runs and nothing is read or kept.
+        """
+        if not (self.cache.enabled and ANALYSIS_CACHE.enabled):
+            return build()
+        states = self._config_states
+        state = states.get(key, _MISSING)
+        if state is not _MISSING:
+            states.move_to_end(key)
+            self._config_counts["hits"] += 1
+            return state  # type: ignore[return-value]
+        self._config_counts["misses"] += 1
+        state = states[key] = build()
+        while len(states) > CONFIG_STATE_LIMIT:
+            states.popitem(last=False)
+            self._config_counts["evictions"] += 1
+        return state
+
+    def pipeline_split(self, gene: str, split: Callable[[Pipeline], _State]) -> _State:
+        """``split`` of the pipeline this session runs for ``gene``, kept per gene.
+
+        The DSE evaluators (:mod:`repro.dse.batch`) keep each gene's stock
+        tail split here, so a warm single-point call builds no pipeline.  An
+        entry is split again once the gene may resolve to another pipeline:
+        when this session's pipeline is replaced, or when any variant is
+        registered (:func:`~repro.pipeline.variants.registry_generation`).
+        Like :meth:`config_state`, it is bypassed while the analysis cache
+        is disabled.  Raises ``ValueError`` for an unknown gene, as
+        :meth:`pipeline_for` does.
+        """
+        if not (self.cache.enabled and ANALYSIS_CACHE.enabled):
+            return split(self.pipeline_for(gene))
+        generation = registry_generation()
+        known = self._splits.get(gene)
+        if known is None or known[0] is not self.pipeline or known[1] != generation:
+            known = self._splits[gene] = (
+                self.pipeline,
+                generation,
+                split(self.pipeline_for(gene)),
+            )
+        return known[2]
+
+    def config_state_stats(self) -> Dict[str, int]:
+        """Entries, hits, misses and evictions of :meth:`config_state`'s memo."""
+        counts = self._config_counts
+        return {
+            "entries": len(self._config_states),
+            "hits": counts["hits"],
+            "misses": counts["misses"],
+            "evictions": counts["evictions"],
+        }
+
     def clear_caches(self) -> None:
         """Drop every memoised value and reset the disk-store dirty state.
 
         After this, the next compile is cold: every pass reruns, and a
         subsequent :meth:`~repro.dse.cache.AnalysisCache.save_disk` writes a
         fresh store even to a path the cache was previously clean against.
+        The configuration memo (:meth:`config_state`) and the kept pipeline
+        splits (:meth:`pipeline_split`) empty too.
         """
         self.cache.clear()
+        self._config_states.clear()
+        self._config_counts.clear()
+        self._splits.clear()
 
     # -- stage snapshots -------------------------------------------------------
     def _tiling_result(

@@ -42,6 +42,7 @@ __all__ = [
     "get_pipeline",
     "register_pipeline_variant",
     "pipeline_variants",
+    "registry_generation",
     "variant_signature",
 ]
 
@@ -134,6 +135,11 @@ def pipeline_variants() -> List[str]:
 #: pipeline per lookup would dominate warm evaluations.
 _SIGNATURES: Dict[str, tuple] = {}
 
+#: Bumped by every registration, so a memo of what a variant name resolves
+#: to (:meth:`~repro.pipeline.session.CompilerSession.pipeline_split`)
+#: knows to resolve it again.
+_GENERATION = 0
+
 
 def register_pipeline_variant(
     name: str, factory: Callable[[], Pipeline], replace: bool = False
@@ -141,8 +147,11 @@ def register_pipeline_variant(
     """Register a named pipeline variant.
 
     The factory is invoked per resolution, so variants never share mutable
-    pass state.  Registering a name makes it a legal value of the
-    ``pipeline`` gene in :func:`repro.dse.space.default_space`.
+    pass state across resolutions; a session's DSE evaluators reuse one
+    resolution's schedule steps until the next registration
+    (:meth:`~repro.pipeline.session.CompilerSession.pipeline_split`).
+    Registering a name makes it a legal value of the ``pipeline`` gene in
+    :func:`repro.dse.space.default_space`.
 
     Duplicate names are rejected (two call sites silently fighting over
     one gene value corrupts DSE results); pass ``replace=True`` to
@@ -150,6 +159,7 @@ def register_pipeline_variant(
     for self-describing ordering variants and resolve without the
     registry.
     """
+    global _GENERATION
     from repro.rewrite.orderings import AUTO_PREFIX
 
     if name.startswith(AUTO_PREFIX):
@@ -165,6 +175,12 @@ def register_pipeline_variant(
         )
     _VARIANTS[name] = factory
     _SIGNATURES.pop(name, None)
+    _GENERATION += 1
+
+
+def registry_generation() -> int:
+    """How many registrations the variant registry has seen."""
+    return _GENERATION
 
 
 def variant_signature(name: str) -> tuple:

@@ -39,7 +39,10 @@ requests in flight.  In-process evaluation — an inline farm, or a pool
 that could not be spawned or respawned — runs *on the event-loop thread*
 deliberately: the process-global :data:`~repro.dse.cache.ANALYSIS_CACHE`
 is not thread-safe, and the farm trades loop responsiveness for
-correctness.
+correctness.  It evaluates on one session for the farm's lifetime, whose
+configuration memo
+(:meth:`~repro.pipeline.session.CompilerSession.config_state`) lets a
+request skip the pass prefix when its configuration was seen before.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ class FarmStats:
     ``cache`` holds the most recent per-table snapshot of the analysis
     cache — entries, evictions, hits, misses and the derived hit rate —
     refreshed by :meth:`CompileFarm.cache_metrics` and on farm shutdown.
+    Its ``config_state`` entry counts the same for the per-configuration
+    memo of the session that evaluates in this process
+    (:meth:`~repro.pipeline.session.CompilerSession.config_state`).
     It is deliberately *not* merged into :meth:`as_dict`, which stays flat
     integers: an exploration routed through the farm reports it as its
     ``supervision`` counters, and the TCP ``stats`` op sends it as is.
@@ -295,8 +301,12 @@ class CompileFarm:
         return self.supervisor.pools if self.supervisor is not None else None
 
     def cache_metrics(self) -> Dict[str, Dict[str, float]]:
-        """Refresh :attr:`FarmStats.cache` from the live analysis cache."""
-        self.stats.record_cache(ANALYSIS_CACHE.stats())
+        """Refresh :attr:`FarmStats.cache` from the live analysis cache and
+        the evaluating session's configuration memo."""
+        stats = ANALYSIS_CACHE.stats()
+        if self._serial_session is not None:
+            stats["config_state"] = self._serial_session.config_state_stats()
+        self.stats.record_cache(stats)
         return self.stats.cache
 
     # -- lifecycle -----------------------------------------------------------

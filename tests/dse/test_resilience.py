@@ -183,6 +183,7 @@ class TestCheckpointJournal:
         journal = CheckpointJournal(tmp_path / "run.journal")
         journal.append(b"a" * 16, self._result(10.0))
         journal.append(b"b" * 16, self._result(20.0))
+        journal.close()
         entries = CheckpointJournal(journal.path).load()
         assert set(entries) == {b"a" * 16, b"b" * 16}
         assert entries[b"b" * 16].cycles == 20.0
@@ -194,6 +195,7 @@ class TestCheckpointJournal:
         journal = CheckpointJournal(tmp_path / "run.journal")
         journal.append(b"a" * 16, self._result(10.0))
         journal.append(b"b" * 16, self._result(20.0))
+        journal.close()
         blob = journal.path.read_bytes()
         journal.path.write_bytes(blob[:-7])  # killed mid-write
         reader = CheckpointJournal(journal.path)
@@ -210,6 +212,7 @@ class TestCheckpointJournal:
         with pytest.warns(RuntimeWarning, match="corrupt tail"):
             assert list(journal.load()) == [b"a" * 16]
         journal.append(b"c" * 16, self._result(30.0))
+        journal.close()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the torn bytes are gone
             entries = CheckpointJournal(journal.path).load()
@@ -240,6 +243,7 @@ class TestCheckpointJournal:
                 loaded = list(journal.load().items())
             assert loaded == written[: len(loaded)]
             journal.append(*extra)
+            journal.close()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 again = list(CheckpointJournal(journal.path).load().items())
@@ -270,6 +274,7 @@ class TestCheckpointJournal:
     def test_flipped_byte_drops_the_record(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "run.journal")
         journal.append(b"a" * 16, self._result(10.0))
+        journal.close()
         blob = bytearray(journal.path.read_bytes())
         blob[-1] ^= 0xFF
         journal.path.write_bytes(bytes(blob))

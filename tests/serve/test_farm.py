@@ -495,6 +495,22 @@ class TestCacheMetrics:
         assert farm.stats.cache["point_results"]["hits"] == len(points)
 
     @pytest.mark.asyncio
+    async def test_session_memo_is_reported(self):
+        """Inline evaluation keeps one state per configuration: two
+        configurations, three and two pars, miss the memo twice."""
+        points = _points() + [
+            DesignPoint.make(tile_sizes={"m": 128, "n": 64}, par=par) for par in (1, 2)
+        ]
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)
+        async with farm:
+            await (await farm.submit([("sumrows", p) for p in points])).gather()
+            memo = farm.cache_metrics()["config_state"]
+        assert memo["misses"] == memo["entries"] == 2
+        assert memo["hits"] == len(points) - 2
+        assert memo["evictions"] == 0
+        assert farm.stats.cache["config_state"] == memo
+
+    @pytest.mark.asyncio
     async def test_as_dict_stays_flat_for_supervision_merge(self):
         farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)
         async with farm:

@@ -5,11 +5,22 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps import get_benchmark
+from repro.dse.cache import ANALYSIS_CACHE
+from repro.dse.engine import evaluate_point
 from repro.dse.space import DesignPoint
-from repro.errors import FarmError
-from repro.serve import CompileFarm, CompileRequest
+from repro.errors import FarmError, ProtocolError
+from repro.serve import CompileFarm, CompileRequest, CompileResponse
 from repro.serve.net import FarmServer, RemoteClient
+from repro.serve.protocol import (
+    decode_frame,
+    encode_frame,
+    frame_header_size,
+    parse_frame_header,
+)
 
 SIZES = {"sumrows": {"m": 1024, "n": 64}}
 
@@ -75,6 +86,10 @@ async def test_remote_cache_metrics_snapshot_per_table():
         assert 0.0 <= table["hit_rate"] <= 1.0
     assert "point_results" in cache
     assert cache["point_results"]["entries"] >= len(points)
+    # The evaluating session's configuration memo rides along: both points
+    # share one configuration.
+    assert cache["config_state"]["misses"] == 1
+    assert cache["config_state"]["hits"] == len(points) - 1
     # The snapshot also lands on the farm's own stats object.
     assert farm.stats.cache == cache
 
@@ -126,3 +141,107 @@ async def test_malformed_frame_drops_the_connection():
             # The farm itself is unaffected: a fresh connection still works.
             async with await RemoteClient.connect(host, port) as client:
                 assert await client.ping()
+
+
+# ---------------------------------------------------------------------------
+# Generated bad frames
+# ---------------------------------------------------------------------------
+
+
+def _expected(points):
+    """Cache-off results of sumrows points at SIZES: the correct answers."""
+    bench = get_benchmark("sumrows")
+    program, workload = bench.build(), bench.workload(SIZES["sumrows"])
+    with ANALYSIS_CACHE.disabled():
+        return [evaluate_point(program, workload, point) for point in points]
+
+
+FUZZ_POINTS = _points((1, 2))
+FUZZ_EXPECTED = _expected(FUZZ_POINTS)
+RESPONSE_FRAME = encode_frame(
+    {
+        "op": "response",
+        "response": CompileResponse(
+            request_id="r0",
+            benchmark="sumrows",
+            point=FUZZ_POINTS[0],
+            status="evaluated",
+            result=FUZZ_EXPECTED[0],
+        ),
+    }
+)
+
+
+@st.composite
+def mutated_frames(draw):
+    """The encoded response frame with bytes flipped, truncated or extended
+    (one of the three, or all of them in that order)."""
+    frame = bytearray(RESPONSE_FRAME)
+    kind = draw(st.sampled_from(("flip", "truncate", "extend", "all")))
+    if kind in ("flip", "all"):
+        flips = st.tuples(st.integers(0, len(frame) - 1), st.integers(1, 255))
+        for position, mask in draw(st.lists(flips, min_size=1, max_size=4)):
+            frame[position] ^= mask
+    if kind in ("truncate", "all"):
+        del frame[draw(st.integers(0, len(frame) - 1)) :]
+    if kind in ("extend", "all"):
+        frame += draw(st.binary(min_size=1, max_size=64))
+    return bytes(frame)
+
+
+@given(frame=mutated_frames())
+@settings(max_examples=300, deadline=None)
+def test_decode_frame_raises_only_protocol_error_on_mutated_bytes(frame):
+    if frame == RESPONSE_FRAME:
+        assert decode_frame(frame)["response"].result == FUZZ_EXPECTED[0]
+        return
+    with pytest.raises(ProtocolError):
+        decode_frame(frame)
+
+
+def _replies(blob):
+    """The ops of the frames in ``blob``, a complete server reply stream."""
+    ops, offset = [], 0
+    while offset < len(blob):
+        end = offset + frame_header_size()
+        end += parse_frame_header(blob[offset:end])
+        ops.append(decode_frame(blob[offset:end])["op"])
+        offset = end
+    return ops
+
+
+@given(frame=mutated_frames())
+@settings(max_examples=50, deadline=None)
+def test_server_drops_a_mutated_frame_and_keeps_serving(frame):
+    """A peer sending the mutated bytes and then a ping is dropped at the
+    first bad frame, unanswered; a second client on the same server is
+    still answered correctly.  (An intact leading frame is well formed and
+    gets the error reply of an unknown op.)"""
+
+    async def scenario():
+        ANALYSIS_CACHE.clear()
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)
+        async with farm:
+            async with FarmServer(farm) as server:
+                host, port = server.address
+                async with await RemoteClient.connect(host, port) as client:
+                    reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(frame + encode_frame({"op": "ping"}))
+                    writer.write_eof()
+                    # The server closes the connection: read() meets EOF.
+                    blob = await asyncio.wait_for(reader.read(), timeout=10)
+                    writer.close()
+                    await writer.wait_closed()
+                    responses = await client.gather(
+                        [CompileRequest("sumrows", point) for point in FUZZ_POINTS]
+                    )
+                    return _replies(blob), responses
+
+    ops, responses = asyncio.run(scenario())
+    if not frame:
+        assert ops == ["pong"]
+    elif frame == RESPONSE_FRAME:
+        assert ops == ["error", "pong"]
+    else:
+        assert ops == (["error"] if frame.startswith(RESPONSE_FRAME) else [])
+    assert [response.result for response in responses] == FUZZ_EXPECTED
