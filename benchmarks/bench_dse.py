@@ -55,9 +55,11 @@ repository benchmark's ``sweep-cold`` workload, whose ``rewrite`` points
 reuse their ``default`` twins' designs and area — records its batched
 points/sec (median of repeats).  It then sweeps every
 registered pipeline variant through the batched path at smoke sizes,
-records each variant's engagement counts (``ExplorationResult.
-batch_engagement``, where ``vector`` counts points the batched path
-evaluated) and fails if any point fell back to scalar evaluation.
+under the analytical cycle model and under the event model with a
+2-channel DRAM gene, records each sweep's engagement counts
+(``ExplorationResult.batch_engagement``, where ``vector`` counts points
+the batched path evaluated) and fails if any point fell back to scalar
+evaluation.
 
 ``--smoke`` shrinks the workload for CI (affects ``--faults``,
 ``--serve`` and ``--batch``).
@@ -637,25 +639,39 @@ def run_variant_engagement() -> dict:
     """Sweep each registered variant through the batched path (cold,
     smoke sizes) and fail on any fallback to scalar evaluation.
 
-    Bit-identity tests cannot see a silent fallback — a variant that
-    stops engaging the batched path still returns the right numbers, only
-    slower — so this gate reads the engagement counter instead.
+    Each variant is swept under the analytical cycle model and again
+    under the event model with a 2-channel DRAM gene beside the 1-channel
+    one (keyed ``"<variant>/event"``).  Bit-identity tests cannot see a
+    silent fallback — a variant that stops engaging the batched path
+    still returns the right numbers, only slower — so this gate reads the
+    engagement counter instead.
     """
     space_dims = {name: SMOKE_SIZES[name] for name in ("m", "n", "p")}
     engagement = {}
     for variant in pipeline_variants():
-        space = default_space(
-            space_dims, pars=(4, 8, 16, 32), max_tiles_per_dim=2, pipelines=(variant,)
-        )
-        result = explore(
-            BENCHMARK, sizes=SMOKE_SIZES, space=space, prune=False, memoize=False
-        )
-        counts = dict(sorted(result.batch_engagement.items()))
-        print(f"[DSE batch] engagement {variant}: {counts}")
-        assert counts == {"vector": len(result.evaluated)}, (
-            f"variant {variant!r} fell back to scalar evaluation: {counts}"
-        )
-        engagement[variant] = counts
+        for cycle_model, channels in (("analytical", (1,)), ("event", (1, 2))):
+            space = default_space(
+                space_dims,
+                pars=(4, 8, 16, 32),
+                max_tiles_per_dim=2,
+                pipelines=(variant,),
+                channels=channels,
+            )
+            result = explore(
+                BENCHMARK,
+                sizes=SMOKE_SIZES,
+                space=space,
+                prune=False,
+                memoize=False,
+                cycle_model=cycle_model,
+            )
+            label = variant if cycle_model == "analytical" else f"{variant}/{cycle_model}"
+            counts = dict(sorted(result.batch_engagement.items()))
+            print(f"[DSE batch] engagement {label}: {counts}")
+            assert counts == {"vector": len(result.evaluated)}, (
+                f"variant {label!r} fell back to scalar evaluation: {counts}"
+            )
+            engagement[label] = counts
     return engagement
 
 

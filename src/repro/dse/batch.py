@@ -31,12 +31,24 @@ way the points actually share it:
    and lowering run once per ``(tile sizes, par, metapipelining)`` on the
    configuration's shared state.  Each point then applies its own
    variant's schedule steps, each through its own transformation's
-   ``apply`` (which never mutates its input).  Designs are not kept
-   across calls.
+   ``apply`` (which never mutates its input), under the session's model,
+   as a scalar compile runs them.  Designs are not kept across calls.
 4. **One pricing call per group, area once per design** — the group's
    schedules are timed by one
    :func:`~repro.schedule.batched.batched_cycles` call, which runs the
-   scalar path's analytical walk per point.  Area is priced by one
+   scalar path's cost model per point — the analytical walk, or an event
+   run — each under the point's own model: the caller's, with the
+   point's DRAM-channel gene folded in, as ``evaluate_point`` times it.
+   Each call keeps one :class:`~repro.schedule.rewrite.ProfileMemo`.  It
+   reaches the schedule steps through their
+   :class:`~repro.pipeline.passes.PassContext`
+   (:data:`~repro.schedule.rewrite.PROFILE_MEMO_KEY`), so the event
+   profiles a ``rewrite-profiled`` point's balance-factor tuning takes
+   are shared by the group's other tunings, and it prices the event-model
+   points: a tuned point's price is the tuning's own run of its winning
+   tree, and a ``default`` point under the session's model reuses the
+   run that profiled its lowered tree.  A memo run equals a fresh one
+   (profiling only records).  Area is priced by one
    :func:`~repro.schedule.batched.batched_area` call (the template area
    sum) over each design's lowered schedule, once, and every point of
    that design — a ``rewrite`` point and its ``default`` twin alike —
@@ -56,15 +68,17 @@ way the points actually share it:
 
 Steps 2–4 for one configuration are :func:`price_configuration`, which is
 also how :func:`~repro.dse.engine.evaluate_point` prices a single stock
-point under the analytical model with the analysis cache on: a farm
-request or a pool task costs what its share of a batch would.
+point under either cycle model with the analysis cache on: a farm request
+or a pool task costs what its share of a batch would.
 
 Results are therefore **bit-identical** to calling ``evaluate_point`` per
-point; ``tests/dse/test_batched.py`` (all six benchmarks) and a
-generated-ordering differential test check the shared prefix, designs,
-schedule steps and area reuse.  The ledger seeds the cache per point under
-the scalar path's key, so memoisation, journal replay and farm admission
-dedup cannot tell which path produced a result.
+point; ``tests/dse/test_batched.py`` (all six benchmarks) and generated
+differential tests — over pass orderings, and over event-model points
+with DRAM-channel genes and both interleavings — check the shared
+prefix, designs, schedule steps, area reuse and event pricing.  The
+ledger seeds the cache per point under the scalar path's key, so
+memoisation, journal replay and farm admission dedup cannot tell which
+path produced a result.
 
 This is the engine's only in-process batch evaluator:
 :func:`~repro.dse.engine.explore` and
@@ -74,12 +88,12 @@ share of a search batch to one call.
 The batched path takes every pipeline whose terminal tail is the stock
 generate-hardware → build-schedule → schedule-level
 :class:`~repro.pipeline.passes.TransformationStage`\\ s → estimate-area
-sequence (stock classes: a subclass may do anything).  Other points fall
-back to scalar ``evaluate_point`` individually, and every point's outcome
-is counted in the caller's ``engagement`` Counter: ``"vector"`` (the
-batched path, under the key the benchmarks and tests read), ``"cached"``,
-or the fallback reason — ``"event-model"`` (the event backend's timeline is
-stateful, not a closed form) or ``"non-stock-tail"``.
+sequence (stock classes: a subclass may do anything), under either
+cycle model.  Other points fall back to scalar ``evaluate_point``
+individually, and every point's outcome is counted in the caller's
+``engagement`` Counter: ``"vector"`` (the batched path, under the key the
+benchmarks and tests read), ``"cached"``, or the fallback reason,
+``"non-stock-tail"``.
 """
 
 from __future__ import annotations
@@ -105,6 +119,7 @@ from repro.rewrite.framework import ScheduleTransformation
 from repro.rewrite.schedule import ScheduleRewrite
 from repro.schedule.batched import batched_area, batched_cycles
 from repro.schedule.ir import Schedule
+from repro.schedule.rewrite import PROFILE_MEMO_KEY, ProfileMemo
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
 from repro.utils.naming import fresh_naming_scope
@@ -230,21 +245,27 @@ def price_configuration(
     points: Sequence[DesignPoint],
     tails: Sequence[_Tail],
     session,
-    model: Optional[PerformanceModel],
+    models: Sequence[Optional[PerformanceModel]],
     head: Optional[tuple],
+    cycle_model: str = "analytical",
 ) -> List[PointResult]:
     """Price points of one tiling configuration: the batched path's per-point code.
 
-    ``points`` share one prefix signature and config signature, and
-    ``tails[i]`` is the stock tail of ``points[i]``'s gene.  The
-    configuration's state comes from the session's memo (keyed with
-    ``head``, the workload part of the points' keys); then generate →
-    lower once per design, each point's own schedule steps, one
-    :func:`batched_cycles` call under ``model``, and :func:`batched_area`
-    once per design (see the module docstring).
+    ``points`` share one prefix signature and config signature,
+    ``tails[i]`` is the stock tail of ``points[i]``'s gene and
+    ``models[i]`` the model it is timed under (its DRAM-channel gene
+    folded in).  The configuration's state comes from the session's memo
+    (keyed with ``head``, the workload part of the points' keys); then
+    generate → lower once per design, each point's own schedule steps
+    under the session's model, one :func:`batched_cycles` call, and
+    :func:`batched_area` once per design (see the module docstring).  One
+    :class:`~repro.schedule.rewrite.ProfileMemo` per call reaches the
+    schedule steps through their context and prices the event-model
+    points.
     """
     state = _config_state(program, bindings, tails[0], points[0].config(), session, head)
     board = session.board
+    memo = ProfileMemo()
     # One (design, lowered schedule, step context) per configuration.
     designs: Dict[tuple, tuple] = {}
     built, schedules = [], []
@@ -267,6 +288,7 @@ def price_configuration(
                 model=session.model,
                 cache=session.cache,
             )
+            step_ctx.artifacts[PROFILE_MEMO_KEY] = memo
             designs[design_key] = (design, design.schedule(), step_ctx)
         design, lowered, step_ctx = designs[design_key]
         schedule = lowered
@@ -278,7 +300,7 @@ def price_configuration(
         built.append(design)
         schedules.append(schedule)
 
-    simulations = batched_cycles(schedules, model)
+    simulations = batched_cycles(schedules, models, cycle_model, memo)
     areas = dict(zip(area_schedules, batched_area(list(area_schedules.values()))))
     return [
         PointResult.from_evaluation(point, simulation, areas[area_key], design)
@@ -300,16 +322,18 @@ def evaluate_point_batch(
 
     Semantically ``[evaluate_point(program, bindings, p, ...) for p in
     points]`` — same results, same cache entries, same errors for unknown
-    pipeline genes — with the shared work factored out (see module
-    docstring).  ``cycle_model="event"`` routes every point through the
-    scalar path unchanged.
+    pipeline genes or cycle models — with the shared work factored out
+    (see module docstring), under the analytical and the event cycle
+    model alike.  Each configuration group's pricing keeps one
+    :class:`~repro.schedule.rewrite.ProfileMemo`, which the group's
+    schedule steps and its event-model pricing share.
 
     ``engagement``, when given, gains one count per point under its
-    outcome: ``"vector"``, ``"cached"``, ``"event-model"`` or
-    ``"non-stock-tail"``.  A point that falls back counts under its reason
-    even when ``evaluate_point`` then finds it memoised.
+    outcome: ``"vector"``, ``"cached"`` or ``"non-stock-tail"``.  A point
+    that falls back counts under its reason even when ``evaluate_point``
+    then finds it memoised.
     """
-    from repro.dse.engine import PointLedger, _detached, evaluate_point
+    from repro.dse.engine import PointLedger, _detached, _effective_model, evaluate_point
     from repro.pipeline.session import CompilerSession
 
     points = list(points)
@@ -333,11 +357,6 @@ def evaluate_point_batch(
             cycle_model=cycle_model,
         )
         outcomes[reason] += 1
-
-    if cycle_model != "analytical":
-        for index in range(len(points)):
-            scalar(index, "event-model")
-        return results  # type: ignore[return-value]
 
     # The workload part of the configuration-memo key (the memo is
     # bypassed with the cache off).
@@ -380,8 +399,9 @@ def evaluate_point_batch(
             [points[index] for index in indices],
             [tail_for(points[index].pipeline) for index in indices],
             session,
-            model,
+            [_effective_model(model, points[index]) for index in indices],
             head,
+            cycle_model,
         )
         outcomes["vector"] += len(indices)
         for index, result in zip(indices, priced):

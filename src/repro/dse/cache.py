@@ -174,6 +174,13 @@ def _unpickle(blob: bytes) -> object:
             gc.enable()
 
 
+def _release(attached: tuple) -> None:
+    """Run a lazy loader's release hook, if it has one."""
+    release = attached[1]
+    if release is not None:
+        release()
+
+
 class AnalysisCache:
     """A set of named LRU memo tables with hit/miss/eviction accounting.
 
@@ -191,7 +198,8 @@ class AnalysisCache:
         self.enabled: bool = True
         self.maxsize: Optional[int] = maxsize
         self._tables: Dict[str, "OrderedDict[Hashable, object]"] = {}
-        self._lazy: Dict[str, Callable[[], list]] = {}
+        #: Table name → (deferred loader, its release hook or None).
+        self._lazy: Dict[str, Tuple[Callable[[], list], Optional[Callable[[], None]]]] = {}
         self.hits: Counter = Counter()
         self.misses: Counter = Counter()
         self.evictions: Counter = Counter()
@@ -211,7 +219,12 @@ class AnalysisCache:
             self._tables[name] = OrderedDict()
         return self._tables[name]
 
-    def attach_lazy(self, name: str, loader: Callable[[], list]) -> None:
+    def attach_lazy(
+        self,
+        name: str,
+        loader: Callable[[], list],
+        release: Optional[Callable[[], None]] = None,
+    ) -> None:
         """Register a deferred entry source for one table.
 
         ``loader`` returns ``[(key, value), ...]`` and runs at most once, on
@@ -224,15 +237,23 @@ class AnalysisCache:
         treated as already persisted: attaching does not mark the cache
         dirty, and a loader that raises degrades to a cold table with a
         ``RuntimeWarning`` rather than failing the lookup.
+
+        ``release``, when given, runs once the cache is done with
+        ``loader``: after it ran, or when the cache drops it unrun — on a
+        :meth:`clear` of its table or of the whole cache, or when a later
+        attach replaces it.  A snapshot closes its file this way.
         """
-        self._lazy[name] = loader
+        dropped = self._lazy.get(name)
+        self._lazy[name] = (loader, release)
+        if dropped is not None:
+            _release(dropped)
 
     def _materialize(self, name: str) -> None:
-        loader = self._lazy.pop(name, None)
-        if loader is None:
+        attached = self._lazy.pop(name, None)
+        if attached is None:
             return
         try:
-            entries = loader()
+            entries = attached[0]()
         except Exception as exc:
             warnings.warn(
                 f"lazy cache source for table {name!r} failed "
@@ -241,6 +262,8 @@ class AnalysisCache:
                 stacklevel=3,
             )
             return
+        finally:
+            _release(attached)
         live = self._tables.get(name)
         merged: "OrderedDict[Hashable, object]" = OrderedDict()
         for key, value in entries:
@@ -311,12 +334,17 @@ class AnalysisCache:
         A partial clear marks the cache dirty for the same reason.
         """
         if name is not None:
-            self._lazy.pop(name, None)
+            dropped = self._lazy.pop(name, None)
+            if dropped is not None:
+                _release(dropped)
             if self._tables.pop(name, None) is not None:
                 self._dirty = True
             return
         self._tables.clear()
+        dropped_all = list(self._lazy.values())
         self._lazy.clear()
+        for dropped in dropped_all:
+            _release(dropped)
         self.hits.clear()
         self.misses.clear()
         self.evictions.clear()

@@ -539,11 +539,13 @@ def evaluate_point(
     analysis cache (``point_results`` table) under a process-stable key, so
     re-sweeps in one process — and, through the disk-persisted store,
     across processes — skip compilation and simulation entirely; and a
-    point with a stock tail under the analytical model is priced by the
+    point with a stock tail, under either cycle model, is priced by the
     batched path's per-point code on its configuration's state kept by the
     session (:func:`repro.dse.batch.price_configuration`), so a
     configuration seen before skips the pass prefix and the per-node
-    re-analysis.  Results are bit-identical either way.
+    re-analysis, and an event-model point's price reuses the event run
+    its own balance-factor tuning made of the same tree.  Results are
+    bit-identical either way.
 
     When a ``session`` is supplied, its board, model and pipeline
     resolution are authoritative (for the key as much as for the compile —
@@ -586,15 +588,15 @@ def evaluate_point(
         return compute()
 
     def priced() -> PointResult:
-        if cycle_model != "analytical":
-            return compute()
         from repro.dse.batch import _split_terminal_tail, price_configuration
 
         tail = session.pipeline_split(point.pipeline, _split_terminal_tail)
         if tail is None:
             return compute()
         head = key[:_HEAD_FIELDS]
-        (result,) = price_configuration(program, bindings, [point], [tail], session, model, head)
+        (result,) = price_configuration(
+            program, bindings, [point], [tail], session, [model], head, cycle_model
+        )
         return result
 
     return _detached(ANALYSIS_CACHE.memoize("point_results", key, priced))

@@ -207,7 +207,7 @@ class TransformationStage(PipelinePass):
         return self.transformation.restore(payload, ctx)
 
     def signature(self) -> Tuple[str, str]:
-        return (f"TransformationStage[{self.transformation.signature()}]", self.name)
+        return (f"{type(self).__name__}[{self.transformation.signature()}]", self.name)
 
 
 class FixedPointPass(PipelinePass):

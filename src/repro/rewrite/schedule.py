@@ -48,7 +48,12 @@ from repro.schedule.ir import (
     StageGroup,
     TransferNode,
 )
-from repro.schedule.rewrite import COST_SOURCES, DEFAULT_BALANCE_FACTOR, ProfileMemo
+from repro.schedule.rewrite import (
+    COST_SOURCES,
+    DEFAULT_BALANCE_FACTOR,
+    PROFILE_MEMO_KEY,
+    ProfileMemo,
+)
 from repro.sim.model import PerformanceModel
 
 __all__ = [
@@ -341,7 +346,10 @@ class ScheduleRewrite(ScheduleTransformation):
     :meth:`apply_schedule` — what the pipeline stage runs — also reports
     per-rewrite hit counts, rounds, the resolved balance factor and the
     event simulations the step ran (``event_runs``) and reused
-    (``event_reuses``).
+    (``event_reuses``).  It profiles through the context's shared
+    :class:`~repro.schedule.rewrite.ProfileMemo`
+    (:data:`~repro.schedule.rewrite.PROFILE_MEMO_KEY`) when one is set;
+    the two counts are then this step's own.
     """
 
     name = "rewrite-schedule"
@@ -374,6 +382,7 @@ class ScheduleRewrite(ScheduleTransformation):
             model=ctx.model,
             balance_factor=self._factor(),
             cost_source=self.cost_source,
+            memo=ctx.artifacts.get(PROFILE_MEMO_KEY),
         )
         return result.schedule, {
             "rewrite_hits": dict(result.hits),

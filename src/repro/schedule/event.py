@@ -25,7 +25,9 @@ Per-invocation leaf durations reuse the analytical formulas (a transfer
 still costs latency + bytes/bandwidth), so the two backends agree exactly
 on unpipelined designs and diverge only through overlap, backpressure and
 contention — which is precisely the discrepancy the calibration report
-(:mod:`repro.schedule.compare`) measures.
+(:mod:`repro.schedule.compare`) measures.  A leaf's duration depends only
+on the leaf, the board and the model, so a run computes it once per leaf
+and replays it on every invocation.
 
 Long loops are unrolled up to :data:`EVENT_UNROLL_LIMIT` iterations and
 then extrapolated at the observed steady-state rate, keeping the event
@@ -116,6 +118,8 @@ class _MemorySubsystem:
         ]
         self.interleaving = interleaving
         self._cursor = 0
+        # The one channel every request maps to, when there is only one.
+        self._only = self.channels[0] if channels == 1 else None
         # Contention accrued by steady-state extrapolation: scaled tail
         # cycles belong to the subsystem, not to any one channel's timeline.
         self.extrapolated_contention = 0.0
@@ -131,6 +135,8 @@ class _MemorySubsystem:
         return self.channels[int.from_bytes(digest, "big") % len(self.channels)]
 
     def transfer(self, key: str, ready: float, duration: float) -> float:
+        if self._only is not None:
+            return self._only.transfer(ready, duration)
         return self._select(key).transfer(ready, duration)
 
     @property
@@ -187,6 +193,8 @@ class EventScheduleBackend:
     # -- public API ----------------------------------------------------------
     def run(self, schedule: Schedule) -> SimulationResult:
         self._per_node: Dict[str, float] = {}
+        # Each leaf's duration by node id: one closed form per leaf per run.
+        self._durations: Dict[int, float] = {}
         self._compute_cycles = 0.0
         self._memory_cycles = 0.0
         self._buffer_stall_cycles = 0.0
@@ -239,8 +247,15 @@ class EventScheduleBackend:
         ``contention_cycles``, never folded into a node's busy time (the
         calibration report would otherwise double-read the same wait as
         both contention and node load).
+
+        The three leaf kinds dispatch on their exact type first; the
+        ``isinstance`` chain serves groups, the untimed leaf and subclasses.
         """
-        busy = None
+        kind = type(node)
+        if kind is ComputeNode:
+            return self._compute_leaf(node, start)
+        if kind is TransferNode or kind is StreamNode:
+            return self._memory_leaf(node, start)
         if isinstance(node, MetapipelineSchedule):
             finish = self._metapipeline(node, start)
         elif isinstance(node, ParallelSchedule):
@@ -251,27 +266,41 @@ class EventScheduleBackend:
             finish = self._unrolled(
                 node, start, lambda t: self._sequential_round(node, t)
             )
-        elif isinstance(node, TransferNode):
-            duration = self._transfer_duration(node.bytes_per_invocation)
-            self._memory_cycles += duration
-            finish = self._channel.transfer(node.source or node.name, start, duration)
-            busy = duration
-        elif isinstance(node, StreamNode):
-            duration = self._stream_duration(node)
-            self._memory_cycles += duration
-            finish = self._channel.transfer(node.source or node.name, start, duration)
-            busy = duration
+        elif isinstance(node, (TransferNode, StreamNode)):
+            return self._memory_leaf(node, start)
         elif isinstance(node, ComputeNode):
-            duration = self._pipeline_duration(node)
-            self._compute_cycles += duration
-            finish = start + duration
-        elif type(node) is ScheduleNode:
+            return self._compute_leaf(node, start)
+        elif kind is ScheduleNode:
             finish = start  # untimed memory leaf
         else:  # pragma: no cover - exhaustive over the Schedule IR
             raise SimulationError(f"no event rule for schedule node {node.kind}")
-        if busy is None:
-            busy = finish - start
-        self._per_node[node.name] = self._per_node.get(node.name, 0.0) + busy
+        self._per_node[node.name] = self._per_node.get(node.name, 0.0) + (finish - start)
+        return finish
+
+    def _compute_leaf(self, node: ComputeNode, start: float) -> float:
+        """A compute unit: busy for its pipeline's duration, no shared resource."""
+        duration = self._durations.get(id(node))
+        if duration is None:
+            duration = self._durations[id(node)] = self._pipeline_duration(node)
+        self._compute_cycles += duration
+        finish = start + duration
+        per_node = self._per_node
+        per_node[node.name] = per_node.get(node.name, 0.0) + (finish - start)
+        return finish
+
+    def _memory_leaf(self, node: ScheduleNode, start: float) -> float:
+        """A transfer or stream: its service time on its DRAM channel."""
+        duration = self._durations.get(id(node))
+        if duration is None:
+            if isinstance(node, TransferNode):
+                duration = self._transfer_duration(node.bytes_per_invocation)
+            else:
+                duration = self._stream_duration(node)
+            self._durations[id(node)] = duration
+        self._memory_cycles += duration
+        finish = self._channel.transfer(node.source or node.name, start, duration)
+        per_node = self._per_node
+        per_node[node.name] = per_node.get(node.name, 0.0) + duration
         return finish
 
     def _sequential_round(self, group: SequentialSchedule, start: float) -> float:

@@ -59,6 +59,7 @@ __all__ = [
     "BALANCE_FACTOR_CANDIDATES",
     "COST_SOURCES",
     "DEFAULT_BALANCE_FACTOR",
+    "PROFILE_MEMO_KEY",
     "ProfileMemo",
     "RewriteResult",
     "ScheduleRewriter",
@@ -80,6 +81,14 @@ BALANCE_FACTOR_CANDIDATES = (1.25, 1.5, 2.0, 3.0, 4.0)
 
 #: Legal stage-cost oracles for :class:`~repro.rewrite.schedule.RebalanceStages`.
 COST_SOURCES = ("analytical", "event")
+
+#: ``PassContext.artifacts`` key of a :class:`ProfileMemo` shared by the
+#: schedule steps of several compiles: the batched DSE path
+#: (:func:`repro.dse.batch.price_configuration`) sets one per call, so the
+#: balance-factor tuning of one point reuses event runs another point's
+#: tuning made, and the points are priced from those runs.  Absent: each
+#: step profiles through a memo of its own.
+PROFILE_MEMO_KEY = "_profile_memo"
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +321,9 @@ class RewriteResult:
     #: The balance factor the rebalancer actually ran with — the tuned
     #: value when ``balance_factor="auto"`` selected one per schedule.
     balance_factor: Optional[float] = None
-    #: The :class:`ProfileMemo`'s event simulations and served requests
-    #: (for a tuned result, the whole tuning's).
+    #: The event simulations this rewrite ran through its
+    #: :class:`ProfileMemo` and the requests an earlier run served (for a
+    #: tuned result, the whole tuning's).
     event_runs: int = 0
     event_reuses: int = 0
 
@@ -347,7 +357,8 @@ class ScheduleRewriter:
 
     The default rebalancer profiles through ``memo`` (a fresh
     :class:`ProfileMemo` unless one is shared in), so rounds that leave
-    the tree unchanged reuse its event run.
+    the tree unchanged reuse its event run.  A result's ``event_runs`` and
+    ``event_reuses`` count that :meth:`rewrite` call's requests only.
     """
 
     def __init__(
@@ -384,6 +395,7 @@ class ScheduleRewriter:
         self, schedule: Schedule, model: Optional[PerformanceModel] = None
     ) -> RewriteResult:
         model = model or PerformanceModel()
+        runs, reuses = self.memo.runs, self.memo.reuses
         working = clone_schedule(schedule)
         hits: Dict[str, int] = {rewrite.name: 0 for rewrite in self.rewrites}
         rounds = 0
@@ -403,8 +415,8 @@ class ScheduleRewriter:
             hits=hits,
             rounds=rounds,
             balance_factor=self.balance_factor,
-            event_runs=self.memo.runs,
-            event_reuses=self.memo.reuses,
+            event_runs=self.memo.runs - runs,
+            event_reuses=self.memo.reuses - reuses,
         )
 
 
@@ -413,6 +425,7 @@ def tune_balance_factor(
     model: Optional[PerformanceModel] = None,
     candidates: Sequence[float] = BALANCE_FACTOR_CANDIDATES,
     cost_source: str = "analytical",
+    memo: Optional[ProfileMemo] = None,
 ) -> RewriteResult:
     """Rewrite with the balance factor that minimises event-backend cycles.
 
@@ -426,11 +439,14 @@ def tune_balance_factor(
     One :class:`ProfileMemo` serves the whole tuning, so each distinct
     tree is simulated once: the candidates share their first-round
     profile, and a candidate whose last round fired nothing is priced
-    from that round's profile.  Returns the winning candidate's
-    :class:`RewriteResult`, carrying the tuned ``balance_factor``.
+    from that round's profile.  ``memo`` shares one across tunings (and
+    with whoever prices the result); without it the tuning has its own.
+    Returns the winning candidate's :class:`RewriteResult`, carrying the
+    tuned ``balance_factor`` and this tuning's event runs and reuses.
     """
     model = model or PerformanceModel()
-    memo = ProfileMemo()
+    memo = memo if memo is not None else ProfileMemo()
+    runs, reuses = memo.runs, memo.reuses
     best: Optional[RewriteResult] = None
     best_cycles = float("inf")
     for factor in candidates:
@@ -445,8 +461,8 @@ def tune_balance_factor(
         best = ScheduleRewriter(cost_source=cost_source, memo=memo).rewrite(
             schedule, model
         )
-    best.event_runs = memo.runs
-    best.event_reuses = memo.reuses
+    best.event_runs = memo.runs - runs
+    best.event_reuses = memo.reuses - reuses
     return best
 
 
@@ -456,6 +472,7 @@ def rewrite_schedule(
     rewrites: Optional[Sequence["ScheduleTransformation"]] = None,
     balance_factor: Union[float, str] = DEFAULT_BALANCE_FACTOR,
     cost_source: str = "analytical",
+    memo: Optional[ProfileMemo] = None,
 ) -> RewriteResult:
     """Rewrite one schedule with the default (or a custom) rewrite sequence.
 
@@ -464,20 +481,22 @@ def rewrite_schedule(
     ``cost_source`` selects the rebalancer's stage-cost oracle
     (``"analytical"`` closed forms or measured ``"event"`` profiles).  Both
     only shape the default rewrite sequence — an explicit ``rewrites``
-    list is used as given, with the tuned factor recorded.  A rewrite that
-    fired leaves its :meth:`RewriteResult.summary` in the rewritten
-    schedule's notes (which the emitters print and no backend times).
+    list is used as given, with the tuned factor recorded.  ``memo``, when
+    given, is the :class:`ProfileMemo` the tuning and the default
+    rebalancer profile through.  A rewrite that fired leaves its
+    :meth:`RewriteResult.summary` in the rewritten schedule's notes (which
+    the emitters print and no backend times).
     """
     result = None
     factor = balance_factor
     if factor == "auto":
-        tuned = tune_balance_factor(schedule, model, cost_source=cost_source)
+        tuned = tune_balance_factor(schedule, model, cost_source=cost_source, memo=memo)
         factor = tuned.balance_factor
         if rewrites is None:
             result = tuned
     if result is None:
         result = ScheduleRewriter(
-            rewrites=rewrites, balance_factor=factor, cost_source=cost_source
+            rewrites=rewrites, balance_factor=factor, cost_source=cost_source, memo=memo
         ).rewrite(schedule, model)
     if result.changed:
         result.schedule.notes.append(result.summary())

@@ -23,7 +23,9 @@ microseconds regardless of store size; a table's blob is checksummed and
 unpickled on the table's *first access*, and tables never touched are
 never decoded.  The mapping is read-only and shared between processes by
 the OS page cache, so a farm's whole pool warms from one set of physical
-pages.
+pages.  It is closed once no attached table can still load from it: when
+the last one has materialised or been dropped by the cache, or when the
+cache itself is collected.
 
 Version skew follows ``load_disk`` semantics: a snapshot whose
 ``cache_version`` differs from the running :data:`CACHE_VERSION` is
@@ -36,12 +38,14 @@ loader, ``AnalysisCache._materialize`` degrades that table to cold with a
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import mmap
 import os
 import pickle
 import struct
 import tempfile
+import weakref
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -127,9 +131,10 @@ class SnapshotView:
 
     Construction maps the file read-only and parses header + index only.
     :meth:`entries` checksums and unpickles one table's blob — the lazy
-    half that :func:`attach_snapshot` defers to first access.  The view
-    (and its mapping) lives as long as any attached cache table might
-    still materialise; workers simply let process exit reclaim it.
+    half that :func:`attach_snapshot` defers to first access.  A view
+    :func:`attach_snapshot` opens lives as long as any attached cache
+    table might still materialise; a view opened directly is closed by
+    its opener (:meth:`close`, or a ``with`` block).
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -228,9 +233,24 @@ def attach_snapshot(
     if not path.exists():
         return 0
     view = SnapshotView(path)
-    if view.version != CACHE_VERSION:
+    tables = view.tables if view.version == CACHE_VERSION else []
+    if not tables:
         view.close()
         return 0
-    for name in view.tables:
-        cache.attach_lazy(name, (lambda table=name: view.entries(table)))
-    return len(view.tables)
+    # The view closes once no table can still load from it: the last one
+    # materialised or dropped, or the cache collected with loaders left.
+    close = weakref.finalize(cache, view.close)
+    pending = set(tables)
+
+    def release(table: str) -> None:
+        pending.discard(table)
+        if not pending:
+            close()
+
+    for name in tables:
+        cache.attach_lazy(
+            name,
+            functools.partial(view.entries, name),
+            functools.partial(release, name),
+        )
+    return len(tables)

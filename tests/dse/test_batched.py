@@ -5,6 +5,7 @@ design, cache seeding, explore() integration, chaos determinism, and the
 annealing strategy's efficiency criterion."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro.apps import all_benchmarks, get_benchmark
 from repro.dse.batch import evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE
-from repro.dse.engine import evaluate_point, explore
+from repro.dse.engine import _key_digest, _point_key, evaluate_point, explore
 from repro.dse.resilience import FaultPlan, ResiliencePolicy
 from repro.dse.search import hypervolume, run_search
 from repro.dse.space import DesignPoint, DesignSpace, default_space
@@ -93,7 +94,7 @@ class TestBitIdentity:
         # Every registered variant takes the vector path: no fallbacks.
         assert engagement == Counter({"vector": len(points)})
 
-    def test_event_cycle_model_routes_through_scalar_and_matches(self):
+    def test_event_cycle_model_takes_the_vector_path_and_matches(self):
         bench = get_benchmark("sumrows")
         program = bench.build()
         bindings = bench.bindings(rng=np.random.default_rng(2))
@@ -108,7 +109,7 @@ class TestBitIdentity:
                 program, bindings, points, cycle_model="event", engagement=engagement
             )
         _assert_results_bit_identical(scalar, batched)
-        assert engagement == Counter({"event-model": len(points)})
+        assert engagement == Counter({"vector": len(points)})
 
     def test_mixed_order_and_duplicate_configs_keep_submission_order(self):
         """Grouping by (pipeline, config) must not reorder the output."""
@@ -211,6 +212,27 @@ class TestEngagement:
             )
         _assert_results_bit_identical(scalar, batched)
         assert engagement == Counter({"non-stock-tail": len(points)})
+
+    def test_subclassed_step_keys_apart_from_the_stock_variant(self):
+        """A subclassed stage may do anything, so a pipeline holding one
+        must never share point keys or journal digests with the stock
+        variant; the stock pipeline, set as a session's own, does."""
+        bench, program, bindings = self._inputs()
+        point = list(_space_for(bench))[1]
+        stock = _point_key(
+            program, bindings, replace(point, pipeline="rewrite"), CompilerSession(), None
+        )
+
+        def key(edit):
+            return _point_key(program, bindings, point, _session_with_tail(edit), None)
+
+        assert key(lambda pipe: pipe) == stock
+        subclassed = key(
+            lambda pipe: pipe.replaced("rewrite-schedule", _SubclassedStep(ScheduleRewrite()))
+        )
+        assert subclassed is not None
+        assert subclassed != stock
+        assert _key_digest(subclassed) != _key_digest(stock)
 
     def test_fallback_counts_each_cache_miss_once(self):
         bench, program, bindings = self._inputs()

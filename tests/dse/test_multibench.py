@@ -123,7 +123,7 @@ class TestMultiBenchmarkExplorer:
         assert stats["hits"] == sum(len(r.evaluated) for r in warm.values())
 
     @pytest.mark.parametrize(
-        "cycle_model, outcome", [("analytical", "vector"), ("event", "event-model")]
+        "cycle_model, outcome", [("analytical", "vector"), ("event", "vector")]
     )
     def test_every_lane_reports_batch_engagement(self, cycle_model, outcome):
         results = MultiBenchmarkExplorer(

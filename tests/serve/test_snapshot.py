@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import struct
 
 import pytest
@@ -136,3 +137,80 @@ class TestAttach:
         view = SnapshotView(snap)
         assert [key for key, _ in view.entries("t")] == [1, 2, 3, 0]
         view.close()
+
+
+class TestViewLifetime:
+    """An attached snapshot's file closes once no table can still load."""
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        paths = []
+        close = SnapshotView.close
+
+        def recording(view):
+            paths.append(view.path)
+            close(view)
+
+        monkeypatch.setattr(SnapshotView, "close", recording)
+        return paths
+
+    def test_snapshot_without_tables_closes_at_once(self, tmp_path, closed):
+        snap = tmp_path / "cache.snap"
+        write_snapshot(snap, AnalysisCache())
+        assert attach_snapshot(AnalysisCache(), snap) == 0
+        assert closed == [snap]
+
+    def test_closes_when_the_last_table_materialises(self, tmp_path, closed):
+        snap = tmp_path / "cache.snap"
+        write_snapshot(snap, _warm_cache())
+        fresh = AnalysisCache()
+        attach_snapshot(fresh, snap)
+        fresh.get("point_results", ("pr", 0))
+        fresh.get("tiling", ("tile", 0))
+        assert closed == []
+        assert fresh.get("pipeline_pass", ("pp", 0)) == "payload"
+        assert closed == [snap]
+        fresh.clear()
+        assert closed == [snap]
+
+    def test_a_corrupt_table_still_releases_the_view(self, tmp_path, closed):
+        snap = tmp_path / "cache.snap"
+        write_snapshot(snap, _warm_cache())
+        blob = bytearray(snap.read_bytes())
+        blob[-1] ^= 0xFF
+        snap.write_bytes(bytes(blob))
+        fresh = AnalysisCache()
+        attach_snapshot(fresh, snap)
+        fresh.clear("pipeline_pass")
+        fresh.get("point_results", ("pr", 0))
+        with pytest.warns(RuntimeWarning, match="lazy cache source"):
+            fresh.get("tiling", ("tile", 0))
+        assert closed == [snap]
+
+    def test_closes_when_clear_drops_the_loaders(self, tmp_path, closed):
+        snap = tmp_path / "cache.snap"
+        write_snapshot(snap, _warm_cache())
+        fresh = AnalysisCache()
+        attach_snapshot(fresh, snap)
+        fresh.get("tiling", ("tile", 0))
+        fresh.clear()
+        assert closed == [snap]
+
+    def test_a_second_attach_releases_the_first_view(self, tmp_path, closed):
+        first, second = tmp_path / "first.snap", tmp_path / "second.snap"
+        write_snapshot(first, _warm_cache())
+        write_snapshot(second, _warm_cache())
+        fresh = AnalysisCache()
+        attach_snapshot(fresh, first)
+        attach_snapshot(fresh, second)
+        assert closed == [first]
+        assert fresh.get("point_results", ("pr", 2)) == {"cycles": 200}
+
+    def test_closes_when_the_cache_is_collected(self, tmp_path, closed):
+        snap = tmp_path / "cache.snap"
+        write_snapshot(snap, _warm_cache())
+        fresh = AnalysisCache()
+        attach_snapshot(fresh, snap)
+        del fresh
+        gc.collect()
+        assert closed == [snap]
