@@ -10,9 +10,11 @@ space, all appended as one record to ``BENCH_dse.json``:
    ``multiprocessing`` pool).  Asserts the memoized path returns
    *identical* numbers to the uncached path and the ≥ 3× speedup target.
 
-2. **Search vs grid** — the hill-climb and genetic strategies against the
-   exhaustive front: each must reach ≥ 95% of the exhaustive Pareto
-   front's hypervolume while evaluating ≤ 40% of the points.
+2. **Search vs grid** — the annealing strategy against the exhaustive
+   front, on the sweep space (analytical cycles) and on the same space with
+   ``default``/``rewrite`` ordering and 1/2/4 DRAM-channel genes (event
+   cycles): on each it must reach ≥ 95% of the exhaustive Pareto front's
+   hypervolume while evaluating ≤ 40% of the points.
 
 3. **Disk cache** — the sweep against a fresh persisted store (cold:
    full compute + save) and again from the store alone (warm: pure
@@ -98,17 +100,21 @@ DISK_SPEEDUP_TARGET = 3.0
 MIN_POINTS = 50
 HV_TARGET = 0.95
 EVAL_BUDGET_FRACTION = 0.4
+#: Extra genes of the search phase's second space, which is timed under the
+#: event model: the transform ordering and DRAM-channel provisioning.
+EVENT_SEARCH_GENES = {"pipelines": ("default", "rewrite"), "channels": (1, 2, 4)}
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_dse.json"
 CI_STORE = REPO_ROOT / ".dse-cache" / "analysis.pkl"
 
 
-def _sweep_space():
+def _sweep_space(**genes):
     return default_space(
         {name: SIZES[name] for name in ("m", "n", "p")},
         pars=(4, 8, 16, 32),
         max_tiles_per_dim=3,
+        **genes,
     )
 
 
@@ -205,58 +211,73 @@ def run_engine_phase(space) -> dict:
     }
 
 
-def run_search_phase(space, exhaustive) -> dict:
-    """Hill-climb and genetic quality against the exhaustive front."""
+def _search_gate(space, exhaustive, cycle_model: str) -> dict:
+    """Annealing's front against one space's exhaustive front."""
     reference = (
         max(r.cycles for r in exhaustive.evaluated) * 1.05,
         max(area_key(r) for r in exhaustive.evaluated) * 1.05,
     )
     hv_grid = hypervolume(exhaustive.evaluated, reference)
     grid_evaluations = len(exhaustive.evaluated)
-    budget = int(EVAL_BUDGET_FRACTION * grid_evaluations)
-
-    record = {
+    ANALYSIS_CACHE.clear()
+    started = time.perf_counter()
+    searched = explore(
+        BENCHMARK,
+        sizes=SIZES,
+        space=space,
+        strategy="annealing",
+        max_evaluations=int(EVAL_BUDGET_FRACTION * grid_evaluations),
+        search_seed=1,
+        cycle_model=cycle_model,
+    )
+    elapsed = time.perf_counter() - started
+    hv = hypervolume(searched.evaluated, reference)
+    fraction = len(searched.evaluated) / grid_evaluations
+    quality = hv / hv_grid if hv_grid else 1.0
+    print(
+        f"[DSE search] annealing ({cycle_model}): {len(searched.evaluated)}/"
+        f"{grid_evaluations} points ({fraction:.0%}), hypervolume "
+        f"{quality:.1%} of exhaustive, {elapsed:.2f}s"
+    )
+    assert fraction <= EVAL_BUDGET_FRACTION + 1e-9, (
+        f"annealing ({cycle_model}) evaluated {fraction:.0%} of the points "
+        f"(budget {EVAL_BUDGET_FRACTION:.0%})"
+    )
+    assert quality >= HV_TARGET, (
+        f"annealing ({cycle_model}) reached only {quality:.1%} of the "
+        f"exhaustive hypervolume (target {HV_TARGET:.0%})"
+    )
+    return {
+        "cycle_model": cycle_model,
         "grid_evaluations": grid_evaluations,
         "grid_hypervolume": hv_grid,
+        "evaluations": len(searched.evaluated),
+        "eval_fraction": round(fraction, 4),
+        "hypervolume_fraction": round(quality, 4),
+        "seconds": round(elapsed, 4),
+        "pareto_size": len(searched.pareto),
+    }
+
+
+def run_search_phase(space, exhaustive) -> dict:
+    """Annealing against the exhaustive front on two spaces: the engine
+    phase's analytical sweep, and the same tiles and pars with the
+    ordering and DRAM-channel genes under the event model."""
+    event_space = _sweep_space(**EVENT_SEARCH_GENES)
+    ANALYSIS_CACHE.clear()
+    started = time.perf_counter()
+    event_grid = explore(BENCHMARK, sizes=SIZES, space=event_space, cycle_model="event")
+    print(
+        f"[DSE search] event/channel space: {len(event_space)} points, "
+        f"{len(event_grid.evaluated)} survive the prune, exhaustive sweep "
+        f"{time.perf_counter() - started:.2f}s"
+    )
+    return {
         "eval_budget_fraction": EVAL_BUDGET_FRACTION,
         "hypervolume_target": HV_TARGET,
+        "annealing": _search_gate(space, exhaustive, "analytical"),
+        "annealing_event": _search_gate(event_space, event_grid, "event"),
     }
-    for name in ("hill-climb", "genetic"):
-        ANALYSIS_CACHE.clear()
-        started = time.perf_counter()
-        searched = explore(
-            BENCHMARK,
-            sizes=SIZES,
-            space=space,
-            strategy=name,
-            max_evaluations=budget,
-            search_seed=1,
-        )
-        elapsed = time.perf_counter() - started
-        hv = hypervolume(searched.evaluated, reference)
-        fraction = len(searched.evaluated) / grid_evaluations
-        quality = hv / hv_grid if hv_grid else 1.0
-        print(
-            f"[DSE search] {name}: {len(searched.evaluated)}/{grid_evaluations} points "
-            f"({fraction:.0%}), hypervolume {quality:.1%} of exhaustive, {elapsed:.2f}s"
-        )
-        assert fraction <= EVAL_BUDGET_FRACTION + 1e-9, (
-            f"{name} evaluated {fraction:.0%} of the points "
-            f"(budget {EVAL_BUDGET_FRACTION:.0%})"
-        )
-        assert quality >= HV_TARGET, (
-            f"{name} reached only {quality:.1%} of the exhaustive hypervolume "
-            f"(target {HV_TARGET:.0%})"
-        )
-        key = name.replace("-", "_")
-        record[key] = {
-            "evaluations": len(searched.evaluated),
-            "eval_fraction": round(fraction, 4),
-            "hypervolume_fraction": round(quality, 4),
-            "seconds": round(elapsed, 4),
-            "pareto_size": len(searched.pareto),
-        }
-    return record
 
 
 def run_disk_phase(space) -> dict:
@@ -688,9 +709,11 @@ SERVE_SMOKE_SIZES = {
 }
 
 
-def _timed_init(out_dir, *init_args) -> None:
-    """Pool initializer that times the real ``_init_worker`` from inside.
+def _timed_init(out_dir, store, *init_args) -> None:
+    """Pool initializer that times worker warm-up from inside.
 
+    Runs the real ``_init_worker``, then, when ``store`` is given, the
+    eager warm-up a snapshot replaces: ``load_disk`` of the whole store.
     Each worker writes its own warm-up duration to ``out_dir`` — measuring
     in the child keeps process-spawn noise out of the warm-up numbers.
     """
@@ -698,6 +721,8 @@ def _timed_init(out_dir, *init_args) -> None:
 
     started = time.perf_counter()
     _init_worker(*init_args)
+    if store is not None:
+        ANALYSIS_CACHE.load_disk(store)
     elapsed = time.perf_counter() - started
     # Write aside, then rename: the parent polls for the final name and
     # must never read a stamp that is created but not yet written.
@@ -720,15 +745,16 @@ def _measure_spawn(workers: int, store: Path, snap: Path, warmup: str) -> dict:
 
     sizes = {"gemm": SERVE_SMOKE_SIZES["gemm"]}
     specs = {name: dict(dims) for name, dims in sizes.items()}
-    cache_warmup = ("load", str(store)) if warmup == "load" else ("snapshot", str(snap))
+    eager = str(store) if warmup == "load" else None
+    snapshot = None if eager else str(snap)
     with tempfile.TemporaryDirectory(prefix="dse-spawn-") as out_dir:
         started = time.perf_counter()
         pool = pool_context().Pool(
             processes=workers,
             initializer=_timed_init,
             initargs=(
-                out_dir, specs, DEFAULT_BOARD, None, True, "analytical", None,
-                cache_warmup,
+                out_dir, eager, specs, DEFAULT_BOARD, None, True, "analytical",
+                None, snapshot,
             ),
         )
         try:

@@ -8,7 +8,7 @@ The subsystem has three layers:
 * :mod:`repro.dse.space` — design-point enumeration and the cheap analytical
   area pre-filter used to prune infeasible points before simulation.
 * :mod:`repro.dse.search` — pluggable exploration strategies (exhaustive,
-  hill climbing, genetic) plus the Pareto/hypervolume utilities.
+  annealing) plus the hypervolume utility.
 * :mod:`repro.dse.resilience` — the fault-tolerance layer: supervised
   (timeout/retry/quarantine) evaluation, checkpoint journals and the
   deterministic fault-injection harness.
@@ -35,8 +35,6 @@ __all__ = [
     "ExplorationResult",
     "FaultPlan",
     "FaultSpec",
-    "GeneticStrategy",
-    "HillClimbStrategy",
     "MultiBenchmarkExplorer",
     "PointResult",
     "ResiliencePolicy",
@@ -53,8 +51,6 @@ __all__ = [
 _ENGINE_EXPORTS = {"ExplorationResult", "MultiBenchmarkExplorer", "PointResult", "explore"}
 _SPACE_EXPORTS = {"DesignPoint", "DesignSpace", "default_space", "estimate_point_area"}
 _SEARCH_EXPORTS = {
-    "GeneticStrategy",
-    "HillClimbStrategy",
     "Strategy",
     "get_strategy",
     "hypervolume",

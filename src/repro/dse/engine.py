@@ -8,10 +8,9 @@ configuration per benchmark:
 1. every point is scored by the closed-form area estimator and points that
    cannot fit the board are discarded before any compilation work;
 2. a search strategy (:mod:`repro.dse.search`) decides which surviving
-   points to evaluate — the exhaustive grid by default, hill climbing,
-   annealing or a genetic algorithm when the space is too big to
-   enumerate — and the engine evaluates its batches under supervision:
-   in-process through the batched backend
+   points to evaluate — the exhaustive grid by default, annealing when the
+   space is too big to enumerate — and the engine evaluates its batches
+   under supervision: in-process through the batched backend
    (:func:`repro.dse.batch.evaluate_point_batch`), across a
    ``multiprocessing`` pool, or through a compile farm;
 3. results come back Pareto-ranked on (cycles, area).
@@ -629,7 +628,7 @@ def _init_worker(
     memoize: bool = True,
     cycle_model: str = "analytical",
     fault_plan=None,
-    cache_warmup: Optional[Tuple[str, object]] = None,
+    snapshot: Optional[str] = None,
 ) -> None:
     """Initialise one pool worker for a set of benchmarks.
 
@@ -641,12 +640,10 @@ def _init_worker(
     (:class:`repro.dse.resilience.FaultPlan`) consulted at every task entry
     — the chaos-testing hook; None in production.
 
-    ``cache_warmup`` pre-warms the worker's analysis cache from a persisted
-    store: ``("load", path)`` pays a full eager ``load_disk`` (every table
-    unpickled at spawn), ``("snapshot", path)`` attaches a memory-mapped
-    snapshot (:mod:`repro.serve.snapshot`) whose tables load lazily on
-    first touch — the compile farm's fast spawn path.  ``None`` (the
-    default) keeps the historical behaviour: forked workers inherit the
+    ``snapshot`` names a memory-mapped cache snapshot
+    (:mod:`repro.serve.snapshot`) the worker attaches, whose tables load
+    lazily on first touch — the compile farm's fast spawn path.  ``None``
+    (the default) keeps the historical behaviour: forked workers inherit the
     parent's warm cache copy-on-write and spawn-context workers start cold.
     """
     _WORKER_STATE["specs"] = dict(specs)
@@ -663,16 +660,10 @@ def _init_worker(
     if not memoize:
         ANALYSIS_CACHE.clear()
         ANALYSIS_CACHE.enabled = False
-    elif cache_warmup is not None:
-        mode, path = cache_warmup
-        if mode == "load":
-            ANALYSIS_CACHE.load_disk(path)
-        elif mode == "snapshot":
-            from repro.serve.snapshot import attach_snapshot
+    elif snapshot is not None:
+        from repro.serve.snapshot import attach_snapshot
 
-            attach_snapshot(ANALYSIS_CACHE, path)
-        else:
-            raise ValueError(f"unknown cache warmup mode {mode!r}")
+        attach_snapshot(ANALYSIS_CACHE, snapshot)
 
 
 def _evaluate_point_task(task: Tuple) -> PointResult:
@@ -1117,10 +1108,9 @@ def explore(
             Evaluation binds the benchmark's shape-only workload
             (:meth:`~repro.apps.base.Benchmark.workload`) and generates no
             input data.
-        strategy: search strategy — a name (``"exhaustive"``,
-            ``"hill-climb"``, ``"annealing"``, ``"genetic"``) or a
-            :class:`repro.dse.search.Strategy` instance.  ``None`` is the
-            exhaustive grid.
+        strategy: search strategy — a name (``"exhaustive"`` or
+            ``"annealing"``) or a :class:`repro.dse.search.Strategy`
+            instance.  ``None`` is the exhaustive grid.
         max_evaluations: hard cap on evaluated points (search budget).
         eval_fraction: alternative budget as a fraction of the surviving
             points (ignored when ``max_evaluations`` is given).

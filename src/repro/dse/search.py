@@ -14,16 +14,10 @@ evaluation budget are simply absent).  :func:`run_search` drives one
 strategy; the multi-benchmark explorer drives several concurrently,
 interleaving their batches over one shared pool.
 
-Four strategies ship:
+Two strategies ship:
 
 * :class:`ExhaustiveStrategy` — the grid: propose every point at once
   (PR 1's behaviour, now expressed through the same interface);
-* :class:`HillClimbStrategy` — evaluate a seed sample, then repeatedly
-  expand the one-gene neighbourhoods of the current Pareto front until the
-  front stops changing;
-* :class:`GeneticStrategy` — a small genetic algorithm: tournament
-  selection on Pareto rank, per-gene uniform crossover and single-gene
-  mutation over the tile/par/metapipelining genome;
 * :class:`AnnealingStrategy` — simulated annealing whose per-round batch
   budget adapts to front-hypervolume stalls: effort concentrates while
   the Pareto front is still moving and decays to a stop once it plateaus.
@@ -34,8 +28,8 @@ collection they iterate is insertion-ordered.
 
 :func:`hypervolume` measures front quality — the area of the
 (cycles, area) region a front dominates relative to a reference point — so
-``benchmarks/bench_dse.py`` can assert that the search strategies reach
-≥95% of the exhaustive front's hypervolume from ≤40% of the evaluations.
+``benchmarks/bench_dse.py`` can assert that annealing reaches ≥95% of the
+exhaustive front's hypervolume from ≤40% of the evaluations.
 """
 
 from __future__ import annotations
@@ -61,8 +55,6 @@ __all__ = [
     "SpaceAxes",
     "Strategy",
     "ExhaustiveStrategy",
-    "HillClimbStrategy",
-    "GeneticStrategy",
     "AnnealingStrategy",
     "SearchDriver",
     "SearchOutcome",
@@ -70,7 +62,6 @@ __all__ = [
     "get_strategy",
     "available_strategies",
     "area_key",
-    "pareto_rank",
     "hypervolume",
 ]
 
@@ -309,51 +300,8 @@ class SpaceAxes:
 
 
 # ---------------------------------------------------------------------------
-# Pareto utilities shared by the strategies, the benchmark and the tests
+# Front quality, shared by annealing, the benchmark and the tests
 # ---------------------------------------------------------------------------
-
-
-def pareto_rank(results: Sequence) -> Dict[DesignPoint, int]:
-    """Non-dominated sorting rank per point (0 = on the Pareto front).
-
-    Repeatedly peels the (cycles, area) front; each peel gets the next
-    rank.  One lexicographic sort up front, then each peel is a whole-array
-    prefix-minimum sweep over the still-unranked points — the same fronts,
-    in the same order, as peeling with ``pareto_front`` (which shares the
-    sort key and the strict-``<`` tie rule), without re-sorting per rank.
-    """
-    results = list(results)
-    if not results:
-        return {}
-    cycles = np.array([r.cycles for r in results], dtype=np.float64)
-    areas = np.array([area_key(r) for r in results], dtype=np.float64)
-    labels = np.array([r.label for r in results])
-    # Primary cycles, then area, then label — np.lexsort keys are listed
-    # least-significant first, and its stability matches sorted().
-    order = np.lexsort((labels, areas, cycles))
-    sorted_areas = areas[order]
-    # Results sharing one DesignPoint leave together (the scalar peel
-    # removed by point membership, and the rank dict is keyed per point).
-    gid_of: Dict[DesignPoint, int] = {}
-    gids = np.array(
-        [gid_of.setdefault(r.point, len(gid_of)) for r in results], dtype=np.intp
-    )
-    sorted_gids = gids[order]
-    gid_rank = np.full(len(gid_of), -1, dtype=np.intp)
-    remaining = np.ones(len(results), dtype=bool)
-    rank = 0
-    while remaining.any():
-        alive = np.flatnonzero(remaining)
-        area_run = sorted_areas[alive]
-        keep = np.empty(len(alive), dtype=bool)
-        keep[0] = True
-        if len(alive) > 1:
-            keep[1:] = area_run[1:] < np.minimum.accumulate(area_run)[:-1]
-        front_gids = sorted_gids[alive[keep]]
-        gid_rank[front_gids] = rank
-        remaining[alive] = ~np.isin(sorted_gids[alive], front_gids)
-        rank += 1
-    return {point: int(gid_rank[gid]) for point, gid in gid_of.items()}
 
 
 def hypervolume(
@@ -432,225 +380,6 @@ class ExhaustiveStrategy(Strategy):
         yield list(space)
 
 
-class HillClimbStrategy(Strategy):
-    """Pareto-front hill climbing with random restarts.
-
-    Evaluates a seed sample of the space, then repeatedly proposes the
-    one-gene neighbourhoods of every current Pareto-front point.  When a
-    round improves nothing (or the neighbourhood closes), the climb
-    *restarts* from a fresh sample of unseen points instead of stopping —
-    so quality is budget-driven: a tight ``max_evaluations`` gets a quick
-    local front, a generous one keeps escaping local fronts until the
-    space (or the budget) is exhausted.  Seeding from the whole front
-    rather than a single incumbent populates the full cycles/area
-    trade-off instead of one optimum.
-    """
-
-    name = "hill-climb"
-
-    def __init__(
-        self,
-        sample_fraction: float = 0.15,
-        min_samples: int = 8,
-        max_rounds: int = 256,
-        front_width: Optional[int] = None,
-        restarts: Optional[int] = None,
-    ) -> None:
-        self.sample_fraction = sample_fraction
-        self.min_samples = min_samples
-        self.max_rounds = max_rounds
-        self.front_width = front_width
-        self.restarts = restarts  # None = keep restarting while points remain
-
-    def search(self, space, rng):
-        from repro.dse.engine import pareto_front
-
-        points = list(space)
-        if not points:
-            return
-        axes = SpaceAxes.from_space(space)
-        count = min(
-            len(points), max(self.min_samples, int(round(self.sample_fraction * len(points))))
-        )
-        seen: Dict[DesignPoint, object] = {}
-
-        def sample_unseen() -> Optional[List[DesignPoint]]:
-            unseen = [p for p in points if p not in seen]
-            if not unseen:
-                return None
-            size = min(len(unseen), count)
-            picks = sorted(rng.choice(len(unseen), size=size, replace=False).tolist())
-            return [unseen[i] for i in picks]
-
-        # Seed with the gene-space extremes plus a random sample: the front's
-        # endpoints live at the extremes, and a budgeted climb may never
-        # wander there on its own.
-        seed_batch: Dict[DesignPoint, None] = dict.fromkeys(axes.anchors())
-        for point in sample_unseen() or []:
-            seed_batch.setdefault(point, None)
-        results = yield list(seed_batch)
-        if not results:
-            return
-        seen.update(results)
-
-        restarts_left = self.restarts
-        for _ in range(self.max_rounds):
-            front = pareto_front(list(seen.values()))
-            if self.front_width is not None:
-                front = front[: self.front_width]
-            proposals: Dict[DesignPoint, None] = {}
-            for result in front:
-                for neighbor in axes.neighbors(result.point):
-                    if neighbor not in seen:
-                        proposals.setdefault(neighbor, None)
-            if proposals:
-                results = yield list(proposals)
-                if not results:
-                    return  # budget exhausted — nothing evaluated this round
-                before = {r.point for r in front}
-                seen.update(results)
-                after = {r.point for r in pareto_front(list(seen.values()))}
-                if not (after <= before):
-                    continue  # the round improved the front — keep climbing
-            # Converged (or the neighbourhood closed): restart from fresh points.
-            if restarts_left is not None and restarts_left <= 0:
-                return
-            fresh = sample_unseen()
-            if fresh is None:
-                return  # space exhausted
-            if restarts_left is not None:
-                restarts_left -= 1
-            results = yield fresh
-            if not results:
-                return
-            seen.update(results)
-
-
-class GeneticStrategy(Strategy):
-    """A small genetic algorithm over the tile/par/metapipelining genome.
-
-    Individuals are design points; fitness is Pareto rank over everything
-    evaluated so far (ties broken by cycles).  Each generation breeds a new
-    population by binary-tournament selection, per-gene uniform crossover
-    (tile sizes, par and metapipelining recombine independently) and a
-    single-gene mutation step; offspring falling outside the space are
-    replaced by their first parent.  Elites — the current front — survive
-    unconditionally.
-    """
-
-    name = "genetic"
-
-    def __init__(
-        self,
-        population: int = 16,
-        generations: int = 12,
-        crossover_rate: float = 0.7,
-        mutation_rate: float = 0.35,
-    ) -> None:
-        self.population = population
-        self.generations = generations
-        self.crossover_rate = crossover_rate
-        self.mutation_rate = mutation_rate
-
-    def _crossover(
-        self,
-        first: DesignPoint,
-        second: DesignPoint,
-        axes: SpaceAxes,
-        rng: np.random.Generator,
-    ) -> DesignPoint:
-        if first.tiling and second.tiling:
-            tiles = {}
-            merged = dict(second.tiles)
-            merged.update({k: v for k, v in first.tiles.items() if rng.random() < 0.5})
-            for name in sorted(set(first.tiles) | set(second.tiles)):
-                tiles[name] = merged.get(name, first.tiles.get(name, second.tiles.get(name)))
-        else:
-            # Baseline genomes have no tile genes: inherit one parent's whole
-            # tiling (or lack of it).
-            tiles = dict((first if rng.random() < 0.5 else second).tiles)
-        par = first.par if rng.random() < 0.5 else second.par
-        meta = first.metapipelining if rng.random() < 0.5 else second.metapipelining
-        # Only draw for the pipeline gene when the parents disagree, so
-        # single-variant spaces keep the exact pre-pipeline-axis RNG stream
-        # (search trajectories stay reproducible across releases).
-        if first.pipeline == second.pipeline:
-            variant = first.pipeline
-        else:
-            variant = first.pipeline if rng.random() < 0.5 else second.pipeline
-        # Same stream-preserving rule for the DRAM-channel gene.
-        if first.dram_channels == second.dram_channels:
-            nch = first.dram_channels
-        else:
-            nch = first.dram_channels if rng.random() < 0.5 else second.dram_channels
-        child = DesignPoint.make(
-            tiles or None,
-            par=par,
-            metapipelining=meta,
-            pipeline=variant,
-            dram_channels=nch,
-        )
-        return child if child in axes.members else first
-
-    def _tournament(
-        self,
-        population: List[DesignPoint],
-        ranks: Dict[DesignPoint, int],
-        seen: Dict[DesignPoint, object],
-        rng: np.random.Generator,
-    ) -> DesignPoint:
-        a, b = (population[int(i)] for i in rng.integers(len(population), size=2))
-        key = lambda p: (ranks.get(p, len(population)), seen[p].cycles)
-        return a if key(a) <= key(b) else b
-
-    def search(self, space, rng):
-        from repro.dse.engine import pareto_front
-
-        points = list(space)
-        if not points:
-            return
-        axes = SpaceAxes.from_space(space)
-        size = min(self.population, len(points))
-        picks = sorted(rng.choice(len(points), size=size, replace=False).tolist())
-        seeded: Dict[DesignPoint, None] = dict.fromkeys(axes.anchors())
-        for i in picks:
-            seeded.setdefault(points[i], None)
-        population = list(seeded)
-        results = yield population
-
-        seen: Dict[DesignPoint, object] = dict(results)
-        population = [p for p in population if p in seen]
-        for _ in range(self.generations):
-            if not population:
-                return
-            ranks = pareto_rank([seen[p] for p in seen])
-            offspring: Dict[DesignPoint, None] = {}
-            attempts = 0
-            while len(offspring) < size and attempts < size * 8:
-                attempts += 1
-                mother = self._tournament(population, ranks, seen, rng)
-                father = self._tournament(population, ranks, seen, rng)
-                child = mother
-                if rng.random() < self.crossover_rate:
-                    child = self._crossover(mother, father, axes, rng)
-                if rng.random() < self.mutation_rate:
-                    child = axes.mutate(child, rng)
-                if child not in seen:
-                    offspring.setdefault(child, None)
-            if not offspring:
-                return
-            results = yield list(offspring)
-            if not results:
-                return
-            seen.update(results)
-            # Next generation: elites (the front) plus the best offspring.
-            ranks = pareto_rank([seen[p] for p in seen])
-            elites = [r.point for r in pareto_front(list(seen.values()))]
-            pool = elites + [p for p in results if p not in elites]
-            pool.sort(key=lambda p: (ranks.get(p, len(seen)), seen[p].cycles))
-            population = pool[:size]
-
-
 class AnnealingStrategy(Strategy):
     """Simulated annealing with a plateau-adaptive batch budget.
 
@@ -663,15 +392,12 @@ class AnnealingStrategy(Strategy):
     The batch budget is sized by **front-hypervolume stall detection**:
     the hypervolume of everything seen so far is tracked against a
     reference corner frozen after the seed round (a moving reference would
-    make rounds incomparable).  A round that fails to grow the volume by
-    ``plateau_epsilon`` (relative) is a stall — the next round's budget
-    halves (never below ``min_batch``), and ``plateau_patience``
-    consecutive stalls stop the search.  Any improving round restores the
-    full budget.  The effect is the ISSUE's "spend the reclaimed cycles
-    adaptively": evaluation effort concentrates while the front is moving
-    and decays to zero once it isn't, which is how the strategy reaches
-    the exhaustive front's hypervolume on fewer evaluations than a
-    fixed-generation genetic run.
+    make rounds incomparable).  The temperature cools every round.  A round
+    that grows the volume by no more than ``PLATEAU_EPSILON`` (relative) is
+    a stall: the next round's budget halves (never below ``MIN_BATCH``), and
+    ``PLATEAU_PATIENCE`` consecutive stalls stop the search.  Any improving
+    round restores the full budget, so evaluation effort concentrates while
+    the front is moving and decays to zero once it isn't.
 
     Deterministic under a fixed seed: every random draw flows through the
     driver's generator, and all collections are insertion-ordered.
@@ -679,23 +405,20 @@ class AnnealingStrategy(Strategy):
 
     name = "annealing"
 
-    def __init__(
-        self,
-        walkers: int = 12,
-        rounds: int = 64,
-        start_temperature: float = 1.0,
-        cooling: float = 0.85,
-        plateau_epsilon: float = 0.002,
-        plateau_patience: int = 3,
-        min_batch: int = 4,
-    ) -> None:
-        self.walkers = walkers
-        self.rounds = rounds
-        self.start_temperature = start_temperature
-        self.cooling = cooling
-        self.plateau_epsilon = plateau_epsilon
-        self.plateau_patience = plateau_patience
-        self.min_batch = min_batch
+    #: Walkers per round; also the seed sample's size and the full batch.
+    WALKERS = 12
+    #: Rounds after the seed round, at most.
+    ROUNDS = 64
+    #: Temperature factor per round; the temperature starts at 1.0 and is
+    #: the chance that a proposal takes a second gene step.
+    COOLING = 0.85
+    #: A round that grows the hypervolume by no more than this (relative)
+    #: is a stall.
+    PLATEAU_EPSILON = 0.002
+    #: Consecutive stalls that stop the search.
+    PLATEAU_PATIENCE = 3
+    #: Floor of the halved batch budget.
+    MIN_BATCH = 4
 
     def _reseat_walkers(
         self,
@@ -718,7 +441,7 @@ class AnnealingStrategy(Strategy):
         if not points:
             return
         axes = SpaceAxes.from_space(space)
-        count = min(self.walkers, len(points))
+        count = min(self.WALKERS, len(points))
 
         # Seed round: the gene-space extremes plus a random sample.
         seeded: Dict[DesignPoint, None] = dict.fromkeys(axes.anchors())
@@ -737,20 +460,19 @@ class AnnealingStrategy(Strategy):
             max(area_key(r) for r in seen.values()) * 1.05,
         )
         best_volume = hypervolume(list(seen.values()), reference)
-        temperature = self.start_temperature
+        temperature = 1.0
         budget = count
         stalls = 0
 
-        for _ in range(self.rounds):
+        for _ in range(self.ROUNDS):
             walkers = self._reseat_walkers(seen, count, rng)
-            heat = min(1.0, temperature / max(self.start_temperature, 1e-12))
             proposals: Dict[DesignPoint, None] = {}
             attempts = 0
             while len(proposals) < budget and attempts < budget * 8:
                 walker = walkers[attempts % len(walkers)]
                 attempts += 1
                 candidate = axes.mutate(walker, rng)
-                if rng.random() < heat:  # hot: take a second gene step
+                if rng.random() < temperature:  # hot: take a second gene step
                     candidate = axes.mutate(candidate, rng)
                 if candidate not in seen:
                     proposals.setdefault(candidate, None)
@@ -773,7 +495,7 @@ class AnnealingStrategy(Strategy):
 
             volume = hypervolume(list(seen.values()), reference)
             if best_volume > 0:
-                improved = (volume - best_volume) / best_volume > self.plateau_epsilon
+                improved = (volume - best_volume) / best_volume > self.PLATEAU_EPSILON
             else:
                 improved = volume > 0
             if improved:
@@ -781,17 +503,15 @@ class AnnealingStrategy(Strategy):
                 budget = count
             else:
                 stalls += 1
-                budget = max(self.min_batch, budget // 2)
-                if stalls >= self.plateau_patience:
+                budget = max(self.MIN_BATCH, budget // 2)
+                if stalls >= self.PLATEAU_PATIENCE:
                     return
             best_volume = max(best_volume, volume)
-            temperature *= self.cooling
+            temperature *= self.COOLING
 
 
 _STRATEGIES: Dict[str, Callable[[], Strategy]] = {
     "exhaustive": ExhaustiveStrategy,
-    "hill-climb": HillClimbStrategy,
-    "genetic": GeneticStrategy,
     "annealing": AnnealingStrategy,
 }
 

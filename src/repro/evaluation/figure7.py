@@ -9,8 +9,8 @@ same innermost parallelism factor (Section 6.2), simulates them, and reports
   logic, flip-flops and on-chip memory (Figure 7, bottom).
 
 Beyond the paper's three fixed configurations, ``run_figure7`` can search
-each benchmark's whole design space: ``dse_strategy="hill-climb"`` (or
-``"genetic"``, ``"exhaustive"``) runs the DSE engine per benchmark — all
+each benchmark's whole design space: ``dse_strategy="annealing"`` (or
+``"exhaustive"``) runs the DSE engine per benchmark — all
 benchmarks sharing **one** worker pool through
 :class:`repro.dse.engine.MultiBenchmarkExplorer` when ``dse_shared_pool``
 is set — and reports the best point found as an extra ``dse-best`` column
@@ -382,7 +382,7 @@ def run_figure7(
     :meth:`Figure7Report.calibration_table` (speedups stay untouched).
 
     ``dse_strategy`` additionally searches each benchmark's design space
-    (``"exhaustive"``, ``"hill-climb"``, ``"genetic"`` or a
+    (``"exhaustive"``, ``"annealing"`` or a
     :class:`repro.dse.search.Strategy`) and attaches the best point found
     to each row; ``dse_eval_fraction`` bounds the search budget as a
     fraction of the surviving space (ignored for the exhaustive strategy,

@@ -120,6 +120,8 @@ class _MemorySubsystem:
         self._cursor = 0
         # The one channel every request maps to, when there is only one.
         self._only = self.channels[0] if channels == 1 else None
+        # Address interleaving's key -> channel map, hashed once per key.
+        self._by_key: Dict[str, _MemoryChannel] = {}
         # Contention accrued by steady-state extrapolation: scaled tail
         # cycles belong to the subsystem, not to any one channel's timeline.
         self.extrapolated_contention = 0.0
@@ -131,8 +133,12 @@ class _MemorySubsystem:
             channel = self.channels[self._cursor % len(self.channels)]
             self._cursor += 1
             return channel
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return self.channels[int.from_bytes(digest, "big") % len(self.channels)]
+        channel = self._by_key.get(key)
+        if channel is None:
+            digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+            channel = self.channels[int.from_bytes(digest, "big") % len(self.channels)]
+            self._by_key[key] = channel
+        return channel
 
     def transfer(self, key: str, ready: float, duration: float) -> float:
         if self._only is not None:

@@ -248,7 +248,7 @@ class CompileFarm:
         warmup: Optional[str] = "snapshot",
         snapshot_path: Optional[Union[str, Path]] = None,
     ) -> None:
-        if warmup not in (None, "snapshot", "load"):
+        if warmup not in (None, "snapshot"):
             raise FarmError(f"unknown warmup mode {warmup!r}")
         self.benchmarks = [
             get_benchmark(bench) if isinstance(bench, str) else bench
@@ -336,7 +336,7 @@ class CompileFarm:
         if self.workers > 1:
             # Only pool workers attach the snapshot; inline evaluation
             # (workers=1) reads the live cache, so none is written for it.
-            cache_warmup: Optional[Tuple[str, str]] = None
+            worker_snapshot: Optional[str] = None
             if self.warmup == "snapshot":
                 snapshot = self.snapshot_path
                 if snapshot is None and self.store is not None:
@@ -345,9 +345,7 @@ class CompileFarm:
                     from repro.serve.snapshot import write_snapshot
 
                     if write_snapshot(snapshot) > 0:
-                        cache_warmup = ("snapshot", str(snapshot))
-            elif self.warmup == "load" and self.store is not None:
-                cache_warmup = ("load", str(self.store))
+                        worker_snapshot = str(snapshot)
             specs = {name: lane.sizes for name, lane in self._lanes.items()}
             policy = self.policy
 
@@ -362,7 +360,7 @@ class CompileFarm:
                         True,
                         self.cycle_model,
                         policy.fault_plan,
-                        cache_warmup,
+                        worker_snapshot,
                     ),
                 )
 

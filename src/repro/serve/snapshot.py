@@ -30,7 +30,8 @@ cache itself is collected.
 Version skew follows ``load_disk`` semantics: a snapshot whose
 ``cache_version`` differs from the running :data:`CACHE_VERSION` is
 silently ignored (attach returns 0 tables).  Structural corruption —
-bad magic, truncated index, checksum mismatch at materialisation — raises
+an empty file, bad magic, a truncated index, an undecodable table name,
+a checksum mismatch at materialisation — raises
 :class:`~repro.errors.CacheIntegrityError`; when it surfaces inside a lazy
 loader, ``AnalysisCache._materialize`` degrades that table to cold with a
 ``RuntimeWarning`` instead of failing the lookup.
@@ -142,6 +143,9 @@ class SnapshotView:
         self._file = self.path.open("rb")
         try:
             self._map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # mmap refuses an empty file
+            self._file.close()
+            raise CacheIntegrityError(f"truncated snapshot {self.path}") from exc
         except Exception:
             self._file.close()
             raise
@@ -170,7 +174,12 @@ class SnapshotView:
             end = offset + name_len + _INDEX_FIXED.size
             if end > len(view):
                 raise CacheIntegrityError(f"truncated snapshot index in {self.path}")
-            name = view[offset : offset + name_len].decode("utf-8")
+            try:
+                name = view[offset : offset + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CacheIntegrityError(
+                    f"undecodable table name in {self.path}"
+                ) from exc
             offset += name_len
             blob_offset, blob_len, checksum = _INDEX_FIXED.unpack(
                 view[offset : offset + _INDEX_FIXED.size]

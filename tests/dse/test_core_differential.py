@@ -29,7 +29,7 @@ SEED = 3
 def searches(draw):
     return dict(
         names=draw(st.lists(st.sampled_from(BENCH_NAMES), min_size=1, max_size=2, unique=True)),
-        strategy=draw(st.sampled_from(["exhaustive", "annealing", "hill-climb"])),
+        strategy=draw(st.sampled_from(["exhaustive", "annealing"])),
         max_evaluations=draw(st.integers(2, 6)),
         search_seed=draw(st.integers(0, 2**16)),
         pipelines=tuple(

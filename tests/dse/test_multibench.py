@@ -59,21 +59,21 @@ class TestMultiBenchmarkExplorer:
         results = MultiBenchmarkExplorer(
             ["gemm", "sumrows"],
             sizes=SIZES,
-            strategy="hill-climb",
+            strategy="annealing",
             eval_fraction=0.3,
         ).run()
         for name, result in results.items():
             survivors = result.space_size - len(result.pruned)
-            assert result.strategy == "hill-climb"
+            assert result.strategy == "annealing"
             assert 0 < len(result.evaluated) <= max(1, int(0.3 * survivors))
 
     def test_deterministic_under_seed(self):
         first = MultiBenchmarkExplorer(
-            ["gemm", "sumrows"], sizes=SIZES, strategy="genetic", eval_fraction=0.3, search_seed=4
+            ["gemm", "sumrows"], sizes=SIZES, strategy="annealing", eval_fraction=0.3, search_seed=4
         ).run()
         ANALYSIS_CACHE.clear()
         second = MultiBenchmarkExplorer(
-            ["gemm", "sumrows"], sizes=SIZES, strategy="genetic", eval_fraction=0.3, search_seed=4
+            ["gemm", "sumrows"], sizes=SIZES, strategy="annealing", eval_fraction=0.3, search_seed=4
         ).run()
         for name in ("gemm", "sumrows"):
             assert [r.point for r in first[name].evaluated] == [
@@ -85,13 +85,13 @@ class TestMultiBenchmarkExplorer:
         search_seed, every lane evaluates exactly the points a standalone
         explore() would — even for stochastic strategies."""
         multi = MultiBenchmarkExplorer(
-            ["gemm", "sumrows"], sizes=SIZES, strategy="hill-climb",
+            ["gemm", "sumrows"], sizes=SIZES, strategy="annealing",
             eval_fraction=0.3, search_seed=5,
         ).run()
         for name in ("gemm", "sumrows"):
             ANALYSIS_CACHE.clear()
             single = explore(
-                name, sizes=SIZES[name], strategy="hill-climb",
+                name, sizes=SIZES[name], strategy="annealing",
                 eval_fraction=0.3, search_seed=5,
             )
             assert [r.point for r in multi[name].evaluated] == [

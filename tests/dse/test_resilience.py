@@ -347,7 +347,7 @@ class TestSupervisedEvaluator:
 
 
 class TestExploreUnderFaults:
-    @pytest.mark.parametrize("strategy", ["exhaustive", "hill-climb", "genetic"])
+    @pytest.mark.parametrize("strategy", ["exhaustive", "annealing"])
     def test_faulted_search_matches_fault_free_run(self, strategy):
         space = _gemm_space()
         base = explore(

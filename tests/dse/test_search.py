@@ -14,25 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse.engine import PointResult, pareto_front
+from repro.dse.engine import PointResult
 from repro.dse.search import (
     AnnealingStrategy,
     ExhaustiveStrategy,
-    GeneticStrategy,
-    HillClimbStrategy,
     SpaceAxes,
     available_strategies,
     get_strategy,
     hypervolume,
-    pareto_rank,
     run_search,
 )
 from repro.dse.space import DesignPoint, DesignSpace, default_space
 
 
-def synthetic_space(extent_m: int = 256, extent_n: int = 256) -> DesignSpace:
+def synthetic_space(
+    extent_m: int = 256, extent_n: int = 256, channels=(1,)
+) -> DesignSpace:
     return default_space(
-        {"m": extent_m, "n": extent_n}, pars=(4, 8, 16, 32), max_tiles_per_dim=3
+        {"m": extent_m, "n": extent_n},
+        pars=(4, 8, 16, 32),
+        max_tiles_per_dim=3,
+        channels=channels,
     )
 
 
@@ -42,8 +44,9 @@ def synthetic_result(point: DesignPoint) -> PointResult:
     Cycles fall with parallelism and with tile sizes near a sweet spot;
     utilization rises with parallelism and tile footprint — so the Pareto
     front trades the two off, and single-gene moves see a smooth surface
-    (hill climbing can converge, which the subset-of-grid-front invariant
-    relies on).
+    (annealing can converge, which the subset-of-grid-front invariant
+    relies on).  More DRAM channels cut cycles and cost utilization; one
+    channel leaves both untouched.
     """
     tiles = point.tiles
     tile_m = tiles.get("m", 1)
@@ -51,8 +54,11 @@ def synthetic_result(point: DesignPoint) -> PointResult:
     sweet = 1.0 + 0.25 * abs(math.log2(max(tile_m, 1)) - 6)
     meta_gain = 0.7 if point.metapipelining else 1.0
     baseline_penalty = 2.0 if not point.tiling else 1.0
+    channels = point.dram_channels
     cycles = 1.0e6 / point.par * sweet * meta_gain * baseline_penalty
+    cycles /= math.sqrt(channels)
     util = 0.02 * point.par + 0.15 * math.log2(max(tile_m * tile_n, 2)) / 16.0
+    util += 0.05 * (channels - 1)
     return PointResult(point=point, cycles=cycles, utilization={"logic": util})
 
 
@@ -113,48 +119,37 @@ class TestSpaceAxes:
         anchor_channels = {point.dram_channels for point in axes.anchors()}
         assert anchor_channels == {1, 4}
 
-    def test_crossover_inherits_a_parent_channel_count(self):
-        space = default_space({"m": 256}, pars=(4, 8), channels=(1, 2))
+    def test_neighbors_step_the_channel_count_one_position(self):
+        space = default_space({"m": 256}, pars=(4, 8), channels=(1, 2, 4))
         axes = SpaceAxes.from_space(space)
-        strategy = GeneticStrategy()
-        mother = DesignPoint.make({"m": 128}, par=4, dram_channels=1)
-        father = DesignPoint.make({"m": 128}, par=8, dram_channels=2)
-        rng = np.random.default_rng(7)
-        children = {
-            strategy._crossover(mother, father, axes, rng).dram_channels
-            for _ in range(32)
-        }
-        assert children <= {1, 2}
-        assert len(children) == 2, "both parent channel genes must be reachable"
+
+        def at(nch):
+            return DesignPoint.make({"m": 128}, par=4, dram_channels=nch)
+
+        middle = axes.neighbors(at(2))
+        assert at(1) in middle and at(4) in middle
+        low = axes.neighbors(at(1))
+        assert at(2) in low
+        assert {n.dram_channels for n in low} == {1, 2}
 
     def test_search_rng_stream_is_stable_in_single_channel_spaces(self):
-        """The pre-channel-gene trajectory: a space where every point has
-        dram_channels == 1 must draw nothing for the channel gene, keeping
-        seeded searches reproducible across releases."""
+        """A space where every point has dram_channels == 1 offers no
+        channel moves: a seeded annealing run stays on one channel and
+        repeats its trajectory exactly."""
         space = synthetic_space()
         first = run_search(
-            "genetic", space, synthetic_evaluate, seed=11, max_evaluations=40
+            "annealing", space, synthetic_evaluate, seed=11, max_evaluations=40
         )
         second = run_search(
-            "genetic", space, synthetic_evaluate, seed=11, max_evaluations=40
+            "annealing", space, synthetic_evaluate, seed=11, max_evaluations=40
         )
         assert [r.point for r in first.evaluated] == [
             r.point for r in second.evaluated
         ]
+        assert {r.point.dram_channels for r in first.evaluated} == {1}
 
 
 class TestParetoUtilities:
-    def test_pareto_rank_peels_fronts(self):
-        results = [
-            PointResult(DesignPoint.make({"m": 16}), cycles=10, utilization={"l": 0.9}),
-            PointResult(DesignPoint.make({"m": 32}), cycles=20, utilization={"l": 0.1}),
-            PointResult(DesignPoint.make({"m": 64}), cycles=30, utilization={"l": 0.95}),
-        ]
-        ranks = pareto_rank(results)
-        assert ranks[results[0].point] == 0
-        assert ranks[results[1].point] == 0
-        assert ranks[results[2].point] == 1
-
     def test_hypervolume_hand_example(self):
         # Front {(1, 3), (2, 1)} against reference (4, 4):
         # (4-1)*(4-3) rectangle split at cycles=2 → (2-1)*(4-3) + (4-2)*(4-1) = 7
@@ -176,24 +171,23 @@ class TestParetoUtilities:
 
 class TestStrategyRegistry:
     def test_names_resolve(self):
-        assert set(available_strategies()) == {
-            "exhaustive",
-            "hill-climb",
-            "genetic",
-            "annealing",
-        }
-        assert isinstance(get_strategy("hill-climb"), HillClimbStrategy)
-        assert isinstance(get_strategy("genetic"), GeneticStrategy)
+        assert available_strategies() == ["annealing", "exhaustive"]
         assert isinstance(get_strategy("annealing"), AnnealingStrategy)
+        assert isinstance(get_strategy("exhaustive"), ExhaustiveStrategy)
         assert isinstance(get_strategy(None), ExhaustiveStrategy)
 
     def test_instance_passes_through(self):
-        strategy = HillClimbStrategy(sample_fraction=0.5)
+        strategy = AnnealingStrategy()
         assert get_strategy(strategy) is strategy
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown search strategy"):
             get_strategy("simulated-annealing")
+
+    @pytest.mark.parametrize("name", ["hill-climb", "genetic"])
+    def test_removed_names_raise_naming_the_remaining_two(self, name):
+        with pytest.raises(ValueError, match=r"available: \['annealing', 'exhaustive'\]"):
+            get_strategy(name)
 
 
 class TestExhaustive:
@@ -209,49 +203,112 @@ class TestExhaustive:
         assert outcome.evaluations == 10
 
 
-@pytest.mark.parametrize("name", ["hill-climb", "genetic"])
 class TestSearchInvariants:
-    def test_front_points_not_dominated_by_any_evaluated_point(self, name):
+    """Annealing's front, budget, determinism and empty-space behaviour."""
+
+    def test_front_points_not_dominated_by_any_evaluated_point(self):
         space = synthetic_space()
         for seed in range(5):
-            outcome = run_search(name, space, synthetic_evaluate, seed=seed)
+            outcome = run_search("annealing", space, synthetic_evaluate, seed=seed)
             for result in outcome.front:
                 assert not dominated_by_any(result, outcome.evaluated)
 
-    def test_search_front_subset_of_grid_front(self, name):
-        """With full budget on a small, smooth space both searches converge:
+    def test_search_front_subset_of_grid_front(self):
+        """With full budget on a small, smooth space the search converges:
         every returned front point is Pareto-optimal in the *whole* space."""
         space = synthetic_space()
         grid = run_search("exhaustive", space, synthetic_evaluate)
         grid_front = {r.point for r in grid.front}
         for seed in range(5):
-            outcome = run_search(name, space, synthetic_evaluate, seed=seed)
+            outcome = run_search("annealing", space, synthetic_evaluate, seed=seed)
             searched_front = {r.point for r in outcome.front}
             assert searched_front <= grid_front
 
-    def test_deterministic_under_fixed_seed(self, name):
+    def test_deterministic_under_fixed_seed(self):
         space = synthetic_space()
-        first = run_search(name, space, synthetic_evaluate, seed=7)
-        second = run_search(name, space, synthetic_evaluate, seed=7)
+        first = run_search("annealing", space, synthetic_evaluate, seed=7)
+        second = run_search("annealing", space, synthetic_evaluate, seed=7)
         assert [r.point for r in first.evaluated] == [r.point for r in second.evaluated]
 
-    def test_budget_respected_and_points_in_space(self, name):
+    def test_budget_respected_and_points_in_space(self):
         space = synthetic_space()
         members = set(space)
         budget = max(1, len(space) // 4)
-        outcome = run_search(name, space, synthetic_evaluate, max_evaluations=budget)
+        outcome = run_search("annealing", space, synthetic_evaluate, max_evaluations=budget)
         assert outcome.evaluations <= budget
         assert all(r.point in members for r in outcome.evaluated)
 
-    def test_no_duplicate_evaluations(self, name):
+    def test_no_duplicate_evaluations(self):
         space = synthetic_space()
-        outcome = run_search(name, space, synthetic_evaluate, seed=3)
+        outcome = run_search("annealing", space, synthetic_evaluate, seed=3)
         points = [r.point for r in outcome.evaluated]
         assert len(points) == len(set(points))
 
-    def test_empty_space(self, name):
-        outcome = run_search(name, DesignSpace(), synthetic_evaluate)
+    def test_empty_space(self):
+        outcome = run_search("annealing", DesignSpace(), synthetic_evaluate)
         assert outcome.evaluated == [] and outcome.evaluations == 0
+
+
+class TestChannelGene:
+    """Annealing on the synthetic space with a (1, 2, 4) DRAM-channel gene."""
+
+    @staticmethod
+    def _space() -> DesignSpace:
+        return synthetic_space(channels=(1, 2, 4))
+
+    def test_front_points_not_dominated_by_any_evaluated_point(self):
+        space = self._space()
+        for seed in range(5):
+            outcome = run_search("annealing", space, synthetic_evaluate, seed=seed)
+            for result in outcome.front:
+                assert not dominated_by_any(result, outcome.evaluated)
+
+    def test_deterministic_under_fixed_seed(self):
+        space = self._space()
+        first = run_search("annealing", space, synthetic_evaluate, seed=7)
+        second = run_search("annealing", space, synthetic_evaluate, seed=7)
+        assert [r.point for r in first.evaluated] == [r.point for r in second.evaluated]
+
+    def test_budget_respected_and_points_in_space(self):
+        space = self._space()
+        members = set(space)
+        budget = max(1, len(space) // 4)
+        outcome = run_search("annealing", space, synthetic_evaluate, max_evaluations=budget)
+        assert outcome.evaluations <= budget
+        assert all(r.point in members for r in outcome.evaluated)
+
+    def test_no_duplicate_evaluations(self):
+        space = self._space()
+        outcome = run_search("annealing", space, synthetic_evaluate, seed=3)
+        points = [r.point for r in outcome.evaluated]
+        assert len(points) == len(set(points))
+
+    def test_every_channel_count_is_evaluated(self):
+        """The anchors hold the channel extremes; walkers reach the middle."""
+        space = self._space()
+        budget = len(space) // 5
+        for seed in range(5):
+            outcome = run_search(
+                "annealing", space, synthetic_evaluate, seed=seed, max_evaluations=budget
+            )
+            assert {r.point.dram_channels for r in outcome.evaluated} == {1, 2, 4}
+
+    def test_reaches_most_of_the_grid_hypervolume_cheaply(self):
+        space = self._space()
+        grid = run_search("exhaustive", space, synthetic_evaluate)
+        reference = (
+            max(r.cycles for r in grid.evaluated) * 1.05,
+            max(r.max_utilization for r in grid.evaluated) * 1.05,
+        )
+        target = hypervolume(grid.evaluated, reference)
+        budget = int(0.4 * len(space))
+        for seed in range(5):
+            outcome = run_search(
+                "annealing", space, synthetic_evaluate, seed=seed, max_evaluations=budget
+            )
+            assert outcome.evaluations <= budget
+            achieved = hypervolume(outcome.evaluated, reference)
+            assert achieved >= 0.95 * target, f"seed {seed}: {achieved / target:.1%}"
 
 
 @given(seed=st.integers(0, 2**31 - 1), budget_div=st.integers(2, 8))
@@ -262,12 +319,13 @@ def test_property_invariants_hold_across_seeds(seed, budget_div):
     space = synthetic_space()
     members = set(space)
     budget = max(1, len(space) // budget_div)
-    for name in ("hill-climb", "genetic"):
-        outcome = run_search(name, space, synthetic_evaluate, seed=seed, max_evaluations=budget)
-        assert outcome.evaluations <= budget
-        assert all(r.point in members for r in outcome.evaluated)
-        for result in outcome.front:
-            assert not dominated_by_any(result, outcome.evaluated)
+    outcome = run_search(
+        "annealing", space, synthetic_evaluate, seed=seed, max_evaluations=budget
+    )
+    assert outcome.evaluations <= budget
+    assert all(r.point in members for r in outcome.evaluated)
+    for result in outcome.front:
+        assert not dominated_by_any(result, outcome.evaluated)
 
 
 class TestSearchQuality:
@@ -282,13 +340,12 @@ class TestSearchQuality:
         )
         target = hypervolume(grid.evaluated, reference)
         budget = int(0.4 * len(grid.evaluated))
-        for name in ("hill-climb", "genetic"):
-            outcome = run_search(
-                name, space, synthetic_evaluate, seed=1, max_evaluations=budget
-            )
-            assert outcome.evaluations <= budget
-            achieved = hypervolume(outcome.evaluated, reference)
-            assert achieved >= 0.95 * target, f"{name}: {achieved / target:.1%}"
+        outcome = run_search(
+            "annealing", space, synthetic_evaluate, seed=1, max_evaluations=budget
+        )
+        assert outcome.evaluations <= budget
+        achieved = hypervolume(outcome.evaluated, reference)
+        assert achieved >= 0.95 * target, f"{achieved / target:.1%}"
 
 
 class TestAgainstRealEngine:
@@ -301,7 +358,7 @@ class TestAgainstRealEngine:
             max_tiles_per_dim=2,
         )
 
-    def test_hill_climb_front_subset_of_grid_front_on_gemm(self):
+    def test_annealing_front_subset_of_grid_front_on_gemm(self):
         from repro.dse.cache import ANALYSIS_CACHE
         from repro.dse.engine import explore
 
@@ -309,7 +366,7 @@ class TestAgainstRealEngine:
         space = self._space()
         grid = explore("gemm", sizes=self.SIZES, space=space)
         searched = explore(
-            "gemm", sizes=self.SIZES, space=space, strategy="hill-climb", search_seed=2
+            "gemm", sizes=self.SIZES, space=space, strategy="annealing", search_seed=2
         )
         grid_front = {r.point for r in grid.pareto}
         assert {r.point for r in searched.pareto} <= grid_front
@@ -325,9 +382,9 @@ class TestAgainstRealEngine:
         ANALYSIS_CACHE.clear()
         space = self._space()
         result = explore(
-            "gemm", sizes=self.SIZES, space=space, strategy="genetic", eval_fraction=0.5
+            "gemm", sizes=self.SIZES, space=space, strategy="annealing", eval_fraction=0.5
         )
-        assert result.strategy == "genetic"
+        assert result.strategy == "annealing"
         assert result.space_size == len(space)
         assert len(result.evaluated) <= max(1, int(0.5 * len(space)))
-        assert "genetic" in result.summary()
+        assert "annealing" in result.summary()

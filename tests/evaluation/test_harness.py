@@ -44,11 +44,11 @@ class TestFigure7Harness:
         report = run_figure7(
             benchmarks=["gemm", "sumrows"],
             sizes_override=SMALL_SIZES,
-            dse_strategy="hill-climb",
+            dse_strategy="annealing",
             dse_eval_fraction=0.25,
         )
         for result in report.results:
-            assert result.dse_strategy == "hill-climb"
+            assert result.dse_strategy == "annealing"
             assert result.dse_best is not None
             assert result.dse_evaluations > 0
             assert result.speedup_dse is not None and result.speedup_dse > 0
@@ -155,7 +155,7 @@ class TestCycleModelKnob:
         report = run_figure7(
             benchmarks=["gemm"],
             sizes_override=SMALL_SIZES,
-            dse_strategy="hill-climb",
+            dse_strategy="annealing",
             dse_eval_fraction=0.25,
         )
         assert isinstance(report.results[0].dse_best, PointResult)

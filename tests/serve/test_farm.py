@@ -403,6 +403,11 @@ def _attached_tables():
 
 
 class TestWorkerSnapshot:
+    @pytest.mark.parametrize("warmup", ["load", "eager"])
+    def test_unknown_warmup_raises(self, warmup):
+        with pytest.raises(FarmError, match="unknown warmup mode"):
+            CompileFarm(["sumrows"], sizes=SIZES, warmup=warmup)
+
     @pytest.mark.asyncio
     async def test_inline_farm_writes_no_snapshot(self, tmp_path):
         store = tmp_path / "store.pkl"

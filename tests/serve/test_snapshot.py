@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import gc
 import struct
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dse.cache import CACHE_VERSION, AnalysisCache
 from repro.errors import CacheIntegrityError
@@ -15,6 +20,10 @@ from repro.serve.snapshot import (
     attach_snapshot,
     write_snapshot,
 )
+
+
+#: Bytes before the index: magic, cache version, table count.
+_HEADER_BYTES = 12
 
 
 def _warm_cache() -> AnalysisCache:
@@ -126,6 +135,51 @@ class TestAttach:
             assert fresh.get("tiling", ("tile", 0)) is None
         # The intact tables still serve.
         assert fresh.get("point_results", ("pr", 0)) == {"cycles": 0}
+
+    @given(
+        mutation=st.sampled_from(["flip", "truncate", "extend"]),
+        position=st.integers(0, 2**16),
+        mask=st.integers(1, 255),
+        extra=st.binary(min_size=1, max_size=32),
+    )
+    # An empty file, and a non-UTF-8 first byte of the first table name.
+    @example(mutation="truncate", position=0, mask=1, extra=b"\x00")
+    @example(mutation="flip", position=_HEADER_BYTES + 2, mask=0x80, extra=b"\x00")
+    @settings(max_examples=80, deadline=None)
+    def test_damaged_snapshot_raises_integrity_error_or_serves(
+        self, mutation, position, mask, extra
+    ):
+        """Mutated bytes either fail attach with CacheIntegrityError or
+        attach; a later lookup never raises, and a table that fails to load
+        starts cold with the documented warning."""
+        with tempfile.TemporaryDirectory() as tmp:
+            snap = Path(tmp) / "cache.snap"
+            write_snapshot(snap, _warm_cache())
+            blob = bytearray(snap.read_bytes())
+            if mutation == "flip":
+                blob[position % len(blob)] ^= mask
+            elif mutation == "truncate":
+                del blob[position % len(blob) :]
+            else:
+                at = position % (len(blob) + 1)
+                blob[at:at] = extra
+            snap.write_bytes(bytes(blob))
+            fresh = AnalysisCache()
+            try:
+                attached = attach_snapshot(fresh, snap)
+            except CacheIntegrityError:
+                return
+            assert attached >= 0
+            with SnapshotView(snap) as view:
+                names = set(view.tables) if view.version == CACHE_VERSION else set()
+            names |= {"pipeline_pass", "point_results", "tiling"}
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for name in sorted(names):
+                    fresh.get(name, ("pr", 0))
+            for warning in caught:
+                assert issubclass(warning.category, RuntimeWarning)
+                assert "lazy cache source" in str(warning.message)
 
     def test_snapshot_preserves_lru_order(self, tmp_path):
         cache = AnalysisCache()
