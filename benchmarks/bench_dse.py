@@ -40,10 +40,7 @@ per-attempt timeouts of wall-clock.
 ``--serve`` runs the compile-farm phase instead: a mixed, deliberately
 duplicated request stream over three benchmarks through one
 :class:`~repro.serve.CompileFarm` (sustained points/sec, duplicate
-submissions asserted to cost zero extra evaluations), then the
-warm-vs-cold worker spawn comparison — eager ``load_disk`` warm-up
-against the lazily-mapped snapshot attach, with per-worker warm-up time
-measured inside the spawned processes.
+submissions asserted to cost zero extra evaluations).
 
 ``--batch`` runs the batched-evaluation phase instead: the sweep through
 a loop of scalar ``evaluate_point`` calls and through ``explore`` (whose
@@ -709,79 +706,11 @@ SERVE_SMOKE_SIZES = {
 }
 
 
-def _timed_init(out_dir, store, *init_args) -> None:
-    """Pool initializer that times worker warm-up from inside.
-
-    Runs the real ``_init_worker``, then, when ``store`` is given, the
-    eager warm-up a snapshot replaces: ``load_disk`` of the whole store.
-    Each worker writes its own warm-up duration to ``out_dir`` — measuring
-    in the child keeps process-spawn noise out of the warm-up numbers.
-    """
-    from repro.dse.engine import _init_worker
-
-    started = time.perf_counter()
-    _init_worker(*init_args)
-    if store is not None:
-        ANALYSIS_CACHE.load_disk(store)
-    elapsed = time.perf_counter() - started
-    # Write aside, then rename: the parent polls for the final name and
-    # must never read a stamp that is created but not yet written.
-    stamp = Path(out_dir, f"worker-{os.getpid()}.seconds")
-    partial = stamp.with_suffix(".partial")
-    partial.write_text(repr(elapsed))
-    os.replace(partial, stamp)
-
-
-def _measure_spawn(workers: int, store: Path, snap: Path, warmup: str) -> dict:
-    """Spawn a real pool with the given cache warm-up; report both clocks.
-
-    ``pool_ready_seconds`` is wall-clock from ``Pool()`` until every
-    worker has finished initialising; ``worker_warmup_seconds`` is the
-    mean in-child warm-up time alone (the quantity the snapshot path is
-    meant to shrink).
-    """
-    from repro.dse.engine import pool_context
-    from repro.target.device import DEFAULT_BOARD
-
-    sizes = {"gemm": SERVE_SMOKE_SIZES["gemm"]}
-    specs = {name: dict(dims) for name, dims in sizes.items()}
-    eager = str(store) if warmup == "load" else None
-    snapshot = None if eager else str(snap)
-    with tempfile.TemporaryDirectory(prefix="dse-spawn-") as out_dir:
-        started = time.perf_counter()
-        pool = pool_context().Pool(
-            processes=workers,
-            initializer=_timed_init,
-            initargs=(
-                out_dir, eager, specs, DEFAULT_BOARD, None, True, "analytical",
-                None, snapshot,
-            ),
-        )
-        try:
-            deadline = started + 60.0
-            while len(list(Path(out_dir).glob("worker-*.seconds"))) < workers:
-                assert time.perf_counter() < deadline, "pool never finished warm-up"
-                time.sleep(0.005)
-            pool_ready = time.perf_counter() - started
-            warmups = [
-                float(stamp.read_text())
-                for stamp in Path(out_dir).glob("worker-*.seconds")
-            ]
-        finally:
-            pool.terminate()
-            pool.join()
-    return {
-        "pool_ready_seconds": round(pool_ready, 4),
-        "worker_warmup_seconds": round(sum(warmups) / len(warmups), 5),
-    }
-
-
 def run_serve_phase(smoke: bool) -> dict:
-    """Compile-farm throughput, dedup accounting, warm-vs-cold spawn time."""
+    """Compile-farm throughput and dedup accounting."""
     import asyncio
 
-    from repro.dse.cache import AnalysisCache
-    from repro.serve import CompileFarm, write_snapshot
+    from repro.serve import CompileFarm
 
     sizes = SERVE_SMOKE_SIZES if smoke else SERVE_SIZES
     workers = min(4, os.cpu_count() or 1)
@@ -813,10 +742,7 @@ def run_serve_phase(smoke: bool) -> dict:
         ANALYSIS_CACHE.clear()
 
         async def drive():
-            farm = CompileFarm(
-                SERVE_BENCHMARKS, sizes=sizes, workers=workers,
-                store=store, warmup=None,
-            )
+            farm = CompileFarm(SERVE_BENCHMARKS, sizes=sizes, workers=workers, store=store)
             async with farm:
                 started = time.perf_counter()
                 batch = await farm.submit(requests)
@@ -849,40 +775,6 @@ def run_serve_phase(smoke: bool) -> dict:
             f"{stats.cache_hits} cached, 0 extra evaluations"
         )
 
-        # Grow the store to a realistic long-run size (tiling + analysis +
-        # point-result tables), then compare the two worker warm-up paths.
-        enrich = default_space(
-            {d: sizes["gemm"][d] for d in ("m", "n", "p")},
-            max_tiles_per_dim=3 if smoke else 4,
-        )
-        explore("gemm", sizes=sizes["gemm"], space=enrich, disk_cache=store)
-        snap = store.with_name(store.name + ".snap")
-        write_snapshot(snap)
-        store_kib = store.stat().st_size / 1024
-        snap_kib = snap.stat().st_size / 1024
-
-        # Workers must start cold for the comparison to mean anything —
-        # forked children otherwise inherit this warm cache copy-on-write.
-        ANALYSIS_CACHE.clear()
-        spawn_workers = max(2, workers)
-        spawn_cold = _measure_spawn(spawn_workers, store, snap, warmup="load")
-        spawn_warm = _measure_spawn(spawn_workers, store, snap, warmup="snapshot")
-
-    warmup_cold = spawn_cold["worker_warmup_seconds"]
-    warmup_warm = spawn_warm["worker_warmup_seconds"]
-    speedup = warmup_cold / warmup_warm if warmup_warm > 0 else float("inf")
-    print(
-        f"[DSE serve] spawn over a {store_kib:.0f} KiB store: eager load "
-        f"{warmup_cold * 1e3:.2f} ms/worker (pool ready "
-        f"{spawn_cold['pool_ready_seconds']:.2f}s) | snapshot attach "
-        f"{warmup_warm * 1e3:.2f} ms/worker (pool ready "
-        f"{spawn_warm['pool_ready_seconds']:.2f}s) | {speedup:.0f}x"
-    )
-    assert warmup_warm < warmup_cold, (
-        f"lazy snapshot attach ({warmup_warm * 1e3:.2f} ms) did not beat the "
-        f"eager store load ({warmup_cold * 1e3:.2f} ms) at worker spawn"
-    )
-
     return {
         "smoke": smoke,
         "benchmarks": list(SERVE_BENCHMARKS),
@@ -894,13 +786,6 @@ def run_serve_phase(smoke: bool) -> dict:
         "evaluated_per_second": round(distinct / t_batch, 1),
         "duplicate_extra_evaluations": 0,
         "stats": stats.as_dict(),
-        "spawn": {
-            "store_kib": round(store_kib, 1),
-            "snapshot_kib": round(snap_kib, 1),
-            "cold_load": spawn_cold,
-            "warm_snapshot": spawn_warm,
-            "warmup_speedup": round(speedup, 1),
-        },
     }
 
 
@@ -943,7 +828,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--serve",
         action="store_true",
-        help="run the compile-farm phase: sustained points/sec + spawn warm-up",
+        help="run the compile-farm phase: sustained points/sec + zero-cost duplicates",
     )
     parser.add_argument(
         "--batch",

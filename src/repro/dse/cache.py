@@ -174,13 +174,6 @@ def _unpickle(blob: bytes) -> object:
             gc.enable()
 
 
-def _release(attached: tuple) -> None:
-    """Run a lazy loader's release hook, if it has one."""
-    release = attached[1]
-    if release is not None:
-        release()
-
-
 class AnalysisCache:
     """A set of named LRU memo tables with hit/miss/eviction accounting.
 
@@ -198,8 +191,6 @@ class AnalysisCache:
         self.enabled: bool = True
         self.maxsize: Optional[int] = maxsize
         self._tables: Dict[str, "OrderedDict[Hashable, object]"] = {}
-        #: Table name → (deferred loader, its release hook or None).
-        self._lazy: Dict[str, Tuple[Callable[[], list], Optional[Callable[[], None]]]] = {}
         self.hits: Counter = Counter()
         self.misses: Counter = Counter()
         self.evictions: Counter = Counter()
@@ -213,69 +204,9 @@ class AnalysisCache:
 
     # -- core API ------------------------------------------------------------
     def table(self, name: str) -> "OrderedDict[Hashable, object]":
-        if name in self._lazy:
-            self._materialize(name)
         if name not in self._tables:
             self._tables[name] = OrderedDict()
         return self._tables[name]
-
-    def attach_lazy(
-        self,
-        name: str,
-        loader: Callable[[], list],
-        release: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Register a deferred entry source for one table.
-
-        ``loader`` returns ``[(key, value), ...]`` and runs at most once, on
-        the table's first access — the shared-snapshot read path
-        (:mod:`repro.serve.snapshot`): a pool worker attaches every table of
-        a memory-mapped store in microseconds and only ever unpickles the
-        tables its tasks actually touch, instead of paying a full
-        ``load_disk`` on spawn.  Loaded entries are merged *older* than
-        anything already live (live values win on key collisions) and are
-        treated as already persisted: attaching does not mark the cache
-        dirty, and a loader that raises degrades to a cold table with a
-        ``RuntimeWarning`` rather than failing the lookup.
-
-        ``release``, when given, runs once the cache is done with
-        ``loader``: after it ran, or when the cache drops it unrun — on a
-        :meth:`clear` of its table or of the whole cache, or when a later
-        attach replaces it.  A snapshot closes its file this way.
-        """
-        dropped = self._lazy.get(name)
-        self._lazy[name] = (loader, release)
-        if dropped is not None:
-            _release(dropped)
-
-    def _materialize(self, name: str) -> None:
-        attached = self._lazy.pop(name, None)
-        if attached is None:
-            return
-        try:
-            entries = attached[0]()
-        except Exception as exc:
-            warnings.warn(
-                f"lazy cache source for table {name!r} failed "
-                f"({type(exc).__name__}: {exc}); starting the table cold",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
-        finally:
-            _release(attached)
-        live = self._tables.get(name)
-        merged: "OrderedDict[Hashable, object]" = OrderedDict()
-        for key, value in entries:
-            if live is None or key not in live:
-                merged[key] = value
-        if live:
-            merged.update(live)
-        if self.maxsize is not None:
-            while len(merged) > self.maxsize:
-                merged.popitem(last=False)
-                self.evictions[name] += 1
-        self._tables[name] = merged
 
     def _insert(self, name: str, key: Hashable, value: object) -> None:
         table = self.table(name)
@@ -306,8 +237,6 @@ class AnalysisCache:
         """Look up an entry (refreshing its recency) without computing."""
         if not self.enabled:
             return default
-        if name in self._lazy:
-            self._materialize(name)
         table = self._tables.get(name)
         if table is None:
             return default
@@ -334,17 +263,10 @@ class AnalysisCache:
         A partial clear marks the cache dirty for the same reason.
         """
         if name is not None:
-            dropped = self._lazy.pop(name, None)
-            if dropped is not None:
-                _release(dropped)
             if self._tables.pop(name, None) is not None:
                 self._dirty = True
             return
         self._tables.clear()
-        dropped_all = list(self._lazy.values())
-        self._lazy.clear()
-        for dropped in dropped_all:
-            _release(dropped)
         self.hits.clear()
         self.misses.clear()
         self.evictions.clear()

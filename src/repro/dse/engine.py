@@ -628,7 +628,6 @@ def _init_worker(
     memoize: bool = True,
     cycle_model: str = "analytical",
     fault_plan=None,
-    snapshot: Optional[str] = None,
 ) -> None:
     """Initialise one pool worker for a set of benchmarks.
 
@@ -639,12 +638,6 @@ def _init_worker(
     ``fault_plan`` installs a deterministic fault-injection schedule
     (:class:`repro.dse.resilience.FaultPlan`) consulted at every task entry
     — the chaos-testing hook; None in production.
-
-    ``snapshot`` names a memory-mapped cache snapshot
-    (:mod:`repro.serve.snapshot`) the worker attaches, whose tables load
-    lazily on first touch — the compile farm's fast spawn path.  ``None``
-    (the default) keeps the historical behaviour: forked workers inherit the
-    parent's warm cache copy-on-write and spawn-context workers start cold.
     """
     _WORKER_STATE["specs"] = dict(specs)
     _WORKER_STATE["board"] = board
@@ -653,17 +646,14 @@ def _init_worker(
     _WORKER_STATE["fault_plan"] = fault_plan
     _WORKER_STATE["programs"] = {}
     # One session per worker: forked workers inherit the parent's warm
-    # analysis cache copy-on-write, and the session gives every evaluation
-    # in this process the same pipeline/naming-scope ownership as the
-    # in-process path.
+    # analysis cache copy-on-write (where fork does not exist they start
+    # cold and compute the same results), and the session gives every
+    # evaluation in this process the same pipeline/naming-scope ownership
+    # as the in-process path.
     _WORKER_STATE["session"] = CompilerSession(board=board, model=model)
     if not memoize:
         ANALYSIS_CACHE.clear()
         ANALYSIS_CACHE.enabled = False
-    elif snapshot is not None:
-        from repro.serve.snapshot import attach_snapshot
-
-        attach_snapshot(ANALYSIS_CACHE, snapshot)
 
 
 def _evaluate_point_task(task: Tuple) -> PointResult:

@@ -25,7 +25,6 @@ transform orderings alongside tile sizes and parallelism.
 from repro.pipeline.passes import (
     BuildScheduleStage,
     EstimateAreaStage,
-    FixedPointPass,
     GenerateHardwareStage,
     PassContext,
     PipelinePass,
@@ -46,7 +45,6 @@ __all__ = [
     "CompilationResult",
     "CompilerSession",
     "EstimateAreaStage",
-    "FixedPointPass",
     "GenerateHardwareStage",
     "PassContext",
     "PassRecord",

@@ -47,16 +47,11 @@ from repro.transforms.symbolic import TileGuards
 __all__ = [
     "PassContext",
     "PipelinePass",
-    "FixedPointPass",
     "TransformationStage",
     "GenerateHardwareStage",
     "BuildScheduleStage",
     "EstimateAreaStage",
 ]
-
-#: Context key through which a pass reports how many internal iterations it
-#: ran (the fixed-point pass); the pipeline pops it into the pass record.
-PASS_ITERATIONS_KEY = "_pass_iterations"
 
 #: Context key through which a pass deposits structured per-run details
 #: (e.g. the schedule rewriter's per-rewrite hit counts and cycle delta);
@@ -140,9 +135,8 @@ class PipelinePass:
         return f"<{type(self).__name__} {self.name!r}>"
 
     #: Whether the pass takes programs holding placeholder tile sizes: true
-    #: only for the stock PPL transformation stages and fixed-point groups
-    #: of them.  The pipeline instantiates a symbolic program before any
-    #: other pass receives it.
+    #: only for the stock PPL transformation stages.  The pipeline
+    #: instantiates a symbolic program before any other pass receives it.
     symbolic: bool = False
 
 
@@ -208,63 +202,6 @@ class TransformationStage(PipelinePass):
 
     def signature(self) -> Tuple[str, str]:
         return (f"{type(self).__name__}[{self.transformation.signature()}]", self.name)
-
-
-class FixedPointPass(PipelinePass):
-    """Rerun a group of cleanup passes until the IR stops changing.
-
-    One CSE + code-motion sweep can expose further opportunities (a moved
-    tile copy becomes a duplicate, a deduplicated copy becomes loop
-    invariant); the paper's flow runs the cleanup a fixed number of times,
-    this pass instead iterates the group to a fixed point, capped at
-    ``max_iters``.  The iteration count is surfaced in the
-    :class:`~repro.pipeline.pipeline.PassRecord` of the pipeline report.
-
-    Build one via :meth:`repro.pipeline.pipeline.Pipeline.fixed_point`,
-    which replaces the named passes in place.
-    """
-
-    def __init__(self, passes, max_iters: int = 4, name: Optional[str] = None) -> None:
-        self.passes = tuple(passes)
-        if not self.passes:
-            raise PipelineError("fixed_point needs at least one pass to iterate")
-        self.max_iters = max(1, max_iters)
-        self.symbolic = type(self) is FixedPointPass and all(p.symbolic for p in self.passes)
-        inner = "+".join(p.name for p in self.passes)
-        super().__init__(name or f"fixed-point({inner})")
-
-    def run(self, program: Program, ctx: PassContext) -> Program:
-        iterations = 0
-        for _ in range(self.max_iters):
-            before = program.body.structural_hash()
-            for pass_ in self.passes:
-                program = pass_.run(program, ctx)
-            iterations += 1
-            if program.body.structural_hash() == before:
-                break
-        ctx.artifacts[PASS_ITERATIONS_KEY] = iterations
-        return program
-
-    def cache_key(self, ctx: PassContext) -> Optional[Hashable]:
-        contributions = []
-        for pass_ in self.passes:
-            contribution = pass_.cache_key(ctx)
-            if contribution is None:
-                return None
-            contributions.append((type(pass_).__name__, contribution))
-        return (self.max_iters, tuple(contributions))
-
-    def payload(self, program: Program, ctx: PassContext) -> object:
-        return (program, ctx.artifacts.get(PASS_ITERATIONS_KEY, 1))
-
-    def restore(self, payload: object, ctx: PassContext) -> Program:
-        program, iterations = payload  # type: ignore[misc]
-        ctx.artifacts[PASS_ITERATIONS_KEY] = iterations
-        return program
-
-    def signature(self) -> Tuple[str, str]:
-        inner = ",".join(type(p).__name__ for p in self.passes)
-        return (f"FixedPointPass[{inner}]x{self.max_iters}", self.name)
 
 
 class GenerateHardwareStage(PipelinePass):

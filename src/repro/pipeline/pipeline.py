@@ -48,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import PipelineError
 from repro.pipeline.passes import (
     PASS_DETAILS_KEY,
-    PASS_ITERATIONS_KEY,
     PassContext,
     PipelinePass,
 )
@@ -100,9 +99,7 @@ class PassRecord:
     nodes_before: int
     nodes_after: int
     changed: bool
-    # Internal iterations the pass ran (fixed-point passes; 1 otherwise)
-    # and the pass's advisory wall-clock budget.
-    iterations: int = 1
+    # The pass's advisory wall-clock budget.
     budget_seconds: float = 0.0
     # Structured per-run details a pass deposited (e.g. the schedule
     # rewriter's per-rewrite hit counts and event-cycle delta).
@@ -157,7 +154,7 @@ class PipelineReport:
     def table(self) -> str:
         header = (
             f"{'pass':<30} {'time':>10} {'budget':>10} {'cached':>7} "
-            f"{'iters':>5} {'nodes':>13} {'delta':>7}"
+            f"{'nodes':>13} {'delta':>7}"
         )
         lines = [
             f"pipeline {self.pipeline!r} on {self.program}: "
@@ -170,7 +167,6 @@ class PipelineReport:
             lines.append(
                 f"{record.name:<30} {record.seconds * 1e3:>8.2f}ms {record.budget_label:>10} "
                 f"{'hit' if record.cached else '-':>7} "
-                f"{record.iterations:>5} "
                 f"{record.nodes_before:>5} -> {record.nodes_after:<5} "
                 f"{record.node_delta:>+7}"
             )
@@ -188,7 +184,6 @@ class PipelineReport:
                     "seconds": record.seconds,
                     "budget_seconds": record.budget_seconds,
                     "cached": record.cached,
-                    "iterations": record.iterations,
                     "nodes_before": record.nodes_before,
                     "nodes_after": record.nodes_after,
                     "details": dict(record.details),
@@ -349,35 +344,6 @@ class Pipeline:
     def appended(self, new_pass: PipelinePass) -> "Pipeline":
         return self._derived(list(self.passes) + [new_pass])
 
-    def fixed_point(self, names: Sequence[str], max_iters: int = 4) -> "Pipeline":
-        """A copy where the named passes iterate together to a fixed point.
-
-        The named passes (typically the cleanup sweep: CSE + code motion)
-        are replaced by one :class:`~repro.pipeline.passes.FixedPointPass`
-        at the position of the first, which reruns the group until the IR's
-        structural hash stops changing (capped at ``max_iters``).  The
-        iteration count is surfaced per run in the
-        :class:`PipelineReport`'s pass record.
-        """
-        from repro.pipeline.passes import FixedPointPass
-
-        if not names:
-            raise PipelineError("fixed_point needs at least one pass name")
-        indices = [self._index(name) for name in names]
-        # Keep the passes in their pipeline order regardless of the order
-        # the caller named them in.
-        ordered = sorted(zip(indices, names))
-        group = [self.passes[index] for index, _ in ordered]
-        first = ordered[0][0]
-        dropped = {name for _, name in ordered}
-        passes: List[PipelinePass] = []
-        for index, pass_ in enumerate(self.passes):
-            if index == first:
-                passes.append(FixedPointPass(group, max_iters=max_iters))
-            elif pass_.name not in dropped:
-                passes.append(pass_)
-        return self._derived(passes)
-
     # -- execution -----------------------------------------------------------
     @staticmethod
     def _memoized(pass_: PipelinePass, key, program: Program, ctx: PassContext):
@@ -455,7 +421,6 @@ class Pipeline:
                     nodes_after=nodes_after,
                     changed=not same
                     and next_program.body.structural_hash() != current.body.structural_hash(),
-                    iterations=ctx.artifacts.pop(PASS_ITERATIONS_KEY, 1),
                     budget_seconds=pass_.budget_seconds,
                     details=ctx.artifacts.pop(PASS_DETAILS_KEY, {}),
                 )

@@ -98,11 +98,6 @@ _VARIANTS: Dict[str, Callable[[], Pipeline]] = {
     "late-cleanup": lambda: _ordering_variant(
         _without(_default_ordering(), "cse", "code-motion"), "late-cleanup"
     ),
-    # Iterate the post-interchange cleanup (CSE + code motion) to a fixed
-    # point instead of exactly once.
-    "fixed-point-cleanup": lambda: default_pipeline()
-    .fixed_point(["post-cse", "post-code-motion"])
-    .renamed("fixed-point-cleanup"),
     # Optimise the schedule before timing and emission: transfer
     # coalescing, stage rebalancing and degenerate-group flattening run on
     # the lowered schedule (repro.schedule.rewrite), so the cycle backends,

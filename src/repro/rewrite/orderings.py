@@ -279,7 +279,7 @@ def pipeline_for_ordering(steps: Sequence[str], name: Optional[str] = None):
     terminals, then the schedule steps, then estimate-area — the exact
     frame every hand-written variant used.  Each step's stage keeps the
     step token as its pass name, so name-addressed pipeline editing
-    (``without``/``fixed_point``) and the session's trace reconstruction
+    (``without``/``replaced``) and the session's trace reconstruction
     keep working on re-expressed variants.
     """
     from repro.pipeline.passes import (

@@ -60,7 +60,7 @@ def _with_body(program, body):
     return program if body is program.body else program.with_body(body)
 
 
-def _to_fixed_point(transformer, body):
+def _until_stable(transformer, body):
     """Rerun a ``Transformer`` sweep until the body stops changing."""
     for _ in range(10):
         new_body = transformer().transform(body)
@@ -87,7 +87,7 @@ class VerticalFusion(PplTransformation):
         return _fusable(match.node)
 
     def apply(self, program, ctx):
-        return _with_body(program, _to_fixed_point(_VerticalFusion, program.body))
+        return _with_body(program, _until_stable(_VerticalFusion, program.body))
 
 
 class LetCse(PplTransformation):
@@ -133,7 +133,7 @@ class InvariantCodeMotion(PplTransformation):
     def apply(self, program, ctx):
         # Iterate to a fixed point: hoisting out of an inner pattern can
         # expose a hoist out of the enclosing pattern.
-        return _with_body(program, _to_fixed_point(_PatternLICM, program.body))
+        return _with_body(program, _until_stable(_PatternLICM, program.body))
 
 
 class StripMine(PplTransformation):

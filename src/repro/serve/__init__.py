@@ -17,9 +17,6 @@ Layers
 
 * :mod:`repro.serve.protocol` — request/response records, submission-order
   :func:`~repro.serve.protocol.gather`, and checksummed wire framing.
-* :mod:`repro.serve.snapshot` — read-only memory-mapped cache snapshots so
-  pool workers attach a warm store lazily instead of paying a full
-  ``load_disk`` on spawn.
 * :mod:`repro.serve.farm` — the asyncio server core: admission, dedup,
   journal-first completion, journaled graceful shutdown.
 * :mod:`repro.serve.client` — :class:`~repro.serve.client.Client` (async)
@@ -37,7 +34,6 @@ from repro.serve.protocol import (
     STATUSES,
     gather,
 )
-from repro.serve.snapshot import SnapshotView, attach_snapshot, write_snapshot
 
 __all__ = [
     "Batch",
@@ -47,9 +43,6 @@ __all__ = [
     "CompileResponse",
     "FarmStats",
     "STATUSES",
-    "SnapshotView",
     "SyncClient",
-    "attach_snapshot",
     "gather",
-    "write_snapshot",
 ]

@@ -27,9 +27,12 @@ journal, then seeded into the analysis cache, and only then handed to its
 waiters — so a SIGINT at any instant loses zero *completed* evaluations
 (a farm started over the same journal replays them).
 
-With ``workers > 1``, starting the farm writes a memory-mapped snapshot
-of the live cache that the pool's workers attach lazily
-(:mod:`repro.serve.snapshot`); an inline farm (``workers=1``) writes none.
+With ``workers > 1``, starting the farm loads the store into this
+process's cache, and the pool forks from that warm parent the first time
+it is acquired (:func:`~repro.dse.engine.pool_context`): its workers
+inherit every table copy-on-write, and a respawned pool inherits the
+parent's cache as it stands then.  Where fork does not exist, workers start
+with an empty cache and compute the same results.
 
 Each scheduled request is one run of the engine's supervision loop,
 :meth:`SupervisedEvaluator.run <repro.dse.resilience.SupervisedEvaluator.run>`:
@@ -208,6 +211,21 @@ class Batch:
             task.cancel()
 
 
+def _check_fields(request: CompileRequest) -> None:
+    """Raise :class:`~repro.errors.FarmError` for a field of the wrong type."""
+    if not isinstance(request.point, DesignPoint):
+        raise FarmError(
+            f"request point must be a DesignPoint, not {type(request.point).__name__}"
+        )
+    for name in ("benchmark", "request_id"):
+        if not isinstance(getattr(request, name), str):
+            raise FarmError(f"request {name} must be a str")
+    for name in ("pipeline", "cycle_model"):
+        value = getattr(request, name)
+        if value is not None and not isinstance(value, str):
+            raise FarmError(f"request {name} must be None or a str")
+
+
 class CompileFarm:
     """An asyncio compile service over the existing evaluation machinery.
 
@@ -245,11 +263,7 @@ class CompileFarm:
         seed: int = 3,
         resilience: Optional[ResiliencePolicy] = None,
         store: Optional[Union[str, Path]] = None,
-        warmup: Optional[str] = "snapshot",
-        snapshot_path: Optional[Union[str, Path]] = None,
     ) -> None:
-        if warmup not in (None, "snapshot"):
-            raise FarmError(f"unknown warmup mode {warmup!r}")
         self.benchmarks = [
             get_benchmark(bench) if isinstance(bench, str) else bench
             for bench in benchmarks
@@ -261,8 +275,6 @@ class CompileFarm:
         self.cycle_model = cycle_model
         self.policy = resilience if resilience is not None else ResiliencePolicy()
         self.store = Path(store) if store is not None else None
-        self.warmup = warmup
-        self.snapshot_path = Path(snapshot_path) if snapshot_path is not None else None
         self.stats = FarmStats()
 
         self._lanes: Dict[str, _FarmLane] = {}
@@ -334,18 +346,6 @@ class CompileFarm:
 
         pool_factory = None
         if self.workers > 1:
-            # Only pool workers attach the snapshot; inline evaluation
-            # (workers=1) reads the live cache, so none is written for it.
-            worker_snapshot: Optional[str] = None
-            if self.warmup == "snapshot":
-                snapshot = self.snapshot_path
-                if snapshot is None and self.store is not None:
-                    snapshot = self.store.with_name(self.store.name + ".snap")
-                if snapshot is not None:
-                    from repro.serve.snapshot import write_snapshot
-
-                    if write_snapshot(snapshot) > 0:
-                        worker_snapshot = str(snapshot)
             specs = {name: lane.sizes for name, lane in self._lanes.items()}
             policy = self.policy
 
@@ -360,7 +360,6 @@ class CompileFarm:
                         True,
                         self.cycle_model,
                         policy.fault_plan,
-                        worker_snapshot,
                     ),
                 )
 
@@ -444,9 +443,11 @@ class CompileFarm:
 
         Admission — id assignment, journal/cache lookup, in-flight
         coalescing, scheduling — happens synchronously here, so dedup is
-        exact even for duplicates within one batch.  Unknown benchmarks
-        fail the whole batch with :class:`~repro.errors.FarmError` before
-        anything is scheduled.
+        exact even for duplicates within one batch.  A malformed request
+        (neither a :class:`CompileRequest` nor a ``(benchmark, DesignPoint)``
+        pair, or a field of the wrong type) or an unknown benchmark fails
+        the whole batch with :class:`~repro.errors.FarmError` before
+        anything is admitted.
         """
         if not self._started:
             raise FarmError("farm not started; use 'async with farm:' or await start()")
@@ -457,8 +458,14 @@ class CompileFarm:
         seen_ids: Set[str] = set()
         for request in requests:
             if not isinstance(request, CompileRequest):
+                if not (isinstance(request, tuple) and len(request) == 2):
+                    raise FarmError(
+                        "a request is a CompileRequest or a (benchmark, DesignPoint) "
+                        f"pair, not {type(request).__name__}"
+                    )
                 bench_name, point = request
                 request = CompileRequest(benchmark=bench_name, point=point)
+            _check_fields(request)
             request = request.resolved(self.cycle_model)
             if request.benchmark not in self._lanes:
                 raise FarmError(

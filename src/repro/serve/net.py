@@ -23,6 +23,9 @@ connection):
 * ``{"op": "ping"}`` → ``{"op": "pong"}``.
 
 A malformed frame closes the connection; the farm itself is unaffected.
+A well-formed ``submit`` whose batch the farm rejects — ``requests`` not a
+list, a malformed request, an unknown benchmark — gets ``{"op": "error",
+"error": ...}`` and the connection stays open.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ class FarmServer:
                         {"op": "cache-metrics", "cache": self.farm.cache_metrics()},
                     )
                 elif op == "submit":
-                    await self._serve_batch(writer, message.get("requests") or [])
+                    await self._serve_batch(writer, message.get("requests"))
                 else:
                     await write_frame(
                         writer, {"op": "error", "error": f"unknown op {op!r}"}
@@ -145,10 +148,12 @@ class FarmServer:
             self._handlers.discard(task)
             writer.close()
 
-    async def _serve_batch(
-        self, writer: asyncio.StreamWriter, requests: Sequence[CompileRequest]
-    ) -> None:
+    async def _serve_batch(self, writer: asyncio.StreamWriter, requests: object) -> None:
         try:
+            if not isinstance(requests, list):
+                raise FarmError(
+                    f"a submit frame's requests must be a list, not {type(requests).__name__}"
+                )
             batch = await self.farm.submit(requests)
         except FarmError as exc:
             await write_frame(writer, {"op": "error", "error": str(exc)})

@@ -1,5 +1,6 @@
 """The exploration engine: pruning, evaluation, Pareto ranking, cache parity."""
 
+import multiprocessing
 from dataclasses import astuple
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.dse.engine import (
     evaluate_point,
     explore,
     pareto_front,
+    pool_context,
 )
 from repro.dse.space import DesignPoint, DesignSpace, default_space
 from repro.pipeline.session import CompilerSession
@@ -29,6 +31,15 @@ def _fresh_cache():
     ANALYSIS_CACHE.clear()
     yield
     ANALYSIS_CACHE.clear()
+
+
+def _table_sizes():
+    """Pool-task probe: this process's analysis-cache entries per table."""
+    return {
+        name: counts["entries"]
+        for name, counts in ANALYSIS_CACHE.stats().items()
+        if counts["entries"]
+    }
 
 
 def _small_space():
@@ -185,6 +196,36 @@ class TestExplore:
         for result in parallel.evaluated:
             assert result.cycles == serial_map[result.label].cycles
             assert result.logic == serial_map[result.label].logic
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="pool workers inherit the parent's cache through fork",
+    )
+    def test_worker_pool_inherits_the_parent_cache(self, monkeypatch):
+        """The pool forks from the parent as its cache stands when the pool
+        is made: another app's memoised entries reach every worker."""
+        import repro.dse.engine as engine
+
+        space = _small_space()
+        serial = explore("gemm", sizes=SIZES, space=space)
+        ANALYSIS_CACHE.clear()
+        explore("sumrows", sizes={"m": 1024, "n": 64}, max_evaluations=3)
+
+        probes = []
+
+        class ProbedContext:
+            def Pool(self, *args, **kwargs):
+                parent = _table_sizes()
+                pool = pool_context().Pool(*args, **kwargs)
+                probes.append((parent, pool.apply(_table_sizes)))
+                return pool
+
+        monkeypatch.setattr(engine, "pool_context", ProbedContext)
+        parallel = explore("gemm", sizes=SIZES, space=space, workers=2)
+        [(parent, worker)] = probes
+        assert parent["point_results"] == 3
+        assert worker == parent
+        assert parallel.evaluated == serial.evaluated
 
     def test_default_space_is_used_when_none_given(self):
         result = explore("sumrows", sizes={"m": 4096, "n": 256})

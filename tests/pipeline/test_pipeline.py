@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.apps import get_benchmark
+from repro.apps import all_benchmarks, get_benchmark
 from repro.config import BASELINE, CompileConfig
 from repro.dse.cache import AnalysisCache
+from repro.dse.space import default_space
 from repro.errors import PipelineError
 from repro.pipeline import (
     PassContext,
     Pipeline,
     PipelinePass,
+    Session,
     TransformationStage,
     default_pipeline,
     get_pipeline,
@@ -19,7 +21,7 @@ from repro.pipeline import (
 from repro.pipeline.variants import variant_signature
 from repro.ppl.ir import Pattern
 from repro.ppl.traversal import walk
-from repro.rewrite import LetCse, StripMine, VerticalFusion
+from repro.rewrite import InvariantCodeMotion, LetCse, StripMine, VerticalFusion
 from repro.utils.naming import fresh_naming_scope
 
 
@@ -72,14 +74,6 @@ PINNED_SIGNATURES = {
     ),
     "late-cleanup": (
         _FUSION, _STRIP, _COPIES, _INTERCHANGE, _POST_CSE, _POST_MOTION,
-        _HARDWARE, _SCHEDULE, _AREA,
-    ),
-    "fixed-point-cleanup": (
-        _FUSION, _STRIP, _COPIES, _CSE, _MOTION, _INTERCHANGE,
-        (
-            "FixedPointPass[TransformationStage,TransformationStage]x4",
-            "fixed-point(post-cse+post-code-motion)",
-        ),
         _HARDWARE, _SCHEDULE, _AREA,
     ),
     "rewrite": (
@@ -267,6 +261,28 @@ class TestInstrumentation:
         assert report.total_seconds >= sum(r.seconds for r in report.records) * 0.5
         assert "strip-mine" in report.table()
 
+    def test_report_table_and_dict_follow_the_records(self):
+        cache = AnalysisCache()
+        pipeline = default_pipeline().without("generate-hardware", "build-schedule", "estimate-area")
+        report = pipeline.run(
+            _gemm_program(), PassContext(config=_tiling_config(), cache=cache)
+        ).report
+        lines = report.table().splitlines()
+        assert lines[1].split() == ["pass", "time", "budget", "cached", "nodes", "delta"]
+        assert [line.split()[0] for line in lines[3:]] == pipeline.pass_names
+        as_dict = report.as_dict()
+        assert as_dict["cache_hits"] == report.cache_hits
+        assert [
+            (p["name"], p["cached"], p["nodes_before"], p["nodes_after"])
+            for p in as_dict["passes"]
+        ] == [
+            (r.name, r.cached, r.nodes_before, r.nodes_after) for r in report.records
+        ]
+        assert set(as_dict["passes"][0]) == {
+            "name", "seconds", "budget_seconds", "cached", "nodes_before",
+            "nodes_after", "details",
+        }
+
     def test_trace_keeps_intermediate_programs(self):
         cache = AnalysisCache()
         pipeline = default_pipeline().without("generate-hardware", "build-schedule", "estimate-area")
@@ -344,3 +360,33 @@ class TestMemoisation:
         assert second.program is not first.program
         assert second.program.body.structural_hash() != first.program.body.structural_hash()
         assert _fingerprint(second.program) == _fingerprint(direct.program)
+
+
+class TestCleanupSweep:
+    """The default pipeline's second cleanup (post-cse, post-code-motion)
+    leaves nothing for a further sweep: rerunning the pair on its output
+    changes no tiled program of any app's default design space."""
+
+    @pytest.mark.parametrize("name", [bench.name for bench in all_benchmarks()])
+    def test_a_second_sweep_changes_nothing(self, name):
+        bench = get_benchmark(name)
+        sizes = bench.default_sizes
+        workload = bench.workload(sizes)
+        space = default_space({dim: sizes[dim] for dim in bench.tile_sizes})
+        tilings = sorted({tuple(sorted(p.tiles.items())) for p in space.points if p.tiles})
+        swept = default_pipeline().inserted_after(
+            "post-code-motion", TransformationStage(LetCse(), name="again-cse")
+        ).inserted_after(
+            "again-cse", TransformationStage(InvariantCodeMotion(), name="again-code-motion")
+        )
+        session = Session(cache=AnalysisCache())
+        assert tilings
+        for tiles in tilings:
+            config = CompileConfig(tiling=True, tile_sizes=dict(tiles))
+            plain = session.compile(bench.build(), config, workload)
+            again = session.compile(bench.build(), config, workload, pipeline=swept)
+            assert not again.report.record("again-cse").changed, tiles
+            assert not again.report.record("again-code-motion").changed, tiles
+            assert again.tiled_program.body.structural_hash() == (
+                plain.tiled_program.body.structural_hash()
+            ), tiles

@@ -27,7 +27,7 @@ from repro.rewrite.orderings import guided_orderings, ordering_name
 from repro.utils.naming import fresh_naming_scope
 
 STAGES = ("fused", "strip_mined", "interchanged", "tiled")
-PIPELINES = ["default", "fixed-point-cleanup"] + [
+PIPELINES = ["default"] + [
     ordering_name(steps) for steps in guided_orderings(0, 4)
 ]
 BENCHMARKS = [bench.name for bench in all_benchmarks()]

@@ -29,9 +29,7 @@ def _run_farm_writer(store_path, par_values, barrier):
     ANALYSIS_CACHE.clear()
 
     async def main():
-        farm = CompileFarm(
-            ["sumrows"], sizes=SIZES, workers=1, store=store_path, warmup=None
-        )
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1, store=store_path)
         async with farm:
             # Rendezvous inside the farm lifetime: both processes hold the
             # (initially empty) store loaded before either one saves.
@@ -98,9 +96,7 @@ def test_farm_save_merges_with_preexisting_cli_store(tmp_path):
     ANALYSIS_CACHE.clear()
 
     async def main():
-        farm = CompileFarm(
-            ["sumrows"], sizes=SIZES, workers=1, store=store, warmup=None
-        )
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1, store=store)
         async with farm:
             # A point the sweep never evaluated.
             point = DesignPoint.make(

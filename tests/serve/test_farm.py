@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.serve.farm as farm_module
 from repro.apps import get_benchmark
 from repro.dse.batch import evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE
@@ -22,8 +24,7 @@ from repro.rewrite import (
     TileCopies,
     VerticalFusion,
 )
-from repro.serve import CompileFarm, CompileRequest, SnapshotView, SyncClient
-from repro.serve.snapshot import attach_snapshot, write_snapshot
+from repro.serve import CompileFarm, CompileRequest, SyncClient
 
 SIZES = {
     "sumrows": {"m": 1024, "n": 64},
@@ -35,6 +36,23 @@ BENCHMARKS = list(SIZES)
 
 def _points(par_values=(1, 2, 4)):
     return [DesignPoint.make(tile_sizes={"m": 64, "n": 64}, par=par) for par in par_values]
+
+
+GOOD = _points((1,))[0]
+#: Requests the farm must reject, each submitted after a well-formed one.
+MALFORMED = [
+    pytest.param(CompileRequest("sumrows", "not-a-point", request_id="b"), id="point"),
+    pytest.param(("sumrows", "not-a-point"), id="pair-point"),
+    pytest.param(CompileRequest(["sumrows"], GOOD, request_id="b"), id="benchmark"),
+    pytest.param(CompileRequest("sumrows", GOOD, request_id=7), id="request-id"),
+    pytest.param(CompileRequest("sumrows", GOOD, pipeline=7, request_id="b"), id="pipeline"),
+    pytest.param(
+        CompileRequest("sumrows", GOOD, cycle_model=["event"], request_id="b"),
+        id="cycle-model",
+    ),
+    pytest.param(("sumrows",), id="short-tuple"),
+    pytest.param("sumrows", id="str"),
+]
 
 
 def _fast_policy(**overrides) -> ResiliencePolicy:
@@ -77,15 +95,21 @@ class TestAdmission:
         assert [a.result for a in got_a] == [b.result for b in got_b]
 
     @pytest.mark.asyncio
-    async def test_repeat_batch_is_served_from_cache(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    async def test_repeat_batch_is_served_from_cache(self, workers):
+        """Results, pool workers' included, are seeded into this process's
+        cache, which a later batch (or a pool forked later) reads."""
         points = _points()
-        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=workers)
         async with farm:
-            await (await farm.submit([("sumrows", p) for p in points])).gather()
+            first = await (await farm.submit([("sumrows", p) for p in points])).gather()
             again = await (await farm.submit([("sumrows", p) for p in points])).gather()
+        assert [r.status for r in first] == ["evaluated"] * len(points)
         assert [r.status for r in again] == ["cached"] * len(points)
+        assert [r.result for r in again] == [r.result for r in first]
         assert farm.stats.cache_hits == len(points)
         assert farm.stats.scheduled == len(points)
+        assert farm.stats.supervision.evaluations == len(points)
 
     @pytest.mark.asyncio
     async def test_distinct_cycle_models_do_not_coalesce(self):
@@ -131,6 +155,18 @@ class TestAdmission:
                 )
             assert farm.stats.received == 0
             assert farm.stats.scheduled == 0
+
+    @pytest.mark.asyncio
+    @pytest.mark.parametrize("bad", MALFORMED)
+    async def test_malformed_request_fails_whole_batch_before_scheduling(self, bad):
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)
+        async with farm:
+            with pytest.raises(FarmError):
+                await farm.submit([CompileRequest("sumrows", GOOD, request_id="a"), bad])
+            assert farm.stats.received == 0
+            assert farm.stats.scheduled == 0
+            responses = await (await farm.submit([("sumrows", GOOD)])).gather()
+        assert [r.status for r in responses] == ["evaluated"]
 
     @pytest.mark.asyncio
     async def test_duplicate_request_ids_rejected(self):
@@ -360,7 +396,7 @@ class TestStoreCompatibility:
         """The batched path writes one symbolic tiling per structure: a store
         holding a third of gemm's space serves every transform pass of the
         whole space to the scalar path farm lanes evaluate with, through
-        ``load_disk`` and through a snapshot attach alike."""
+        ``load_disk``."""
         bench = get_benchmark("gemm")
         sizes = SIZES["gemm"]
         program = bench.build()
@@ -384,60 +420,144 @@ class TestStoreCompatibility:
 
             monkeypatch.setattr(transformation, "apply", counted)
 
-        snapshot = tmp_path / "store.snap"
-        for attach in ("load_disk", "snapshot"):
-            ANALYSIS_CACHE.clear()
-            ANALYSIS_CACHE.load_disk(store)
-            if attach == "snapshot":
-                write_snapshot(snapshot)
-                ANALYSIS_CACHE.clear()
-                attach_snapshot(ANALYSIS_CACHE, snapshot)
-            results = [evaluate_point(program, workload, point) for point in points]
-            assert results == expected, attach
-            assert not applied, attach
+        ANALYSIS_CACHE.clear()
+        ANALYSIS_CACHE.load_disk(store)
+        results = [evaluate_point(program, workload, point) for point in points]
+        assert results == expected
+        assert not applied
 
 
-def _attached_tables():
-    """Pool-task probe: the tables this worker attached lazily at spawn."""
-    return sorted(ANALYSIS_CACHE._lazy)
+def _table_sizes():
+    """Pool-task probe: this process's analysis-cache entries per table."""
+    return {
+        name: counts["entries"]
+        for name, counts in ANALYSIS_CACHE.stats().items()
+        if counts["entries"]
+    }
 
 
-class TestWorkerSnapshot:
-    @pytest.mark.parametrize("warmup", ["load", "eager"])
-    def test_unknown_warmup_raises(self, warmup):
-        with pytest.raises(FarmError, match="unknown warmup mode"):
-            CompileFarm(["sumrows"], sizes=SIZES, warmup=warmup)
+def _table_keys(name):
+    """Pool-task probe: one table's keys in this process, least recent first."""
+    return list(ANALYSIS_CACHE.table(name))
 
+
+def _store_of_another_app(tmp_path, evaluations=2):
+    """A store holding outerprod's entries only, and sumrows' serial results."""
+    serial = explore("sumrows", sizes=SIZES["sumrows"], max_evaluations=4)
+    ANALYSIS_CACHE.clear()
+    store = tmp_path / "store.pkl"
+    explore(
+        "outerprod",
+        sizes=SIZES["outerprod"],
+        max_evaluations=evaluations,
+        disk_cache=store,
+    )
+    ANALYSIS_CACHE.clear()
+    return store, serial.evaluated
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers inherit the parent's cache through fork",
+)
+class TestWorkerWarmup:
     @pytest.mark.asyncio
-    async def test_inline_farm_writes_no_snapshot(self, tmp_path):
-        store = tmp_path / "store.pkl"
-        explore("sumrows", sizes=SIZES["sumrows"], max_evaluations=2, disk_cache=store)
-        ANALYSIS_CACHE.clear()
-        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1, store=store)
-        async with farm:
-            await (await farm.submit([("sumrows", p) for p in _points()])).gather()
-        assert store.exists()
-        assert not store.with_name("store.pkl.snap").exists()
-
-    @pytest.mark.asyncio
-    async def test_pooled_farm_workers_attach_the_snapshot(self, tmp_path):
-        serial = explore("sumrows", sizes=SIZES["sumrows"], max_evaluations=4)
-        ANALYSIS_CACHE.clear()
-        store = tmp_path / "store.pkl"
-        explore("outerprod", sizes=SIZES["outerprod"], max_evaluations=2, disk_cache=store)
-        ANALYSIS_CACHE.clear()
+    async def test_pooled_farm_workers_inherit_the_store(self, tmp_path):
+        store, serial = _store_of_another_app(tmp_path)
         farm = CompileFarm(["sumrows"], sizes=SIZES, workers=2, store=store)
         async with farm:
-            view = SnapshotView(store.with_name("store.pkl.snap"))
-            tables = view.tables
-            view.close()
-            assert "point_results" in tables
-            assert farm.pools.acquire().apply(_attached_tables) == sorted(tables)
+            parent = _table_sizes()
+            assert parent["point_results"] == 2
+            assert farm.pools.acquire().apply(_table_sizes) == parent
             responses = await (
-                await farm.submit([("sumrows", r.point) for r in serial.evaluated])
+                await farm.submit([("sumrows", r.point) for r in serial])
             ).gather()
-        assert [r.status for r in responses] == ["evaluated"] * len(serial.evaluated)
-        assert [r.result for r in responses] == serial.evaluated
+        assert [r.status for r in responses] == ["evaluated"] * len(serial)
+        assert [r.result for r in responses] == serial
+
+    @pytest.mark.asyncio
+    async def test_workers_inherit_each_tables_recency_order(self, tmp_path):
+        """A worker evicts in the order its parent would: the store loads
+        oldest first, and a lookup in the parent refreshes an entry."""
+        store, _ = _store_of_another_app(tmp_path, evaluations=3)
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=2, store=store)
+        async with farm:
+            loaded = _table_keys("point_results")
+            assert len(loaded) == 3
+            assert ANALYSIS_CACHE.get("point_results", loaded[0]) is not None
+            parent = _table_keys("point_results")
+            assert parent == loaded[1:] + loaded[:1]
+            assert farm.pools.acquire().apply(_table_keys, ("point_results",)) == parent
+
+    @pytest.mark.asyncio
+    async def test_the_pool_forks_when_first_acquired(self, tmp_path):
+        """Entries the parent gains after ``start()`` but before the first
+        acquire reach the workers; later acquires reuse that pool."""
+        store, _ = _store_of_another_app(tmp_path)
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=2, store=store)
+        async with farm:
+            ANALYSIS_CACHE.put("after_start", "key", "value")
+            parent = _table_sizes()
+            assert parent["after_start"] == 1 and parent["point_results"] == 2
+            pool = farm.pools.acquire()
+            assert pool.apply(_table_sizes) == parent
+            assert farm.pools.acquire() is pool
+
+    @pytest.mark.asyncio
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    async def test_unreadable_store_starts_workers_cold(self, tmp_path, damage):
+        """Without a readable store the workers start from the parent's empty
+        cache, compute the same results, and the farm writes a clean store
+        at close that serves every point to the next farm."""
+        store, serial = _store_of_another_app(tmp_path)
+        if damage == "missing":
+            store.unlink()
+        else:
+            store.write_bytes(b"not a store")
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=2, store=store)
+        points = [("sumrows", r.point) for r in serial]
+        if damage == "corrupt":
+            with pytest.warns(RuntimeWarning, match="failed validation"):
+                await farm.start()
+        else:
+            await farm.start()
+        try:
+            assert "point_results" not in _table_sizes()
+            assert farm.pools.acquire().apply(_table_sizes) == _table_sizes()
+            responses = await (await farm.submit(points)).gather()
+        finally:
+            await farm.aclose()
+        assert [r.status for r in responses] == ["evaluated"] * len(serial)
+        assert [r.result for r in responses] == serial
+
+        ANALYSIS_CACHE.clear()
+        again = CompileFarm(["sumrows"], sizes=SIZES, workers=2, store=store)
+        async with again:
+            cached = await (await again.submit(points)).gather()
+        assert [r.status for r in cached] == ["cached"] * len(serial)
+        assert [r.result for r in cached] == serial
+        assert again.stats.scheduled == 0
+
+
+class TestWorkerWarmupWithoutFork:
+    @pytest.mark.asyncio
+    async def test_spawned_workers_start_cold_and_compute_the_same_results(
+        self, tmp_path, monkeypatch
+    ):
+        """Where fork does not exist, the pool's workers start with an empty
+        cache while the parent holds the store, and results do not change."""
+        store, serial = _store_of_another_app(tmp_path)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(farm_module, "pool_context", lambda: spawn)
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=2, store=store)
+        async with farm:
+            assert _table_sizes()["point_results"] == 2
+            assert "point_results" not in farm.pools.acquire().apply(_table_sizes)
+            responses = await (
+                await farm.submit([("sumrows", r.point) for r in serial])
+            ).gather()
+        assert [r.status for r in responses] == ["evaluated"] * len(serial)
+        assert [r.result for r in responses] == serial
 
 
 class TestSyncClient:

@@ -14,7 +14,7 @@ from repro.dse.engine import evaluate_point
 from repro.dse.space import DesignPoint
 from repro.errors import FarmError, ProtocolError
 from repro.serve import CompileFarm, CompileRequest, CompileResponse
-from repro.serve.net import FarmServer, RemoteClient
+from repro.serve.net import FarmServer, RemoteClient, read_frame, write_frame
 from repro.serve.protocol import (
     decode_frame,
     encode_frame,
@@ -27,6 +27,41 @@ SIZES = {"sumrows": {"m": 1024, "n": 64}}
 
 def _points(pars=(1, 2, 4)):
     return [DesignPoint.make(tile_sizes={"m": 64, "n": 64}, par=par) for par in pars]
+
+
+GOOD = _points((1,))[0]
+#: Requests the farm rejects, each sent after a well-formed one, with a
+#: fragment of the error the client receives.
+MALFORMED = [
+    pytest.param(
+        CompileRequest("sumrows", "not-a-point", request_id="b"), "DesignPoint", id="point"
+    ),
+    pytest.param(("sumrows", "not-a-point"), "DesignPoint", id="pair-point"),
+    pytest.param(
+        CompileRequest(["sumrows"], GOOD, request_id="b"), "benchmark", id="benchmark"
+    ),
+    pytest.param(CompileRequest("sumrows", GOOD, request_id=7), "request_id", id="request-id"),
+    pytest.param(
+        CompileRequest("sumrows", GOOD, pipeline=7, request_id="b"), "pipeline", id="pipeline"
+    ),
+    pytest.param(
+        CompileRequest("sumrows", GOOD, cycle_model=["event"], request_id="b"),
+        "cycle_model",
+        id="cycle-model",
+    ),
+    pytest.param(("sumrows",), "pair", id="short-tuple"),
+    pytest.param("sumrows", "pair", id="str"),
+]
+#: ``submit`` frames whose ``requests`` field is not a list.
+NOT_A_LIST = [
+    pytest.param({"op": "submit"}, id="missing"),
+    pytest.param({"op": "submit", "requests": None}, id="none"),
+    pytest.param({"op": "submit", "requests": "not-a-list"}, id="str"),
+    pytest.param(
+        {"op": "submit", "requests": CompileRequest("sumrows", GOOD)}, id="bare-request"
+    ),
+    pytest.param({"op": "submit", "requests": (("sumrows", GOOD),)}, id="tuple"),
+]
 
 
 @pytest.mark.asyncio
@@ -123,6 +158,43 @@ async def test_remote_unknown_benchmark_surfaces_as_farm_error():
                     await client.gather(
                         [CompileRequest("nosuchbench", _points()[0])]
                     )
+
+
+@pytest.mark.asyncio
+@pytest.mark.parametrize("bad, error", MALFORMED)
+async def test_remote_malformed_request_fails_its_batch_and_keeps_the_connection(bad, error):
+    farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)
+    async with farm:
+        async with FarmServer(farm) as server:
+            async with await RemoteClient.connect(*server.address) as client:
+                with pytest.raises(FarmError, match=error):
+                    await client.gather(
+                        [CompileRequest("sumrows", GOOD, request_id="a"), bad]
+                    )
+                assert await client.ping()
+                assert farm.stats.received == 0
+                assert farm.stats.scheduled == 0
+                responses = await client.gather([CompileRequest("sumrows", GOOD)])
+    assert [r.status for r in responses] == ["evaluated"]
+
+
+@pytest.mark.asyncio
+@pytest.mark.parametrize("frame", NOT_A_LIST)
+async def test_submit_frame_without_a_request_list_gets_an_error_reply(frame):
+    farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)
+    async with farm:
+        async with FarmServer(farm) as server:
+            reader, writer = await asyncio.open_connection(*server.address)
+            try:
+                await write_frame(writer, frame)
+                reply = await read_frame(reader)
+                assert reply["op"] == "error" and "must be a list" in reply["error"]
+                await write_frame(writer, {"op": "ping"})
+                assert await read_frame(reader) == {"op": "pong"}
+            finally:
+                writer.close()
+                await writer.wait_closed()
+    assert farm.stats.received == 0
 
 
 @pytest.mark.asyncio

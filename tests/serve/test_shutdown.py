@@ -107,9 +107,7 @@ def _run_interruptible_farm(journal_path, sizes, ready):
     )
 
     async def main():
-        farm = CompileFarm(
-            ["sumrows"], sizes=sizes, workers=2, resilience=policy, warmup=None
-        )
+        farm = CompileFarm(["sumrows"], sizes=sizes, workers=2, resilience=policy)
         async with farm:
             batch = await farm.submit([("sumrows", p) for p in points])
             done = 0
@@ -159,9 +157,7 @@ class TestSigintShutdown:
         policy = ResiliencePolicy(checkpoint=journal_path, retries=0)
 
         async def resume():
-            farm = CompileFarm(
-                ["sumrows"], sizes=SIZES, workers=1, resilience=policy, warmup=None
-            )
+            farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1, resilience=policy)
             async with farm:
                 return (
                     await (await farm.submit([("sumrows", p) for p in points])).gather(),
