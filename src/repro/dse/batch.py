@@ -99,7 +99,6 @@ benchmarks and tests read), ``"cached"``, or the fallback reason,
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import nullcontext
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dse.cache import ANALYSIS_CACHE, config_signature
@@ -122,7 +121,6 @@ from repro.schedule.ir import Schedule
 from repro.schedule.rewrite import PROFILE_MEMO_KEY, ProfileMemo
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
-from repro.utils.naming import fresh_naming_scope
 
 __all__ = ["evaluate_point_batch", "price_configuration"]
 
@@ -230,9 +228,7 @@ def _config_state(
             model=session.model,
             cache=session.cache,
         )
-        scope = fresh_naming_scope() if session.fresh_names else nullcontext()
-        with scope:
-            tiled = tail.prefix.run(program, ctx).program
+        tiled = tail.prefix.run(program, ctx).program
         return _ConfigState(tiled, GenerationShared(tiled, bindings))
 
     key = (head, tail.prefix_signature, config_signature(config))

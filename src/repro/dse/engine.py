@@ -71,6 +71,7 @@ from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.session import CompilationResult, CompilerSession
 from repro.pipeline.variants import variant_signature
 from repro.ppl.program import Program
+from repro.schedule.compare import check_cycle_model
 from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
 from repro.target.device import Board, DEFAULT_BOARD
@@ -836,8 +837,10 @@ def _explore_lanes(
     :func:`~repro.dse.batch.evaluate_point_batch` call and points a fault
     plan targets detour through per-point supervision.
     ``supervision["evaluations"]`` counts every evaluation attempt the run
-    made, on every path.
+    made, on every path.  An unknown ``cycle_model`` would fail every
+    point alike, so it raises before anything is evaluated.
     """
+    check_cycle_model(cycle_model)
     policy = resilience if resilience is not None else ResiliencePolicy()
     workers = min(workers or 1, max(1, sum(lane.survivors for lane in lanes)))
     by_name = {lane.name: lane for lane in lanes}

@@ -6,8 +6,8 @@ store used to abort the whole exploration.  This module is the recovery
 layer the engine (:mod:`repro.dse.engine`) wraps its evaluation paths in:
 
 * :class:`ResiliencePolicy` — the knobs: per-attempt wall-clock timeout,
-  bounded retries with exponential backoff + deterministic jitter, pool
-  respawn limits, a checkpoint-journal path and an optional fault plan.
+  bounded retries with exponential backoff + deterministic jitter, a
+  checkpoint-journal path and an optional fault plan.
 * :class:`SupervisedEvaluator` — the supervision loop itself, one
   coroutine per task, which the engine and the compile farm
   (:mod:`repro.serve.farm`) both run.  A pooled attempt that outlives the
@@ -251,6 +251,20 @@ def validate_point_result(result: object, point: DesignPoint) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
+#: Multiplier applied to the retry backoff per additional attempt.
+BACKOFF_FACTOR = 2.0
+
+#: Relative jitter (±fraction) on each backoff sleep, drawn from a
+#: generator seeded with :data:`JITTER_SEED`: deterministic, but
+#: decorrelated across retrying points.
+JITTER = 0.25
+JITTER_SEED = 0
+
+#: Pool terminate/recreate cycles tolerated before a run degrades to
+#: in-process serial evaluation (with a ``RuntimeWarning``).
+MAX_POOL_RESPAWNS = 3
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """How the engine supervises point evaluations.
@@ -270,31 +284,21 @@ class ResiliencePolicy:
             Inline attempts cannot be preempted, so the timeout only
             applies to pools.
         retries: extra attempts after the first failure (0 = fail fast).
-        backoff: base delay before the first retry, in seconds.
-        backoff_factor: multiplier applied per additional attempt.
-        jitter: relative jitter (±fraction) on each backoff sleep, drawn
-            from a generator seeded with ``seed`` — deterministic, but
-            decorrelated across retrying points.
-        max_pool_respawns: pool terminate/recreate cycles tolerated before
-            the run degrades to in-process serial evaluation (with a
-            ``RuntimeWarning``).
+        backoff: base delay before the first retry, in seconds; each later
+            retry waits :data:`BACKOFF_FACTOR` times longer, with
+            :data:`JITTER`.
         checkpoint: path of the append-only journal sidecar; evaluated
             point results are journaled as they arrive and replayed on the
             next run, so a killed sweep resumes without re-evaluating.
         fault_plan: deterministic fault-injection schedule (tests and the
             ``--faults`` benchmark; None in production).
-        seed: seed of the jitter generator.
     """
 
     timeout: Optional[float] = 120.0
     retries: int = 2
     backoff: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    max_pool_respawns: int = 3
     checkpoint: Optional[Union[str, Path]] = None
     fault_plan: Optional[FaultPlan] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -304,10 +308,8 @@ class ResiliencePolicy:
 
     def backoff_seconds(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff before retry number ``attempt`` (1-based), with jitter."""
-        base = self.backoff * (self.backoff_factor ** max(0, attempt - 1))
-        if self.jitter:
-            base *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
-        return max(0.0, base)
+        base = self.backoff * BACKOFF_FACTOR ** max(0, attempt - 1)
+        return max(0.0, base * (1.0 + JITTER * float(rng.uniform(-1.0, 1.0))))
 
 
 @dataclass
@@ -357,7 +359,8 @@ def _terminate(pool) -> None:
 class PoolSupervisor:
     """Owns the worker pool's spawn / retire / teardown lifecycle.
 
-    :meth:`acquire` lazily spawns the pool (respecting the respawn budget).
+    :meth:`acquire` lazily spawns the pool (respecting the respawn budget,
+    :data:`MAX_POOL_RESPAWNS`).
     :meth:`retire` takes it out of service after an attempt on it timed
     out, so the next acquire spawns a fresh one.  The retired pool is
     terminated once the attempts still running on it (counted by
@@ -372,11 +375,9 @@ class PoolSupervisor:
 
     def __init__(
         self,
-        policy: ResiliencePolicy,
         pool_factory: Optional[Callable[[], object]],
         stats: Optional[SupervisionStats] = None,
     ) -> None:
-        self.policy = policy
         self.stats = stats if stats is not None else SupervisionStats()
         self._factory = pool_factory
         self._pool = None
@@ -393,11 +394,8 @@ class PoolSupervisor:
             return None
         if self._pool is not None:
             return self._pool
-        if self._respawns > self.policy.max_pool_respawns:
-            self._give_up(
-                f"respawned {self._respawns - 1} times, max "
-                f"{self.policy.max_pool_respawns}"
-            )
+        if self._respawns > MAX_POOL_RESPAWNS:
+            self._give_up(f"respawned {self._respawns - 1} times, max {MAX_POOL_RESPAWNS}")
             return None
         try:
             self._pool = self._factory()
@@ -607,11 +605,11 @@ class SupervisedEvaluator:
         self.policy = policy
         self._compute = serial_compute
         self._pooled_task = pooled_task
-        self._jitter = np.random.default_rng(policy.seed)
+        self._jitter = np.random.default_rng(JITTER_SEED)
         self._slots = asyncio.Semaphore(max(4, 2 * workers))
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.stats = SupervisionStats()
-        self.pools = PoolSupervisor(policy, pool_factory, self.stats)
+        self.pools = PoolSupervisor(pool_factory, self.stats)
         #: Tasks that failed every attempt, by key: never re-evaluated,
         #: their failure record is replayed on any later proposal.
         self.quarantine: Dict[Hashable, PointResult] = {}

@@ -143,11 +143,11 @@ class PipelinePass:
 class TransformationStage(PipelinePass):
     """Run one framework :class:`~repro.rewrite.framework.Transformation`.
 
-    The one bridge between the declarative rewrite framework and the pass
-    pipeline: tiling gating, memoisation keys and schedule-artifact
-    plumbing are handled here once, uniformly, so a new transformation
-    only declares pattern/legality/apply/cost and becomes pipeline-able
-    (and thereby a DSE-sweepable ordering step) for free.
+    The one bridge between the rewrite framework and the pass pipeline:
+    tiling gating, memoisation keys and schedule-artifact plumbing are
+    handled here once, uniformly, so a new transformation only implements
+    ``apply`` and becomes pipeline-able (and thereby a DSE-sweepable
+    ordering step) for free.
 
     * **PPL transformations** are gated on ``ctx.config.tiling`` when the
       transformation ``requires_tiling`` (this is the only tiling gate),

@@ -2,7 +2,7 @@
 
 A :class:`CompilerSession` (aliased :data:`Session`) owns everything one
 stream of compilations shares — the target board, the pass pipeline, the
-performance model, the analysis cache and the naming scope — and exposes
+performance model and the analysis cache — and exposes
 :meth:`CompilerSession.compile` / :meth:`CompilerSession.compile_point` as
 the one way to turn a PPL program into a :class:`CompilationResult`:
 
@@ -13,12 +13,11 @@ the one way to turn a PPL program into a :class:`CompilationResult`:
 
 Transform passes mint new symbol names from the process-global generator,
 whose monotonicity is what guarantees a fresh name can never capture a
-symbol already bound in the incoming program.  ``fresh_names=True`` opts a
-session into running each compile under a fresh naming scope
-(:func:`repro.utils.naming.fresh_naming_scope`) instead — making minted
-names (and therefore structural hashes) a pure function of the compile —
-but is only safe when the program itself was built inside the same scope;
-:meth:`repro.apps.base.Benchmark.compile` arranges exactly that.
+symbol already bound in the incoming program.  A caller that wants minted
+names (and therefore structural hashes) to be a pure function of the
+compile builds and compiles the program inside one
+:func:`repro.utils.naming.fresh_naming_scope`, as
+:meth:`repro.apps.base.Benchmark.compile` does.
 
 Sessions are cheap to create: by default they share the process-global
 :data:`~repro.dse.cache.ANALYSIS_CACHE`, so creating one session per sweep
@@ -39,7 +38,6 @@ and have been removed.)
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Hashable, List, Mapping, Optional, TypeVar, Union
 
@@ -57,7 +55,6 @@ from repro.sim.engine import simulate
 from repro.sim.metrics import SimulationResult
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
-from repro.utils.naming import fresh_naming_scope
 
 __all__ = [
     "CONFIG_STATE_LIMIT",
@@ -158,13 +155,6 @@ class CompilerSession:
         model: performance-model override used by :meth:`simulate`.
         cache: analysis cache to memoise through; defaults to the
             process-global :data:`~repro.dse.cache.ANALYSIS_CACHE`.
-        fresh_names: run each compile under a fresh naming scope so minted
-            IR names (and therefore structural hashes) are a pure function
-            of the compile.  Only safe when the compiled program was built
-            inside the same scope (a scope restarts name counters, so a
-            program built outside it may already use the names the
-            transforms would mint).  Default off: names come from the
-            process-global generator, which is always capture-free.
         keep_reports: how many per-compile :class:`PipelineReport` objects
             to retain (aggregate totals are always kept).
     """
@@ -175,14 +165,12 @@ class CompilerSession:
         pipeline: Union[str, Pipeline, None] = None,
         model: Optional[PerformanceModel] = None,
         cache: Optional[AnalysisCache] = None,
-        fresh_names: bool = False,
         keep_reports: int = 64,
     ) -> None:
         self.board = board
         self.pipeline = get_pipeline(pipeline)
         self.model = model
         self.cache = cache if cache is not None else ANALYSIS_CACHE
-        self.fresh_names = fresh_names
         self.reports: Deque[PipelineReport] = deque(maxlen=keep_reports)
         self.compilations = 0
         self.pass_totals: Dict[str, Dict[str, float]] = {}
@@ -205,7 +193,6 @@ class CompilerSession:
             pipeline=self.pipeline,
             model=self.model,
             cache=self.cache,
-            fresh_names=self.fresh_names,
             keep_reports=self.reports.maxlen or 64,
         )
 
@@ -250,23 +237,21 @@ class CompilerSession:
             model=self.model,
             cache=self.cache,
         )
-        scope = fresh_naming_scope() if self.fresh_names else nullcontext()
-        with scope:
-            outcome = pipe.run(program, ctx)
-            design = ctx.artifacts.get("design")
-            if design is None:
-                # Transform-only pipelines (no terminal passes) still yield a
-                # complete result: the session generates and costs the design
-                # itself, exactly as the terminal passes would have.
-                design = generate_hardware(
-                    outcome.program, config, bindings, board=self.board, par=par
-                )
-            schedule = ctx.artifacts.get("schedule")
-            if schedule is None:
-                schedule = design.schedule()
-            area = ctx.artifacts.get("area")
-            if area is None:
-                area = estimate_area(design)
+        outcome = pipe.run(program, ctx)
+        design = ctx.artifacts.get("design")
+        if design is None:
+            # Transform-only pipelines (no terminal passes) still yield a
+            # complete result: the session generates and costs the design
+            # itself, exactly as the terminal passes would have.
+            design = generate_hardware(
+                outcome.program, config, bindings, board=self.board, par=par
+            )
+        schedule = ctx.artifacts.get("schedule")
+        if schedule is None:
+            schedule = design.schedule()
+        area = ctx.artifacts.get("area")
+        if area is None:
+            area = estimate_area(design)
         result = CompilationResult(
             program=program,
             config=config,

@@ -1,22 +1,17 @@
-"""repro.rewrite — the declarative pattern-matching transformation framework.
+"""repro.rewrite — the transformation framework.
 
 One :class:`~repro.rewrite.framework.Transformation` protocol over both
-IRs (pattern → legality → apply → cost delta), the Section 4 transforms
-and the schedule rewrites as its only implementations, and the
-legal-ordering search the DSE sweeps through the ``pipeline`` gene.  See the module docstrings of
+IRs (apply, plus the keys and signature the pipeline memoises it under),
+the Section 4 transforms and the schedule rewrites as its only
+implementations, and the legal-ordering search the DSE sweeps through the
+``pipeline`` gene.  See the module docstrings of
 :mod:`repro.rewrite.framework` and :mod:`repro.rewrite.orderings`.
 """
 
 from repro.rewrite.framework import (
-    CostDelta,
-    Match,
-    PplTransformation,
     ScheduleTransformation,
-    ShapePattern,
     Transformation,
     TransformationError,
-    find_matches,
-    ir_size,
 )
 from repro.rewrite.orderings import (
     AUTO_PREFIX,
@@ -48,28 +43,22 @@ from repro.rewrite.schedule import (
 __all__ = [
     "AUTO_PREFIX",
     "CoalesceTransfers",
-    "CostDelta",
     "DEFAULT_ORDERING",
     "FlattenDegenerateGroups",
     "Interchange",
     "InvariantCodeMotion",
     "LetCse",
-    "Match",
-    "PplTransformation",
     "RebalanceStages",
     "STEPS",
     "ScheduleRewrite",
     "ScheduleTransformation",
-    "ShapePattern",
     "StripMine",
     "TileCopies",
     "Transformation",
     "TransformationError",
     "VerticalFusion",
     "enumerate_legal_orderings",
-    "find_matches",
     "guided_orderings",
-    "ir_size",
     "is_legal_ordering",
     "ordering_name",
     "parse_ordering_name",

@@ -1,12 +1,12 @@
-"""The Section 4 transforms as declarative framework transformations.
+"""The Section 4 transforms as framework transformations.
 
 Each class is the one implementation of its transform — vertical fusion,
-CSE, code motion, strip mining, tile-copy insertion, interchange: it
-declares the subgraph pattern and legality predicate the ordering search
-(:mod:`repro.rewrite.orderings`) and the cost model consult, and its
+CSE, code motion, strip mining, tile-copy insertion, interchange: its
 ``apply`` rewrites the program with the private helpers of
 :mod:`repro.transforms` (the ``Transformer`` sweeps, the strip-mining axis
-plans, the interchange rules).
+plans, the interchange rules) and returns the program it was given when
+nothing fired.  The ordering search (:mod:`repro.rewrite.orderings`)
+sequences them by name.
 
 ``requires_tiling`` is the only tiling gate: fusion runs unconditionally
 (the paper assumes it pre-tiling *and* it is semantics preserving on the
@@ -20,17 +20,12 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.ppl.ir import FlatMap, GroupByFold, Lambda, Let, Map, MultiFold, Pattern
 from repro.ppl.program import Program
-from repro.rewrite.framework import Match, PplTransformation, ShapePattern
-from repro.transforms.code_motion import _PatternLICM, _split_invariant_lets
+from repro.rewrite.framework import Transformation
+from repro.transforms.code_motion import _PatternLICM
 from repro.transforms.cse import _LetCSE
-from repro.transforms.fusion import _fusable, _VerticalFusion
-from repro.transforms.interchange import (
-    _InterchangeRewriter,
-    interchange_map_of_fold,
-    split_and_interchange,
-)
+from repro.transforms.fusion import _VerticalFusion
+from repro.transforms.interchange import _InterchangeRewriter
 from repro.transforms.strip_mining import _StripMiner, _TileCopier
 
 __all__ = [
@@ -70,65 +65,31 @@ def _until_stable(transformer, body):
     return body
 
 
-class VerticalFusion(PplTransformation):
+class VerticalFusion(Transformation):
     """Fuse a Let-bound Map producer into its sole element-wise consumer."""
 
     name = "fusion"
     requires_tiling = False
 
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(
-            kinds=(Let,),
-            where=lambda node: isinstance(node.value, Map),
-            description="Let binding a Map producer",
-        )
-
-    def can_apply(self, program, match: Match, ctx) -> bool:
-        return _fusable(match.node)
-
     def apply(self, program, ctx):
         return _with_body(program, _until_stable(_VerticalFusion, program.body))
 
 
-class LetCse(PplTransformation):
+class LetCse(Transformation):
     """Drop duplicate and dead Let bindings (duplicate tile copies)."""
 
     name = "cse"
     requires_tiling = True
 
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(kinds=(Let,), description="Let chain head")
-
-    def can_apply(self, program, match: Match, ctx) -> bool:
-        # The chain rewriter is its own cheapest oracle: a site is legal
-        # exactly when rewriting its chain changes something.
-        return _LetCSE().transform(match.node) is not match.node
-
     def apply(self, program, ctx):
         return _with_body(program, _LetCSE().transform(program.body))
 
 
-class InvariantCodeMotion(PplTransformation):
+class InvariantCodeMotion(Transformation):
     """Hoist pattern-invariant Lets (array tiles) out of pattern functions."""
 
     name = "code-motion"
     requires_tiling = True
-
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(
-            kinds=(Map, MultiFold, FlatMap, GroupByFold),
-            description="pattern with Lambda functions",
-        )
-
-    def can_apply(self, program, match: Match, ctx) -> bool:
-        pattern: Pattern = match.node
-        for value in pattern.field_values().values():
-            if not isinstance(value, Lambda):
-                continue
-            hoisted, _ = _split_invariant_lets(value.body, set(value.params))
-            if hoisted:
-                return True
-        return False
 
     def apply(self, program, ctx):
         # Iterate to a fixed point: hoisting out of an inner pattern can
@@ -136,23 +97,11 @@ class InvariantCodeMotion(PplTransformation):
         return _with_body(program, _until_stable(_PatternLICM, program.body))
 
 
-class StripMine(PplTransformation):
+class StripMine(Transformation):
     """Table 1: split tiled pattern domains into perfectly nested pairs."""
 
     name = "strip-mine"
     requires_tiling = True
-
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(
-            kinds=(Map, MultiFold, FlatMap, GroupByFold),
-            where=lambda node: not node.domain.is_strided,
-            description="pattern over an unstrided domain",
-        )
-
-    def can_apply(self, program, match: Match, ctx) -> bool:
-        # Untiled configurations plan no tiled axis (``tile_size_for``).
-        plans = _StripMiner(ctx.config).plan_axes(match.node.domain)
-        return any(plan.tiled for plan in plans)
 
     def apply(self, program, ctx):
         miner = _StripMiner(ctx.config, ctx.tile_guards, program.sizes)
@@ -172,29 +121,18 @@ class StripMine(PplTransformation):
         return _tiling_structure(ctx.config)
 
 
-class TileCopies(PplTransformation):
+class TileCopies(Transformation):
     """Table 2: materialise affine accesses of strided patterns as tiles."""
 
     name = "tile-copies"
     requires_tiling = True
-
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(
-            kinds=(Map, MultiFold, FlatMap, GroupByFold),
-            where=lambda node: node.domain.is_strided,
-            description="pattern over a strided domain",
-        )
-
-    def can_apply(self, program, match: Match, ctx) -> bool:
-        probe = _TileCopier(program.inputs)
-        return probe.insert_copies(match.node, set()) is not match.node
 
     def apply(self, program, ctx):
         copier = _TileCopier(program.inputs)
         return _with_body(program, copier.process(program.body, tile_syms=set()))
 
 
-class Interchange(PplTransformation):
+class Interchange(Transformation):
     """Table 3 / Figure 5: move strided folds out of unstrided patterns.
 
     ``apply`` records the rules that fired, in order, in
@@ -203,23 +141,6 @@ class Interchange(PplTransformation):
 
     name = "interchange"
     requires_tiling = True
-
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(
-            kinds=(Map, MultiFold),
-            where=lambda node: not node.domain.is_strided,
-            description="unstrided Map/MultiFold",
-        )
-
-    def can_apply(self, program, match: Match, ctx) -> bool:
-        node = match.node
-        if isinstance(node, Map) and interchange_map_of_fold(node) is not None:
-            match.payload["rule"] = "rule1"
-            return True
-        if split_and_interchange(node, ctx.config.split_budget) is not None:
-            match.payload["rule"] = "split"
-            return True
-        return False
 
     def apply(self, program, ctx):
         body = program.body

@@ -1,4 +1,4 @@
-"""The schedule rewrites as declarative framework transformations.
+"""The schedule rewrites as framework transformations.
 
 Each rule is one :class:`~repro.rewrite.framework.ScheduleTransformation`
 that rewrites the stage tree in place (:meth:`apply_in_place`) — the
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.rewrite.framework import ScheduleTransformation, ShapePattern
+from repro.rewrite.framework import ScheduleTransformation
 from repro.schedule.analytical import node_cycles
 from repro.schedule.event import EventScheduleBackend, StageProfile
 from repro.schedule.ir import (
@@ -99,15 +99,6 @@ class CoalesceTransfers(ScheduleTransformation):
     """
 
     name = "coalesce-transfers"
-
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(
-            kinds=(SequentialSchedule, MetapipelineSchedule),
-            where=lambda group: not isinstance(group, ParallelSchedule)
-            and len(group.stages) >= 2
-            and any(map(_coalesceable, group.stages, group.stages[1:])),
-            description="sequential group with adjacent same-direction transfers",
-        )
 
     def apply_in_place(self, schedule: Schedule, model: PerformanceModel) -> int:
         hits = 0
@@ -188,13 +179,6 @@ class RebalanceStages(ScheduleTransformation):
         self.balance_factor = balance_factor
         self.cost_source = cost_source
         self.memo = memo
-
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(
-            kinds=(MetapipelineSchedule,),
-            where=lambda group: group.iterations > 1 and len(group.stages) >= 2,
-            description="iterated metapipeline with >= 2 stages",
-        )
 
     def signature(self) -> str:
         return f"{type(self).__name__}[bf={self.balance_factor},cs={self.cost_source}]"
@@ -309,13 +293,6 @@ class FlattenDegenerateGroups(ScheduleTransformation):
 
     name = "flatten-degenerate-groups"
 
-    def pattern(self) -> ShapePattern:
-        return ShapePattern(
-            kinds=(StageGroup,),
-            where=lambda group: len(group.stages) == 1 and group.iterations == 1,
-            description="single-stage single-iteration group",
-        )
-
     def apply_in_place(self, schedule: Schedule, model: PerformanceModel) -> int:
         hits = 0
 
@@ -361,13 +338,6 @@ class ScheduleRewrite(ScheduleTransformation):
     ) -> None:
         self.balance_factor = balance_factor
         self.cost_source = cost_source
-
-    def pattern(self) -> ShapePattern:
-        # The composite fires anywhere its constituents would; matching a
-        # group is enough for the ordering search to consider it.
-        return ShapePattern(
-            kinds=(StageGroup,), description="any stage group (composite)"
-        )
 
     def _factor(self) -> Union[float, str]:
         if self.balance_factor is None:

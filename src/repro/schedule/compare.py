@@ -26,6 +26,7 @@ __all__ = [
     "CycleDiscrepancy",
     "DEFAULT_TOLERANCE",
     "UNCALIBRATED_TOLERANCE",
+    "check_cycle_model",
     "compare_backends",
     "discrepancy_table",
     "get_backend",
@@ -53,17 +54,20 @@ DEFAULT_TOLERANCE = 0.25
 UNCALIBRATED_TOLERANCE = 0.40
 
 
+def check_cycle_model(cycle_model: str) -> None:
+    """Raise :class:`~repro.errors.SimulationError` for an unknown backend name."""
+    if cycle_model not in CYCLE_MODELS:
+        raise SimulationError(
+            f"unknown cycle model {cycle_model!r}; choose from {sorted(CYCLE_MODELS)}"
+        )
+
+
 def get_backend(
     cycle_model: str, model: Optional[PerformanceModel] = None
 ) -> Union[AnalyticalScheduleBackend, EventScheduleBackend]:
     """Instantiate the named cycle backend (``"analytical"`` or ``"event"``)."""
-    try:
-        backend_cls = CYCLE_MODELS[cycle_model]
-    except KeyError:
-        raise SimulationError(
-            f"unknown cycle model {cycle_model!r}; choose from {sorted(CYCLE_MODELS)}"
-        ) from None
-    return backend_cls(model)
+    check_cycle_model(cycle_model)
+    return CYCLE_MODELS[cycle_model](model)
 
 
 @dataclass

@@ -87,6 +87,8 @@ from repro.dse.results import PointResult
 from repro.dse.space import DesignPoint
 from repro.errors import FarmError
 from repro.pipeline.session import CompilerSession
+from repro.pipeline.variants import variant_signature
+from repro.schedule.compare import CYCLE_MODELS
 from repro.serve.protocol import CompileRequest, CompileResponse, gather
 from repro.sim.model import PerformanceModel
 from repro.target.device import Board, DEFAULT_BOARD
@@ -226,6 +228,21 @@ def _check_fields(request: CompileRequest) -> None:
             raise FarmError(f"request {name} must be None or a str")
 
 
+def _check_cycle_model(cycle_model: str, field: str) -> None:
+    if cycle_model not in CYCLE_MODELS:
+        raise FarmError(f"{field} {cycle_model!r} is not one of {sorted(CYCLE_MODELS)}")
+
+
+def _check_choices(request: CompileRequest) -> None:
+    """Raise :class:`~repro.errors.FarmError` for a resolved request naming a
+    cycle model or pipeline variant no lane can compile."""
+    _check_cycle_model(request.cycle_model, "request cycle_model")
+    try:
+        variant_signature(request.point.pipeline)
+    except ValueError as exc:
+        raise FarmError(f"request pipeline: {exc}") from None
+
+
 class CompileFarm:
     """An asyncio compile service over the existing evaluation machinery.
 
@@ -272,6 +289,7 @@ class CompileFarm:
         self.board = board
         self.model = model
         self.workers = max(1, workers)
+        _check_cycle_model(cycle_model, "cycle_model")
         self.cycle_model = cycle_model
         self.policy = resilience if resilience is not None else ResiliencePolicy()
         self.store = Path(store) if store is not None else None
@@ -447,7 +465,8 @@ class CompileFarm:
         (neither a :class:`CompileRequest` nor a ``(benchmark, DesignPoint)``
         pair, or a field of the wrong type) or an unknown benchmark fails
         the whole batch with :class:`~repro.errors.FarmError` before
-        anything is admitted.
+        anything is admitted, as does a request naming an unknown cycle
+        model or pipeline variant.
         """
         if not self._started:
             raise FarmError("farm not started; use 'async with farm:' or await start()")
@@ -467,6 +486,7 @@ class CompileFarm:
                 request = CompileRequest(benchmark=bench_name, point=point)
             _check_fields(request)
             request = request.resolved(self.cycle_model)
+            _check_choices(request)
             if request.benchmark not in self._lanes:
                 raise FarmError(
                     f"benchmark {request.benchmark!r} is not served by this farm "

@@ -1,8 +1,8 @@
 """The rewrite machinery of the Section 4 parallel pattern transformations.
 
 Each transform is one framework class in :mod:`repro.rewrite.ppl`, which
-owns its pattern, legality and apply; these modules hold the private
-helpers those classes call:
+owns its apply; these modules hold the private helpers those classes
+call:
 
 * :mod:`repro.transforms.fusion` — vertical fusion of producer/consumer
   patterns (assumed to have already run before tiling in the paper);

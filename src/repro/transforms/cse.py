@@ -40,6 +40,8 @@ class _LetCSE(Transformer):
         body = self._continue(node.body, available + [(node.sym, value)])
         if node.sym not in free_syms(body):
             return body
+        if value is node.value and body is node.body:
+            return node
         return Let(node.sym, value, body)
 
     def _continue(self, body: Expr, available: List[tuple[Sym, Expr]]) -> Node:

@@ -436,9 +436,7 @@ class TestExploreIntegration:
         plan = FaultPlan.seeded(
             {"gemm": list(space)}, seed=11, crashes=0, hangs=0, errors=2, corrupts=2, times=1
         )
-        policy = ResiliencePolicy(
-            fault_plan=plan, retries=3, backoff=0.0, jitter=0.0, timeout=60.0
-        )
+        policy = ResiliencePolicy(fault_plan=plan, retries=3, backoff=0.0, timeout=60.0)
         clean = self._explore(space=space)
         ANALYSIS_CACHE.clear()
         chaotic = self._explore(space=space, resilience=policy)

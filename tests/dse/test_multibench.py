@@ -6,6 +6,7 @@ import pytest
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import MultiBenchmarkExplorer, explore
 from repro.dse.space import DesignPoint
+from repro.errors import SimulationError
 
 SIZES = {
     "gemm": {"m": 256, "n": 256, "p": 256},
@@ -131,6 +132,15 @@ class TestMultiBenchmarkExplorer:
         ).run()
         for result in results.values():
             assert result.batch_engagement == {outcome: len(result.evaluated)}
+
+    def test_unknown_cycle_model_raises_before_any_evaluation(self):
+        """An unknown backend would fail every point alike, so it is
+        refused up front instead of quarantining the whole space."""
+        with pytest.raises(SimulationError, match="unknown cycle model 'bogus'"):
+            explore("outerprod", sizes={"m": 64, "n": 64}, cycle_model="bogus")
+        with pytest.raises(SimulationError, match="unknown cycle model 'bogus'"):
+            MultiBenchmarkExplorer(["gemm", "sumrows"], sizes=SIZES, cycle_model="bogus").run()
+        assert ANALYSIS_CACHE.misses.get("point_results", 0) == 0
 
     def test_pareto_fronts_are_per_benchmark(self):
         results = MultiBenchmarkExplorer(["gemm", "sumrows"], sizes=SIZES).run()

@@ -159,15 +159,16 @@ class TestValidation:
             ResiliencePolicy(timeout=0.0)
 
     def test_backoff_grows_exponentially_and_jitter_is_seeded(self):
-        policy = ResiliencePolicy(backoff=0.1, backoff_factor=2.0, jitter=0.0)
-        rng = np.random.default_rng(0)
-        assert [policy.backoff_seconds(a, rng) for a in (1, 2, 3)] == pytest.approx(
-            [0.1, 0.2, 0.4]
-        )
-        jittered = ResiliencePolicy(backoff=0.1, jitter=0.5)
-        seq1 = [jittered.backoff_seconds(a, np.random.default_rng(7)) for a in (1,)]
-        seq2 = [jittered.backoff_seconds(a, np.random.default_rng(7)) for a in (1,)]
-        assert seq1 == seq2
+        policy = ResiliencePolicy(backoff=0.1)
+
+        def delays(seed):
+            rng = np.random.default_rng(seed)
+            return [policy.backoff_seconds(attempt, rng) for attempt in (1, 2, 3)]
+
+        # Doubling per retry, each delay jittered by at most ±25%.
+        for attempt, delay in zip((1, 2, 3), delays(0)):
+            assert delay == pytest.approx(0.1 * 2 ** (attempt - 1), rel=0.25)
+        assert delays(7) == delays(7)
 
 
 # ---------------------------------------------------------------------------

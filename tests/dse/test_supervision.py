@@ -266,7 +266,7 @@ def test_teardown_lets_running_tasks_finish_before_terminating():
     bounded wait first; a delivered one costs nothing."""
     log = []
     pool = _Pool(log)
-    pools = PoolSupervisor(ResiliencePolicy(), lambda: pool)
+    pools = PoolSupervisor(lambda: pool)
     assert pools.acquire() is pool
     pools.enter(pool, _Job(log, ready=True))
     pools.enter(pool, _Job(log, ready=False))

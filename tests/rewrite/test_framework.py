@@ -1,6 +1,7 @@
-"""The transformation framework: protocol, matching, stages, invariants."""
+"""The transformation framework: apply, stages, invariants."""
 
 import numpy as np
+import pytest
 
 from repro.analysis.traffic import schedule_traffic
 from repro.apps import all_benchmarks
@@ -8,23 +9,17 @@ from repro.config import BASELINE, CompileConfig
 from repro.dse.cache import AnalysisCache
 from repro.pipeline import Session
 from repro.pipeline.passes import PassContext, TransformationStage
-from repro.ppl.ir import Let, Map
 from repro.rewrite import (
     CoalesceTransfers,
-    CostDelta,
     FlattenDegenerateGroups,
     Interchange,
     InvariantCodeMotion,
     LetCse,
-    Match,
     RebalanceStages,
     ScheduleRewrite,
-    ShapePattern,
     StripMine,
     TileCopies,
     VerticalFusion,
-    find_matches,
-    ir_size,
 )
 
 SIZES = {
@@ -62,114 +57,27 @@ def _compiled(name, pipeline=None):
     )
 
 
-class TestShapePattern:
-    def test_kind_and_guard_filtering(self):
-        program = _bench("gemm").build()
-        lets = ShapePattern(kinds=(Let,))
-        maps = ShapePattern(kinds=(Map,), where=lambda n: not n.domain.is_strided)
-        from repro.ppl.traversal import walk
-
-        nodes = list(walk(program.body))
-        let_matches = find_matches(nodes, lets)
-        map_matches = find_matches(nodes, maps)
-        assert all(isinstance(m.node, Let) for m in let_matches)
-        assert all(isinstance(m.node, Map) for m in map_matches)
-        assert all(not m.node.domain.is_strided for m in map_matches)
-
-    def test_match_payload_is_private_scratch(self):
-        match = Match(node=object())
-        match.payload["plans"] = [1, 2]
-        assert match.payload["plans"] == [1, 2]
+#: Transformations the default pipeline has already run to a fixed point
+#: on its tiled output.  StripMine is not one: on sumrows it tiles the
+#: tiled output again.
+SETTLED = (VerticalFusion, LetCse, InvariantCodeMotion, TileCopies, Interchange)
 
 
-class TestPplMatching:
-    def test_strip_mine_matches_only_under_tiling(self):
-        bench = _bench("gemm")
-        program = bench.build()
-        tiled = StripMine().matches(program, _ctx(_meta_config(bench)))
-        untiled = StripMine().matches(program, _ctx(BASELINE))
-        assert tiled and not untiled
+class TestApplyIdentity:
+    """An apply that fires nothing returns the program it was given."""
 
-    def test_tile_copies_matches_only_after_strip_mining(self):
-        bench = _bench("gemm")
-        ctx = _ctx(_meta_config(bench))
-        program = bench.build()
-        assert not TileCopies().matches(program, ctx)
-        stripped = StripMine().apply(program, ctx)
-        assert TileCopies().matches(stripped, ctx)
-
-    def test_fusion_matches_a_let_bound_map_producer(self):
-        bench = _bench("outerprod")
-        program = bench.build()
-        ctx = _ctx(_meta_config(bench))
-        sites = VerticalFusion().matches(program, ctx)
-        fused = VerticalFusion().apply(program, ctx)
-        # Sites found exactly when applying changes the program.
-        assert bool(sites) == (fused is not program)
-
-    def test_cleanup_transforms_match_where_their_passes_fire(self):
-        bench = _bench("gemm")
-        ctx = _ctx(_meta_config(bench))
-        program = TileCopies().apply(
-            StripMine().apply(VerticalFusion().apply(bench.build(), ctx), ctx), ctx
-        )
-        for t in (LetCse(), InvariantCodeMotion()):
-            changed = t.apply(program, ctx) is not program
-            assert bool(t.matches(program, ctx)) == changed
-
-    def test_interchange_match_records_the_rule(self):
-        bench = _bench("gemm")
-        ctx = _ctx(_meta_config(bench))
-        program = bench.build()
-        for t in (
-            VerticalFusion(),
-            StripMine(),
-            TileCopies(),
-            LetCse(),
-            InvariantCodeMotion(),
-        ):
-            program = t.apply(program, ctx)
-        sites = Interchange().matches(program, ctx)
-        assert sites and all(m.payload["rule"] in ("rule1", "split") for m in sites)
-
-
-class TestCostDelta:
-    def test_ppl_cost_delta_reports_ir_size_change(self):
-        bench = _bench("gemm")
-        ctx = _ctx(_meta_config(bench))
-        program = bench.build()
-        delta = StripMine().cost_delta(program, ctx)
-        assert delta.sites > 0
-        assert delta.ir_nodes == ir_size(StripMine().apply(program, ctx).body) - ir_size(
-            program.body
-        )
-        assert delta.cycles is None  # unknown pre-hardware, not zero
-
-    def test_no_site_cost_delta_is_empty(self):
-        bench = _bench("gemm")
-        delta = StripMine().cost_delta(bench.build(), _ctx(BASELINE))
-        assert delta.sites == 0 and delta.ir_nodes == 0
-
-    def test_schedule_cost_delta_prices_the_closed_forms(self):
-        schedule = _compiled("tpchq6").schedule
-        ctx = _ctx(_meta_config(_bench("tpchq6")))
-        delta = CoalesceTransfers().cost_delta(schedule, ctx)
-        # Coalescing merges transfers: cycles improve, traffic is preserved.
-        assert delta.improves_cycles
-        assert delta.traffic_bytes == 0
-        assert delta.sites > 0
-        assert set(delta.as_dict()) == {
-            "cycles",
-            "area_logic",
-            "traffic_bytes",
-            "ir_nodes",
-            "sites",
-        }
-
-    def test_improves_cycles_flag(self):
-        assert CostDelta(cycles=-1.0).improves_cycles
-        assert not CostDelta(cycles=0.0).improves_cycles
-        assert not CostDelta().improves_cycles
+    @pytest.mark.parametrize("name", list(SIZES))
+    def test_settled_transforms_return_their_input(self, name):
+        bench = _bench(name)
+        config = _meta_config(bench)
+        source = bench.build()
+        workload = bench.workload(bench.default_sizes)
+        tiled = Session().compile(source, config, workload).tiled_program
+        ctx = _ctx(config)
+        for transformation in SETTLED:
+            assert transformation().apply(tiled, ctx) is tiled, transformation.name
+        # Before strip mining no pattern is strided, so no tile is copied.
+        assert TileCopies().apply(source, ctx) is source
 
 
 class TestScheduleTransformations:

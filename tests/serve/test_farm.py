@@ -50,13 +50,21 @@ MALFORMED = [
         CompileRequest("sumrows", GOOD, cycle_model=["event"], request_id="b"),
         id="cycle-model",
     ),
+    pytest.param(
+        CompileRequest("sumrows", GOOD, pipeline="nosuch", request_id="b"),
+        id="unknown-pipeline",
+    ),
+    pytest.param(
+        CompileRequest("sumrows", GOOD, cycle_model="bogus", request_id="b"),
+        id="unknown-cycle-model",
+    ),
     pytest.param(("sumrows",), id="short-tuple"),
     pytest.param("sumrows", id="str"),
 ]
 
 
 def _fast_policy(**overrides) -> ResiliencePolicy:
-    defaults = dict(timeout=60.0, retries=0, backoff=0.0, jitter=0.0)
+    defaults = dict(timeout=60.0, retries=0, backoff=0.0)
     defaults.update(overrides)
     return ResiliencePolicy(**defaults)
 
@@ -167,6 +175,10 @@ class TestAdmission:
             assert farm.stats.scheduled == 0
             responses = await (await farm.submit([("sumrows", GOOD)])).gather()
         assert [r.status for r in responses] == ["evaluated"]
+
+    def test_unknown_default_cycle_model_is_rejected(self):
+        with pytest.raises(FarmError, match="cycle_model 'bogus'"):
+            CompileFarm(["sumrows"], sizes=SIZES, workers=1, cycle_model="bogus")
 
     @pytest.mark.asyncio
     async def test_duplicate_request_ids_rejected(self):

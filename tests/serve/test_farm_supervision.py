@@ -86,9 +86,7 @@ async def test_one_hang_among_in_flight_requests_costs_one_timeout(monkeypatch):
     points.append(DesignPoint.make(tile_sizes={"m": 1024, "n": 64}, par=1))
     assert len(points) - 1 >= TIMEOUT / HEALTHY_SECONDS + 3
     plan = FaultPlan.make({("sumrows", points[0].label): FaultSpec("hang", hang_seconds=60.0)})
-    policy = ResiliencePolicy(
-        timeout=TIMEOUT, retries=2, backoff=0.0, jitter=0.0, fault_plan=plan
-    )
+    policy = ResiliencePolicy(timeout=TIMEOUT, retries=2, backoff=0.0, fault_plan=plan)
     farm = CompileFarm(["sumrows"], sizes=SIZES, workers=2, resilience=policy)
     async with farm:
         responses = await (await farm.submit([("sumrows", p) for p in points])).gather()

@@ -49,6 +49,16 @@ MALFORMED = [
         "cycle_model",
         id="cycle-model",
     ),
+    pytest.param(
+        CompileRequest("sumrows", GOOD, pipeline="nosuch", request_id="b"),
+        "unknown pipeline variant 'nosuch'",
+        id="unknown-pipeline",
+    ),
+    pytest.param(
+        CompileRequest("sumrows", GOOD, cycle_model="bogus", request_id="b"),
+        "cycle_model 'bogus'",
+        id="unknown-cycle-model",
+    ),
     pytest.param(("sumrows",), "pair", id="short-tuple"),
     pytest.param("sumrows", "pair", id="str"),
 ]
