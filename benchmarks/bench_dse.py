@@ -53,7 +53,7 @@ space over the ``default`` and ``rewrite`` pipelines — the shape of the
 repository benchmark's ``sweep-cold`` workload, whose ``rewrite`` points
 reuse their ``default`` twins' designs and area — records its batched
 points/sec (median of repeats).  It then sweeps every
-registered pipeline variant through the batched path at smoke sizes,
+named pipeline variant through the batched path at smoke sizes,
 under the analytical cycle model and under the event model with a
 2-channel DRAM gene, records each sweep's engagement counts
 (``ExplorationResult.batch_engagement``, where ``vector`` counts points
@@ -654,7 +654,7 @@ def run_batch_phase(smoke: bool) -> dict:
 
 
 def run_variant_engagement() -> dict:
-    """Sweep each registered variant through the batched path (cold,
+    """Sweep each named variant through the batched path (cold,
     smoke sizes) and fail on any fallback to scalar evaluation.
 
     Each variant is swept under the analytical cycle model and again

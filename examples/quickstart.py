@@ -71,13 +71,8 @@ def main() -> None:
     print("\n=== pipeline report (last compile) ===")
     print(session.last_report.table())
 
-    # 4. Pipelines are composable: drop a pass, compare the outcome.
-    no_fusion = session.compile(
-        program,
-        meta_config,
-        bindings,
-        pipeline=session.pipeline.without("fusion").renamed("no-fusion"),
-    )
+    # 4. Each compile names its pass ordering: skip fusion, compare the outcome.
+    no_fusion = session.compile(program, meta_config, bindings, pipeline="no-fusion")
     print(
         f"\nwithout fusion: {session.simulate(no_fusion).cycles:,.0f} cycles "
         f"(full pipeline: {session.simulate(meta).cycles:,.0f})"

@@ -60,9 +60,7 @@ way the points actually share it:
    multiset and the memory records — exactly what the area sum adds —
    are unchanged.  The template costs are quarter-integers, so their
    float sums are exact in any order: a rewritten tree listing the same
-   modules in another order sums to the same bits.  A step whose
-   ``apply`` or ``apply_schedule`` is not a stock one (a subclass may do
-   anything) makes its points price their own schedules.
+   modules in another order sums to the same bits.
    Each result is assembled by :meth:`PointResult.from_evaluation`, as
    ``evaluate_point`` assembles its own.
 
@@ -85,15 +83,14 @@ This is the engine's only in-process batch evaluator:
 :class:`~repro.dse.engine.MultiBenchmarkExplorer` hand each benchmark's
 share of a search batch to one call.
 
-The batched path takes every pipeline whose terminal tail is the stock
-generate-hardware → build-schedule → schedule-level
-:class:`~repro.pipeline.passes.TransformationStage`\\ s → estimate-area
-sequence (stock classes: a subclass may do anything), under either
-cycle model.  Other points fall back to scalar ``evaluate_point``
-individually, and every point's outcome is counted in the caller's
-``engagement`` Counter: ``"vector"`` (the batched path, under the key the
-benchmarks and tests read), ``"cached"``, or the fallback reason,
-``"non-stock-tail"``.
+Every pipeline gene — a named variant or an ``auto:`` ordering — resolves
+to a stock ordering (:func:`~repro.rewrite.orderings.pipeline_for_ordering`):
+PPL steps, generate-hardware, build-schedule, schedule steps,
+estimate-area.  Each gene's pipeline is split into its PPL prefix and its
+schedule steps once per process (:func:`_split`), so every point takes
+the batched path under either cycle model, and its outcome is counted in
+the caller's ``engagement`` Counter: ``"vector"`` (the batched path,
+under the key the benchmarks and tests read) or ``"cached"``.
 """
 
 from __future__ import annotations
@@ -105,37 +102,25 @@ from repro.dse.cache import ANALYSIS_CACHE, config_signature
 from repro.dse.results import PointResult
 from repro.dse.space import DesignPoint
 from repro.hw.generation import GenerationShared, generate_hardware
-from repro.pipeline.passes import (
-    BuildScheduleStage,
-    EstimateAreaStage,
-    GenerateHardwareStage,
-    PassContext,
-    TransformationStage,
-)
+from repro.pipeline.passes import GenerateHardwareStage, PassContext
 from repro.pipeline.pipeline import Pipeline
+from repro.pipeline.variants import get_pipeline
 from repro.ppl.program import Program
-from repro.rewrite.framework import ScheduleTransformation
-from repro.rewrite.schedule import ScheduleRewrite
 from repro.schedule.batched import batched_area, batched_cycles
-from repro.schedule.ir import Schedule
 from repro.schedule.rewrite import PROFILE_MEMO_KEY, ProfileMemo
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
 
 __all__ = ["evaluate_point_batch", "price_configuration"]
 
-_TERMINALS = (GenerateHardwareStage, BuildScheduleStage, EstimateAreaStage)
-
 
 class _Tail(NamedTuple):
-    """A stock pipeline split for the batched path."""
+    """A gene's pipeline split for the batched path."""
 
     prefix: Pipeline
     prefix_signature: tuple
-    schedule_steps: list
-    #: Some step's output is not checked by ``ScheduleRewriter.rewrite``,
-    #: so each point prices its own schedule's area.
-    own_area: bool
+    #: The schedule transformations between build-schedule and estimate-area.
+    schedule_steps: tuple
 
 
 class _ConfigState(NamedTuple):
@@ -145,69 +130,30 @@ class _ConfigState(NamedTuple):
     shared: GenerationShared
 
 
-def _is_schedule_step(stage) -> bool:
-    return isinstance(stage, TransformationStage) and stage.transformation.ir == "schedule"
+#: gene → its split, kept for the process: the variant table is constant
+#: and an ``auto:`` name spells out its ordering.
+_TAILS: Dict[str, _Tail] = {}
 
 
-#: The ``apply_schedule`` implementations that end in
-#: ``ScheduleRewriter.rewrite``: a rule run alone through a rewriter, and
-#: the composite rewriter (``rewrite_schedule`` or its tuning).
-_VERIFIED_APPLY_SCHEDULE = (
-    ScheduleTransformation.apply_schedule,
-    ScheduleRewrite.apply_schedule,
-)
+def _split(gene: str) -> _Tail:
+    """The PPL prefix and schedule steps of ``gene``'s pipeline, split once.
 
-
-def _keeps_inventory(stage: TransformationStage) -> bool:
-    """Whether the step's output passed ``verify_rewrite`` against its input.
-
-    True for the stock ``apply`` over a stock ``apply_schedule``: the
-    module multiset and the memory records — all the area sum reads — are
-    then the input's.
+    The batched path replaces the terminal passes with its own
+    generate → lower → steps → area sequence, so it keeps what comes before
+    generate-hardware and the schedule steps between build-schedule and
+    estimate-area.  Raises ``ValueError`` for an unknown gene, as compiling
+    it would.
     """
-    cls = type(stage.transformation)
-    return (
-        cls.apply is ScheduleTransformation.apply
-        and cls.apply_schedule in _VERIFIED_APPLY_SCHEDULE
-    )
-
-
-def _split_terminal_tail(pipe: Pipeline) -> Optional[_Tail]:
-    """The prefix and schedule steps of a stock pipeline, else None.
-
-    The batched path replaces the terminal tail wholesale, so it only
-    engages when the tail is exactly the stock sequence — generate-hardware,
-    build-schedule, zero or more schedule-level transformation stages,
-    estimate-area — with the stock classes (a subclass may do anything, so
-    ``type`` checks, not ``isinstance``).  Anything else falls back to
-    scalar evaluation.
-    """
-    split = len(pipe.passes)
-    for index, stage in enumerate(pipe.passes):
-        if isinstance(stage, _TERMINALS) or _is_schedule_step(stage):
-            split = index
-            break
-    tail = pipe.passes[split:]
-    if len(tail) < 3:
-        return None
-    if type(tail[0]) is not GenerateHardwareStage:
-        return None
-    if type(tail[1]) is not BuildScheduleStage:
-        return None
-    if type(tail[-1]) is not EstimateAreaStage:
-        return None
-    steps = list(tail[2:-1])
-    if not all(
-        type(stage) is TransformationStage and _is_schedule_step(stage) for stage in steps
-    ):
-        return None
-    prefix = Pipeline(pipe.passes[:split], name="batched-prefix")
-    return _Tail(
-        prefix,
-        prefix.signature(),
-        steps,
-        not all(_keeps_inventory(stage) for stage in steps),
-    )
+    tail = _TAILS.get(gene)
+    if tail is None:
+        passes = get_pipeline(gene).passes
+        generate = next(
+            index for index, stage in enumerate(passes) if type(stage) is GenerateHardwareStage
+        )
+        prefix = Pipeline(passes[:generate], name="batched-prefix")
+        steps = tuple(stage.transformation for stage in passes[generate + 2 : -1])
+        tail = _TAILS[gene] = _Tail(prefix, prefix.signature(), steps)
+    return tail
 
 
 def _config_state(
@@ -248,7 +194,7 @@ def price_configuration(
     """Price points of one tiling configuration: the batched path's per-point code.
 
     ``points`` share one prefix signature and config signature,
-    ``tails[i]`` is the stock tail of ``points[i]``'s gene and
+    ``tails[i]`` is the split of ``points[i]``'s gene (:func:`_split`) and
     ``models[i]`` the model it is timed under (its DRAM-channel gene
     folded in).  The configuration's state comes from the session's memo
     (keyed with ``head``, the workload part of the points' keys); then
@@ -264,11 +210,7 @@ def price_configuration(
     memo = ProfileMemo()
     # One (design, lowered schedule, step context) per configuration.
     designs: Dict[tuple, tuple] = {}
-    built, schedules = [], []
-    # The schedule each point's area is read from, by id: its design's
-    # lowered one unless a step may change the inventory.
-    area_schedules: Dict[int, Schedule] = {}
-    area_keys: List[int] = []
+    built, schedules, design_keys = [], [], []
     for point, tail in zip(points, tails):
         design_key = (point.tile_sizes, point.par, point.metapipelining)
         if design_key not in designs:
@@ -286,21 +228,19 @@ def price_configuration(
             )
             step_ctx.artifacts[PROFILE_MEMO_KEY] = memo
             designs[design_key] = (design, design.schedule(), step_ctx)
-        design, lowered, step_ctx = designs[design_key]
-        schedule = lowered
-        for stage in tail.schedule_steps:
-            schedule = stage.transformation.apply(schedule, step_ctx)
-        priced = schedule if tail.own_area else lowered
-        area_schedules.setdefault(id(priced), priced)
-        area_keys.append(id(priced))
+        design, schedule, step_ctx = designs[design_key]
+        for step in tail.schedule_steps:
+            schedule = step.apply(schedule, step_ctx)
         built.append(design)
         schedules.append(schedule)
+        design_keys.append(design_key)
 
     simulations = batched_cycles(schedules, models, cycle_model, memo)
-    areas = dict(zip(area_schedules, batched_area(list(area_schedules.values()))))
+    # Each design's area, from its lowered schedule (see the module docstring).
+    areas = dict(zip(designs, batched_area([lowered for _, lowered, _ in designs.values()])))
     return [
-        PointResult.from_evaluation(point, simulation, areas[area_key], design)
-        for point, design, simulation, area_key in zip(points, built, simulations, area_keys)
+        PointResult.from_evaluation(point, simulation, areas[design_key], design)
+        for point, design, simulation, design_key in zip(points, built, simulations, design_keys)
     ]
 
 
@@ -325,11 +265,9 @@ def evaluate_point_batch(
     schedule steps and its event-model pricing share.
 
     ``engagement``, when given, gains one count per point under its
-    outcome: ``"vector"``, ``"cached"`` or ``"non-stock-tail"``.  A point
-    that falls back counts under its reason even when ``evaluate_point``
-    then finds it memoised.
+    outcome: ``"vector"`` or ``"cached"``.
     """
-    from repro.dse.engine import PointLedger, _detached, _effective_model, evaluate_point
+    from repro.dse.engine import PointLedger, _detached, _effective_model
     from repro.pipeline.session import CompilerSession
 
     points = list(points)
@@ -342,38 +280,16 @@ def evaluate_point_batch(
 
     results: List[Optional[PointResult]] = [None] * len(points)
     keys: List[Optional[tuple]] = [None] * len(points)
-
-    def scalar(index: int, reason: str) -> None:
-        results[index] = evaluate_point(
-            program,
-            bindings,
-            points[index],
-            model=model,
-            session=session,
-            cycle_model=cycle_model,
-        )
-        outcomes[reason] += 1
-
     # The workload part of the configuration-memo key (the memo is
     # bypassed with the cache off).
     head = ledger.head(program, bindings) if ANALYSIS_CACHE.enabled else None
-    tails: Dict[str, Optional[_Tail]] = {}
-
-    def tail_for(gene: str) -> Optional[_Tail]:
-        if gene not in tails:
-            tails[gene] = session.pipeline_split(gene, _split_terminal_tail)
-        return tails[gene]
 
     # -- pass 1: serve memoised points, collect the rest -----------------------
     groups: Dict[Tuple[tuple, tuple], List[int]] = {}
     for index, point in enumerate(points):
-        # Raises ValueError for an unregistered pipeline gene, exactly as
-        # the scalar evaluation of this point would.
-        tail = tail_for(point.pipeline)
-        if tail is None:
-            # evaluate_point does its own lookup (and counts its own miss).
-            scalar(index, "non-stock-tail")
-            continue
+        # Raises ValueError for an unknown pipeline gene, exactly as the
+        # scalar evaluation of this point would.
+        tail = _split(point.pipeline)
         if ANALYSIS_CACHE.enabled:
             key = keys[index] = ledger.key(program, bindings, point, cycle_model)
             cached = ledger.lookup(key)
@@ -393,7 +309,7 @@ def evaluate_point_batch(
             program,
             bindings,
             [points[index] for index in indices],
-            [tail_for(points[index].pipeline) for index in indices],
+            [_split(points[index].pipeline) for index in indices],
             session,
             [_effective_model(model, points[index]) for index in indices],
             head,

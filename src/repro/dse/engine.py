@@ -39,6 +39,7 @@ whole evaluation stack benefits from the same caches.
 from __future__ import annotations
 
 import hashlib
+import io
 import pickle
 import time
 from collections import Counter
@@ -263,21 +264,6 @@ def evaluate_config(
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_signature(session: CompilerSession, gene: str) -> Tuple:
-    """Signature of the pipeline ``session`` runs for a point's pipeline gene.
-
-    ``"default"`` is the session's own pipeline (signature cached on the
-    instance); any other gene resolves through the variant registry, whose
-    memoised :func:`~repro.pipeline.variants.variant_signature` matches what
-    ``session.pipeline_for`` would build — without constructing the
-    pipeline on the warm path.  Raises ``ValueError`` for unknown variants,
-    exactly as the compile itself would.
-    """
-    if gene == "default":
-        return session.pipeline.signature()
-    return variant_signature(gene)
-
-
 def _effective_model(
     model: Optional[PerformanceModel], point: DesignPoint
 ) -> Optional[PerformanceModel]:
@@ -338,20 +324,15 @@ def _point_key(
     the cycle model), so the workload signature — structural hash plus
     size/shape bindings (:func:`_workload_head`) — plus the point, board
     and model parameters fully determines the outcome.  The pipeline part
-    is the signature of the pipeline ``session`` *actually compiles* for
-    the point's gene (not the registry's), so a session with an overridden
-    pipeline cannot poison the shared table; the point's channel gene is
-    folded into ``model``.  Subclassed boards or models and unregistered
-    pipeline genes give None (no memoisation) rather than risk a stale
-    hit; compiling a point with an unregistered gene raises ``ValueError``
-    anyway.  ``head`` is :meth:`PointLedger.head`'s memoised head of these
-    very ``program`` and ``bindings`` objects; without it the head is
-    derived here.
+    is the pass-sequence signature the point's gene resolves to
+    (:func:`~repro.pipeline.variants.variant_signature`), which raises
+    ``ValueError`` for an unknown gene as compiling it would; the point's
+    channel gene is folded into ``model``.  Subclassed boards or models
+    give None (no memoisation) rather than risk a stale hit.  ``head`` is
+    :meth:`PointLedger.head`'s memoised head of these very ``program`` and
+    ``bindings`` objects; without it the head is derived here.
     """
-    try:
-        signature = _pipeline_signature(session, point.pipeline)
-    except ValueError:
-        return None
+    signature = variant_signature(point.pipeline)
     board = session.board
     model = _effective_model(model, point)
     if type(board) is not Board or (model is not None and type(model) is not PerformanceModel):
@@ -385,13 +366,20 @@ def _key_digest(key: Tuple) -> Optional[bytes]:
 
     The protocol is pinned so the bytes are stable across interpreter runs
     (the key already is: structural hashes are blake2b themselves), and
-    journals written by earlier runs keep replaying.
+    journals written by earlier runs keep replaying.  The pickler keeps no
+    memo (``fast``), so the bytes depend on the key's values alone: a
+    memo writes a repeated object as a back-reference, and a key built
+    from a point that crossed a process or a socket shares fewer objects
+    than an equal key built in place.
     """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.fast = True
     try:
-        blob = pickle.dumps(key, protocol=4)
+        pickler.dump(key)
     except Exception:
         return None
-    return hashlib.blake2b(blob, digest_size=16).digest()
+    return hashlib.blake2b(buffer.getvalue(), digest_size=16).digest()
 
 
 def _detached(result: PointResult) -> PointResult:
@@ -539,17 +527,16 @@ def evaluate_point(
     analysis cache (``point_results`` table) under a process-stable key, so
     re-sweeps in one process — and, through the disk-persisted store,
     across processes — skip compilation and simulation entirely; and a
-    point with a stock tail, under either cycle model, is priced by the
-    batched path's per-point code on its configuration's state kept by the
+    point under either cycle model is priced by the batched path's
+    per-point code on its configuration's state kept by the
     session (:func:`repro.dse.batch.price_configuration`), so a
     configuration seen before skips the pass prefix and the per-node
     re-analysis, and an event-model point's price reuses the event run
     its own balance-factor tuning made of the same tree.  Results are
     bit-identical either way.
 
-    When a ``session`` is supplied, its board, model and pipeline
-    resolution are authoritative (for the key as much as for the compile —
-    they must never diverge).
+    When a ``session`` is supplied, its board and model are authoritative
+    (for the key as much as for the compile — they must never diverge).
     """
     if session is None:
         session = CompilerSession(board=board, model=model)
@@ -580,22 +567,24 @@ def evaluate_point(
 
     if not ANALYSIS_CACHE.enabled:
         return compute()
-    # Keying resolves the pipeline gene through the registry's memoised
-    # signature; the variant pipeline itself is only constructed on a
-    # miss.
+    # Keying resolves the pipeline gene through its memoised signature; no
+    # pipeline is built on a hit.
     key = _point_key(program, bindings, point, session, model, cycle_model)
     if key is None:
         return compute()
 
     def priced() -> PointResult:
-        from repro.dse.batch import _split_terminal_tail, price_configuration
+        from repro.dse.batch import _split, price_configuration
 
-        tail = session.pipeline_split(point.pipeline, _split_terminal_tail)
-        if tail is None:
-            return compute()
-        head = key[:_HEAD_FIELDS]
         (result,) = price_configuration(
-            program, bindings, [point], [tail], session, [model], head, cycle_model
+            program,
+            bindings,
+            [point],
+            [_split(point.pipeline)],
+            session,
+            [model],
+            key[:_HEAD_FIELDS],
+            cycle_model,
         )
         return result
 
@@ -769,9 +758,11 @@ def _build_lane(
 
     ``space`` defaults to :func:`~repro.dse.space.default_space` over the
     benchmark's tiled dimensions with ``pipelines`` as the pipeline gene.
-    Every lane of a run searches with the same ``search_seed``, so sharing
-    a run is a pure scheduling choice: each lane evaluates exactly the
-    points a standalone :func:`explore` would.
+    An unknown pipeline gene would fail each of its points alike, so it
+    raises ``ValueError`` here, before anything is evaluated.  Every lane
+    of a run searches with the same ``search_seed``, so sharing a run is a
+    pure scheduling choice: each lane evaluates exactly the points a
+    standalone :func:`explore` would.
     """
     from repro.analysis.estimate import input_shapes
     from repro.dse.search import SearchDriver
@@ -784,6 +775,8 @@ def _build_lane(
         space = default_space(
             tiled_dims, pipelines=tuple(pipelines) if pipelines else ("default",)
         )
+    for gene in sorted({point.pipeline for point in space}):
+        variant_signature(gene)
     survivors, pruned = _prune_space(
         space, input_shapes(program, workload), sizes, board, budget, prune
     )

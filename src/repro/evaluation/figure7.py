@@ -18,11 +18,9 @@ in the speedup table.
 
 Timing comes from a schedule backend selected by ``cycle_model``
 (``"analytical"`` — the closed forms, or ``"event"`` — the event-driven
-simulator); ``compare_cycle_models=True`` additionally runs *both*
-backends on every metapipelined design and attaches a per-benchmark
-:class:`~repro.schedule.compare.CycleDiscrepancy`
-(:meth:`Figure7Report.discrepancy_table`), the calibration evidence for
-the analytical model's knobs.
+simulator).  How closely the two agree, and how far a knob fit tightens
+that, is :mod:`repro.schedule.compare` and :mod:`repro.schedule.calibrate`
+(run over every benchmark by ``benchmarks/bench_sim.py``).
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ from repro.dse.engine import evaluate_config
 from repro.dse.results import PointResult
 from repro.pipeline.pipeline import PipelineReport
 from repro.pipeline.session import CompilationResult, CompilerSession
-from repro.schedule.calibrate import CalibrationResult, calibrate_model
-from repro.schedule.compare import CycleDiscrepancy, compare_backends, discrepancy_table
 from repro.sim.metrics import SimulationResult, speedup
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
@@ -87,14 +83,6 @@ class BenchmarkResult:
     dse_strategy: str = ""
     dse_evaluations: int = 0
     cycle_model: str = "analytical"
-    # Analytical-vs-event comparison per configuration (only populated by
-    # run_benchmark/run_figure7 with compare_cycle_models=True).
-    discrepancies: Dict[str, CycleDiscrepancy] = field(default_factory=dict)
-    # Per-benchmark knob fit (populated with calibrate_cycle_models=True):
-    # the analytical model refit against the event timeline of the
-    # metapipelined schedule, plus a "tiling+metapipelining/calibrated"
-    # discrepancy row showing the post-fit agreement.
-    calibration: Optional[CalibrationResult] = None
 
     @property
     def speedup_tiling(self) -> float:
@@ -171,30 +159,6 @@ class Figure7Report:
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         return {result.name: result.speedups() for result in self.results}
 
-    def discrepancy_table(self) -> str:
-        """Per-benchmark analytical-vs-event calibration table.
-
-        Only populated when the report was produced with
-        ``run_figure7(compare_cycle_models=True)``.
-        """
-        rows: Dict[str, CycleDiscrepancy] = {}
-        for result in self.results:
-            for label, discrepancy in result.discrepancies.items():
-                rows[f"{result.name}/{label}"] = discrepancy
-        if not rows:
-            return "(no cycle-model comparison recorded; rerun with compare_cycle_models=True)"
-        return discrepancy_table(rows)
-
-    def calibration_table(self) -> str:
-        """Per-benchmark knob-fit summary (``calibrate_cycle_models=True``)."""
-        lines = []
-        for result in self.results:
-            if result.calibration is not None:
-                lines.append(f"{result.name:<10} {result.calibration.summary()}")
-        if not lines:
-            return "(no calibration recorded; rerun with calibrate_cycle_models=True)"
-        return "\n".join(lines)
-
     def pass_table(self) -> str:
         """Per-pass timing/caching breakdown across every compiled config.
 
@@ -241,8 +205,6 @@ def run_benchmark(
     par: Optional[int] = None,
     session: Optional[CompilerSession] = None,
     cycle_model: str = "analytical",
-    compare_cycle_models: bool = False,
-    calibrate_cycle_models: bool = False,
 ) -> BenchmarkResult:
     """Compile and simulate all three configurations of one benchmark.
 
@@ -258,16 +220,7 @@ def run_benchmark(
     compilation carries its per-pass :class:`PipelineReport`.
 
     ``cycle_model`` selects the schedule backend the reported speedups come
-    from; ``compare_cycle_models=True`` additionally runs *both* backends
-    on every configuration's schedule and records the per-configuration
-    :class:`~repro.schedule.compare.CycleDiscrepancy`.
-    ``calibrate_cycle_models=True`` further fits the analytical knobs to
-    the event timeline of the metapipelined schedule
-    (:func:`repro.schedule.calibrate.calibrate_model`) and records the
-    post-fit agreement as a ``tiling+metapipelining/calibrated``
-    discrepancy row; the reported speedups are untouched — the fitted
-    model exists only to document how closely the closed forms *can*
-    track the timeline.
+    from.
     """
     bench = get_benchmark(name)
     sizes = dict(sizes or bench.default_sizes)
@@ -279,7 +232,6 @@ def run_benchmark(
 
     configs = _configs_for(bench)
     results: Dict[str, ConfigResult] = {}
-    discrepancies: Dict[str, CycleDiscrepancy] = {}
     for label, config in configs.items():
         evaluated = evaluate_config(
             program,
@@ -293,19 +245,6 @@ def run_benchmark(
         )
         results[label] = ConfigResult(
             label=label, compilation=evaluated.compilation, simulation=evaluated.simulation
-        )
-        if compare_cycle_models:
-            discrepancies[label] = compare_backends(
-                evaluated.compilation.schedule, model if model is not None else session.model
-            )
-
-    calibration: Optional[CalibrationResult] = None
-    if calibrate_cycle_models:
-        base = model if model is not None else session.model
-        meta_schedule = results["tiling+metapipelining"].compilation.schedule
-        calibration = calibrate_model([meta_schedule], base=base)
-        discrepancies["tiling+metapipelining/calibrated"] = compare_backends(
-            meta_schedule, base, analytical_model=calibration.fitted
         )
 
     baseline_area = results["baseline"].compilation.area
@@ -321,21 +260,6 @@ def run_benchmark(
         tiling=results["tiling"],
         metapipelining=results["tiling+metapipelining"],
         cycle_model=cycle_model,
-        discrepancies=discrepancies,
-        calibration=calibration,
-    )
-
-
-def _run_benchmark_task(args) -> BenchmarkResult:
-    name, sizes, board, model, cycle_model, compare_cycle_models, calibrate = args
-    return run_benchmark(
-        name,
-        sizes=sizes,
-        board=board,
-        model=model,
-        cycle_model=cycle_model,
-        compare_cycle_models=compare_cycle_models,
-        calibrate_cycle_models=calibrate,
     )
 
 
@@ -353,16 +277,13 @@ def run_figure7(
     resilience: Optional[object] = None,
     report_passes: bool = False,
     cycle_model: str = "analytical",
-    compare_cycle_models: bool = False,
-    calibrate_cycle_models: bool = False,
 ) -> Figure7Report:
     """Reproduce Figure 7 across the benchmark suite.
 
-    ``workers > 1`` fans the per-benchmark sweeps out over a
-    ``multiprocessing`` pool (one benchmark per task); the default runs
-    serially through **one** shared
-    :class:`~repro.pipeline.session.CompilerSession`, sharing the warm
-    analysis caches (and memoised pipeline passes) across benchmarks.
+    The three fixed configurations of every benchmark compile through
+    **one** shared :class:`~repro.pipeline.session.CompilerSession`,
+    sharing the warm analysis caches (and memoised pipeline passes) across
+    benchmarks.
 
     ``report_passes=True`` keeps every configuration's per-pass
     :class:`~repro.pipeline.pipeline.PipelineReport` (wall-clock, budget,
@@ -373,22 +294,17 @@ def run_figure7(
     with ``!`` in the table's budget column.
 
     ``cycle_model`` selects the schedule backend scoring every
-    configuration (``"analytical"`` or ``"event"``);
-    ``compare_cycle_models=True`` runs both backends per configuration and
-    populates :meth:`Figure7Report.discrepancy_table`, the calibration
-    report for the analytical model's knobs.
-    ``calibrate_cycle_models=True`` fits those knobs per benchmark against
-    the event timeline and populates
-    :meth:`Figure7Report.calibration_table` (speedups stay untouched).
+    configuration (``"analytical"`` or ``"event"``).
 
     ``dse_strategy`` additionally searches each benchmark's design space
     (``"exhaustive"``, ``"annealing"`` or a
     :class:`repro.dse.search.Strategy`) and attaches the best point found
     to each row; ``dse_eval_fraction`` bounds the search budget as a
     fraction of the surviving space (ignored for the exhaustive strategy,
-    whose whole point is sweeping the full grid).  With ``dse_shared_pool``
-    (the default) every benchmark's search runs through **one** shared
-    worker pool with interleaved scheduling instead of one pool per sweep;
+    whose whole point is sweeping the full grid).  ``workers > 1`` runs
+    the searches on a worker pool: with ``dse_shared_pool`` (the default)
+    every benchmark's search runs through **one** shared pool with
+    interleaved scheduling instead of one pool per sweep;
     ``dse_disk_cache`` names a persisted analysis store so repeated runs
     (CI) skip already-evaluated points.  ``dse_pipelines`` names the
     pass-pipeline variants the search sweeps as the ``pipeline`` gene —
@@ -402,39 +318,20 @@ def run_figure7(
     failures reported instead of aborting.
     """
     names = list(benchmarks) if benchmarks else [bench.name for bench in all_benchmarks()]
-    tasks = [
-        (
-            name,
-            (sizes_override or {}).get(name),
-            board,
-            model,
-            cycle_model,
-            compare_cycle_models,
-            calibrate_cycle_models,
-        )
-        for name in names
-    ]
-    report = Figure7Report()
-    if workers and workers > 1 and len(names) > 1:
-        from repro.dse.engine import pool_context
-
-        with pool_context().Pool(processes=min(workers, len(names))) as pool:
-            report.results = pool.map(_run_benchmark_task, tasks)
-    else:
-        session = CompilerSession(board=board, model=model)
-        report.results = [
+    session = CompilerSession(board=board, model=model)
+    report = Figure7Report(
+        [
             run_benchmark(
                 name,
-                sizes=sizes,
+                sizes=(sizes_override or {}).get(name),
                 board=board,
                 model=model,
                 session=session,
                 cycle_model=cycle_model,
-                compare_cycle_models=compare_cycle_models,
-                calibrate_cycle_models=calibrate_cycle_models,
             )
-            for name, sizes, *_ in tasks
+            for name in names
         ]
+    )
     if report_passes:
         over_budget = sorted(
             {

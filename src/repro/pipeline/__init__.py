@@ -13,13 +13,14 @@ The package decomposes the compiler into three layers:
   memoisation layered on the analysis cache;
 * :mod:`repro.pipeline.session` — :class:`CompilerSession` (alias
   :data:`Session`): the single compilation entry point owning board,
-  pipeline, caches, naming scope and performance model.
+  caches and performance model; each compile names its pipeline.
 
-Pipeline *variants* (``no-fusion``, ``no-cse``, ``late-cleanup``, plus
-anything registered via :func:`register_pipeline_variant`) are named
-factories; the name doubles as the ``pipeline`` gene on
-:class:`~repro.dse.space.DesignPoint`, so design-space searches can sweep
-transform orderings alongside tile sizes and parallelism.
+Pipeline *variants* (``default``, ``no-fusion``, ``no-cse``,
+``late-cleanup``, ``rewrite``, ``rewrite-profiled``) are a constant map
+from name to step ordering (:mod:`repro.pipeline.variants`); the name
+doubles as the ``pipeline`` gene on :class:`~repro.dse.space.DesignPoint`,
+as do self-describing ``auto:`` ordering names, so design-space searches
+can sweep transform orderings alongside tile sizes and parallelism.
 """
 
 from repro.pipeline.passes import (
@@ -37,7 +38,6 @@ from repro.pipeline.variants import (
     default_pipeline,
     get_pipeline,
     pipeline_variants,
-    register_pipeline_variant,
 )
 
 __all__ = [
@@ -59,5 +59,4 @@ __all__ = [
     "default_pipeline",
     "get_pipeline",
     "pipeline_variants",
-    "register_pipeline_variant",
 ]

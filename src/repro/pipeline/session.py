@@ -1,13 +1,13 @@
 """The instrumented compiler session: the single entry point to compilation.
 
 A :class:`CompilerSession` (aliased :data:`Session`) owns everything one
-stream of compilations shares — the target board, the pass pipeline, the
-performance model and the analysis cache — and exposes
+stream of compilations shares — the target board, the performance model
+and the analysis cache — and exposes
 :meth:`CompilerSession.compile` / :meth:`CompilerSession.compile_point` as
 the one way to turn a PPL program into a :class:`CompilationResult`:
 
     session = Session(board=DEFAULT_BOARD)
-    result = session.compile(program, config, bindings)
+    result = session.compile(program, config, bindings, pipeline="no-fusion")
     sim = session.simulate(result)
     print(session.last_report.table())
 
@@ -25,14 +25,11 @@ Sessions are cheap to create: by default they share the process-global
 bounded instrumentation, a session keeps per-program state for the DSE
 evaluators: the generation state of recently seen tiling configurations
 (:meth:`CompilerSession.config_state`), an LRU of at most
-:data:`CONFIG_STATE_LIMIT` entries keyed by content, and each pipeline
-gene's split into pass prefix and terminal tail
-(:meth:`CompilerSession.pipeline_split`).  So a long-lived session — a farm
-lane's, a pool worker's — serves a configuration it has seen before
-without building a pipeline or re-running the pass prefix.  Both are
-bypassed while the analysis cache is disabled.  (The old module-level
-``repro.compiler`` entry points served one deprecation release as shims
-and have been removed.)
+:data:`CONFIG_STATE_LIMIT` entries keyed by content, bypassed while the
+analysis cache is disabled.  So a long-lived session — a farm lane's, a
+pool worker's — serves a configuration it has seen before without
+re-running the pass prefix.  Every compile names its own pipeline
+(:meth:`CompilerSession.compile`); a session has none of its own.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from repro.hw.design import HardwareDesign
 from repro.hw.generation import generate_hardware
 from repro.pipeline.passes import PassContext
 from repro.pipeline.pipeline import Pipeline, PipelineOutcome, PipelineReport
-from repro.pipeline.variants import get_pipeline, registry_generation
+from repro.pipeline.variants import get_pipeline
 from repro.ppl.program import Program
 from repro.schedule.ir import Schedule
 from repro.sim.engine import simulate
@@ -145,13 +142,10 @@ class CompilationResult:
 
 
 class CompilerSession:
-    """A configured compiler instance: board + pipeline + model + caches.
+    """A configured compiler instance: board + model + caches.
 
     Args:
         board: target board every compile is generated for.
-        pipeline: the default pass pipeline — a
-            :class:`~repro.pipeline.pipeline.Pipeline`, a registered variant
-            name, or None for the paper's full flow.
         model: performance-model override used by :meth:`simulate`.
         cache: analysis cache to memoise through; defaults to the
             process-global :data:`~repro.dse.cache.ANALYSIS_CACHE`.
@@ -162,13 +156,11 @@ class CompilerSession:
     def __init__(
         self,
         board: Board = DEFAULT_BOARD,
-        pipeline: Union[str, Pipeline, None] = None,
         model: Optional[PerformanceModel] = None,
         cache: Optional[AnalysisCache] = None,
         keep_reports: int = 64,
     ) -> None:
         self.board = board
-        self.pipeline = get_pipeline(pipeline)
         self.model = model
         self.cache = cache if cache is not None else ANALYSIS_CACHE
         self.reports: Deque[PipelineReport] = deque(maxlen=keep_reports)
@@ -176,8 +168,6 @@ class CompilerSession:
         self.pass_totals: Dict[str, Dict[str, float]] = {}
         self._config_states: "OrderedDict[Hashable, object]" = OrderedDict()
         self._config_counts: Counter = Counter()
-        #: gene → (session pipeline, registry generation, split).
-        self._splits: Dict[str, tuple] = {}
 
     def clone(self) -> "CompilerSession":
         """A fresh session with this one's configuration and no history.
@@ -190,26 +180,10 @@ class CompilerSession:
         """
         return CompilerSession(
             board=self.board,
-            pipeline=self.pipeline,
             model=self.model,
             cache=self.cache,
             keep_reports=self.reports.maxlen or 64,
         )
-
-    # -- pipeline resolution -------------------------------------------------
-    def pipeline_for(self, spec: Union[str, Pipeline, None] = None) -> Pipeline:
-        """Resolve a per-compile pipeline override.
-
-        ``None`` (and the gene value ``"default"``) mean *this session's*
-        pipeline; a variant name resolves through the registry — freshly on
-        every call, so re-registering a variant takes effect for live
-        sessions too; a :class:`Pipeline` instance passes through.
-        """
-        if spec is None or spec == "default":
-            return self.pipeline
-        if isinstance(spec, Pipeline):
-            return spec
-        return get_pipeline(spec)
 
     # -- compilation -----------------------------------------------------------
     def compile(
@@ -225,10 +199,12 @@ class CompilerSession:
         ``bindings`` provides the concrete workload (sizes and, optionally,
         input arrays or their shapes alone —
         :meth:`~repro.apps.base.Benchmark.workload`) used to size buffers,
-        trip counts and DRAM transfers.
-        ``pipeline`` overrides the session pipeline for this one compile.
+        trip counts and DRAM transfers.  ``pipeline`` is a variant name, an
+        ``auto:`` ordering name, an explicit
+        :class:`~repro.pipeline.pipeline.Pipeline`, or None for the paper's
+        full flow (:func:`~repro.pipeline.variants.get_pipeline`).
         """
-        pipe = self.pipeline_for(pipeline)
+        pipe = get_pipeline(pipeline)
         ctx = PassContext(
             config=config,
             bindings=bindings,
@@ -320,8 +296,7 @@ class CompilerSession:
         """Aggregate per-pass totals over every compile this session ran."""
         header = f"{'pass':<22} {'runs':>6} {'hits':>6} {'total':>10}"
         lines = [
-            f"session: {self.compilations} compilations on {self.board.name} "
-            f"[pipeline {self.pipeline.name!r}]",
+            f"session: {self.compilations} compilations on {self.board.name}",
             header,
             "-" * len(header),
         ]
@@ -358,30 +333,6 @@ class CompilerSession:
             self._config_counts["evictions"] += 1
         return state
 
-    def pipeline_split(self, gene: str, split: Callable[[Pipeline], _State]) -> _State:
-        """``split`` of the pipeline this session runs for ``gene``, kept per gene.
-
-        The DSE evaluators (:mod:`repro.dse.batch`) keep each gene's stock
-        tail split here, so a warm single-point call builds no pipeline.  An
-        entry is split again once the gene may resolve to another pipeline:
-        when this session's pipeline is replaced, or when any variant is
-        registered (:func:`~repro.pipeline.variants.registry_generation`).
-        Like :meth:`config_state`, it is bypassed while the analysis cache
-        is disabled.  Raises ``ValueError`` for an unknown gene, as
-        :meth:`pipeline_for` does.
-        """
-        if not (self.cache.enabled and ANALYSIS_CACHE.enabled):
-            return split(self.pipeline_for(gene))
-        generation = registry_generation()
-        known = self._splits.get(gene)
-        if known is None or known[0] is not self.pipeline or known[1] != generation:
-            known = self._splits[gene] = (
-                self.pipeline,
-                generation,
-                split(self.pipeline_for(gene)),
-            )
-        return known[2]
-
     def config_state_stats(self) -> Dict[str, int]:
         """Entries, hits, misses and evictions of :meth:`config_state`'s memo."""
         counts = self._config_counts
@@ -398,13 +349,11 @@ class CompilerSession:
         After this, the next compile is cold: every pass reruns, and a
         subsequent :meth:`~repro.dse.cache.AnalysisCache.save_disk` writes a
         fresh store even to a path the cache was previously clean against.
-        The configuration memo (:meth:`config_state`) and the kept pipeline
-        splits (:meth:`pipeline_split`) empty too.
+        The configuration memo (:meth:`config_state`) empties too.
         """
         self.cache.clear()
         self._config_states.clear()
         self._config_counts.clear()
-        self._splits.clear()
 
     # -- stage snapshots -------------------------------------------------------
     def _tiling_result(
@@ -444,5 +393,5 @@ class CompilerSession:
         )
 
 
-#: The friendly alias the examples and docs use: ``Session(board=..., pipeline=...)``.
+#: The friendly alias the examples and docs use: ``Session(board=..., model=...)``.
 Session = CompilerSession

@@ -15,10 +15,10 @@ This module makes that space explicit and searchable:
 
 Orderings are *self-describing* pipeline variants: the name
 ``auto:fusion,strip-mine,...`` encodes the full step sequence, and
-:func:`repro.pipeline.variants.get_pipeline` resolves any such name
-without registry state.  That makes every legal ordering a legal value of
-the DSE ``pipeline`` gene in any process — including pool workers and
-farm lanes that never saw the registering process's registry.
+:func:`repro.pipeline.variants.get_pipeline` resolves any such name, as
+it resolves the named variants, from the name alone.  That makes every
+legal ordering a legal value of the DSE ``pipeline`` gene in any process
+— pool workers and farm lanes included.
 """
 
 from __future__ import annotations

@@ -19,15 +19,15 @@ Layers
   :func:`~repro.serve.protocol.gather`, and checksummed wire framing.
 * :mod:`repro.serve.farm` — the asyncio server core: admission, dedup,
   journal-first completion, journaled graceful shutdown.
-* :mod:`repro.serve.client` — :class:`~repro.serve.client.Client` (async)
-  and :class:`~repro.serve.client.SyncClient` (background-loop) facades;
-  the sync facade is what :class:`~repro.dse.engine.MultiBenchmarkExplorer`
-  plugs in via its ``farm=`` argument.
+* :mod:`repro.serve.client` — :class:`~repro.serve.client.SyncClient`,
+  the blocking facade that runs a farm on a background event-loop thread;
+  it is what :class:`~repro.dse.engine.MultiBenchmarkExplorer` plugs in via
+  its ``farm=`` argument.
 * :mod:`repro.serve.net` — optional TCP transport (trusted networks only).
 """
 
 from repro.serve.farm import Batch, CompileFarm, FarmStats
-from repro.serve.client import Client, SyncClient
+from repro.serve.client import SyncClient
 from repro.serve.protocol import (
     CompileRequest,
     CompileResponse,
@@ -37,7 +37,6 @@ from repro.serve.protocol import (
 
 __all__ = [
     "Batch",
-    "Client",
     "CompileFarm",
     "CompileRequest",
     "CompileResponse",

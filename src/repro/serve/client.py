@@ -1,120 +1,38 @@
-"""Client facades over a :class:`~repro.serve.farm.CompileFarm`.
+"""The blocking facade over a :class:`~repro.serve.farm.CompileFarm`.
 
-:class:`Client` is the thin async facade: submit, stream, gather — for
-callers already living on an event loop.  :class:`SyncClient` runs the
-farm on a private background event-loop thread and exposes blocking
-methods, which is what synchronous callers — most importantly
-:class:`~repro.dse.engine.MultiBenchmarkExplorer` via its ``farm=``
-argument — plug in.
+:class:`SyncClient` runs the farm on a private background event-loop
+thread and exposes blocking methods, which is what synchronous callers —
+most importantly :class:`~repro.dse.engine.MultiBenchmarkExplorer` via its
+``farm=`` argument — plug in.  Callers already living on an event loop use
+the farm itself (``await farm.submit(...)``, then the batch's ``stream``
+or ``gather``).
 
-Both facades re-export the farm's compatibility surface
+The facade re-exports the farm's compatibility surface
 (``benchmark_names``, ``lane_sizes``, ``board_name``, ``workers``,
-``stats``) so the explorer's pre-flight validation sees through either
-one.
+``stats``) so the explorer's pre-flight validation sees through it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import (
-    AsyncIterator,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dse.results import PointResult
 from repro.dse.space import DesignPoint
 from repro.errors import FarmError
-from repro.serve.farm import Batch, CompileFarm, FarmStats
+from repro.serve.farm import CompileFarm, FarmStats
 from repro.serve.protocol import CompileRequest, CompileResponse
 
-__all__ = ["Client", "SyncClient"]
+__all__ = ["SyncClient"]
 
 RequestLike = Union[CompileRequest, Tuple[str, DesignPoint]]
-
-
-class Client:
-    """Async facade over an in-process farm."""
-
-    def __init__(self, farm: CompileFarm) -> None:
-        self.farm = farm
-
-    # -- the farm's compatibility surface, passed through -------------------
-    @property
-    def benchmark_names(self) -> Tuple[str, ...]:
-        return self.farm.benchmark_names
-
-    def lane_sizes(self, name: str) -> Optional[Dict[str, int]]:
-        return self.farm.lane_sizes(name)
-
-    @property
-    def board_name(self) -> str:
-        return self.farm.board_name
-
-    @property
-    def workers(self) -> int:
-        return self.farm.workers
-
-    @property
-    def stats(self) -> FarmStats:
-        return self.farm.stats
-
-    # -- request surface -----------------------------------------------------
-    async def submit(self, requests: Sequence[RequestLike]) -> Batch:
-        return await self.farm.submit(requests)
-
-    async def stream(
-        self, requests: Sequence[RequestLike]
-    ) -> AsyncIterator[CompileResponse]:
-        """Submit and yield responses in completion order."""
-        batch = await self.farm.submit(requests)
-        async for response in batch.stream():
-            yield response
-
-    async def gather(self, requests: Sequence[RequestLike]) -> List[CompileResponse]:
-        """Submit and return responses in submission order."""
-        batch = await self.farm.submit(requests)
-        return await batch.gather()
-
-    async def evaluate(
-        self,
-        tasks: Sequence[Tuple[str, DesignPoint]],
-        cycle_model: Optional[str] = None,
-    ) -> List[PointResult]:
-        """Evaluate (benchmark, point) tasks, results in task order.
-
-        The explorer-compatible surface: every response must carry a
-        result (failed evaluations come back as ``failed=True`` records,
-        exactly like the supervised evaluator's quarantine), so a missing
-        result — a cancelled response — raises
-        :class:`~repro.errors.FarmError`.
-        """
-        requests = [
-            CompileRequest(benchmark=bench, point=point, cycle_model=cycle_model)
-            for bench, point in tasks
-        ]
-        responses = await self.gather(requests)
-        results: List[PointResult] = []
-        for response in responses:
-            if response.result is None:
-                raise FarmError(
-                    f"request {response.request_id} for {response.benchmark} "
-                    f"returned no result ({response.status}): {response.error}"
-                )
-            results.append(response.result)
-        return results
 
 
 class SyncClient:
     """Blocking facade: the farm lives on a background event-loop thread.
 
-    Either wrap an existing (not yet started) farm or pass the farm's
-    constructor arguments directly::
+    Wrap a farm that is not yet started::
 
         with SyncClient(CompileFarm(["matmul"], workers=4)) as client:
             results = client.evaluate([("matmul", point)])
@@ -128,7 +46,6 @@ class SyncClient:
 
     def __init__(self, farm: CompileFarm, start_timeout: float = 60.0) -> None:
         self.farm = farm
-        self._async = Client(farm)
         self._start_timeout = start_timeout
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -202,9 +119,13 @@ class SyncClient:
         return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result()
 
     # -- request surface -----------------------------------------------------
+    async def _gather(self, requests: Sequence[RequestLike]) -> List[CompileResponse]:
+        batch = await self.farm.submit(requests)
+        return await batch.gather()
+
     def submit(self, requests: Sequence[RequestLike]) -> List[CompileResponse]:
         """Submit a batch and block for its responses, submission-ordered."""
-        return self._call(self._async.gather(requests))
+        return self._call(self._gather(requests))
 
     def stream(self, requests: Sequence[RequestLike]):
         """Submit a batch and yield responses in completion order.
@@ -228,5 +149,25 @@ class SyncClient:
         tasks: Sequence[Tuple[str, DesignPoint]],
         cycle_model: Optional[str] = None,
     ) -> List[PointResult]:
-        """Blocking :meth:`Client.evaluate` — the explorer's ``farm=`` hook."""
-        return self._call(self._async.evaluate(tasks, cycle_model=cycle_model))
+        """Evaluate (benchmark, point) tasks, results in task order.
+
+        The explorer's ``farm=`` hook: every response must carry a result
+        (failed evaluations come back as ``failed=True`` records, exactly
+        like the supervised evaluator's quarantine), so a missing result —
+        a cancelled response — raises :class:`~repro.errors.FarmError`.
+        """
+        responses = self.submit(
+            [
+                CompileRequest(benchmark=bench, point=point, cycle_model=cycle_model)
+                for bench, point in tasks
+            ]
+        )
+        results: List[PointResult] = []
+        for response in responses:
+            if response.result is None:
+                raise FarmError(
+                    f"request {response.request_id} for {response.benchmark} "
+                    f"returned no result ({response.status}): {response.error}"
+                )
+            results.append(response.result)
+        return results

@@ -76,8 +76,8 @@ def programs():
                 CompileConfig(tiling=True, tile_sizes=tiles) if tiles else CompileConfig()
             )
             workload = bench.workload(sizes)
-            session = Session(cache=AnalysisCache(), pipeline=TILING_FLOW)
-            tiling = session.compile(bench.build(), config, workload).tiling
+            session = Session(cache=AnalysisCache())
+            tiling = session.compile(bench.build(), config, workload, pipeline=TILING_FLOW).tiling
             splits += "split" in tiling.applied_interchanges
             for stage, program in tiling.stages().items():
                 label = f"{bench.name}|{tag}|{sorted((tiles or {}).items())}|{stage}"

@@ -5,24 +5,21 @@ design, cache seeding, explore() integration, chaos determinism, and the
 annealing strategy's efficiency criterion."""
 
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.apps import all_benchmarks, get_benchmark
-from repro.dse.batch import evaluate_point_batch
+from repro.dse.batch import _split, evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE
-from repro.dse.engine import _key_digest, _point_key, evaluate_point, explore
+from repro.dse.engine import evaluate_point, explore
 from repro.dse.resilience import FaultPlan, ResiliencePolicy
 from repro.dse.search import hypervolume, run_search
 from repro.dse.space import DesignPoint, DesignSpace, default_space
 from repro.errors import SimulationError
 from repro.hw.generation import HardwareGenerator
-from repro.pipeline.passes import EstimateAreaStage, TransformationStage
-from repro.pipeline.session import CompilerSession
 from repro.pipeline.variants import get_pipeline, pipeline_variants
-from repro.rewrite import ScheduleRewrite
+from repro.rewrite.orderings import DEFAULT_ORDERING, SCHEDULE_TRIPLE, ordering_name
 from repro.schedule.event import EventScheduleBackend
 from repro.sim.model import PerformanceModel
 
@@ -124,6 +121,27 @@ class TestBitIdentity:
             batched = evaluate_point_batch(program, bindings, shuffled)
         _assert_results_bit_identical(scalar, batched)
 
+    def test_every_gene_splits_into_its_prefix_and_schedule_steps(self):
+        """The batched path keeps each gene's passes before hardware
+        generation and its schedule steps, for named variants and ``auto:``
+        orderings with none, one or several schedule steps."""
+        genes = pipeline_variants() + [
+            ordering_name(DEFAULT_ORDERING + SCHEDULE_TRIPLE),
+            ordering_name(("strip-mine", "tile-copies", "coalesce-transfers")),
+        ]
+        for gene in genes:
+            passes = get_pipeline(gene).passes
+            split = _split(gene)
+            assert split is _split(gene)
+            names = [stage.name for stage in passes]
+            generate = names.index("generate-hardware")
+            assert split.prefix.pass_names == names[:generate]
+            assert names[generate + 1] == "build-schedule" and names[-1] == "estimate-area"
+            assert [step.name for step in split.schedule_steps] == [
+                stage.transformation.name for stage in passes[generate + 2 : -1]
+            ]
+            assert split.prefix_signature == split.prefix.signature()
+
     def test_unknown_pipeline_gene_raises_like_scalar(self):
         bench = get_benchmark("sumrows")
         program = bench.build()
@@ -160,20 +178,6 @@ class TestBitIdentity:
         assert raised == failing
 
 
-class _SubclassedEstimate(EstimateAreaStage):
-    """A terminal stage the vector path cannot vouch for."""
-
-
-class _SubclassedStep(TransformationStage):
-    """A schedule step the vector path cannot vouch for."""
-
-
-def _session_with_tail(edit):
-    """A session whose default pipeline is ``rewrite`` with one stage edited."""
-    pipe = get_pipeline("rewrite")
-    return CompilerSession(pipeline=edit(pipe))
-
-
 class TestEngagement:
     def _inputs(self, name="sumrows", seed=4):
         bench = get_benchmark(name)
@@ -187,63 +191,6 @@ class TestEngagement:
         evaluate_point_batch(program, bindings, points, engagement=second)
         assert first == Counter({"vector": len(points)})
         assert second == Counter({"cached": len(points)})
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda pipe: pipe.replaced("estimate-area", _SubclassedEstimate()),
-            lambda pipe: pipe.replaced(
-                "rewrite-schedule", _SubclassedStep(ScheduleRewrite())
-            ),
-        ],
-        ids=["subclassed-terminal", "subclassed-schedule-step"],
-    )
-    def test_non_stock_tail_falls_back_and_matches(self, edit):
-        bench, program, bindings = self._inputs()
-        points = list(_space_for(bench))[:4]
-        session = _session_with_tail(edit)
-        engagement = Counter()
-        with ANALYSIS_CACHE.disabled():
-            scalar = [
-                evaluate_point(program, bindings, p, session=session) for p in points
-            ]
-            batched = evaluate_point_batch(
-                program, bindings, points, session=session, engagement=engagement
-            )
-        _assert_results_bit_identical(scalar, batched)
-        assert engagement == Counter({"non-stock-tail": len(points)})
-
-    def test_subclassed_step_keys_apart_from_the_stock_variant(self):
-        """A subclassed stage may do anything, so a pipeline holding one
-        must never share point keys or journal digests with the stock
-        variant; the stock pipeline, set as a session's own, does."""
-        bench, program, bindings = self._inputs()
-        point = list(_space_for(bench))[1]
-        stock = _point_key(
-            program, bindings, replace(point, pipeline="rewrite"), CompilerSession(), None
-        )
-
-        def key(edit):
-            return _point_key(program, bindings, point, _session_with_tail(edit), None)
-
-        assert key(lambda pipe: pipe) == stock
-        subclassed = key(
-            lambda pipe: pipe.replaced("rewrite-schedule", _SubclassedStep(ScheduleRewrite()))
-        )
-        assert subclassed is not None
-        assert subclassed != stock
-        assert _key_digest(subclassed) != _key_digest(stock)
-
-    def test_fallback_counts_each_cache_miss_once(self):
-        bench, program, bindings = self._inputs()
-        points = list(_space_for(bench))[:6]
-        session = _session_with_tail(
-            lambda pipe: pipe.replaced("estimate-area", _SubclassedEstimate())
-        )
-        evaluate_point_batch(program, bindings, points, session=session)
-        stats = ANALYSIS_CACHE.stats()["point_results"]
-        assert stats["misses"] == len(points)
-        assert stats["entries"] == len(points)
 
     def test_designs_are_shared_across_variants(self, monkeypatch):
         bench, program, bindings = self._inputs("gemm", seed=5)
@@ -290,23 +237,9 @@ class TestEngagement:
         _assert_results_bit_identical(scalar, batched)
 
 
-class _DropAbsorbed(ScheduleRewrite):
-    """The composite rewrite, then one absorbed module forgotten: a step
-    whose output ``verify_rewrite`` never checked."""
-
-    def apply_schedule(self, schedule, ctx):
-        rewritten, details = super().apply_schedule(schedule, ctx)
-        for node in rewritten.walk():
-            if node.extra_modules:
-                node.extra_modules.pop()
-                break
-        return rewritten, details
-
-
 class TestAreaOncePerDesign:
     def test_area_is_priced_once_per_design(self, monkeypatch):
-        """A ``rewrite`` point reuses its ``default`` twin's area report; a
-        step overriding ``apply_schedule`` prices its own schedule."""
+        """A ``rewrite`` point reuses its ``default`` twin's area report."""
         import repro.schedule.batched as batched
 
         bench = get_benchmark("gemm")
@@ -323,32 +256,10 @@ class TestAreaOncePerDesign:
         monkeypatch.setattr(batched, "estimate_area_of_schedule", counted)
         engagement = Counter()
         with ANALYSIS_CACHE.disabled():
-            results = evaluate_point_batch(program, workload, points, engagement=engagement)
+            evaluate_point_batch(program, workload, points, engagement=engagement)
         assert engagement == Counter({"vector": len(points)})
         designs = {(p.tile_sizes, p.par, p.metapipelining) for p in points}
         assert len(priced) == len(designs) == len(points) // 2
-
-        session = _session_with_tail(
-            lambda pipe: pipe.replaced(
-                "rewrite-schedule", TransformationStage(_DropAbsorbed())
-            )
-        )
-        dropping = list(_space_for(bench))
-        with ANALYSIS_CACHE.disabled():
-            scalar = [
-                evaluate_point(program, workload, p, session=session) for p in dropping
-            ]
-            del priced[:]
-            engagement = Counter()
-            own = evaluate_point_batch(
-                program, workload, dropping, session=session, engagement=engagement
-            )
-        assert engagement == Counter({"vector": len(dropping)})
-        assert len(priced) == len(dropping)
-        _assert_results_bit_identical(scalar, own)
-        twins = {result.point: result for result in results}
-        assert all(r.logic <= twins[r.point].logic for r in own)
-        assert any(r.logic < twins[r.point].logic for r in own)
 
 
 class TestCacheInteraction:

@@ -5,8 +5,9 @@ import pytest
 
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import MultiBenchmarkExplorer, explore
-from repro.dse.space import DesignPoint
+from repro.dse.space import DesignPoint, default_space
 from repro.errors import SimulationError
+from repro.serve import CompileFarm, SyncClient
 
 SIZES = {
     "gemm": {"m": 256, "n": 256, "p": 256},
@@ -140,6 +141,39 @@ class TestMultiBenchmarkExplorer:
             explore("outerprod", sizes={"m": 64, "n": 64}, cycle_model="bogus")
         with pytest.raises(SimulationError, match="unknown cycle model 'bogus'"):
             MultiBenchmarkExplorer(["gemm", "sumrows"], sizes=SIZES, cycle_model="bogus").run()
+        assert ANALYSIS_CACHE.misses.get("point_results", 0) == 0
+
+    @pytest.mark.parametrize("evaluator", ["in-process", "pool", "farm"])
+    def test_unknown_pipeline_gene_raises_before_any_evaluation(self, evaluator):
+        """A gene no pipeline resolves to would fail each of its points
+        alike, so every evaluator refuses it up front and names it."""
+        outerprod = {"m": 64, "n": 64}
+        explorer = MultiBenchmarkExplorer(
+            ["gemm", "sumrows"], sizes=SIZES, pipelines=["rewrite", "not-a-variant"]
+        )
+        if evaluator == "farm":
+            farm = CompileFarm(["gemm", "sumrows"], sizes=SIZES, workers=1)
+            with SyncClient(farm) as client:
+                explorer.farm = client
+                with pytest.raises(ValueError, match="'not-a-variant'"):
+                    explorer.run()
+            assert farm.stats.received == 0
+        else:
+            workers = 2 if evaluator == "pool" else None
+            explorer.workers = workers
+            with pytest.raises(ValueError, match="'not-a-variant'"):
+                explorer.run()
+            with pytest.raises(ValueError, match="'not-a-variant'"):
+                explore(
+                    "outerprod",
+                    sizes=outerprod,
+                    pipelines=["default", "not-a-variant"],
+                    prune=False,
+                    workers=workers,
+                )
+            space = default_space(outerprod, pipelines=("default", "auto:fusion"))
+            with pytest.raises(ValueError, match="'auto:fusion'"):
+                explore("outerprod", sizes=outerprod, space=space, workers=workers)
         assert ANALYSIS_CACHE.misses.get("point_results", 0) == 0
 
     def test_pareto_fronts_are_per_benchmark(self):

@@ -399,12 +399,12 @@ class TestExploreUnderFaults:
         """Supervision is on by default: a point that raises inside the
         batched evaluator is retried alone and quarantined, never fatal."""
         space = _gemm_space()
-        bad = DesignPoint.make({"m": 64, "n": 64, "p": 64}, par=16, pipeline="not-a-variant")
+        bad = DesignPoint.make({"m": 0, "n": 64, "p": 64}, par=16)
         space.add(bad)
         result = explore("gemm", sizes=GEMM_SIZES, space=space, prune=False)
         assert [q.point for q in result.quarantined] == [bad]
         assert result.quarantined[0].attempts == 3  # ResiliencePolicy().retries == 2
-        assert "ValueError" in result.quarantined[0].failure
+        assert "ConfigurationError" in result.quarantined[0].failure
         assert len(result.evaluated) == len(space) - 1
 
     def test_pool_spawn_failure_degrades_to_serial(self, monkeypatch):

@@ -12,7 +12,6 @@ configurations would while every result equals cache-off
 """
 
 from collections import Counter, OrderedDict
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,16 +20,12 @@ from hypothesis import strategies as st
 
 from repro.apps import all_benchmarks, get_benchmark
 from repro.dse import engine
-from repro.dse.batch import _split_terminal_tail, evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE, config_signature
 from repro.dse.engine import PointLedger, _point_key, evaluate_point, explore
 from repro.dse.space import default_space
 from repro.pipeline import session as session_module
-from repro.pipeline import variants
-from repro.pipeline.passes import TransformationStage
+from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.session import CompilerSession
-from repro.pipeline.variants import get_pipeline, register_pipeline_variant
-from repro.rewrite import ScheduleRewrite
 
 BENCHES = all_benchmarks()
 PIPELINES = ("default", "rewrite")
@@ -184,46 +179,6 @@ def test_clear_caches_empties_the_memo():
     }
 
 
-class _SubclassedStep(TransformationStage):
-    """A schedule step with the stock stage's signature that the batched
-    path cannot vouch for."""
-
-
-def test_reregistered_variant_is_split_again():
-    """A live session splits a gene's pipeline again once the variant is
-    registered again, even when the new stage's signature is the stock one's."""
-    bench = get_benchmark("sumrows")
-    program, workload = bench.build(), bench.workload(bench.default_sizes)
-    points = [
-        replace(point, pipeline="test-resplit")
-        for point in _space(bench)
-        if point.pipeline == "default"
-    ][:4]
-    session = CompilerSession()
-    register_pipeline_variant("test-resplit", lambda: get_pipeline("rewrite"))
-    try:
-        evaluate_point(program, workload, points[0], session=session)
-        assert session.pipeline_split("test-resplit", _split_terminal_tail) is not None
-        register_pipeline_variant(
-            "test-resplit",
-            lambda: get_pipeline("rewrite").replaced(
-                "rewrite-schedule", _SubclassedStep(ScheduleRewrite())
-            ),
-            replace=True,
-        )
-        assert session.pipeline_split("test-resplit", _split_terminal_tail) is None
-        engagement = Counter()
-        got = evaluate_point_batch(
-            program, workload, points[1:], session=session, engagement=engagement
-        )
-        assert engagement == Counter({"non-stock-tail": len(points) - 1})
-        with ANALYSIS_CACHE.disabled():
-            assert got == [evaluate_point(program, workload, p) for p in points[1:]]
-    finally:
-        variants._VARIANTS.pop("test-resplit", None)
-        variants._SIGNATURES.pop("test-resplit", None)
-
-
 def test_ledger_derives_each_workload_head_once(monkeypatch):
     """A ledger keys a program at two sizes as ``_point_key`` does, deriving
     each workload's head once."""
@@ -254,3 +209,23 @@ def test_ledger_derives_each_workload_head_once(monkeypatch):
     assert keys == expected
     assert len(set(keys)) == len(keys)
     assert sorted(derived.values()) == [1, 1]
+
+
+def test_a_new_session_builds_no_pipeline_for_a_gene_split_before(monkeypatch):
+    """Each gene's pipeline is split once per process, so a fresh session —
+    a farm lane's, a pool worker's — prices its first point of that gene
+    without building a pipeline."""
+    bench = get_benchmark("sumrows")
+    program, workload = bench.build(), bench.workload(bench.test_sizes)
+    dims = {name: bench.test_sizes[name] for name in bench.tile_sizes}
+    first, second = list(default_space(dims, pars=(4, 8), pipelines=("rewrite",)))[-2:]
+    with ANALYSIS_CACHE.disabled():
+        expected = evaluate_point(program, workload, second)
+    evaluate_point(program, workload, first, session=CompilerSession())
+    session = CompilerSession()
+
+    def built(self, passes, name="custom"):
+        raise AssertionError(f"built pipeline {name!r}")
+
+    monkeypatch.setattr(Pipeline, "__init__", built)
+    assert evaluate_point(program, workload, second, session=session) == expected

@@ -111,44 +111,6 @@ class TestCycleModelKnob:
             assert config_result.simulation.cycles > 0
         assert result.speedup_metapipelining > 0
 
-    def test_compare_cycle_models_populates_discrepancies(self):
-        report = run_figure7(
-            benchmarks=["outerprod", "tpchq6"],
-            sizes_override=SMALL_SIZES,
-            compare_cycle_models=True,
-            calibrate_cycle_models=True,
-        )
-        from repro.schedule import DEFAULT_TOLERANCE, UNCALIBRATED_TOLERANCE
-
-        for name in ("outerprod", "tpchq6"):
-            result = report.result(name)
-            assert set(result.discrepancies) == {
-                "baseline",
-                "tiling",
-                "tiling+metapipelining",
-                "tiling+metapipelining/calibrated",
-            }
-            # Raw default-knob rows stay within the uncalibrated bound; the
-            # fitted row must reach the tightened documented tolerance.
-            for label, discrepancy in result.discrepancies.items():
-                assert discrepancy.within(UNCALIBRATED_TOLERANCE), (
-                    discrepancy.summary()
-                )
-                if label.endswith("/calibrated"):
-                    assert discrepancy.within(DEFAULT_TOLERANCE), (
-                        discrepancy.summary()
-                    )
-            assert result.calibration is not None
-            assert result.calibration.within(DEFAULT_TOLERANCE)
-        table = report.discrepancy_table()
-        assert "outerprod/tiling+metapipelining" in table
-        assert "ratio" in table
-        assert report.calibration_table()
-
-    def test_discrepancy_table_empty_without_comparison(self):
-        report = run_figure7(benchmarks=["gemm"], sizes_override=SMALL_SIZES)
-        assert "compare_cycle_models" in report.discrepancy_table()
-
     def test_dse_best_is_a_point_result(self):
         from repro.dse.results import PointResult
 

@@ -16,7 +16,6 @@ from repro.pipeline import (
     default_pipeline,
     get_pipeline,
     pipeline_variants,
-    register_pipeline_variant,
 )
 from repro.pipeline.variants import variant_signature
 from repro.ppl.ir import Pattern
@@ -185,57 +184,6 @@ class TestVariants:
             get_pipeline("no-such-variant")
         with pytest.raises(ValueError):
             variant_signature("no-such-variant")
-
-    def test_registered_variant_resolves_and_invalidates_signature(self):
-        register_pipeline_variant(
-            "test-strip-only",
-            lambda: Pipeline([TransformationStage(StripMine())], name="test-strip-only"),
-        )
-        try:
-            assert "test-strip-only" in pipeline_variants()
-            assert variant_signature("test-strip-only") == (_STRIP,)
-            register_pipeline_variant(
-                "test-strip-only",
-                lambda: Pipeline(
-                    [TransformationStage(VerticalFusion())], name="test-strip-only"
-                ),
-                replace=True,
-            )
-            assert variant_signature("test-strip-only") == (_FUSION,)
-        finally:
-            from repro.pipeline import variants
-
-            variants._VARIANTS.pop("test-strip-only", None)
-            variants._SIGNATURES.pop("test-strip-only", None)
-
-    def test_duplicate_registration_is_rejected(self):
-        register_pipeline_variant(
-            "test-dup", lambda: Pipeline([TransformationStage(StripMine())], name="test-dup")
-        )
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_pipeline_variant(
-                    "test-dup",
-                    lambda: Pipeline([TransformationStage(VerticalFusion())], name="test-dup"),
-                )
-            # Shipped names are protected too.
-            with pytest.raises(ValueError, match="already registered"):
-                register_pipeline_variant(
-                    "default",
-                    lambda: Pipeline([TransformationStage(VerticalFusion())], name="default"),
-                )
-        finally:
-            from repro.pipeline import variants
-
-            variants._VARIANTS.pop("test-dup", None)
-            variants._SIGNATURES.pop("test-dup", None)
-
-    def test_auto_prefix_is_reserved(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_pipeline_variant(
-                "auto:fusion",
-                lambda: Pipeline([TransformationStage(VerticalFusion())], name="auto:fusion"),
-            )
 
 
 class TestPinnedSignatures:

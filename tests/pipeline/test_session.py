@@ -34,7 +34,7 @@ class TestSessionCompile:
         assert result.design is not None
         assert result.area.total.logic > 0
         assert result.report is not None
-        assert result.report.passes_run == len(session.pipeline)
+        assert result.report.passes_run == len(default_pipeline())
         assert session.simulate(result).cycles > 0
         assert session.compilations == 1
         assert session.last_report is result.report
@@ -50,8 +50,8 @@ class TestSessionCompile:
 
     def test_transform_only_pipeline_still_generates_hardware(self):
         bench, bindings, config = _small_workload()
-        session = Session(pipeline=default_pipeline().without("generate-hardware", "build-schedule", "estimate-area"))
-        result = session.compile(bench.build(), config, bindings)
+        transforms = default_pipeline().without("generate-hardware", "build-schedule", "estimate-area")
+        result = Session().compile(bench.build(), config, bindings, pipeline=transforms)
         assert result.design is not None
         assert result.area.total.logic > 0
 
@@ -169,7 +169,7 @@ class TestPipelineOverride:
         bench, bindings, config = _small_workload()
         session = Session()
         direct = session.compile(
-            bench.build(), config, bindings, pipeline=session.pipeline.without("fusion")
+            bench.build(), config, bindings, pipeline=default_pipeline().without("fusion")
         )
         assert direct.design is not None
         assert "fusion" not in [record.name for record in direct.report.records]

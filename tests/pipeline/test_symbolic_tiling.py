@@ -74,8 +74,8 @@ def _tile_configs(bench, sizes):
 def _compile_in_scope(bench, config, sizes, pipeline, cache):
     """Build and compile under one fresh naming scope, as a direct compile."""
     with fresh_naming_scope():
-        session = Session(cache=cache, pipeline=pipeline)
-        return session.compile(bench.build(), config, bench.workload(sizes))
+        session = Session(cache=cache)
+        return session.compile(bench.build(), config, bench.workload(sizes), pipeline=pipeline)
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
@@ -133,11 +133,11 @@ def test_drawn_tilings_instantiate_exactly(drawn, pipeline):
     def config(tiles):
         return CompileConfig(tiling=True, tile_sizes=tiles, split_threshold_words=budget)
 
-    session = Session(cache=AnalysisCache(), pipeline=pipeline)
-    session.compile(program, config(sibling), workload)
-    shared = session.compile(program, config(target), workload)
-    direct = Session(cache=_uncached(), pipeline=pipeline).compile(
-        program, config(target), workload
+    session = Session(cache=AnalysisCache())
+    session.compile(program, config(sibling), workload, pipeline=pipeline)
+    shared = session.compile(program, config(target), workload, pipeline=pipeline)
+    direct = Session(cache=_uncached()).compile(
+        program, config(target), workload, pipeline=pipeline
     )
     for stage in STAGES:
         got, want = getattr(shared.tiling, stage), getattr(direct.tiling, stage)

@@ -6,6 +6,7 @@ import pytest
 from repro.apps import all_benchmarks
 from repro.config import BASELINE, CompileConfig
 from repro.errors import SimulationError
+from repro.evaluation.figure7 import run_benchmark
 from repro.hw.controllers import (
     MetapipelineController,
     ParallelController,
@@ -136,6 +137,23 @@ class TestBenchmarkParity:
         calibrated = compare_backends(
             result.schedule, analytical_model=calibration.fitted
         )
+        assert calibrated.within(DEFAULT_TOLERANCE), calibrated.summary()
+
+    @pytest.mark.parametrize(
+        "name, sizes", [("outerprod", {"m": 1024, "n": 1024}), ("tpchq6", {"n": 262144})]
+    )
+    def test_figure7_rows_within_documented_tolerance(self, name, sizes):
+        """Figure 7's own three rows (its tiles, par factors and inner par):
+        each within the uncalibrated bound, and the metapipelined row's fit
+        within the tightened tolerance."""
+        result = run_benchmark(name, sizes=sizes)
+        for row in (result.baseline, result.tiling, result.metapipelining):
+            discrepancy = compare_backends(row.compilation.schedule)
+            assert discrepancy.within(UNCALIBRATED_TOLERANCE), (row.label, discrepancy.summary())
+        schedule = result.metapipelining.compilation.schedule
+        calibration = calibrate_model([schedule])
+        assert calibration.within(DEFAULT_TOLERANCE), calibration.summary()
+        calibrated = compare_backends(schedule, analytical_model=calibration.fitted)
         assert calibrated.within(DEFAULT_TOLERANCE), calibrated.summary()
 
 

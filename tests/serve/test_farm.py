@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.apps import get_benchmark
 from repro.dse.batch import evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import MultiBenchmarkExplorer, evaluate_point, explore
-from repro.dse.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+from repro.dse.resilience import CheckpointJournal, FaultPlan, FaultSpec, ResiliencePolicy
 from repro.dse.space import DesignPoint, default_space
 from repro.errors import FarmError
 from repro.rewrite import (
@@ -24,7 +25,7 @@ from repro.rewrite import (
     TileCopies,
     VerticalFusion,
 )
-from repro.serve import CompileFarm, CompileRequest, SyncClient
+from repro.serve import CompileFarm, CompileRequest, CompileResponse, SyncClient
 
 SIZES = {
     "sumrows": {"m": 1024, "n": 64},
@@ -336,6 +337,27 @@ class TestJournal:
         journal = journal_events[0][1]
         assert journal_events == [("append", journal)] * len(points) + [("close", journal)]
 
+    @pytest.mark.asyncio
+    async def test_round_tripped_points_coalesce_with_points_built_in_place(self, tmp_path):
+        """A point that arrived over TCP (one pickle round trip) coalesces
+        with, and journals under the digest of, the same point built in
+        this process."""
+        bench = get_benchmark("gemm")
+        points = list(default_space({name: bench.test_sizes[name] for name in bench.tile_sizes}))
+        copies = [pickle.loads(pickle.dumps(point)) for point in points]
+        journal = tmp_path / "farm.journal"
+        farm = CompileFarm(
+            ["gemm"],
+            sizes={"gemm": dict(bench.test_sizes)},
+            workers=1,
+            resilience=_fast_policy(checkpoint=journal),
+        )
+        async with farm:
+            await (await farm.submit([("gemm", p) for p in points + copies])).gather()
+        assert len(points) == 12
+        assert farm.stats.scheduled == len(points)
+        assert len(CheckpointJournal(journal).load()) == len(points)
+
 
 class TestExplorerIntegration:
     def test_explorer_through_farm_matches_serial_explorer(self):
@@ -597,6 +619,19 @@ class TestSyncClient:
             streamed = list(client.stream([("sumrows", p) for p in points]))
         assert len(streamed) == 2
         assert all(r.ok for r in streamed)
+
+    def test_evaluate_raises_for_a_response_without_a_result(self, monkeypatch):
+        """Failed evaluations come back as results; a response with none (a
+        cancelled one) must not shift the explorer's results out of line."""
+        point = GOOD
+        cancelled = CompileResponse(
+            "r0", "sumrows", point, "cancelled", error="evaluation cancelled before completion"
+        )
+        farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)
+        with SyncClient(farm) as client:
+            monkeypatch.setattr(client, "submit", lambda requests: [cancelled])
+            with pytest.raises(FarmError, match=r"r0 for sumrows returned no result \(cancelled\)"):
+                client.evaluate([("sumrows", point)])
 
     def test_double_start_rejected(self):
         farm = CompileFarm(["sumrows"], sizes=SIZES, workers=1)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from repro.apps import get_benchmark
 from repro.dse.cache import ANALYSIS_CACHE
-from repro.dse.engine import evaluate_point
-from repro.dse.space import DesignPoint
+from repro.dse.engine import evaluate_point, explore
+from repro.dse.resilience import ResiliencePolicy
+from repro.dse.space import DesignPoint, default_space
 from repro.errors import FarmError, ProtocolError
 from repro.serve import CompileFarm, CompileRequest, CompileResponse
 from repro.serve.net import FarmServer, RemoteClient, read_frame, write_frame
@@ -89,6 +90,31 @@ async def test_remote_gather_matches_local_submission_order():
     assert [r.point for r in responses] == points
     assert all(r.ok for r in responses)
     assert [r.status for r in responses] == ["evaluated"] * len(points)
+
+
+@pytest.mark.asyncio
+async def test_explore_resumes_a_journal_a_remote_farm_wrote(tmp_path):
+    """Points that crossed the socket are journaled under the digests an
+    in-process sweep derives for the same points, so a resumed explore
+    replays every one and evaluates nothing."""
+    bench = get_benchmark("gemm")
+    sizes = dict(bench.test_sizes)
+    space = default_space({name: sizes[name] for name in bench.tile_sizes})
+    journal = tmp_path / "farm.journal"
+    farm = CompileFarm(
+        ["gemm"], sizes={"gemm": sizes}, workers=1, resilience=ResiliencePolicy(checkpoint=journal)
+    )
+    async with farm:
+        async with FarmServer(farm) as server:
+            async with await RemoteClient.connect(*server.address) as client:
+                responses = await client.gather([CompileRequest("gemm", p) for p in space])
+    assert all(r.ok for r in responses)
+    ANALYSIS_CACHE.clear()
+    resumed = explore(
+        "gemm", sizes=sizes, space=space, prune=False, resilience=ResiliencePolicy(checkpoint=journal)
+    )
+    assert resumed.resumed == len(space) == 12
+    assert ANALYSIS_CACHE.misses.get("point_results", 0) == 0
 
 
 @pytest.mark.asyncio
