@@ -114,7 +114,7 @@ from repro.target.device import DEFAULT_BOARD, Board
 __all__ = ["evaluate_point_batch", "price_configuration"]
 
 
-class _Tail(NamedTuple):
+class _Split(NamedTuple):
     """A gene's pipeline split for the batched path."""
 
     prefix: Pipeline
@@ -132,10 +132,10 @@ class _ConfigState(NamedTuple):
 
 #: gene → its split, kept for the process: the variant table is constant
 #: and an ``auto:`` name spells out its ordering.
-_TAILS: Dict[str, _Tail] = {}
+_SPLITS: Dict[str, _Split] = {}
 
 
-def _split(gene: str) -> _Tail:
+def _split(gene: str) -> _Split:
     """The PPL prefix and schedule steps of ``gene``'s pipeline, split once.
 
     The batched path replaces the terminal passes with its own
@@ -144,22 +144,22 @@ def _split(gene: str) -> _Tail:
     estimate-area.  Raises ``ValueError`` for an unknown gene, as compiling
     it would.
     """
-    tail = _TAILS.get(gene)
-    if tail is None:
+    split = _SPLITS.get(gene)
+    if split is None:
         passes = get_pipeline(gene).passes
         generate = next(
             index for index, stage in enumerate(passes) if type(stage) is GenerateHardwareStage
         )
         prefix = Pipeline(passes[:generate], name="batched-prefix")
         steps = tuple(stage.transformation for stage in passes[generate + 2 : -1])
-        tail = _TAILS[gene] = _Tail(prefix, prefix.signature(), steps)
-    return tail
+        split = _SPLITS[gene] = _Split(prefix, prefix.signature(), steps)
+    return split
 
 
 def _config_state(
     program: Program,
     bindings: Mapping[str, object],
-    tail: _Tail,
+    split: _Split,
     config,
     session,
     head: Optional[tuple],
@@ -174,10 +174,10 @@ def _config_state(
             model=session.model,
             cache=session.cache,
         )
-        tiled = tail.prefix.run(program, ctx).program
+        tiled = split.prefix.run(program, ctx).program
         return _ConfigState(tiled, GenerationShared(tiled, bindings))
 
-    key = (head, tail.prefix_signature, config_signature(config))
+    key = (head, split.prefix_signature, config_signature(config))
     return session.config_state(key, build)
 
 
@@ -185,7 +185,7 @@ def price_configuration(
     program: Program,
     bindings: Mapping[str, object],
     points: Sequence[DesignPoint],
-    tails: Sequence[_Tail],
+    splits: Sequence[_Split],
     session,
     models: Sequence[Optional[PerformanceModel]],
     head: Optional[tuple],
@@ -194,7 +194,7 @@ def price_configuration(
     """Price points of one tiling configuration: the batched path's per-point code.
 
     ``points`` share one prefix signature and config signature,
-    ``tails[i]`` is the split of ``points[i]``'s gene (:func:`_split`) and
+    ``splits[i]`` is the split of ``points[i]``'s gene (:func:`_split`) and
     ``models[i]`` the model it is timed under (its DRAM-channel gene
     folded in).  The configuration's state comes from the session's memo
     (keyed with ``head``, the workload part of the points' keys); then
@@ -205,13 +205,13 @@ def price_configuration(
     schedule steps through their context and prices the event-model
     points.
     """
-    state = _config_state(program, bindings, tails[0], points[0].config(), session, head)
+    state = _config_state(program, bindings, splits[0], points[0].config(), session, head)
     board = session.board
     memo = ProfileMemo()
     # One (design, lowered schedule, step context) per configuration.
     designs: Dict[tuple, tuple] = {}
     built, schedules, design_keys = [], [], []
-    for point, tail in zip(points, tails):
+    for point, split in zip(points, splits):
         design_key = (point.tile_sizes, point.par, point.metapipelining)
         if design_key not in designs:
             config = point.config()
@@ -229,7 +229,7 @@ def price_configuration(
             step_ctx.artifacts[PROFILE_MEMO_KEY] = memo
             designs[design_key] = (design, design.schedule(), step_ctx)
         design, schedule, step_ctx = designs[design_key]
-        for step in tail.schedule_steps:
+        for step in split.schedule_steps:
             schedule = step.apply(schedule, step_ctx)
         built.append(design)
         schedules.append(schedule)
@@ -289,7 +289,7 @@ def evaluate_point_batch(
     for index, point in enumerate(points):
         # Raises ValueError for an unknown pipeline gene, exactly as the
         # scalar evaluation of this point would.
-        tail = _split(point.pipeline)
+        split = _split(point.pipeline)
         if ANALYSIS_CACHE.enabled:
             key = keys[index] = ledger.key(program, bindings, point, cycle_model)
             cached = ledger.lookup(key)
@@ -300,7 +300,7 @@ def evaluate_point_batch(
             if key is not None:
                 ANALYSIS_CACHE.misses["point_results"] += 1
         groups.setdefault(
-            (tail.prefix_signature, config_signature(point.config())), []
+            (split.prefix_signature, config_signature(point.config())), []
         ).append(index)
 
     # -- pass 2: one configuration's state and pricing per group ---------------

@@ -175,8 +175,9 @@ def default_space(
     with ``pars``, the metapipelining flag and the pass-pipeline variants
     forms the space, optionally decimated to ``max_points`` with a
     deterministic stride.
-    ``pipelines`` names registered pipeline variants
-    (:func:`repro.pipeline.variants.pipeline_variants`); passing more than
+    ``pipelines`` names pipeline variants
+    (:func:`repro.pipeline.variants.pipeline_variants`) or ``auto:``
+    orderings (:mod:`repro.rewrite.orderings`); passing more than
     one makes the transform ordering an extra search gene.  ``channels``
     likewise makes DRAM-channel provisioning a gene: each count is swept as
     ``PerformanceModel.dram_channels`` when the point is timed under the

@@ -5,9 +5,9 @@ A :class:`Pipeline` is an immutable ordered sequence of
 Editing operations (:meth:`Pipeline.without`, :meth:`Pipeline.replaced`,
 :meth:`Pipeline.inserted_before` / :meth:`Pipeline.inserted_after`) return
 new pipelines, so one pipeline object can be shared by many sessions and
-sweeps without aliasing surprises — pipeline *variants* (``no-fusion``,
-``no-cse``, custom orderings) are just edited copies registered in
-:mod:`repro.pipeline.variants`.
+sweeps without aliasing surprises.  The named pipeline *variants*
+(``no-fusion``, ``no-cse``, …) are orderings of the same steps
+(:mod:`repro.pipeline.variants`).
 
 Running a pipeline produces a :class:`PipelineOutcome`: the final program,
 the per-pass program trace (the intermediate IR after every step, which is

@@ -175,7 +175,7 @@ def enumerate_legal_orderings(
     ``max_cleanup_steps`` cleanup/interchange steps, and (with
     ``include_schedule``) every legal schedule-step suffix.  Deterministic
     iteration order — same arguments, same sequence — which is what lets
-    two runs register identical variants.
+    two runs sweep identical ``auto:`` genes.
     """
     cleanup_pool = ("cse", "code-motion", "interchange", "post-cse", "post-code-motion")
     suffixes = _schedule_suffixes() if include_schedule else [()]

@@ -3,10 +3,9 @@
 :func:`repro.dse.batch.evaluate_point_batch` prices each prefix group
 with one :func:`batched_cycles` call over every point's schedule, each
 under the point's own model, and one :func:`batched_area` call over each
-design's lowered schedule, once per design: a point whose schedule steps
-all end in ``verify_rewrite`` has its design's module inventory, so it
-shares that report, and only a point with a non-stock step brings its own
-schedule.  Both are loops over the one scalar cost model — the analytical
+design's lowered schedule, once per design: every schedule step ends in
+``verify_rewrite``, so every point has its design's module inventory and
+shares that report.  Both are loops over the one scalar cost model — the analytical
 backend's walk or an event run, and the template area sum — so a batched
 result equals the scalar path's by construction.  Event runs go through
 the caller's :class:`~repro.schedule.rewrite.ProfileMemo`, so a tree the
