@@ -219,8 +219,7 @@ def run_benchmark(
     three share the warm analysis caches.  Each configuration's
     compilation carries its per-pass :class:`PipelineReport`.
 
-    ``cycle_model`` selects the schedule backend the reported speedups come
-    from.
+    ``cycle_model`` selects the schedule backend the speedups come from.
     """
     bench = get_benchmark(name)
     sizes = dict(sizes or bench.default_sizes)
