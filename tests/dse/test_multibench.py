@@ -147,22 +147,24 @@ class TestMultiBenchmarkExplorer:
     def test_unknown_pipeline_gene_raises_before_any_evaluation(self, evaluator):
         """A gene no pipeline resolves to would fail each of its points
         alike, so every evaluator refuses it up front and names it."""
-        outerprod = {"m": 64, "n": 64}
-        explorer = MultiBenchmarkExplorer(
-            ["gemm", "sumrows"], sizes=SIZES, pipelines=["rewrite", "not-a-variant"]
-        )
+        names, pipelines = ["gemm", "sumrows"], ["rewrite", "not-a-variant"]
         if evaluator == "farm":
-            farm = CompileFarm(["gemm", "sumrows"], sizes=SIZES, workers=1)
+            farm = CompileFarm(names, sizes=SIZES, workers=1)
             with SyncClient(farm) as client:
-                explorer.farm = client
+                explorer = MultiBenchmarkExplorer(
+                    names, sizes=SIZES, pipelines=pipelines, farm=client
+                )
                 with pytest.raises(ValueError, match="'not-a-variant'"):
                     explorer.run()
             assert farm.stats.received == 0
         else:
             workers = 2 if evaluator == "pool" else None
-            explorer.workers = workers
+            explorer = MultiBenchmarkExplorer(
+                names, sizes=SIZES, pipelines=pipelines, workers=workers
+            )
             with pytest.raises(ValueError, match="'not-a-variant'"):
                 explorer.run()
+            outerprod = {"m": 64, "n": 64}
             with pytest.raises(ValueError, match="'not-a-variant'"):
                 explore(
                     "outerprod",
